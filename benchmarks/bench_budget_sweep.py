@@ -2,7 +2,7 @@
 
 Unlike the other benches, this one consumes the shared GMS CLI surface
 end-to-end: flags are parsed by :func:`repro.platform.cli.parse_args`, the
-headline backend comes from ``Args.resolve_set_class_for_graph`` (so
+headline backend comes from ``cli.resolve_set_class_for_graph`` (so
 ``--bloom-bits`` / ``--kmv-k`` / ``--bloom-shared-bits`` apply verbatim),
 and the rows land in ``results/budget_sweep_<dataset>.json`` — the artifact
 the CI upload step publishes.

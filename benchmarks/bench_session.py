@@ -14,7 +14,7 @@ persists it as ``results/session_bench.json`` (schema
   *resident* pool, three ways: the first batch on a fresh session (pays
   pool start + worker warm-up), the same batch again (resident pool,
   warm workers), and the per-call-pool baseline the pre-session API used
-  (a throwaway ``run_suite``-style pool per batch);
+  (a throwaway pool per batch);
 * **transport × schedule matrix** — one suite plan under every
   ``{pickle, shm} × {static, dynamic, stealing}`` combination, recording
   the measured payload bytes shipped to the pool (pre-warm seed + per

@@ -36,8 +36,7 @@ from repro.platform.bench import write_artifact
 
 
 def _run_plan(plan: ExperimentPlan):
-    """One throwaway session per measured run (the `run_suite` semantics,
-    without the deprecation shim)."""
+    """One throwaway session per measured run."""
     with MiningSession.from_plan(plan) as session:
         return session.run_plan(plan)
 

@@ -16,10 +16,9 @@ The second half re-runs the same plan on a session with a 2-worker
 2``) and a bounded ``MaterializationCache``, and checks the parallel
 artifact is cell-for-cell identical to the sequential one up to timing
 — custom kernel included, since workers are forked from this process.
-Plans run through :meth:`MiningSession.run_plan` — the engine behind the
-deprecated ``run_suite`` shim — so the cache (and, for parallel
-sessions, the worker pool) stays warm across every plan the session
-serves; see ``examples/session_quickstart.py`` for the fluent
+Plans run through :meth:`MiningSession.run_plan`, so the cache (and,
+for parallel sessions, the worker pool) stays warm across every plan the
+session serves; see ``examples/session_quickstart.py`` for the fluent
 single-query face of the same session object.
 
 Run with::

@@ -38,14 +38,18 @@ Commands
 ``lint``                AST-based invariant analyzer (``repro.analysis``):
                         GMS001 set-algebra purity, GMS002 counter
                         discipline, GMS003 resource lifecycle, GMS004
-                        silent suppression, GMS005 determinism, GMS006
-                        deprecated shims; ``--format json`` emits the
-                        ``gms-lint/v1`` artifact the CI gate diffs
+                        silent suppression, GMS005 determinism;
+                        ``--format json`` emits the ``gms-lint/v1``
+                        artifact the CI gate diffs
+
+Piping any command into a reader that stops early (``... | head``)
+exits with status 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -144,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="AST-based invariant analyzer: set-algebra purity, counter "
              "discipline, resource lifecycle, silent suppression, "
-             "determinism, deprecated shims (gms-lint/v1 artifact)",
+             "determinism (gms-lint/v1 artifact)",
         add_help=False,
     )
     p.add_argument("rest", nargs=argparse.REMAINDER)
@@ -167,6 +171,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``... | head``).  As the SIGPIPE note in
+        # the Python docs does, point stdout at devnull so the flush at
+        # interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(argv: Optional[List[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "budget-sweep":
@@ -203,12 +220,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "datasets":
-        try:
-            for name, spec in sorted(DATASETS.items()):
-                print(f"{name:<22} [{spec.category}]  mirrors {spec.mirrors}: "
-                      f"{spec.why}")
-        except BrokenPipeError:  # e.g. `... | head`
-            pass
+        for name, spec in sorted(DATASETS.items()):
+            print(f"{name:<22} [{spec.category}]  mirrors {spec.mirrors}: "
+                  f"{spec.why}")
         return 0
 
     graph = load_dataset(args.dataset)

@@ -4,9 +4,8 @@ An AST-based analyzer that mechanically enforces the contracts the
 suite's correctness-and-comparability story rests on: all mining goes
 through the :class:`SetBase` algebra (GMS001), every backend op
 accounts its element traffic (GMS002), shared resources are released on
-every path (GMS003), no exception is swallowed silently (GMS004),
-artifact values are deterministic (GMS005), and nobody calls the
-deprecation shims internally (GMS006).
+every path (GMS003), no exception is swallowed silently (GMS004), and
+artifact values are deterministic (GMS005).
 
 Entry points
 ------------

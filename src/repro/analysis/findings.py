@@ -28,7 +28,7 @@ class Finding:
     path: str  # repo-relative, POSIX separators
     line: int  # 1-based, as reported by ast
     col: int  # 0-based column offset
-    rule: str  # "GMS001" ... "GMS006"
+    rule: str  # "GMS001" ... "GMS005"
     message: str
 
     def baseline_key(self) -> Tuple[str, str, str]:

@@ -14,7 +14,6 @@ from . import (  # noqa: F401  — importing registers the rules
     gms003_resource_lifecycle,
     gms004_silent_suppression,
     gms005_determinism,
-    gms006_deprecated_shims,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "gms003_resource_lifecycle",
     "gms004_silent_suppression",
     "gms005_determinism",
-    "gms006_deprecated_shims",
 ]

@@ -3,8 +3,10 @@
 JP clustering is the paper's example of *overlapping, single-level*
 clustering driven by vertex similarity: two vertices belong to the same
 cluster when they are in each other's k-nearest-neighbor lists and share at
-least ``k_min`` of their k nearest neighbors.  The shared-neighbor test is
-one set intersection — the set-algebra building block again.
+least ``k_min`` of their k nearest neighbors.  Each k-NN list is a
+:class:`~repro.core.sorted_set.SortedSet`, so the mutual-membership test
+is ``contains`` and the shared-neighbor test one ``intersect_count`` —
+the set-algebra building block again.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.sorted_set import SortedSet
 from ..graph.csr import CSRGraph
 from .similarity import SIMILARITY_MEASURES, similarity
 
@@ -21,16 +24,18 @@ __all__ = ["jarvis_patrick"]
 
 def _knn_lists(
     graph: CSRGraph, k: int, measure: str
-) -> List[np.ndarray]:
+) -> List[SortedSet]:
     """k most similar neighbors of each vertex (graph neighbors only)."""
-    knn: List[np.ndarray] = []
+    knn: List[SortedSet] = []
     for u in graph.vertices():
         neigh = graph.out_neigh(u).tolist()
         scored = sorted(
             ((similarity(graph, u, v, measure), v) for v in neigh),
             key=lambda t: (-t[0], t[1]),
         )
-        knn.append(np.asarray(sorted(v for _, v in scored[:k]), dtype=np.int64))
+        knn.append(SortedSet.from_sorted_array(
+            np.asarray(sorted(v for _, v in scored[:k]), dtype=np.int64)
+        ))
     return knn
 
 
@@ -63,17 +68,9 @@ def jarvis_patrick(
 
     for u in range(n):
         ku = knn[u]
-        for v in ku.tolist():
-            if u >= v:
-                continue
-            kv = knn[v]
-            mutual = np.searchsorted(kv, u) < len(kv) and kv[
-                min(np.searchsorted(kv, u), len(kv) - 1)
-            ] == u
-            if not mutual:
-                continue
-            shared = len(np.intersect1d(ku, kv, assume_unique=True))
-            if shared >= k_min:
+        for v in ku.to_array().tolist():
+            if u < v and knn[v].contains(u) and (
+                    ku.intersect_count(knn[v]) >= k_min):
                 union(u, v)
     roots = np.asarray([find(v) for v in range(n)], dtype=np.int64)
     # Compact cluster IDs.

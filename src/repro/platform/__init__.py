@@ -26,7 +26,6 @@ from .suite import (
     ExperimentPlan,
     SuiteKernel,
     register_suite_kernel,
-    run_suite,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "SuiteKernel",
     "SUITE_KERNELS",
     "register_suite_kernel",
-    "run_suite",
     "run_suite_parallel",
     "strip_timing",
     "diff_payloads",

@@ -9,7 +9,6 @@ output control.
 from __future__ import annotations
 
 import argparse
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Type
 
@@ -46,8 +45,8 @@ TRANSPORTS = ("pickle", "shm")
 def add_parallel_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared parallel-execution flags.
 
-    Used by the benchmark parser and the ``python -m repro suite``
-    subcommand so ``--workers``/``--schedule``/``--cache-budget-bytes``
+    Used by the ``python -m repro suite`` and ``serve`` parsers so
+    ``--workers``/``--schedule``/``--cache-budget-bytes``/``--transport``
     mean the same thing everywhere.
     """
     parser.add_argument("--workers", type=int, default=1,
@@ -131,11 +130,6 @@ class Args:
     kmv_k: int = 0
     bloom_shared_bits: int = 0
     bloom_fpr: float = 0.0
-    # Real (not simulated) parallel execution of the experiment suite.
-    workers: int = 1
-    schedule: str = "dynamic"
-    cache_budget_bytes: int = 0
-    transport: str = "pickle"
     # Set-op dispatch policy ('static' or 'adaptive').
     dispatch: str = "static"
 
@@ -152,31 +146,13 @@ class Args:
         shared Bloom budget to take effect — without it the per-set sizing
         flags apply; ``avg_set_size`` (the mean neighborhood size) is
         additionally required for the ``--bloom-fpr`` auto-sizing.  Use
-        :meth:`resolve_set_class_for_graph` when a graph is at hand.
+        :func:`resolve_set_class_for_graph` when a graph is at hand.
         """
         return resolve_set_class(
             self.set_class, bloom_bits=self.bloom_bits, kmv_k=self.kmv_k,
             bloom_shared_bits=self.bloom_shared_bits, num_sets=num_sets,
             bloom_fpr=self.bloom_fpr, avg_set_size=avg_set_size,
             dispatch=self.dispatch,
-        )
-
-    def resolve_set_class_for_graph(self, graph) -> Type[SetBase]:
-        """Deprecated: use :func:`resolve_set_class_for_graph` (module
-        function) or a :class:`~repro.platform.session.MiningSession`,
-        which owns backend resolution and memoizes it per graph."""
-        warnings.warn(
-            "Args.resolve_set_class_for_graph is deprecated; call "
-            "repro.platform.cli.resolve_set_class_for_graph(graph, ...) "
-            "directly, or route queries through a MiningSession "
-            "(repro.platform.session) which owns backend resolution",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return resolve_set_class_for_graph(
-            graph, self.set_class, bloom_bits=self.bloom_bits,
-            kmv_k=self.kmv_k, bloom_shared_bits=self.bloom_shared_bits,
-            bloom_fpr=self.bloom_fpr,
         )
 
 
@@ -201,7 +177,6 @@ def build_parser(description: str = "GMS reproduction benchmark") -> argparse.Ar
     parser.add_argument("--eps", type=float, default=0.1,
                         help="ADG approximation parameter")
     add_sketch_budget_args(parser)
-    add_parallel_args(parser)
     add_dispatch_args(parser)
     parser.add_argument("--k", type=int, default=4, help="clique size k")
     parser.add_argument("--repeats", type=int, default=3)
@@ -230,10 +205,6 @@ def parse_args(argv: Optional[List[str]] = None,
         kmv_k=ns.kmv_k,
         bloom_shared_bits=ns.bloom_shared_bits,
         bloom_fpr=ns.bloom_fpr,
-        workers=ns.workers,
-        schedule=ns.schedule,
-        cache_budget_bytes=ns.cache_budget_bytes,
-        transport=ns.transport,
         dispatch=ns.dispatch,
     )
 
@@ -312,10 +283,9 @@ def resolve_set_class_for_graph(
 
     The ``m = m_total / n`` choice happens here, once per graph — this is
     the only place the graph size (and, for ``bloom_fpr``, the average
-    degree) and the budget meet.  This is the functional form of the old
-    ``Args.resolve_set_class_for_graph`` method (now a deprecated shim):
-    the suite, the parallel runner's workers, and
-    :class:`~repro.platform.session.MiningSession` all resolve through it.
+    degree) and the budget meet: the suite, the parallel runner's
+    workers, and :class:`~repro.platform.session.MiningSession` all
+    resolve through it.
     """
     n = graph.num_nodes
     avg = 2.0 * graph.num_edges / n if n else 0.0

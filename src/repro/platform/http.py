@@ -11,19 +11,21 @@ mining tiers don't already have.
 Endpoints
 ---------
 ``POST /query``
-    Body is a :meth:`Query.with_overrides` dict plus ``kernel`` and
-    ``dataset`` (and optionally ``variants``, a list of override dicts
-    answered as one batch).  Compiled through the fluent
-    :class:`~repro.platform.session.Query` builder and answered
+    Body is a dict of query keys (the README's table; ``kernel`` and
+    ``dataset`` required), optionally with ``variants``, a list of
+    override dicts answered as one batch.  Parsed by
+    :meth:`~repro.platform.suite.ExperimentPlan.with_knobs` through the
+    fluent :class:`~repro.platform.session.Query` builder and answered
     *synchronously* — the response carries the full
     :class:`~repro.platform.session.QueryResult` as JSON.
 ``POST /suite``
-    Body describes an :class:`~repro.platform.suite.ExperimentPlan`
-    (``datasets``, ``kernels``, ``set_classes``, ``orderings``, ``k``,
-    ``eps``, ``repeats``, budgets, ``dispatch``, or ``{"smoke": true}``).
-    Answers ``202`` with a job id immediately; the plan executes in the
-    background on the session pool, one dataset at a time so queued
-    queries interleave between datasets.
+    Body is a dict of the same keys describing an
+    :class:`~repro.platform.suite.ExperimentPlan` (list fields such as
+    ``datasets``/``kernels`` take lists), optionally with
+    ``{"smoke": true}`` to start from the smoke matrix.  Answers ``202``
+    with a job id immediately; the plan executes in the background on
+    the session pool, one dataset at a time so queued queries interleave
+    between datasets.  Any bad key or value is a ``400`` at submission.
 ``GET /jobs/<id>`` / ``GET /jobs``
     Poll a job (state, per-cell progress, artifact paths, error) / list
     all jobs the store knows, including those from previous server
@@ -55,12 +57,11 @@ Multi-tenancy
 -------------
 Requests carry ``X-Repro-Tenant`` (default ``"public"``).  A tenant
 table (``--tenants`` JSON file) maps names to
-:class:`TenantQuota` budgets; quotas are threaded into each request
-through the same override mechanism clients use — bloom-bit budgets are
-clamped in the override dict before it reaches
-:meth:`Query.with_overrides`, cache quotas ride ``cache_budget_bytes``
-into pool workers, and worker-share quotas clamp
-:meth:`MiningSession.run_plan`'s ``max_workers``.  Unknown tenants get
+:class:`TenantQuota` budgets; quotas are applied to each parsed plan
+through the same query keys clients use — bloom-bit budgets are lowered
+to the cap, cache quotas ride ``cache_budget_bytes`` into pool workers,
+and worker-share quotas clamp :meth:`MiningSession.run_plan`'s
+``max_workers``.  Unknown tenants get
 the unlimited default quota; every tenant gets a usage ledger visible
 in ``GET /stats``.
 """
@@ -76,7 +77,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph import DATASETS
 from .jobs import JobStore
@@ -204,50 +205,41 @@ class TenantQuota:
     """Per-tenant resource budgets.  ``0`` / ``1.0`` mean unlimited.
 
     ``max_bloom_bits`` caps the per-element and shared Bloom bit budgets
-    a request may ask for (explicit ``bits``/``shared_bits`` overrides
-    are clamped down; ``fpr``-derived auto-sizing is the operator's own
-    knob and passes through).  ``max_cache_bytes`` bounds the
-    materialization-cache budget the request carries into pool workers
-    (threaded through the ``cache_budget_bytes`` query override).
-    ``worker_share`` scales the session's worker count for this tenant's
-    suite jobs (clamped via :meth:`MiningSession.run_plan`'s
-    ``max_workers``, floor 1).
+    a request may ask for (``bits``/``shared_bits`` are lowered to it;
+    ``fpr``-derived auto-sizing is the operator's own knob and passes
+    through).  ``max_cache_bytes`` bounds the materialization-cache
+    budget the request carries into pool workers (its
+    ``cache_budget_bytes``).  ``worker_share`` scales the session's
+    worker count for this tenant's suite jobs (clamped via
+    :meth:`MiningSession.run_plan`'s ``max_workers``, floor 1).
     """
 
     max_bloom_bits: int = 0
     max_cache_bytes: int = 0
     worker_share: float = 1.0
 
-    def clamp_overrides(
-        self, overrides: Mapping[str, object]
-    ) -> Tuple[Dict[str, object], Dict[str, object]]:
-        """Apply the quota to one override dict.
+    def clamp(self, plan: ExperimentPlan) -> Dict[str, Dict[str, object]]:
+        """What the quota lowers in one parsed plan, by query key.
 
-        Returns ``(clamped_overrides, clamped_fields)`` where the second
-        dict records every field the quota actually changed (old → new),
-        so responses can tell the tenant their request was degraded
-        rather than silently serving different numbers.
+        Each entry is ``{"requested": asked, "granted": cap}``; responses
+        carry the dict so tenants learn their request was degraded rather
+        than silently served different numbers, and the granted values
+        are applied as overrides.
         """
-        clamped = dict(overrides)
-        applied: Dict[str, object] = {}
-        if self.max_bloom_bits > 0:
-            for key in ("bits", "shared_bits"):
-                asked = int(clamped.get(key, 0) or 0)
-                if asked > self.max_bloom_bits:
-                    applied[key] = {"requested": asked,
-                                    "granted": self.max_bloom_bits}
-                    clamped[key] = self.max_bloom_bits
-        if self.max_cache_bytes > 0:
-            asked = int(clamped.get("cache_budget_bytes", 0) or 0)
-            # 0 asks for the session default (possibly unbounded), which a
-            # capped tenant may not have — quota becomes the budget.
-            if asked == 0 or asked > self.max_cache_bytes:
-                applied["cache_budget_bytes"] = {
-                    "requested": asked or None,
-                    "granted": self.max_cache_bytes,
-                }
-                clamped["cache_budget_bytes"] = self.max_cache_bytes
-        return clamped, applied
+        asked = {"bits": plan.bloom_bits,
+                 "shared_bits": plan.bloom_shared_bits,
+                 "cache_budget_bytes": plan.cache_budget_bytes}
+        caps = {"bits": self.max_bloom_bits,
+                "shared_bits": self.max_bloom_bits,
+                "cache_budget_bytes": self.max_cache_bytes}
+        # A zero cache budget asks for an unbounded cache, which a capped
+        # tenant may not have: the quota becomes the budget.
+        return {
+            key: {"requested": asked[key] or None, "granted": cap}
+            for key, cap in caps.items()
+            if cap > 0 and (asked[key] > cap or (
+                key == "cache_budget_bytes" and asked[key] == 0))
+        }
 
     def max_workers(self, session_workers: int) -> Optional[int]:
         """The worker clamp for this tenant, or ``None`` for no clamp."""
@@ -348,7 +340,12 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
             raise HttpError(400, f"malformed header line {line!r}")
         key, value = line.decode("latin-1").split(":", 1)
         headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length") or 0)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise HttpError(400, "Content-Length must be a non-negative integer")
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -399,42 +396,9 @@ def _result_json(result: QueryResult) -> Dict[str, object]:
     }
 
 
-_PLAN_FIELDS = {
-    "datasets", "kernels", "set_classes", "orderings", "k", "eps",
-    "repeats", "bloom_bits", "kmv_k", "bloom_shared_bits", "bloom_fpr",
-    "dispatch",
-}
-
-_TUPLE_PLAN_FIELDS = ("datasets", "kernels", "set_classes", "orderings")
-
-
-def _plan_from_body(body: Mapping[str, object]) -> ExperimentPlan:
-    """Build (and pre-validate) an :class:`ExperimentPlan` from JSON."""
-    fields = {k: v for k, v in body.items() if k != "smoke"}
-    unknown = set(fields) - _PLAN_FIELDS
-    if unknown:
-        raise HttpError(
-            400, f"unknown suite field(s) {sorted(unknown)}; "
-                 f"known: {sorted(_PLAN_FIELDS | {'smoke'})}"
-        )
-    base = ExperimentPlan.smoke() if body.get("smoke") else ExperimentPlan()
-    for key in _TUPLE_PLAN_FIELDS:
-        if key in fields:
-            value = fields[key]
-            if not isinstance(value, (list, tuple)):
-                raise HttpError(400, f"suite field {key!r} must be a list")
-            fields[key] = tuple(str(v) for v in value)
-    try:
-        plan = replace(base, **fields)
-        plan.validate_execution()
-        # Force the sweep-selection errors (unknown kernel/ordering/...)
-        # out now, as a 400, instead of inside the background job.
-        plan.resolved_kernels()
-        plan.resolved_orderings()
-        plan.resolved_set_classes()
-    except (KeyError, ValueError, TypeError) as exc:
-        raise HttpError(400, f"invalid suite plan: {exc}")
-    return plan
+def _granted(clamped: Dict[str, Dict[str, object]]) -> Dict[str, object]:
+    """The overrides a :meth:`TenantQuota.clamp` report applies."""
+    return {key: entry["granted"] for key, entry in clamped.items()}
 
 
 class MiningHTTPServer:
@@ -648,11 +612,10 @@ class MiningHTTPServer:
 
     # -- endpoint: /query ---------------------------------------------------
 
-    def _compile_query(self, body: Mapping[str, object],
+    def _compile_query(self, body: Dict[str, object],
                        quota: TenantQuota, ledger: _TenantLedger):
         """Body → (query, variants, clamp report), quota applied."""
-        kernel = body.get("kernel")
-        if not kernel:
+        if not body.get("kernel"):
             raise HttpError(400, "query body needs a 'kernel' field")
         if "dataset" not in body:
             raise HttpError(400, "query body needs a 'dataset' field")
@@ -662,30 +625,25 @@ class MiningHTTPServer:
                 404, f"unknown dataset {dataset!r}; "
                      f"known: {sorted(DATASETS)}"
             )
-        overrides = {k: v for k, v in body.items()
-                     if k not in ("kernel", "variants")}
-        overrides, clamped = quota.clamp_overrides(overrides)
-        raw_variants = body.get("variants")
-        variants: Optional[List[Dict[str, object]]] = None
-        if raw_variants is not None:
-            if not isinstance(raw_variants, list):
-                raise HttpError(400, "'variants' must be a list of objects")
-            variants = []
-            for variant in raw_variants:
-                if not isinstance(variant, dict):
-                    raise HttpError(400,
-                                    "'variants' must be a list of objects")
-                v_clamped, v_applied = quota.clamp_overrides(variant)
-                variants.append(v_clamped)
-                if v_applied:
-                    clamped = {**clamped, **v_applied}
+        raw_variants = body.pop("variants", None)
+        if raw_variants is not None and not (
+                isinstance(raw_variants, list)
+                and all(isinstance(v, dict) for v in raw_variants)):
+            raise HttpError(400, "'variants' must be a list of objects")
         try:
-            query = self.session.query(str(kernel)).with_overrides(overrides)
-            if variants:
-                for variant in variants:
-                    # Surface a bad variant as a 400 before any execution.
-                    query.with_overrides(variant)
-        except (KeyError, ValueError, TypeError) as exc:
+            query = self.session.query(str(body["kernel"])).with_overrides(
+                body)
+            clamped = quota.clamp(query.plan())
+            query = query.with_overrides(_granted(clamped))
+            variants = None
+            if raw_variants is not None:
+                variants = []
+                for variant in raw_variants:
+                    # Every variant is parsed (and clamped) before any runs.
+                    applied = quota.clamp(query.with_overrides(variant).plan())
+                    variants.append({**variant, **_granted(applied)})
+                    clamped.update(applied)
+        except (KeyError, ValueError) as exc:
             raise HttpError(400, f"invalid query: {exc}")
         if clamped:
             ledger.clamped += 1
@@ -733,7 +691,17 @@ class MiningHTTPServer:
         self, request: _Request, tenant: str
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         ledger = self._ledger(tenant)
-        plan = _plan_from_body(request.json())
+        body = request.json()
+        smoke = body.pop("smoke", False)
+        base = ExperimentPlan.smoke() if smoke else ExperimentPlan()
+        try:
+            plan = replace(
+                base, cache_budget_bytes=self.session.cache_budget_bytes,
+            ).with_knobs(body)
+        except (KeyError, ValueError) as exc:
+            raise HttpError(400, f"invalid suite plan: {exc}")
+        clamped = self.quota_for(tenant).clamp(plan)
+        plan = plan.with_knobs(_granted(clamped))
         for dataset in plan.datasets:
             if dataset not in DATASETS and (
                     dataset not in self.session.graphs()):
@@ -758,11 +726,12 @@ class MiningHTTPServer:
         )
         ledger.jobs += 1
         await self._job_queue.put((job, plan))
-        return 202, {
-            "job": job.id,
-            "state": job.state,
-            "poll": f"/jobs/{job.id}",
-        }, {}
+        payload = {"job": job.id, "state": job.state,
+                   "poll": f"/jobs/{job.id}"}
+        if clamped:
+            ledger.clamped += 1
+            payload["quota_clamped"] = clamped
+        return 202, payload, {}
 
     async def _job_worker(self) -> None:
         """Drain the job queue, one job at a time, forever."""
@@ -782,10 +751,8 @@ class MiningHTTPServer:
                 self._job_queue.task_done()
 
     async def _execute_job(self, job, plan: ExperimentPlan) -> None:
-        quota = self.quota_for(job.tenant)
-        max_workers = quota.max_workers(self.session.workers)
-        cache_budget = (quota.max_cache_bytes
-                        if quota.max_cache_bytes > 0 else None)
+        max_workers = self.quota_for(job.tenant).max_workers(
+            self.session.workers)
         job.state = "running"
         job.started_at = time.time()
         self.store.persist(job)
@@ -799,7 +766,7 @@ class MiningHTTPServer:
             payload = (await self._on_session(
                 lambda p=sub_plan: self.session.run_plan(
                     p, verbose=False, max_workers=max_workers,
-                    cache_budget_bytes=cache_budget,
+                    cache_budget_bytes=p.cache_budget_bytes,
                 )
             ))[0]
             path = self.store.write_artifact(job, dataset, payload)

@@ -1,7 +1,7 @@
 """Sharded process-pool execution of the experiment suite.
 
-``run_suite`` historically executed every cell of the kernel × backend ×
-ordering matrix sequentially; this module is the real-parallel runtime
+A sequential session executes every cell of the kernel × backend ×
+ordering matrix in-process; this module is the real-parallel runtime
 behind ``plan.workers > 1`` (CLI: ``python -m repro suite --workers N
 --schedule static|dynamic``).  It closes the loop the paper draws between
 *modeled* and *measured* parallel speedups: the very same per-cell warm
@@ -464,7 +464,7 @@ def run_suite_parallel(
     skips pool creation entirely — worker state then amortizes across
     *plans*, not just datasets.
     """
-    plan.validate_execution()
+    plan.validate()
     if pool is not None:
         return [
             run_plan_on_pool(pool, plan, dataset, verbose=verbose)

@@ -11,8 +11,7 @@ twice through one serve process.
 
 Commands (one per line; ``#`` starts a comment)::
 
-    query <kernel> <dataset> [backend=NAME] [ordering=NAME] [k=N]
-          [fpr=F] [bits=N] [shared_bits=N] [kmv_k=N] [repeats=N]
+    query <kernel> <dataset> [key=value ...]
     suite [suite CLI flags, e.g. --smoke --datasets ...]
     warm <dataset> [backend ...]
     stats
@@ -21,27 +20,26 @@ Commands (one per line; ``#`` starts a comment)::
     help
     quit
 
-``query`` prints one result line; ``suite`` runs a full declarative plan
-through the session and writes the standard ``results/suite_<dataset>``
-artifacts; ``stats`` dumps the session's cache/counter/pool stats as
-JSON.  A malformed line (unknown command, bad query option, unparsable
-suite flags) fails that request, not the session.  Exit status is
-nonzero if any suite run failed its exact-backend cross-check or any
-line failed.  Request failures print one line to stderr; the full
-traceback is logged at DEBUG (``--verbose`` enables it) so a long-lived
-session stays diagnosable without drowning the operator.
+``query`` takes the same keys as the HTTP ``POST /query`` body (the
+README's query-key table: ``backend=``, ``ordering=``, ``k=``,
+``dispatch=``, ``bits=``, ...), parsed by the one plan parser,
+:meth:`~repro.platform.suite.ExperimentPlan.with_knobs`, and prints one
+result line; ``suite`` runs a full declarative plan through the session
+and writes the standard ``results/suite_<dataset>`` artifacts; ``stats``
+dumps the session's cache/counter/pool stats as JSON.  A malformed line
+(unknown command, bad query key or value, unparsable suite flags) fails
+that request, not the session.  Exit status is nonzero if any suite run
+failed its exact-backend cross-check or any line failed.  Request
+failures print one ``error:`` line to stderr; the full traceback is
+logged at DEBUG (``--verbose`` enables it) so a long-lived session stays
+diagnosable without drowning the operator.
 
-Migration note (REPL → HTTP)
-----------------------------
-The line-oriented REPL is the single-operator face of the session.  For
-anything programmatic — remote clients, concurrent callers, tenancy,
-long-running suite jobs you poll instead of block on — use the network
-front door instead: ``python -m repro serve --http PORT`` serves the
-same session over asyncio HTTP/JSON (:mod:`repro.platform.http`), with
-``POST /query`` replacing ``query`` lines, ``POST /suite`` +
-``GET /jobs/<id>`` replacing ``suite`` lines, and ``GET /stats``
-replacing ``stats``.  The REPL remains for interactive use and the CI
-session smoke; new automation should target ``--http``.
+The REPL is the single-operator face of the session.  For remote
+clients, concurrent callers, tenancy and suite jobs you poll instead of
+block on, ``python -m repro serve --http PORT`` serves the same session
+over asyncio HTTP/JSON (:mod:`repro.platform.http`): ``POST /query``
+takes the ``query`` keys, ``POST /suite`` + ``GET /jobs/<id>`` replace
+``suite`` lines, and ``GET /stats`` replaces ``stats``.
 """
 
 from __future__ import annotations
@@ -56,19 +54,13 @@ from typing import IO, List, Optional
 from ..graph import dataset_names
 from .cli import add_parallel_args
 from .session import MiningSession
-from .suite import SUITE_KERNELS, plan_from_argv, report_payloads
+from .suite import SUITE_KERNELS, knob_names, plan_from_argv, report_payloads
 
 __all__ = ["build_serve_parser", "serve_main"]
 
 logger = logging.getLogger(__name__)
 
 _PROMPT = "gms> "
-
-_QUERY_KEYS = {
-    "backend", "ordering", "k", "eps", "fpr", "bits", "shared_bits",
-    "kmv_k", "repeats",
-}
-
 
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -104,46 +96,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_query_line(session: MiningSession, tokens: List[str]):
-    if len(tokens) < 2:
-        raise ValueError("usage: query <kernel> <dataset> [key=value ...]")
-    kernel, dataset = tokens[0], tokens[1]
-    options = {}
-    for token in tokens[2:]:
-        if "=" not in token:
-            raise ValueError(f"expected key=value, got {token!r}")
-        key, value = token.split("=", 1)
-        if key not in _QUERY_KEYS:
-            raise ValueError(
-                f"unknown query option {key!r}; known: {sorted(_QUERY_KEYS)}"
-            )
-        options[key] = value
-    query = session.query(
-        kernel,
-        k=int(options.pop("k", 4)),
-        eps=float(options.pop("eps", 0.1)),
-    ).on(dataset)
-    if {"backend", "fpr", "bits", "shared_bits", "kmv_k"} & set(options):
-        query = query.backend(
-            options.pop("backend", "sorted"),
-            fpr=float(options.pop("fpr", 0.0)),
-            bits=int(options.pop("bits", 0)),
-            shared_bits=int(options.pop("shared_bits", 0)),
-            kmv_k=int(options.pop("kmv_k", 0)),
-        )
-    if "ordering" in options:
-        query = query.ordering(options.pop("ordering"))
-    if "repeats" in options:
-        query = query.repeats(int(options.pop("repeats")))
-    return query
-
-
 def _print_help() -> None:
     print(
         "commands:\n"
-        "  query <kernel> <dataset> [backend=NAME] [ordering=NAME] [k=N]\n"
-        "        [eps=F] [fpr=F] [bits=N] [shared_bits=N] [kmv_k=N]"
-        " [repeats=N]\n"
+        "  query <kernel> <dataset> [key=value ...]\n"
+        f"        keys: {' '.join(knob_names())}\n"
         "  suite [suite CLI flags]\n"
         "  warm <dataset> [backend ...]\n"
         "  stats | datasets | kernels | help | quit"
@@ -207,7 +164,18 @@ def serve_main(argv: Optional[List[str]] = None,
                     payloads = session.run_plan(plan)
                     failures += report_payloads(payloads)
                 elif command == "query":
-                    result = _parse_query_line(session, rest).run()
+                    if len(rest) < 2:
+                        raise ValueError(
+                            "usage: query <kernel> <dataset> [key=value ...]")
+                    knobs = {"dataset": rest[1]}
+                    for token in rest[2:]:
+                        key, sep, value = token.partition("=")
+                        if not sep:
+                            raise ValueError(
+                                f"expected key=value, got {token!r}")
+                        knobs[key] = value
+                    result = session.query(rest[0]).with_overrides(
+                        knobs).run()
                     print(
                         f"{result.kernel} on {result.dataset} "
                         f"[{result.backend} -> {result.resolved_class}, "

@@ -1,12 +1,9 @@
 """Session-centric mining API: one long-lived object owns the state.
 
 The GMS platform's modularity — swappable set representations, vertex
-orderings, and kernels behind one set-algebra interface — used to surface
-as ad-hoc plumbing: every call threaded its own ``set_cls``/``cache``
-arguments, backend resolution lived on the CLI ``Args`` object, and each
-``run_suite`` call built (and tore down) its own process pool.  For a
-long-lived service answering repeated queries, all of that state belongs
-in one place.  :class:`MiningSession` is that place:
+orderings, and kernels behind one set-algebra interface — needs one
+owner for its state when a long-lived service answers repeated queries.
+:class:`MiningSession` is that owner:
 
 * a **named graph store** — registry datasets loaded once per session
   (:meth:`~MiningSession.load`), plus arbitrary in-memory graphs
@@ -43,41 +40,24 @@ On top of the session sits the fluent :class:`Query` builder::
             {"backend": "bitset"}, {"backend": "bloom"},
         ])
 
-A query compiles down to the existing
-:class:`~repro.platform.suite.ExperimentPlan` /
-:func:`~repro.platform.suite.run_cell` machinery — the suite, the
-parallel runner, the budget sweep, and the CLI (including the
-``python -m repro serve`` REPL) are all thin clients of the same session
-object model.
+A query holds one single-cell
+:class:`~repro.platform.suite.ExperimentPlan` and runs through
+:func:`~repro.platform.suite.run_cell`; every builder method is one call
+into the plan's parser, :meth:`~repro.platform.suite.ExperimentPlan.
+with_knobs`, which the suite CLI, the ``python -m repro serve`` REPL and
+the HTTP front door share.
 
-Migration notes (from the ``Args``-threading API)
--------------------------------------------------
-* ``Args.resolve_set_class_for_graph(graph)`` → deprecated.  Use
-  :func:`repro.platform.cli.resolve_set_class_for_graph` for one-shot
-  resolution, or let the session resolve (and memoize) backends: the
-  :meth:`Query.backend` budgets map onto the same knobs
-  (``fpr`` → ``--bloom-fpr``, ``bits`` → ``--bloom-bits``,
-  ``shared_bits`` → ``--bloom-shared-bits``, ``kmv_k`` → ``--kmv-k``).
-* ``run_suite(plan)`` → deprecated shim.  It now opens a throwaway
-  session and calls :meth:`MiningSession.run_plan`; long-lived callers
-  should hold a session so caches and the pool survive across plans.
-* Per-call ``set_cls=...``/``cache=...`` threading through kernels keeps
-  working (the kernels are unchanged), but the session is the intended
-  owner of both: ``session.query(...)`` passes its shared cache and its
-  memoized resolved backend for you.
-* ``ProcessPoolExecutor`` per ``run_suite`` call → the session's resident
-  pool.  The pool inherits whatever graphs the session had loaded when it
-  started; graphs loaded afterwards are materialized worker-side on first
-  use (registry datasets only — add custom graphs *before* the first
-  parallel request so they ship with the warm payload).
-* ``MaterializationCache.export_graph_state`` callers shipping state
-  across processes themselves: the export payload is unchanged, but it
-  no longer has to cross the boundary by value — pass it through
-  :func:`repro.platform.shm.export_graph_payload` /
-  :func:`~repro.platform.shm.attach_graph_payload` to ship shared-memory
-  descriptors instead (what ``MiningSession(transport="shm")`` does),
-  and own the returned :class:`~repro.platform.shm.SegmentExporter`'s
-  lifetime the way :meth:`MiningSession.close` does.
+Migration notes
+---------------
+* The ``run_suite`` shim is gone: hold a session and call
+  :meth:`MiningSession.run_plan` (``MiningSession.from_plan(plan)``
+  opens one with the plan's execution knobs).
+* ``Args`` no longer resolves a backend per graph: call
+  :func:`repro.platform.cli.resolve_set_class_for_graph`, or let the
+  session resolve and memoize backends.
+* Custom graphs must be added *before* the first parallel request: the
+  resident pool ships the graph store once, at creation, and workers
+  can only self-load registry datasets afterwards.
 
 Zero-copy pool architecture (``transport="shm"``)
 -------------------------------------------------
@@ -104,6 +84,7 @@ pool when ``workers > 1``.
 
 from __future__ import annotations
 
+import copy
 import logging
 import pickle
 import time
@@ -118,14 +99,15 @@ from ..core.interface import SetBase
 from ..graph import DATASETS, load_dataset
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
-from ..preprocess.ordering import ORDERINGS
-from .cli import DISPATCH_MODES, RUNNER_SCHEDULES, TRANSPORTS
 from .suite import (
+    ORDERING_ALIASES,
+    REFERENCE_BACKEND,
     SUITE_KERNELS,
     ExperimentPlan,
     dataset_payload,
     expand_cells,
     resolve_backend,
+    resolve_ordering_name,
     run_cell,
 )
 
@@ -138,27 +120,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Friendly ordering names accepted by :meth:`Query.ordering` (and the
-#: serve REPL) next to the registry mnemonics.
-ORDERING_ALIASES: Dict[str, str] = {
-    "degeneracy": "DGR",
-    "approx-degeneracy": "ADG",
-    "degree": "DEG",
-    "triangle": "TRI",
-    "identity": "ID",
-    "random": "RANDOM",
-}
-
-
-def resolve_ordering_name(name: str) -> str:
-    """Map an ordering alias or registry mnemonic to the registry name."""
-    resolved = ORDERING_ALIASES.get(name.lower(), name)
-    if resolved not in ORDERINGS:
-        known = sorted(ORDERINGS) + sorted(ORDERING_ALIASES)
-        raise KeyError(f"unknown ordering {name!r}; known: {known}")
-    return resolved
-
 
 def _plan_shard_key(plan: ExperimentPlan) -> tuple:
     """The plan fields two ``run_many`` variants must share to co-shard.
@@ -208,51 +169,27 @@ class QueryResult:
 class Query:
     """Fluent, immutable query description bound to a session.
 
-    Every builder method returns a *new* ``Query``, so a configured query
-    can be reused as a template: ``base = session.query("tc").on("x")``
-    then ``base.backend("bloom").run()`` and ``base.run()`` are
-    independent.  :meth:`run` answers one query; :meth:`run_many` answers
-    a batch of variations of this query (through the resident pool when
-    the session has one).
+    A query holds one single-cell :class:`ExperimentPlan`.  Every builder
+    method is one :meth:`with_overrides` call and returns a *new*
+    ``Query``, so a configured query can be reused as a template:
+    ``base = session.query("tc").on("x")`` then
+    ``base.backend("bloom").run()`` and ``base.run()`` are independent.
+    :meth:`run` answers one query; :meth:`run_many` answers a batch of
+    variations of this query (through the resident pool when the session
+    has one).
     """
-
-    _OVERRIDE_KEYS = (
-        "kernel", "dataset", "backend", "ordering", "k", "eps", "repeats",
-        "fpr", "bits", "shared_bits", "kmv_k", "dispatch",
-        "cache_budget_bytes",
-    )
 
     def __init__(self, session: "MiningSession", kernel: str, *,
                  k: int = 4, eps: float = 0.1):
-        if kernel not in SUITE_KERNELS:
-            raise KeyError(
-                f"unknown kernel {kernel!r}; known: {sorted(SUITE_KERNELS)}"
-            )
         self._session = session
-        self._kernel = kernel
-        self._dataset: Optional[str] = None
-        self._backend = "sorted"
-        self._ordering = "DGR"
-        self._k = k
-        self._eps = eps
-        self._repeats = 1
-        self._bloom_bits = 0
-        self._kmv_k = 0
-        self._bloom_shared_bits = 0
-        self._bloom_fpr = 0.0
-        self._dispatch = "static"
-        self._cache_budget: Optional[int] = None
-
-    def _clone(self) -> "Query":
-        clone = Query.__new__(Query)
-        clone.__dict__.update(self.__dict__)
-        return clone
+        self._plan = replace(
+            session.defaults, datasets=(), set_classes=(REFERENCE_BACKEND,),
+            orderings=("DGR",),
+        ).with_knobs({"kernel": kernel, "k": k, "eps": eps})
 
     def on(self, dataset: str) -> "Query":
         """Select the graph to mine (registry name or a session-added one)."""
-        clone = self._clone()
-        clone._dataset = dataset
-        return clone
+        return self.with_overrides({"dataset": dataset})
 
     def backend(self, name: str, *, fpr: float = 0.0, bits: int = 0,
                 shared_bits: int = 0, kmv_k: int = 0) -> "Query":
@@ -265,19 +202,14 @@ class Query:
         KMV signature size.  Resolution happens per graph at run time and
         is memoized by the session.
         """
-        clone = self._clone()
-        clone._backend = name
-        clone._bloom_fpr = fpr
-        clone._bloom_bits = bits
-        clone._bloom_shared_bits = shared_bits
-        clone._kmv_k = kmv_k
-        return clone
+        return self.with_overrides({
+            "backend": name, "fpr": fpr, "bits": bits,
+            "shared_bits": shared_bits, "kmv_k": kmv_k,
+        })
 
     def ordering(self, name: str) -> "Query":
         """Select the vertex ordering (registry mnemonic or alias)."""
-        clone = self._clone()
-        clone._ordering = resolve_ordering_name(name)
-        return clone
+        return self.with_overrides({"ordering": name})
 
     def dispatch(self, mode: str) -> "Query":
         """Select the set-op dispatch policy (``static`` or ``adaptive``).
@@ -286,29 +218,18 @@ class Query:
         dispatcher when it is exact; sketch backends are left alone.
         Results are bit-identical either way.
         """
-        if mode not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {mode!r}; known: {DISPATCH_MODES}"
-            )
-        clone = self._clone()
-        clone._dispatch = mode
-        return clone
+        return self.with_overrides({"dispatch": mode})
 
     def params(self, *, k: Optional[int] = None,
                eps: Optional[float] = None) -> "Query":
         """Override kernel parameters (clique size ``k``, ADG ``eps``)."""
-        clone = self._clone()
-        if k is not None:
-            clone._k = k
-        if eps is not None:
-            clone._eps = eps
-        return clone
+        return self.with_overrides(
+            {key: v for key, v in (("k", k), ("eps", eps)) if v is not None}
+        )
 
     def repeats(self, n: int) -> "Query":
         """Meter the kernel as best-of-*n* (timing only; one warm-up pass)."""
-        clone = self._clone()
-        clone._repeats = max(1, n)
-        return clone
+        return self.with_overrides({"repeats": n})
 
     def cache_budget(self, nbytes: int) -> "Query":
         """Override the plan's worker-cache byte budget for this query.
@@ -320,96 +241,39 @@ class Query:
         a tenant's cache-bytes quota into pool-served requests.  ``0``
         means unbounded; the default inherits the session budget.
         """
-        clone = self._clone()
-        clone._cache_budget = max(0, int(nbytes))
-        return clone
+        return self.with_overrides({"cache_budget_bytes": nbytes})
 
     def with_overrides(self, overrides: Mapping[str, object]) -> "Query":
-        """Apply a :meth:`run_many` variant dict to this query."""
-        unknown = set(overrides) - set(self._OVERRIDE_KEYS)
-        if unknown:
-            raise KeyError(
-                f"unknown query override(s) {sorted(unknown)}; "
-                f"known: {list(self._OVERRIDE_KEYS)}"
-            )
-        query = self
-        if "kernel" in overrides:
-            fresh = Query(self._session, str(overrides["kernel"]))
-            fresh.__dict__.update(
-                {k: v for k, v in self.__dict__.items() if k != "_kernel"}
-            )
-            query = fresh
-        if "dataset" in overrides:
-            query = query.on(str(overrides["dataset"]))
-        if "backend" in overrides:
-            query = query.backend(
-                str(overrides["backend"]),
-                fpr=float(overrides.get("fpr", query._bloom_fpr)),
-                bits=int(overrides.get("bits", query._bloom_bits)),
-                shared_bits=int(
-                    overrides.get("shared_bits", query._bloom_shared_bits)
-                ),
-                kmv_k=int(overrides.get("kmv_k", query._kmv_k)),
-            )
-        elif {"fpr", "bits", "shared_bits", "kmv_k"} & set(overrides):
-            query = query.backend(
-                query._backend,
-                fpr=float(overrides.get("fpr", query._bloom_fpr)),
-                bits=int(overrides.get("bits", query._bloom_bits)),
-                shared_bits=int(
-                    overrides.get("shared_bits", query._bloom_shared_bits)
-                ),
-                kmv_k=int(overrides.get("kmv_k", query._kmv_k)),
-            )
-        if "ordering" in overrides:
-            query = query.ordering(str(overrides["ordering"]))
-        if "k" in overrides or "eps" in overrides:
-            query = query.params(
-                k=(int(overrides["k"]) if "k" in overrides else None),
-                eps=(float(overrides["eps"]) if "eps" in overrides
-                     else None),
-            )
-        if "repeats" in overrides:
-            query = query.repeats(int(overrides["repeats"]))
-        if "dispatch" in overrides:
-            query = query.dispatch(str(overrides["dispatch"]))
-        if "cache_budget_bytes" in overrides:
-            query = query.cache_budget(int(overrides["cache_budget_bytes"]))
+        """This query with *overrides* applied.
+
+        Keys are query keys or plan fields, parsed by
+        :meth:`ExperimentPlan.with_knobs`; the session-owned fields are
+        rejected, and so is anything naming more than one cell.
+        """
+        plan = self._plan.with_knobs(overrides)
+        if len(plan.datasets) > 1 or any(
+                len(names) != 1 for names in
+                (plan.kernels, plan.set_classes, plan.orderings)):
+            raise ValueError("a query names one kernel, backend, ordering "
+                             "and dataset; run a suite plan to sweep")
+        query = copy.copy(self)
+        query._plan = plan
         return query
 
     # -- compilation --------------------------------------------------------
 
     def plan(self) -> ExperimentPlan:
-        """Compile this query to a single-cell :class:`ExperimentPlan`."""
-        if self._dataset is None:
+        """The single-cell :class:`ExperimentPlan` this query denotes."""
+        if not self._plan.datasets:
             raise ValueError("query has no dataset; call .on(<dataset>)")
-        session = self._session
-        return ExperimentPlan(
-            datasets=(self._dataset,),
-            kernels=(self._kernel,),
-            set_classes=(self._backend,),
-            orderings=(self._ordering,),
-            k=self._k,
-            eps=self._eps,
-            repeats=self._repeats,
-            bloom_bits=self._bloom_bits,
-            kmv_k=self._kmv_k,
-            bloom_shared_bits=self._bloom_shared_bits,
-            bloom_fpr=self._bloom_fpr,
-            workers=session.workers,
-            schedule=session.schedule,
-            cache_budget_bytes=(
-                session.cache_budget_bytes if self._cache_budget is None
-                else self._cache_budget
-            ),
-            dispatch=self._dispatch,
-        )
+        return self._plan
 
     def cell_spec(self) -> Tuple[str, str, str]:
         """The ``(backend, kernel, ordering)`` cell this query denotes."""
-        kernel = SUITE_KERNELS[self._kernel]
-        ordering = self._ordering if kernel.uses_ordering else "-"
-        return (self._backend, self._kernel, ordering)
+        plan = self._plan
+        kernel = SUITE_KERNELS[plan.kernels[0]]
+        ordering = plan.orderings[0] if kernel.uses_ordering else "-"
+        return (plan.set_classes[0], kernel.name, ordering)
 
     # -- execution ----------------------------------------------------------
 
@@ -455,16 +319,12 @@ class MiningSession:
     def __init__(self, *, workers: int = 1, schedule: str = "dynamic",
                  cache_budget_bytes: int = 0, transport: str = "pickle",
                  verbose: bool = False):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if schedule not in RUNNER_SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; known: {RUNNER_SCHEDULES}"
-            )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; known: {TRANSPORTS}"
-            )
+        #: The execution knobs, checked like any plan's; every query this
+        #: session compiles starts from this plan.
+        self.defaults = ExperimentPlan(
+            workers=workers, schedule=schedule,
+            cache_budget_bytes=cache_budget_bytes, transport=transport,
+        ).validate()
         self.workers = workers
         self.schedule = schedule
         self.cache_budget_bytes = cache_budget_bytes
@@ -489,8 +349,7 @@ class MiningSession:
     @classmethod
     def from_plan(cls, plan: ExperimentPlan,
                   verbose: bool = False) -> "MiningSession":
-        """A session matching *plan*'s execution knobs (shim entry path)."""
-        plan.validate_execution()
+        """A session running with *plan*'s execution knobs (the suite CLI's)."""
         return cls(
             workers=plan.workers, schedule=plan.schedule,
             cache_budget_bytes=plan.cache_budget_bytes,
@@ -593,17 +452,17 @@ class MiningSession:
         in-process paths only.)
         """
         self._check_open()
+        plan = self.defaults.with_knobs({
+            "set_classes": backends, "orderings": orderings, "eps": eps,
+            "fpr": fpr, "bits": bits, "shared_bits": shared_bits,
+            "kmv_k": kmv_k,
+        })
         graph = self.load(dataset)
-        plan = ExperimentPlan(
-            eps=eps, bloom_bits=bits, kmv_k=kmv_k,
-            bloom_shared_bits=shared_bits, bloom_fpr=fpr,
-        )
-        for backend in backends:
+        for backend in plan.set_classes:
             cls = self._backend_for(plan, dataset, backend, graph)
             self.cache.set_graph(graph, cls)
-            for name in orderings:
-                name = resolve_ordering_name(name)
-                kwargs = {"eps": eps} if name == "ADG" else {}
+            for name in plan.orderings:
+                kwargs = {"eps": plan.eps} if name == "ADG" else {}
                 self.cache.oriented(graph, cls, name, **kwargs)
 
     # -- backend resolution -------------------------------------------------
@@ -763,12 +622,12 @@ class MiningSession:
         self._check_open()
         return Query(self, kernel, k=k, eps=eps)
 
-    def _result_from_cell(self, query: Query, cell: Dict[str, object],
+    def _result_from_cell(self, dataset: str, cell: Dict[str, object],
                           wall: float, delta: Snapshot,
                           hits: int, misses: int) -> QueryResult:
         return QueryResult(
             kernel=cell["kernel"],
-            dataset=query._dataset,
+            dataset=dataset,
             backend=cell["set_class"],
             resolved_class=cell["resolved_class"],
             ordering=cell["ordering"],
@@ -786,7 +645,7 @@ class MiningSession:
         """Answer one query in-process against the shared session cache."""
         self._check_open()
         plan = query.plan()
-        dataset = query._dataset
+        dataset = plan.datasets[0]
         graph = self.load(dataset)
         backend_name, kernel_name, ordering = query.cell_spec()
         set_cls = self._backend_for(plan, dataset, backend_name, graph)
@@ -801,7 +660,7 @@ class MiningSession:
         delta = before.delta(_counters.snapshot())
         self.queries_run += 1
         return self._result_from_cell(
-            query, cell, wall, delta,
+            dataset, cell, wall, delta,
             self.cache.hits - hits0, self.cache.misses - misses0,
         )
 
@@ -831,12 +690,12 @@ class MiningSession:
         compiled = []
         for query in queries:
             plan = query.plan()
-            self._require_pool_dataset(query._dataset)
+            self._require_pool_dataset(plan.datasets[0])
             compiled.append((query, plan))
         groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
         for index, (query, plan) in enumerate(compiled):
             backend, _, ordering = query.cell_spec()
-            key = (query._dataset, backend, ordering,
+            key = (plan.datasets[0], backend, ordering,
                    _plan_shard_key(plan))
             groups.setdefault(key, []).append(index)
         t0 = time.perf_counter()
@@ -845,9 +704,7 @@ class MiningSession:
         for group_index, members in enumerate(groups.values()):
             _, plan = compiled[members[0]]
             shard = [(i, compiled[i][0].cell_spec()) for i in members]
-            future = _submit_shard(
-                pool, plan, compiled[members[0]][0]._dataset, shard
-            )
+            future = _submit_shard(pool, plan, plan.datasets[0], shard)
             # Stamp completion as it happens — collecting futures in
             # submission order below would otherwise charge early
             # finishers with their predecessors' wait time.
@@ -871,7 +728,8 @@ class MiningSession:
                 shard["cells"], shard["cell_counters"]
             ):
                 results[index] = self._result_from_cell(
-                    compiled[index][0], cell, wall, cell_delta, 0, 0,
+                    compiled[index][1].datasets[0], cell, wall, cell_delta,
+                    0, 0,
                 )
         # One associative merge, folded into this process's global block —
         # the session totals come out identical to a sequential run of the
@@ -896,9 +754,7 @@ class MiningSession:
         parallel plans run on the resident pool.  Either way the
         artifact's ``materialization`` block reports only *this run's*
         cache deltas (gauges instantaneous), so a warm re-run shows hits
-        without inheriting earlier runs' counts; payloads are
-        cell-by-cell identical to the historical ``run_suite`` ones up to
-        timing and materialization stats.
+        without inheriting earlier runs' counts.
 
         ``max_workers`` clamps *this plan's* logical worker count to at
         most the session's (never below 1) without resizing the resident
@@ -911,7 +767,7 @@ class MiningSession:
         """
         self._check_open()
         verbose = self.verbose if verbose is None else verbose
-        plan.validate_execution()
+        plan.validate()
         workers = self.workers
         if max_workers is not None:
             workers = max(1, min(workers, int(max_workers)))

@@ -18,27 +18,28 @@ Building blocks
     join via :func:`repro.core.registry.register_set_class`.
 
 ``ExperimentPlan``
-    The declarative sweep description: datasets, kernels, orderings, set
-    backends, clique size, sketch budgets, repeats — plus the execution
-    knobs ``workers`` (process-pool size), ``schedule``
-    (``static``/``dynamic`` cell chunking) and ``cache_budget_bytes``
-    (per-process :class:`~repro.graph.set_graph.MaterializationCache` LRU
-    budget).  Budget flags carry the same semantics as the shared CLI
-    parser and are resolved per graph through
-    :func:`repro.platform.cli.resolve_set_class_for_graph`.
+    The declarative sweep description and the one record of request
+    knobs: datasets, kernels, orderings, set backends, clique size,
+    sketch budgets, repeats, dispatch — plus the execution knobs
+    ``workers`` (process-pool size), ``schedule``, ``transport`` and
+    ``cache_budget_bytes`` (per-process
+    :class:`~repro.graph.set_graph.MaterializationCache` LRU budget).
+    Every surface — the suite CLI, the fluent
+    :class:`~repro.platform.session.Query`, the serve REPL, ``/query``
+    and ``/suite`` — builds its plan with
+    :meth:`ExperimentPlan.with_knobs` and checks it with
+    :meth:`ExperimentPlan.validate`.  Budget knobs are resolved per graph
+    through :func:`repro.platform.cli.resolve_set_class_for_graph`.
 
-``run_suite``
-    Deprecated shim over the session path: a
-    :class:`~repro.platform.session.MiningSession` matching the plan's
-    execution knobs runs the plan and closes.  ``plan.workers <= 1`` runs
-    cells sequentially in-process against the session cache;
-    ``plan.workers > 1`` shards them over the session's process pool
+``MiningSession.run_plan``
+    Executes a plan (:mod:`repro.platform.session`).  A sequential
+    session runs cells in-process against its cache; ``workers > 1``
+    shards them over the session's process pool
     (:mod:`repro.platform.runner`), producing a cell-by-cell identical
     artifact up to timing.  Per cell the suite meters wall time and the
     set-algebra software counters (:mod:`repro.core.counters`).  Exact
     backends are cross-checked against the reference backend — any
-    disagreement fails the run.  Hold a session yourself to keep caches
-    and the pool warm across plans.
+    disagreement fails the run.
 
 Artifact schema (``results/suite_<dataset>.json``, ``gms-suite/v2``)
 --------------------------------------------------------------------
@@ -125,9 +126,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import asdict, dataclass, fields, replace
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type,
+)
 
 from ..core import counters as _counters
 from ..core.bit_set import BitSet
@@ -161,12 +163,16 @@ __all__ = [
     "SUITE_KERNELS",
     "register_suite_kernel",
     "ExperimentPlan",
+    "ORDERING_ALIASES",
+    "QUERY_ALIASES",
+    "SESSION_FIELDS",
+    "knob_names",
+    "resolve_ordering_name",
     "expand_cells",
     "run_cell",
     "finalize_cells",
     "resolve_backend",
     "dataset_payload",
-    "run_suite",
     "report_payloads",
     "main",
 ]
@@ -289,16 +295,47 @@ register_suite_kernel(
 )
 
 
-@dataclass
+#: Friendly ordering names the parser accepts next to the registry
+#: mnemonics.
+ORDERING_ALIASES: Dict[str, str] = {
+    "degeneracy": "DGR", "approx-degeneracy": "ADG", "degree": "DEG",
+    "triangle": "TRI", "identity": "ID", "random": "RANDOM",
+}
+
+#: Query keys: each names one value of a plan field.  Every surface
+#: accepts them next to the plan's own field names.
+QUERY_ALIASES: Dict[str, str] = {
+    "kernel": "kernels", "dataset": "datasets", "backend": "set_classes",
+    "ordering": "orderings", "fpr": "bloom_fpr", "bits": "bloom_bits",
+    "shared_bits": "bloom_shared_bits",
+}
+
+#: Plan fields a session fixes when it opens.  Requests cannot set them;
+#: only the suite CLI, which opens its own session, does.
+SESSION_FIELDS = ("workers", "schedule", "transport")
+
+
+def resolve_ordering_name(name: str) -> str:
+    """Map an ordering alias or registry mnemonic to the registry name."""
+    resolved = ORDERING_ALIASES.get(name.lower(), name)
+    if resolved not in ORDERINGS:
+        known = sorted(ORDERINGS) + sorted(ORDERING_ALIASES)
+        raise KeyError(f"unknown ordering {name!r}; known: {known}")
+    return resolved
+
+
+@dataclass(frozen=True)
 class ExperimentPlan:
     """Declarative sweep description: what to run, under what budgets.
 
-    Empty ``kernels``/``set_classes``/``orderings`` mean *everything
+    The one record of request knobs: :meth:`with_knobs` is the parser
+    every surface shares and :meth:`validate` the one check.  Empty
+    ``kernels``/``set_classes``/``orderings`` mean *everything
     registered* at run time, so plans stay valid as kernels and backends
-    are added.  ``workers``/``schedule``/``cache_budget_bytes`` select the
-    execution mode without changing the sweep (the cell payloads are
-    identical up to timing).  See the module docstring for the emitted
-    artifact schema.
+    are added.  ``workers``/``schedule``/``transport``/
+    ``cache_budget_bytes`` select the execution mode without changing the
+    sweep (the cell payloads are identical up to timing).  See the module
+    docstring for the emitted artifact schema.
     """
 
     datasets: Tuple[str, ...] = ("sc-ht-mini",)
@@ -325,6 +362,71 @@ class ExperimentPlan:
     # (the reference backend stays static so the cross-check pins the
     # adaptive results against the untouched path).
     dispatch: str = "static"
+
+    def with_knobs(self, knobs: Mapping[str, object], *,
+                   session: bool = False) -> "ExperimentPlan":
+        """This plan with *knobs* applied — the parser of every surface.
+
+        Keys are field names or :data:`QUERY_ALIASES`.  List fields take
+        a list and aliases one value; every value is coerced to its
+        field's type, and ordering aliases resolve to registry names.
+        :data:`SESSION_FIELDS` are accepted only with ``session=True``.
+        Unknown keys and registry names raise ``KeyError``, bad values
+        ``ValueError``; the result is :meth:`validate`-checked.
+        """
+        unknown = sorted(
+            key for key in knobs
+            if QUERY_ALIASES.get(key, key) not in _FIELD_TYPES
+            or (key in SESSION_FIELDS and not session))
+        if unknown:
+            raise KeyError(f"unknown query override(s) {unknown}; "
+                           f"known: {knob_names(session=session)}")
+        changes: Dict[str, object] = {}
+        for key, value in knobs.items():
+            name = QUERY_ALIASES.get(key, key)
+            kind = _FIELD_TYPES[name]
+            if kind is tuple:
+                if key in QUERY_ALIASES:
+                    value = [value]
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{key!r} takes a list, got {value!r}")
+                value = tuple(
+                    resolve_ordering_name(str(v)) if name == "orderings"
+                    else str(v) for v in value
+                )
+            else:
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{key!r} must be {kind.__name__}, got {value!r}"
+                    ) from None
+            changes[name] = value
+        return replace(self, **changes).validate()
+
+    def validate(self) -> "ExperimentPlan":
+        """Check every knob against the live registries; return the plan.
+
+        Dataset names are not checked: a session may hold graphs of its
+        own.  Unknown names raise ``KeyError``, bad values ``ValueError``.
+        """
+        self.resolved_kernels()
+        self.resolved_orderings()
+        known = set_class_names()
+        unknown = [n for n in self.set_classes if n not in known]
+        if unknown:
+            raise KeyError(f"unknown set classes {unknown}; known: {known}")
+        for name, allowed in (("schedule", RUNNER_SCHEDULES),
+                              ("transport", TRANSPORTS),
+                              ("dispatch", DISPATCH_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"known: {allowed}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.cache_budget_bytes < 0:
+            raise ValueError("cache_budget_bytes must be >= 0")
+        return self
 
     def resolved_kernels(self) -> List[SuiteKernel]:
         names = self.kernels or tuple(SUITE_KERNELS)
@@ -361,25 +463,6 @@ class ExperimentPlan:
         return (self.bloom_bits, self.kmv_k, self.bloom_shared_bits,
                 self.bloom_fpr, self.dispatch)
 
-    def validate_execution(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.schedule not in RUNNER_SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; "
-                f"known: {RUNNER_SCHEDULES}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"known: {TRANSPORTS}"
-            )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch {self.dispatch!r}; "
-                f"known: {DISPATCH_MODES}"
-            )
-
     @classmethod
     def smoke(cls) -> "ExperimentPlan":
         """The tiny CI matrix: 2 backends × 2 orderings × 3 kernels."""
@@ -390,6 +473,18 @@ class ExperimentPlan:
             orderings=("DGR", "ADG"),
             repeats=1,
         )
+
+
+#: Each plan field's type, read off its default: what the parser coerces to.
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(ExperimentPlan)}
+
+
+def knob_names(*, session: bool = False) -> List[str]:
+    """Every key :meth:`ExperimentPlan.with_knobs` accepts, sorted."""
+    return sorted(
+        set(QUERY_ALIASES)
+        | {n for n in _FIELD_TYPES if session or n not in SESSION_FIELDS}
+    )
 
 
 def _cell_orderings(kernel: SuiteKernel, orderings: Sequence[str]) -> List[str]:
@@ -576,33 +671,6 @@ def dataset_payload(
     }
 
 
-def run_suite(
-    plan: ExperimentPlan, verbose: bool = False
-) -> List[Dict[str, object]]:
-    """Deprecated shim: execute *plan* through a throwaway session.
-
-    The canonical path is :meth:`repro.platform.session.MiningSession.
-    run_plan`, which keeps the materialization cache and the resident
-    worker pool alive *across* plans.  This shim opens a session matching
-    the plan's execution knobs, runs the plan, and closes it — the
-    artifact payloads are ``suite-diff``-identical to the session path
-    (they *are* the session path), it just forfeits all cross-request
-    reuse.  Long-lived callers should hold a
-    :class:`~repro.platform.session.MiningSession` instead.
-    """
-    warnings.warn(
-        "run_suite is deprecated; use "
-        "repro.platform.session.MiningSession.run_plan so caches and the "
-        "resident worker pool survive across plans",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .session import MiningSession
-
-    with MiningSession.from_plan(plan, verbose=verbose) as session:
-        return session.run_plan(plan, verbose=verbose)
-
-
 def _print_payload(payload: Dict[str, object]) -> None:
     rows = [
         [
@@ -688,34 +756,15 @@ def plan_from_argv(argv: Optional[List[str]] = None) -> ExperimentPlan:
 
 
 def _plan_from_namespace(ns: argparse.Namespace) -> ExperimentPlan:
+    knobs = {k: v for k, v in vars(ns).items()
+             if k not in ("smoke", "verbose")}
     if ns.smoke:
         # The smoke matrix is fixed; the execution knobs still apply so CI
         # can run the very same matrix through the process pool.
-        return replace(
-            ExperimentPlan.smoke(),
-            workers=ns.workers, schedule=ns.schedule,
-            cache_budget_bytes=ns.cache_budget_bytes,
-            transport=ns.transport,
-            dispatch=ns.dispatch,
-        )
-    return ExperimentPlan(
-        datasets=tuple(ns.datasets),
-        kernels=tuple(ns.kernels),
-        set_classes=tuple(ns.set_classes),
-        orderings=tuple(ns.orderings),
-        k=ns.k,
-        eps=ns.eps,
-        repeats=ns.repeats,
-        bloom_bits=ns.bloom_bits,
-        kmv_k=ns.kmv_k,
-        bloom_shared_bits=ns.bloom_shared_bits,
-        bloom_fpr=ns.bloom_fpr,
-        workers=ns.workers,
-        schedule=ns.schedule,
-        cache_budget_bytes=ns.cache_budget_bytes,
-        transport=ns.transport,
-        dispatch=ns.dispatch,
-    )
+        knobs = {k: knobs[k]
+                 for k in SESSION_FIELDS + ("cache_budget_bytes", "dispatch")}
+    base = ExperimentPlan.smoke() if ns.smoke else ExperimentPlan()
+    return base.with_knobs(knobs, session=True)
 
 
 def report_payloads(payloads: List[Dict[str, object]]) -> int:
@@ -748,7 +797,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ns = build_suite_parser().parse_args(argv)
     plan = _plan_from_namespace(ns)
-    plan.validate_execution()
     with MiningSession.from_plan(plan, verbose=ns.verbose) as session:
         payloads = session.run_plan(plan, verbose=ns.verbose)
     return 1 if report_payloads(payloads) else 0

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def test_datasets_listing(capsys):
@@ -155,12 +162,13 @@ class TestSharedParserFlags:
 
     def test_resolve_for_graph_splits_by_vertex_count(self):
         from repro.graph import load_dataset
-        from repro.platform import parse_args
+        from repro.platform import parse_args, resolve_set_class_for_graph
 
         graph = load_dataset("sc-ht-mini")  # 300 vertices
         args = parse_args(["--set-class", "bloom",
                            "--bloom-shared-bits", str(300 * 128)])
-        cls = args.resolve_set_class_for_graph(graph)
+        cls = resolve_set_class_for_graph(
+            graph, args.set_class, bloom_shared_bits=args.bloom_shared_bits)
         assert cls.SHARED_BITS == 128
         a = cls.from_sorted_array(graph.out_neigh(0))
         b = cls.from_sorted_array(graph.out_neigh(299))
@@ -190,6 +198,18 @@ class TestSharedParserFlags:
             resolve_set_class("frobnitz")
         with pytest.raises(SystemExit):  # argparse rejects via choices
             build_parser().parse_args(["--set-class", "frobnitz"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "2"), ("--schedule", "static"),
+        ("--cache-budget-bytes", "2"), ("--transport", "shm"),
+    ])
+    def test_benchmark_parser_has_no_execution_flags(self, flag, value):
+        # Nothing behind the benchmark parser runs a pool, so it must
+        # refuse the flags rather than accept and ignore them.
+        from repro.platform import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([flag, value])
 
     def test_parser_choices_include_lazy_backends(self):
         from repro.platform import parse_args
@@ -286,3 +306,21 @@ class TestLazyBackendRegistration:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_piped_output_closed_early_exits_quietly(tmp_path):
+    """``python -m repro <cmd> | head -c1``: no traceback, one status."""
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_ARTIFACT_DIR=str(tmp_path))
+    statuses = {}
+    for argv in (["datasets"], ["stats", "sc-ht-mini"],
+                 ["kclique", "sc-ht-mini"], ["suite", "--smoke"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read().decode()
+        statuses[argv[0]] = proc.wait(timeout=300)
+        proc.stderr.close()
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert set(statuses.values()) == {1}, statuses

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
+import socket
 import time
 
 import pytest
@@ -151,6 +153,22 @@ class TestQueryEndpoint:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400_then_close(self, server, length,
+                                                    caplog):
+        request = (f"POST /query HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode()
+        with caplog.at_level(logging.ERROR), socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(4096):  # b"" once the server closes
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in response
+        assert b"Content-Length must be" in response
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
     def test_healthz_and_stats(self, server):
         status, health, _ = _request(server.port, "GET", "/healthz")
         assert status == 200
@@ -204,19 +222,21 @@ class TestAdmissionControl:
 
 
 class TestTenantQuotas:
-    def test_clamp_overrides_unit(self):
+    def test_clamp_unit(self):
         quota = TenantQuota(max_bloom_bits=64, max_cache_bytes=1 << 20,
                             worker_share=0.5)
-        clamped, applied = quota.clamp_overrides(
+        plan = ExperimentPlan().with_knobs(
             {"bits": 1024, "shared_bits": 32, "backend": "bloom"}
         )
-        assert clamped["bits"] == 64
-        assert clamped["shared_bits"] == 32          # under cap: untouched
-        assert clamped["cache_budget_bytes"] == 1 << 20
-        assert applied["bits"] == {"requested": 1024, "granted": 64}
+        # shared_bits is under the cap: untouched, so not reported; the
+        # unbounded (0) cache budget is lowered to the quota.
+        assert quota.clamp(plan) == {
+            "bits": {"requested": 1024, "granted": 64},
+            "cache_budget_bytes": {"requested": None, "granted": 1 << 20},
+        }
         assert quota.max_workers(4) == 2
         assert quota.max_workers(1) == 1             # floor, never 0
-        assert TenantQuota().clamp_overrides({"bits": 10 ** 9})[1] == {}
+        assert TenantQuota().clamp(ExperimentPlan(bloom_bits=10 ** 9)) == {}
         assert TenantQuota().max_workers(4) is None
 
     def test_quota_threads_into_the_served_query(self):

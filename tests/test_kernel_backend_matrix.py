@@ -120,10 +120,8 @@ class TestExactEquivalence:
         (alias-aware, so renamed imports cannot evade it — the weakness
         of the string grep this replaces): candidate-set work in
         ``mining/``, ``learning/``, and ``optimization/`` goes through
-        SetBase, never through numpy's raw array set routines.  The
-        ``mining/`` layer must be *unconditionally* clean; the widened
-        layers may only carry the explicitly grandfathered findings of
-        the committed baseline."""
+        SetBase, never through numpy's raw array set routines — in every
+        layer, with nothing grandfathered by the committed baseline."""
         import pathlib
 
         import repro.learning
@@ -147,11 +145,9 @@ class TestExactEquivalence:
             "new raw numpy set-op usage in the algorithm layers:\n"
             + "\n".join(f.format_text() for f in new)
         )
-        # The grandfathered debt is pinned exactly: paying it down must
-        # shrink the baseline file, not silently leave a stale entry.
-        assert sorted({f.path for f in grandfathered}) == [
-            "src/repro/learning/jarvis_patrick.py",
-        ]
+        # No grandfathered debt: nothing may hide behind the baseline.
+        assert grandfathered == []
+        assert findings == []
 
 
 class TestBoundedErrorUnderSketches:
@@ -305,12 +301,13 @@ class TestBloomFprSizing:
 
     def test_cli_flag_resolves_to_shared_budget_meeting_target(self):
         from repro.approx.estimators import bloom_false_positive_rate
-        from repro.platform.cli import parse_args
+        from repro.platform.cli import parse_args, resolve_set_class_for_graph
 
         args = parse_args(["--set-class", "bloom", "--bloom-fpr", "0.02"])
         assert args.bloom_fpr == 0.02
         csr, _ = random_csr(60, 300, 4)
-        cls = args.resolve_set_class_for_graph(csr)
+        cls = resolve_set_class_for_graph(csr, args.set_class,
+                                          bloom_fpr=args.bloom_fpr)
         assert cls.SHARED_BITS > 0
         avg = int(round(2 * csr.num_edges / csr.num_nodes))
         assert bloom_false_positive_rate(

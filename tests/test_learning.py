@@ -159,6 +159,32 @@ class TestCommunities:
         assert labels[5] == labels[9]
         assert labels[0] != labels[5]
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_jarvis_patrick_matches_plain_set_reference(self, seed):
+        # Reference: k-NN lists as Python sets, the SNN graph's components
+        # from networkx.
+        csr, _ = random_csr(40, 160, seed)
+        k, k_min = 5, 2
+        knn = []
+        for u in csr.vertices():
+            scored = sorted(
+                ((similarity(csr, u, v, "jaccard"), v)
+                 for v in csr.out_neigh(u).tolist()),
+                key=lambda t: (-t[0], t[1]),
+            )
+            knn.append({v for _, v in scored[:k]})
+        snn = nx.Graph()
+        snn.add_nodes_from(range(csr.num_nodes))
+        snn.add_edges_from(
+            (u, v) for u in range(csr.num_nodes) for v in knn[u]
+            if u < v and u in knn[v] and len(knn[u] & knn[v]) >= k_min
+        )
+        labels = jarvis_patrick(csr, k=k, k_min=k_min)
+        clusters = {frozenset(np.flatnonzero(labels == c).tolist())
+                    for c in set(labels.tolist())}
+        assert clusters == {frozenset(c)
+                            for c in nx.connected_components(snn)}
+
     def test_modularity_of_trivial_partitions(self, planted):
         csr, _ = planted
         one = np.zeros(80, dtype=np.int64)

@@ -42,11 +42,10 @@ class TestRepoSelfAudit:
         assert baseline.stale_entries(repo_findings) == []
 
     def test_known_grandfathered_debt_is_exact(self, repo_findings):
-        # The whole baseline today: one raw intersect1d in the k-NN
-        # shared-neighbor count.  Fixing it must flow through here.
-        assert [(f.rule, f.path) for f in repo_findings] == [
-            ("GMS001", "src/repro/learning/jarvis_patrick.py"),
-        ]
+        # No debt left: the repo is clean with no baseline at all, and the
+        # committed baseline is empty.
+        assert repo_findings == []
+        assert not Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME).entries
 
     def test_cli_entry_point_exits_zero_on_repo(self):
         proc = subprocess.run(
@@ -146,8 +145,7 @@ class TestCLIWorkflow:
     def test_rules_listing(self, capsys):
         assert main(["--rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("GMS001", "GMS002", "GMS003", "GMS004", "GMS005",
-                        "GMS006"):
+        for rule_id in ("GMS001", "GMS002", "GMS003", "GMS004", "GMS005"):
             assert rule_id in out
 
     def test_missing_path_is_an_error(self, tmp_path, capsys):

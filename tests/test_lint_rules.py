@@ -26,9 +26,9 @@ def lines(findings):
 
 
 class TestRegistry:
-    def test_all_six_rules_registered(self):
+    def test_all_five_rules_registered(self):
         assert sorted(registered_rules()) == [
-            "GMS001", "GMS002", "GMS003", "GMS004", "GMS005", "GMS006",
+            "GMS001", "GMS002", "GMS003", "GMS004", "GMS005",
         ]
 
     def test_rules_carry_titles(self):
@@ -450,50 +450,6 @@ class TestGMS005Determinism:
         """
         findings = run(source, "src/repro/platform/iter.py", "GMS005")
         assert lines(findings) == [4]
-
-
-class TestGMS006DeprecatedShims:
-    def test_shim_calls_flagged(self):
-        source = """
-            from repro.platform import run_suite
-
-            def drive(plan, args, graph):
-                payload = run_suite(plan)
-                cls = args.resolve_set_class_for_graph(graph)
-                return payload, cls
-        """
-        findings = run(source, "src/repro/platform/drv.py", "GMS006")
-        assert lines(findings) == [5, 6]
-
-    def test_module_form_resolver_passes(self):
-        source = """
-            from repro.platform import cli
-            from repro.platform.cli import resolve_set_class_for_graph
-
-            def drive(graph):
-                one = cli.resolve_set_class_for_graph(graph)
-                two = resolve_set_class_for_graph(graph)
-                return one, two
-        """
-        assert run(source, "src/repro/platform/mod.py", "GMS006") == []
-
-    def test_run_suite_parallel_not_confused(self):
-        source = """
-            from repro.platform import run_suite_parallel
-
-            def drive(plan):
-                return run_suite_parallel(plan, workers=2)
-        """
-        assert run(source, "src/repro/platform/par.py", "GMS006") == []
-
-    def test_definition_modules_exempt(self):
-        source = """
-            from repro.platform import run_suite
-
-            def shim(plan):
-                return run_suite(plan)
-        """
-        assert run(source, "src/repro/platform/suite.py", "GMS006") == []
 
 
 class TestSuppressionMachinery:

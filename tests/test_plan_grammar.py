@@ -1,0 +1,150 @@
+"""One knob grammar: every surface parses with ``ExperimentPlan.with_knobs``.
+
+The same inputs go in-process (the plan parser and the fluent ``Query``),
+through the serve REPL's ``query`` line, through ``POST /query`` as the
+public and as a quota-capped tenant, and through ``POST /suite``.  A bad
+input is a ``KeyError``/``ValueError`` in-process, an HTTP 400 (never a
+500, never an accepted job) and one ``error:`` line from the REPL; a good
+key means the same thing everywhere.
+"""
+
+from __future__ import annotations
+
+import http.client
+import io
+import json
+import time
+
+import pytest
+
+from repro.platform.http import TenantQuota, running_server
+from repro.platform.serve import serve_main
+from repro.platform.session import MiningSession
+from repro.platform.suite import ExperimentPlan, knob_names
+
+BAD_INPUTS = {
+    "unknown-backend": {"backend": "nope"},
+    "unknown-backend-list": {"set_classes": ["nope"]},
+    "unknown-dispatch": {"dispatch": "nope"},
+    "non-numeric-bits": {"bits": "abc"},
+    "unknown-key": {"frobnicate": "1"},
+    "session-owned-workers": {"workers": "2"},
+}
+
+#: Every scalar query key, spelled as the REPL and ``/query`` take it.
+GOOD_KNOBS = {
+    "backend": "bitset", "ordering": "degeneracy", "k": "4", "eps": "0.1",
+    "repeats": "1", "fpr": "0", "bits": "0", "shared_bits": "0",
+    "kmv_k": "0", "dispatch": "adaptive", "cache_budget_bytes": "0",
+}
+
+
+def _post(port, path, body, tenant="public"):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request("POST", path, body=json.dumps(body),
+                     headers={"X-Repro-Tenant": tenant})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _repl(line: str):
+    return serve_main(["--no-prompt"], stdin=io.StringIO(line + "\nquit\n"))
+
+
+@pytest.fixture(scope="module")
+def server(tmp_path_factory):
+    tenants = {"capped": TenantQuota(max_bloom_bits=64,
+                                     max_cache_bytes=1 << 20)}
+    with running_server(tenants=tenants,
+                        job_root=str(tmp_path_factory.mktemp("jobs"))) as srv:
+        yield srv
+
+
+@pytest.mark.parametrize("knobs", list(BAD_INPUTS.values()),
+                         ids=list(BAD_INPUTS))
+class TestOneGrammarOneError:
+    def test_in_process(self, knobs):
+        with pytest.raises((KeyError, ValueError)):
+            ExperimentPlan().with_knobs(knobs)
+        with MiningSession() as session:
+            query = session.query("tc").on("sc-ht-mini")
+            with pytest.raises((KeyError, ValueError)):
+                query.with_overrides(knobs)
+
+    def test_repl(self, knobs, capsys):
+        tokens = " ".join(f"{k}={v}" for k, v in knobs.items())
+        assert _repl(f"query tc sc-ht-mini {tokens}") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tenant", ["public", "capped"])
+    def test_query_endpoint(self, server, knobs, tenant):
+        status, payload = _post(
+            server.port, "/query",
+            {"kernel": "tc", "dataset": "sc-ht-mini", **knobs}, tenant,
+        )
+        assert status == 400, payload
+        assert "invalid query" in payload["error"]
+
+    def test_suite_endpoint(self, server, knobs):
+        jobs = len(server.store.jobs())
+        status, payload = _post(server.port, "/suite",
+                                {"smoke": True, **knobs})
+        assert status == 400, payload
+        assert len(server.store.jobs()) == jobs
+
+
+class TestOneGrammarSameMeaning:
+    def test_repl_accepts_every_query_key(self, capsys):
+        tokens = " ".join(f"{k}={v}" for k, v in GOOD_KNOBS.items())
+        assert _repl(f"query 4clique sc-ht-mini {tokens}") == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("4clique on")]
+        assert "[bitset -> AdaptiveSet, DGR]" in line
+
+    def test_surfaces_compile_the_same_plan(self, server):
+        with MiningSession() as session:
+            plan = session.query("4clique").with_overrides(
+                {"dataset": "sc-ht-mini", **GOOD_KNOBS}).plan()
+            direct = session.query("4clique").on("sc-ht-mini").backend(
+                "bitset").ordering("DGR").dispatch("adaptive").run()
+        assert plan.orderings == ("DGR",) and plan.dispatch == "adaptive"
+        assert plan.k == 4 and plan.set_classes == ("bitset",)
+        status, payload = _post(
+            server.port, "/query",
+            {"kernel": "4clique", "dataset": "sc-ht-mini", **GOOD_KNOBS},
+        )
+        assert status == 200, payload
+        assert payload["result"]["resolved_class"] == "AdaptiveSet"
+        assert payload["result"]["value"] == direct.value
+
+    def test_suite_honors_query_aliases_and_cache_budget(self, server):
+        status, accepted = _post(
+            server.port, "/suite",
+            {"kernel": "tc", "backend": "bitset",
+             "cache_budget_bytes": 1 << 22},
+        )
+        assert status == 202, accepted
+        deadline = time.time() + 120
+        while (job := server.store.get(accepted["job"])).state not in (
+                "done", "failed"):
+            assert time.time() < deadline
+            time.sleep(0.05)
+        assert job.state == "done", job.error
+        (path,) = job.artifacts
+        with open(path) as handle:
+            artifact = json.load(handle)
+        assert artifact["plan"]["kernels"] == ["tc"]
+        assert artifact["plan"]["set_classes"] == ["bitset"]
+        assert artifact["plan"]["cache_budget_bytes"] == 1 << 22
+        assert [c["set_class"] for c in artifact["cells"]] == [
+            "sorted", "bitset"]
+
+    def test_request_keys_leave_out_session_fields(self):
+        assert not {"workers", "schedule", "transport"} & set(knob_names())
+        assert {"workers", "schedule", "transport"} <= set(
+            knob_names(session=True))

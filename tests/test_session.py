@@ -46,7 +46,7 @@ TINY_PLAN = ExperimentPlan(
 class TestQueryBuilder:
     def test_unknown_kernel_rejected_eagerly(self):
         with MiningSession() as session:
-            with pytest.raises(KeyError, match="unknown kernel"):
+            with pytest.raises(KeyError, match="unknown suite kernels"):
                 session.query("bogus")
 
     def test_missing_dataset_rejected_at_compile(self):
@@ -65,8 +65,8 @@ class TestQueryBuilder:
         with MiningSession() as session:
             base = session.query("tc").on("sc-ht-mini")
             bloom = base.backend("bloom")
-            assert base._backend == "sorted"
-            assert bloom._backend == "bloom"
+            assert base.plan().set_classes == ("sorted",)
+            assert bloom.plan().set_classes == ("bloom",)
             assert bloom is not base
 
     def test_compiles_to_single_cell_plan(self):
@@ -100,11 +100,12 @@ class TestQueryBuilder:
                 {"kernel": "kclique", "backend": "bloom", "fpr": 0.02,
                  "ordering": "degeneracy", "k": 5}
             )
-            assert variant._kernel == "kclique"
-            assert variant._backend == "bloom"
-            assert variant._bloom_fpr == 0.02
-            assert variant._ordering == "DGR"
-            assert variant._k == 5
+            plan = variant.plan()
+            assert plan.kernels == ("kclique",)
+            assert plan.set_classes == ("bloom",)
+            assert plan.bloom_fpr == 0.02
+            assert plan.orderings == ("DGR",)
+            assert plan.k == 5
             with pytest.raises(KeyError, match="unknown query override"):
                 base.with_overrides({"bogus": 1})
 

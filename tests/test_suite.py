@@ -16,12 +16,12 @@ import pytest
 
 from repro.__main__ import main
 from repro.platform.aggregate import aggregate_results
+from repro.platform.session import MiningSession
 from repro.platform.suite import (
     SUITE_KERNELS,
     ExperimentPlan,
     plan_from_argv,
     register_suite_kernel,
-    run_suite,
 )
 
 SMOKE = ExperimentPlan.smoke()
@@ -30,7 +30,8 @@ SMOKE = ExperimentPlan.smoke()
 @pytest.fixture(scope="module")
 def smoke_payload():
     """One smoke-suite run shared by the schema/coverage assertions."""
-    payloads = run_suite(SMOKE)
+    with MiningSession.from_plan(SMOKE) as session:
+        payloads = session.run_plan(SMOKE)
     assert len(payloads) == 1
     return payloads[0]
 
@@ -184,7 +185,8 @@ class TestRunSuite:
                 datasets=("sc-ht-mini",), kernels=("edges",),
                 set_classes=("bitset",), orderings=("DGR",),
             )
-            payload = run_suite(plan)[0]
+            with MiningSession.from_plan(plan) as session:
+                payload = session.run_plan(plan)[0]
             cells = payload["cells"]
             assert {c["kernel"] for c in cells} == {"edges"}
             assert all(c["value"] == payload["num_edges"] for c in cells)

@@ -24,7 +24,8 @@ from repro.platform.runner import (
     run_suite_parallel,
     strip_timing,
 )
-from repro.platform.suite import ExperimentPlan, run_suite
+from repro.platform.session import MiningSession
+from repro.platform.suite import ExperimentPlan
 from repro.runtime.scheduler import static_chunks
 
 #: A deliberately mixed plan: ordering-aware and ordering-free kernels,
@@ -39,16 +40,21 @@ PLAN = ExperimentPlan(
 )
 
 
+def _run(plan):
+    with MiningSession.from_plan(plan) as session:
+        return session.run_plan(plan)[0]
+
+
 @pytest.fixture(scope="module")
 def sequential_payload():
-    return run_suite(PLAN)[0]
+    return _run(PLAN)
 
 
 @pytest.fixture(scope="module")
 def parallel_payloads():
     """workers=4 runs of the same plan, one per scheduling policy."""
     return {
-        schedule: run_suite(replace(PLAN, workers=4, schedule=schedule))[0]
+        schedule: _run(replace(PLAN, workers=4, schedule=schedule))
         for schedule in ("static", "dynamic", "stealing")
     }
 
@@ -58,7 +64,7 @@ class TestDeterminism:
     def test_parallel_artifact_identical_up_to_timing(
         self, sequential_payload, parallel_payloads, schedule
     ):
-        # The satellite regression: run_suite(workers=4) must produce a
+        # The satellite regression: a workers=4 run must produce a
         # cell-by-cell identical artifact (counts, counters, cross-check
         # fields; timing excluded) under both schedules.
         assert diff_payloads(
@@ -148,11 +154,11 @@ class TestSharding:
 
     def test_bad_execution_plans_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            run_suite(replace(PLAN, workers=0))
+            MiningSession.from_plan(replace(PLAN, workers=0))
         with pytest.raises(ValueError, match="schedule"):
             run_suite_parallel(replace(PLAN, workers=2, schedule="guided"))
         with pytest.raises(ValueError, match="transport"):
-            run_suite(replace(PLAN, transport="rdma"))
+            MiningSession.from_plan(replace(PLAN, transport="rdma"))
 
 
 class TestSuiteDiffCommand:
