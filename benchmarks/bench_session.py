@@ -3,7 +3,7 @@
 The :class:`~repro.platform.session.MiningSession` exists to amortize
 state across requests; this bench measures exactly that amortization and
 persists it as ``results/session_bench.json`` (schema
-``gms-session-bench/v1``) for the plot script:
+``gms-session-bench/v3``) for the plot script:
 
 * **cold vs warm query latency** — the same query twice in one session;
   the second run hits the shared ``MaterializationCache`` instead of
@@ -14,15 +14,9 @@ persists it as ``results/session_bench.json`` (schema
   *resident* pool, three ways: the first batch on a fresh session (pays
   pool start + worker warm-up), the same batch again (resident pool,
   warm workers), and the per-call-pool baseline the pre-session API used
-  (a throwaway pool per batch);
-* **transport × schedule matrix** — one suite plan under every
-  ``{pickle, shm} × {static, dynamic, stealing}`` combination, recording
-  the measured payload bytes shipped to the pool (pre-warm seed + per
-  task) and asserting every artifact is suite-diff identical to the
-  sequential reference.  The headline column is payload bytes per task:
-  the shared-memory transport ships :class:`~repro.platform.shm.ArrayRef`
-  descriptors instead of pickled arrays, so it must come in an order of
-  magnitude under the pickle transport on a warm real-scale dataset.
+  (a throwaway pool per batch).  The first batch also records the
+  payload bytes it shipped: the workers inherit the session's warm state
+  by fork, so only the per-task arguments are shipped.
 
 Script form::
 
@@ -42,12 +36,11 @@ from typing import Dict, List, Optional
 from repro.core import counters as _counters
 from repro.graph.datasets import dataset_provenance
 from repro.platform.bench import print_table, write_artifact
-from repro.platform.cli import RUNNER_SCHEDULES, TRANSPORTS
 from repro.platform.session import MiningSession
 from repro.platform.suite import ExperimentPlan
-from repro.platform.runner import diff_payloads, run_suite_parallel
+from repro.platform.runner import run_suite_parallel
 
-SCHEMA = "gms-session-bench/v2"
+SCHEMA = "gms-session-bench/v3"
 
 #: The cold/warm measurement matrix: real-scale inputs, one cheap and one
 #: materialization-heavy kernel each.
@@ -75,7 +68,6 @@ def _batch_plan(dataset: str) -> ExperimentPlan:
         orderings=("DGR",),
         repeats=1,
         workers=2,
-        schedule="dynamic",
     )
 
 
@@ -119,9 +111,11 @@ def bench_pool_reuse(dataset: str) -> Dict[str, object]:
     """One parallel plan, three ways: cold pool, resident pool, per-call pool."""
     plan = _batch_plan(dataset)
     with MiningSession(workers=2) as session:
+        before = _counters.snapshot()
         t0 = time.perf_counter()
         session.run_plan(plan)
         first = time.perf_counter() - t0  # pool start + worker warm-up
+        shipped = before.delta(_counters.snapshot())
         t0 = time.perf_counter()
         session.run_plan(plan)
         resident = time.perf_counter() - t0  # resident pool, warm workers
@@ -134,6 +128,8 @@ def bench_pool_reuse(dataset: str) -> Dict[str, object]:
         "provenance": dataset_provenance(dataset),
         "workers": plan.workers,
         "pool_starts": pool_starts,
+        "first_batch_payload_bytes_shipped": shipped.payload_bytes_shipped,
+        "first_batch_payload_tasks": shipped.payload_tasks,
         "first_batch_seconds": first,
         "resident_batch_seconds": resident,
         "per_call_pool_seconds": per_call,
@@ -144,66 +140,6 @@ def bench_pool_reuse(dataset: str) -> Dict[str, object]:
     }
 
 
-#: The transport-matrix plan: every smoke kernel over the exact backends
-#: (inexact ones cannot ride shared memory and would dilute the payload
-#: comparison), warmed ahead of the pool so the seed carries real state.
-def _transport_plan(dataset: str) -> ExperimentPlan:
-    return ExperimentPlan(
-        datasets=(dataset,),
-        kernels=("tc", "4clique", "bk"),
-        set_classes=("sorted", "bitset"),
-        orderings=("DGR",),
-        repeats=1,
-    )
-
-
-def bench_transport_matrix(dataset: str) -> List[Dict[str, object]]:
-    """One plan per {transport} × {schedule}; meter shipped payload bytes.
-
-    Every combination warms the same (backend × ordering) state before
-    the pool starts, runs the same plan, and is checked suite-diff
-    identical against a sequential reference — the transport and the
-    scheduling policy must be invisible in the artifact.  The parent-side
-    payload meter (``Counters.payload_bytes_shipped``) captures both the
-    workers-many pre-warm seed and the per-task ``(plan, dataset, shard)``
-    pickles, so bytes-per-task is a measured quantity, not an estimate.
-    """
-    plan = _transport_plan(dataset)
-    with MiningSession() as session:
-        reference = session.run_plan(plan)[0]
-    rows: List[Dict[str, object]] = []
-    for transport in TRANSPORTS:
-        for schedule in RUNNER_SCHEDULES:
-            before = _counters.snapshot()
-            t0 = time.perf_counter()
-            with MiningSession(workers=2, schedule=schedule,
-                               transport=transport) as session:
-                session.warm(dataset, backends=("sorted", "bitset"),
-                             orderings=("DGR",))
-                payload = session.run_plan(plan)[0]
-                stats = session.stats()
-            wall = time.perf_counter() - t0
-            delta = before.delta(_counters.snapshot())
-            problems = diff_payloads(reference, payload)
-            rows.append({
-                "dataset": dataset,
-                "provenance": dataset_provenance(dataset),
-                "transport": transport,
-                "schedule": schedule,
-                "payload_bytes_shipped": delta.payload_bytes_shipped,
-                "payload_tasks": delta.payload_tasks,
-                "payload_bytes_per_task": (
-                    delta.payload_bytes_shipped / delta.payload_tasks
-                    if delta.payload_tasks else 0.0
-                ),
-                "shm_resident_bytes": stats["pool"]["shm_bytes"],
-                "wall_seconds": wall,
-                "identical_to_sequential": problems == [],
-                "diff_problems": problems,
-            })
-    return rows
-
-
 def run_bench(quick: bool = False) -> Dict[str, object]:
     queries = QUICK_QUERIES if quick else DEFAULT_QUERIES
     pool_dataset = "sc-ht-mini" if quick else "ca-grqc"
@@ -212,7 +148,6 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
         "quick": quick,
         "cold_warm": bench_cold_warm(queries),
         "pool_reuse": [bench_pool_reuse(pool_dataset)],
-        "transport_matrix": bench_transport_matrix(pool_dataset),
     }
 
 
@@ -232,31 +167,18 @@ def _print_payload(payload: Dict[str, object]) -> None:
     )
     print_table(
         "Resident-pool reuse (2 workers)",
-        ["dataset", "first batch ms", "resident ms", "per-call pool ms",
-         "vs cold", "vs per-call"],
+        ["dataset", "first batch ms", "shipped B / tasks", "resident ms",
+         "per-call pool ms", "vs cold", "vs per-call"],
         [
             [r["dataset"],
              f"{1000 * r['first_batch_seconds']:.0f}",
+             f"{r['first_batch_payload_bytes_shipped']:,} / "
+             f"{r['first_batch_payload_tasks']}",
              f"{1000 * r['resident_batch_seconds']:.0f}",
              f"{1000 * r['per_call_pool_seconds']:.0f}",
              f"{r['reuse_speedup_vs_cold']:.2f}x",
              f"{r['reuse_speedup_vs_per_call']:.2f}x"]
             for r in payload["pool_reuse"]
-        ],
-    )
-    print_table(
-        "Payload shipped per transport × schedule (2 workers)",
-        ["transport", "schedule", "bytes shipped", "tasks", "bytes/task",
-         "shm resident", "wall ms", "identical"],
-        [
-            [r["transport"], r["schedule"],
-             f"{r['payload_bytes_shipped']:,}",
-             r["payload_tasks"],
-             f"{r['payload_bytes_per_task']:,.0f}",
-             f"{r['shm_resident_bytes']:,}",
-             f"{1000 * r['wall_seconds']:.0f}",
-             "yes" if r["identical_to_sequential"] else "NO"]
-            for r in payload["transport_matrix"]
         ],
     )
 
@@ -292,15 +214,11 @@ def test_session_bench_quick():
     assert reuse["pool_starts"] == 1
     assert reuse["first_batch_seconds"] > 0
     assert reuse["resident_batch_seconds"] > 0
-    matrix = payload["transport_matrix"]
-    assert len(matrix) == len(TRANSPORTS) * len(RUNNER_SCHEDULES)
-    assert all(r["identical_to_sequential"] for r in matrix)
-    shipped = {(r["transport"], r["schedule"]): r["payload_bytes_shipped"]
-               for r in matrix}
-    for schedule in RUNNER_SCHEDULES:
-        # The zero-copy acceptance bar holds even on the mini dataset.
-        assert shipped[("shm", schedule)] * 10 <= \
-            shipped[("pickle", schedule)]
+    # One task per cell, and no warm state shipped on top of the tasks:
+    # a task's pickled (plan, dataset, cell) is well under 4 KB.
+    assert reuse["first_batch_payload_tasks"] > 0
+    assert reuse["first_batch_payload_bytes_shipped"] < \
+        4096 * reuse["first_batch_payload_tasks"]
 
 
 if __name__ == "__main__":

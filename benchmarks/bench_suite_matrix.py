@@ -5,7 +5,7 @@ through the same entry point as ``python -m repro suite``::
 
     PYTHONPATH=src python benchmarks/bench_suite_matrix.py --smoke
     PYTHONPATH=src python benchmarks/bench_suite_matrix.py --smoke \
-        --workers 4 --schedule static
+        --workers 4
     PYTHONPATH=src python benchmarks/bench_suite_matrix.py \
         --datasets sc-ht-mini --set-classes sorted bitset bloom kmv
 
@@ -91,7 +91,7 @@ def test_suite_parallel_matches_sequential(benchmark, show_table):
     from repro.platform.runner import diff_payloads
 
     sequential = _run_plan(ExperimentPlan.smoke())[0]
-    plan = replace(ExperimentPlan.smoke(), workers=2, schedule="static")
+    plan = replace(ExperimentPlan.smoke(), workers=2)
     payloads = benchmark.pedantic(
         lambda: _run_plan(plan), rounds=1, iterations=1
     )
@@ -99,9 +99,9 @@ def test_suite_parallel_matches_sequential(benchmark, show_table):
     assert diff_payloads(sequential, parallel) == []
 
     execution = parallel["execution"]
-    modeled = execution["modeled"]["static"]
+    modeled = execution["modeled"]["dynamic"]
     show_table(
-        "suite parallel — measured vs modeled (2 workers, static)",
+        "suite parallel — measured vs modeled (2 workers, dynamic)",
         ["metric", "value"],
         [
             ["cells", len(parallel["cells"])],

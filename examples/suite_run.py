@@ -97,7 +97,7 @@ def main() -> None:
         print(f"{backend:<8} worst error {100 * worst:.2f}%  "
               f"total kernel time {total_ms:.1f} ms")
 
-    # 5. The same plan through the sharded process-pool runtime, with the
+    # 5. The same plan through the process-pool runtime, with the
     #    per-worker MaterializationCache bounded to 16 MiB.  The artifact
     #    must agree with the sequential run on every deterministic field
     #    (suite-diff's check) — only the timing differs.  Caveat: that
@@ -105,7 +105,7 @@ def main() -> None:
     #    cell's own materializations between its warm-up and metered
     #    runs (a too-tight budget would fold re-materialization work
     #    into some cells' counters), so check evictions before diffing.
-    with MiningSession(workers=2, schedule="static",
+    with MiningSession(workers=2,
                        cache_budget_bytes=16 << 20) as pool_session:
         parallel = pool_session.run_plan(plan)[0]
     assert parallel["materialization"]["evictions"] == 0

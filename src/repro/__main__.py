@@ -17,8 +17,8 @@ Commands
 ``budget-sweep``        CLI-driven sketch-budget sweep → results/ artifact
 ``suite``               declarative kernel × backend × ordering experiment
                         suite (``--smoke`` for the tiny CI matrix;
-                        ``--workers N --schedule static|dynamic`` shards
-                        the cells over a process pool) →
+                        ``--workers N`` runs the cells on a process
+                        pool) →
                         ``results/suite_<dataset>.json``
 ``suite-diff``          compare two suite artifacts up to timing fields
                         (the parallel-vs-sequential determinism check)

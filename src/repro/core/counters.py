@@ -61,32 +61,19 @@ class Counters:
         benchmark can attribute cycles to organizations while
         ``elements_read`` stays comparable across backends.
     payload_bytes_shipped:
-        Bytes the parallel runtime shipped *to* pool workers: the
-        pre-warm seed payload (counted once per worker it initializes)
-        plus the pickled arguments of every pool task.  This is the
-        serialization cost the shared-memory transport exists to
-        eliminate — shm runs ship array *descriptors* instead of array
-        contents, and this counter is what makes the reduction
-        attributable rather than anecdotal.  Recorded parent-side only
-        (workers never ship payloads), so worker counter deltas carry 0.
+        Bytes the parallel runtime shipped *to* pool workers: the pickled
+        arguments of every pool task.  A pool's warm state reaches its
+        workers by fork inheritance and adds nothing here.  Recorded
+        parent-side only (workers never ship payloads), so worker counter
+        deltas carry 0.
     payload_tasks:
         Number of pool tasks shipped; ``payload_bytes_shipped /
-        payload_tasks`` is the bench's payload-bytes-per-task metric
-        (seed payloads count bytes but not tasks, so they amortize over
-        the tasks they warm).
-    shm_suppressed:
-        Cleanup failures the shared-memory transport swallowed on
-        purpose (segment close/unlink errors during teardown, where
-        raising would mask the original failure or break idempotent
-        close).  Each suppression is also logged at DEBUG by
-        :mod:`repro.platform.shm`; this counter is the cheap always-on
-        signal that leaked-segment diagnostics should go look there.
-        Process-local (not part of :class:`Snapshot` deltas).
+        payload_tasks`` is the bench's payload-bytes-per-task metric.
     """
 
     __slots__ = ("set_ops", "point_ops", "elements_read", "elements_written",
                  "sketch_builds", "words_scanned", "payload_bytes_shipped",
-                 "payload_tasks", "shm_suppressed")
+                 "payload_tasks")
 
     def __init__(self) -> None:
         self.reset()
@@ -101,7 +88,6 @@ class Counters:
         self.words_scanned: Dict[str, int] = {}
         self.payload_bytes_shipped = 0
         self.payload_tasks = 0
-        self.shm_suppressed = 0
 
     # The record methods are deliberately tiny: they sit on the hot path
     # of every set operation.
@@ -125,18 +111,10 @@ class Counters:
         scans = self.words_scanned
         scans[organization] = scans.get(organization, 0) + words
 
-    def record_payload(self, nbytes: int, tasks: int = 0) -> None:
-        """Record *nbytes* shipped to pool workers (*tasks* pool tasks).
-
-        Pool-seed payloads record bytes only (``tasks=0``); per-task
-        submissions record ``tasks=1`` so bytes-per-task stays computable.
-        """
+    def record_payload(self, nbytes: int) -> None:
+        """Record one pool task whose arguments pickle to *nbytes*."""
         self.payload_bytes_shipped += nbytes
-        self.payload_tasks += tasks
-
-    def record_suppressed(self) -> None:
-        """Record one deliberately-swallowed shm cleanup failure."""
-        self.shm_suppressed += 1
+        self.payload_tasks += 1
 
     def absorb(self, delta: "Snapshot") -> None:
         """Fold a :class:`Snapshot` delta into this block.

@@ -11,14 +11,6 @@ implement the shared *query* interface used by the Table 8/9 benchmarks:
 
 with the asymptotics of Table 9 (e.g. ``has_edge`` is O(log Δ) on sorted AL,
 O(1) on AM, O(m) on unsorted EL, O(log m) on sorted EL).
-
-Every model additionally speaks the flat-array transport protocol the
-shared-memory runtime uses (:mod:`repro.platform.shm`): ``export_arrays()``
-returns ``(meta, arrays)`` where *arrays* maps names to contiguous numpy
-arrays, and ``from_arrays(meta, arrays)`` reconstructs the model around
-those arrays **without copying** — so a model can be rebuilt over
-read-only shared-memory views.  All query methods are reads, so
-read-only backing arrays are fine.
 """
 
 from __future__ import annotations
@@ -73,34 +65,6 @@ class AdjacencyListGraph:
     def storage_bytes(self) -> int:
         return sum(a.nbytes for a in self._neigh)
 
-    def export_arrays(self):
-        """Flatten to CSR-style ``(offsets, values)`` transport arrays."""
-        counts = np.fromiter(
-            (len(a) for a in self._neigh), dtype=np.int64,
-            count=self.num_nodes,
-        )
-        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        values = np.empty(int(offsets[-1]), dtype=np.int64)
-        for v, arr in enumerate(self._neigh):
-            values[offsets[v]:offsets[v + 1]] = arr
-        meta = {"kind": self.kind, "num_nodes": self.num_nodes,
-                "num_edges": self.num_edges}
-        return meta, {"offsets": offsets, "values": values}
-
-    @classmethod
-    def from_arrays(cls, meta, arrays) -> "AdjacencyListGraph":
-        """Rebuild around transport arrays; neighborhoods become views."""
-        self = cls.__new__(cls)
-        offsets, values = arrays["offsets"], arrays["values"]
-        self._neigh = [
-            values[offsets[v]:offsets[v + 1]]
-            for v in range(meta["num_nodes"])
-        ]
-        self.num_nodes = meta["num_nodes"]
-        self.num_edges = meta["num_edges"]
-        return self
-
 
 class AdjacencyMatrixGraph:
     """Dense n×n boolean adjacency matrix."""
@@ -134,19 +98,6 @@ class AdjacencyMatrixGraph:
 
     def storage_bytes(self) -> int:
         return self._matrix.nbytes
-
-    def export_arrays(self):
-        meta = {"kind": self.kind, "num_nodes": self.num_nodes,
-                "num_edges": self.num_edges}
-        return meta, {"matrix": self._matrix}
-
-    @classmethod
-    def from_arrays(cls, meta, arrays) -> "AdjacencyMatrixGraph":
-        self = cls.__new__(cls)
-        self._matrix = arrays["matrix"]
-        self.num_nodes = meta["num_nodes"]
-        self.num_edges = meta["num_edges"]
-        return self
 
 
 class EdgeListGraph:
@@ -208,21 +159,6 @@ class EdgeListGraph:
 
     def storage_bytes(self) -> int:
         return self._arcs.nbytes
-
-    def export_arrays(self):
-        meta = {"kind": self.kind, "sorted": self._sorted,
-                "num_nodes": self.num_nodes, "num_edges": self.num_edges}
-        return meta, {"arcs": self._arcs}
-
-    @classmethod
-    def from_arrays(cls, meta, arrays) -> "EdgeListGraph":
-        self = cls.__new__(cls)
-        self._arcs = arrays["arcs"]
-        self._sorted = meta["sorted"]
-        self.kind = meta["kind"]
-        self.num_nodes = meta["num_nodes"]
-        self.num_edges = meta["num_edges"]
-        return self
 
 
 GRAPH_MODELS = {

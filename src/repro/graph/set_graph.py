@@ -36,8 +36,6 @@ __all__ = [
     "SetGraph",
     "build_set_graph",
     "build_oriented_set_graph",
-    "flatten_set_graph",
-    "unflatten_set_graph",
     "MaterializationCache",
 ]
 
@@ -165,59 +163,12 @@ def build_oriented_set_graph(
     return SetGraph(neighborhoods, set_cls, directed=True)
 
 
-def flatten_set_graph(sg: SetGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten an exact :class:`SetGraph` to CSR-style member arrays.
-
-    Returns ``(offsets, values)`` — ``values[offsets[v]:offsets[v+1]]``
-    is the sorted member array of ``N(v)``.  This is the array form the
-    shared-memory transport (:mod:`repro.platform.shm`) ships: two flat
-    int64 arrays instead of a pickle of every neighborhood object.
-    Only exact backends can be flattened (sketches cannot enumerate
-    their members).
-    """
-    if not sg.set_cls.IS_EXACT:
-        raise ValueError(
-            f"cannot flatten inexact backend {sg.set_cls.__name__}"
-        )
-    n = sg.num_nodes
-    counts = np.fromiter(
-        (s.cardinality() for s in sg._neighborhoods), dtype=np.int64,
-        count=n,
-    )
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    values = np.empty(int(offsets[-1]), dtype=np.int64)
-    for v, s in enumerate(sg._neighborhoods):
-        values[offsets[v]:offsets[v + 1]] = s.to_array()
-    return offsets, values
-
-
-def unflatten_set_graph(
-    offsets: np.ndarray,
-    values: np.ndarray,
-    set_cls: Type[SetBase],
-    *,
-    directed: bool,
-) -> SetGraph:
-    """Rebuild a :class:`SetGraph` from :func:`flatten_set_graph` arrays.
-
-    Neighborhoods are constructed via ``from_sorted_array`` on slices of
-    *values* — for sorted-array backends those slices pass through as
-    views, so rebuilding from shared-memory arrays copies nothing.
-    """
-    neighborhoods = [
-        set_cls.from_sorted_array(values[offsets[v]:offsets[v + 1]])
-        for v in range(len(offsets) - 1)
-    ]
-    return SetGraph(neighborhoods, set_cls, directed=directed)
-
-
 def _picklable_by_reference(cls: type) -> bool:
     """True iff *cls* can be pickled as a module-attribute reference.
 
     Budget-derived sketch subclasses are created by class factories at run
-    time and are not importable from their module, so payloads containing
-    them cannot cross a process boundary.
+    time and are not importable from their module; another process that
+    resolves the same budget derives a class of its own.
     """
     import sys
 
@@ -363,18 +314,18 @@ class MaterializationCache:
         return order_res, dag
 
     def export_graph_state(self, graph: CSRGraph) -> Dict[str, Dict]:
-        """Extract *graph*'s materialized state as a picklable payload.
+        """Extract *graph*'s materialized state for another cache.
 
         Returns the memoized orderings and :class:`SetGraph` entries keyed
         without the process-local ``id(graph)``, so another process can
         install them under its own identity via :meth:`seed_graph_state`.
-        This is what lets a resident worker pool be pre-warmed by shipping
-        the parent's materializations *once* instead of re-materializing
-        in every worker.  Entries whose set class is not importable by
-        reference (e.g. budget-derived sketch subclasses built by the
-        ``with_shared_budget``/``with_k`` factories) are skipped — they
-        cannot cross a process boundary, and the worker re-derives them
-        locally instead.
+        This is what lets a resident worker pool start pre-warmed with the
+        parent's materializations instead of re-materializing in every
+        worker.  Entries whose set class is not importable by reference
+        (e.g. budget-derived sketch subclasses built by the
+        ``with_shared_budget``/``with_k`` factories) are skipped — a
+        worker re-derives such classes locally, so entries keyed by the
+        parent's class would never be hit there.
         """
         gid = id(graph)
         orderings = {

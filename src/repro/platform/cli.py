@@ -28,46 +28,20 @@ __all__ = [
     "resolve_set_class_for_graph",
 ]
 
-#: Chunking policies of the real process-pool runner — now the full
-#: simulated :data:`repro.runtime.scheduler.SCHEDULER_POLICIES` set:
-#: 'stealing' keeps per-worker deques in the parent and migrates cells
-#: between them on completion events (steal-half from the longest deque),
-#: so all three modeled policies are also measured.
-RUNNER_SCHEDULES = ("static", "dynamic", "stealing")
-
-#: Pool pre-warm transports: 'pickle' ships graph/materialization state
-#: by value to every worker; 'shm' exports the arrays once into named
-#: shared-memory segments (:mod:`repro.platform.shm`) and ships only
-#: descriptors — workers map the segments zero-copy.
-TRANSPORTS = ("pickle", "shm")
-
 
 def add_parallel_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared parallel-execution flags.
 
     Used by the ``python -m repro suite`` and ``serve`` parsers so
-    ``--workers``/``--schedule``/``--cache-budget-bytes``/``--transport``
-    mean the same thing everywhere.
+    ``--workers``/``--cache-budget-bytes`` mean the same thing everywhere.
     """
     parser.add_argument("--workers", type=int, default=1,
                         help="process-pool workers for suite execution "
                              "(1 = sequential, in-process)")
-    parser.add_argument("--schedule", default="dynamic",
-                        choices=RUNNER_SCHEDULES,
-                        help="cell chunking policy for --workers > 1: "
-                             "'static' = contiguous shards, 'dynamic' = "
-                             "one cell per pool task (greedy queue), "
-                             "'stealing' = per-worker deques with "
-                             "steal-half migration")
     parser.add_argument("--cache-budget-bytes", type=int, default=0,
                         help="MaterializationCache LRU budget in bytes "
                              "(per process; sized via SetGraph."
                              "storage_bytes; 0 = unbounded)")
-    parser.add_argument("--transport", default="pickle",
-                        choices=TRANSPORTS,
-                        help="pool pre-warm transport: 'pickle' copies "
-                             "graph state into every worker, 'shm' maps "
-                             "shared-memory segments zero-copy")
 
 
 def add_dispatch_args(parser: argparse.ArgumentParser) -> None:

@@ -73,6 +73,7 @@ import contextlib
 import json
 import logging
 import math
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -584,7 +585,6 @@ class MiningHTTPServer:
                 time.time() - self.started_at if self.started_at else 0.0
             ),
             "workers": self.session.workers,
-            "transport": self.session.transport,
             "graphs": self.session.graphs(),
         }
 
@@ -849,12 +849,13 @@ def serve_http(ns) -> int:
     *ns* is the parsed ``serve`` namespace (see
     :func:`repro.platform.serve.build_serve_parser`); the session is
     built from the shared parallel flags exactly like the REPL's.
+    SIGTERM and Ctrl-C both stop the server and close the session, so
+    the resident pool's workers exit with the server.
     """
     tenants = load_tenants(ns.tenants)
     session = MiningSession(
-        workers=ns.workers, schedule=ns.schedule,
-        cache_budget_bytes=ns.cache_budget_bytes,
-        transport=ns.transport, verbose=ns.verbose,
+        workers=ns.workers, cache_budget_bytes=ns.cache_budget_bytes,
+        verbose=ns.verbose,
     )
     server = MiningHTTPServer(
         session, host=ns.host, port=ns.http,
@@ -866,10 +867,15 @@ def serve_http(ns) -> int:
     async def _main() -> None:
         await server.start()
         print(f"serving http on {server.host}:{server.port} "
-              f"(workers={session.workers}, transport={session.transport}, "
+              f"(workers={session.workers}, "
               f"jobs under {server.store.root})", flush=True)
+        serving = asyncio.ensure_future(server.serve_forever())
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, serving.cancel)
         try:
-            await server.serve_forever()
+            await asyncio.wait([serving])
+            if not serving.cancelled():
+                serving.result()
         finally:
             await server.stop()
 

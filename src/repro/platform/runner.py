@@ -1,66 +1,61 @@
-"""Sharded process-pool execution of the experiment suite.
+"""Process-pool execution of the experiment suite.
 
 A sequential session executes every cell of the kernel × backend ×
 ordering matrix in-process; this module is the real-parallel runtime
-behind ``plan.workers > 1`` (CLI: ``python -m repro suite --workers N
---schedule static|dynamic``).  It closes the loop the paper draws between
-*modeled* and *measured* parallel speedups: the very same per-cell warm
-kernel times that feed :func:`repro.runtime.scheduler.simulate_makespan`
-are produced by a run whose wall clock is recorded next to the model's
-prediction (the artifact's ``execution`` block).
+behind ``plan.workers > 1`` (CLI: ``python -m repro suite --workers N``).
+It closes the loop the paper draws between *modeled* and *measured*
+parallel speedups: the very same per-cell warm kernel times that feed
+:func:`repro.runtime.scheduler.simulate_makespan` are produced by a run
+whose wall clock is recorded next to the model's prediction (the
+artifact's ``execution`` block).
 
 Design
 ------
 The plan's cell list is expanded once, in canonical order
-(:func:`repro.platform.suite.expand_cells`), and sharded across a
-:class:`concurrent.futures.ProcessPoolExecutor` under one of three
-chunking policies, deliberately mirroring the simulated
-``SCHEDULER_POLICIES``:
-
-* ``static`` — contiguous shards via
-  :func:`repro.runtime.scheduler.static_chunks` (the *same* partitioning
-  rule the makespan model uses), one pool task per shard;
-* ``dynamic`` — one pool task per cell; the executor's shared queue is
-  the greedy list scheduler;
-* ``stealing`` — per-logical-worker deques held in the parent,
-  initialized with the static partitioning; a worker whose deque runs
-  dry steals :func:`repro.runtime.scheduler.steal_count` cells from the
-  *back* of the longest other deque (the Cilk/TBB steal-half rule), so
-  all three modeled policies are also measured.
+(:func:`repro.platform.suite.expand_cells`), and handed to a
+:class:`concurrent.futures.ProcessPoolExecutor` by one bounded
+dispatcher: at most ``plan.workers`` single-cell tasks are in flight, and
+as one completes the next cell in canonical order is submitted.  That is
+the greedy list schedule the ``dynamic`` makespan model simulates (the
+OpenMP ``schedule(dynamic)`` loop GMS runs), and it is what lets a plan
+clamped to fewer workers than the pool has really use only that many.
 
 Every pool-task submission meters its pickled argument size into
 ``Counters.payload_bytes_shipped`` (parent-side; see
-:mod:`repro.core.counters`), which is what lets the shared-memory
-transport's payload reduction be read off the session bench instead of
-inferred.
+:mod:`repro.core.counters`).
 
 Each worker process owns its graph + :class:`MaterializationCache`
 (bounded by ``plan.cache_budget_bytes``) in module-global state that
-persists across pool tasks, so dynamic scheduling does not reload the
-dataset per cell.  Workers return finished cell payloads plus their
+persists across pool tasks, so single-cell tasks do not reload the
+dataset per cell.  A session pool starts its workers with the session's
+graphs and warm materializations already installed
+(:func:`_seed_worker`).  Workers return finished cell payloads plus their
 counter deltas; the parent re-assembles cells by index, merges the
 per-worker :class:`~repro.core.counters.Snapshot` deltas (associative +
-commutative, so shard order cannot change the totals) into its own global
-block, and finalizes the reference cross-check exactly as the sequential
-path does.  The resulting artifact is **cell-by-cell identical to the
-sequential run up to timing fields** — pinned by the determinism
-regression tests and by ``python -m repro suite-diff``.
+commutative, so completion order cannot change the totals) into its own
+global block, and finalizes the reference cross-check exactly as the
+sequential path does.  The resulting artifact is **cell-by-cell
+identical to the sequential run up to timing fields** — pinned by the
+determinism regression tests and by ``python -m repro suite-diff``.
 
 Worker processes are forked where the platform allows it (Linux/macOS
-CPython builds with ``fork``), so runtime-registered suite kernels and
-set backends are visible in the pool; under ``spawn`` only
-import-time-registered ones are.
+CPython builds with ``fork``): the workers then inherit the session's
+warm state, runtime-registered suite kernels and set backends, and
+session graphs of any class, without pickling any of it.  Under
+``spawn`` only import-time-registered kernels and backends are visible,
+and the seed state must be picklable.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import multiprocessing
 import pickle
 import sys
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
@@ -69,7 +64,6 @@ from ..core.counters import Snapshot, merge_snapshots
 from ..core.interface import SetBase
 from ..graph import load_dataset  # noqa: F401 — worker-side import
 from ..graph.set_graph import MaterializationCache
-from ..runtime.scheduler import static_chunks, steal_count
 from . import suite as _suite
 
 __all__ = [
@@ -106,7 +100,7 @@ def _mp_context():
 # ---------------------------------------------------------------------------
 # Worker side.  _WORKER_STATE persists across pool tasks within one worker
 # process: the graph and the bounded MaterializationCache are loaded once
-# per (worker, dataset), however many dynamic-schedule cells land there.
+# per (worker, dataset), however many single-cell tasks land there.
 # A resident session pool may interleave datasets across queries, so the
 # state is a small LRU rather than single-occupancy: up to
 # _WORKER_DATASET_CAPACITY graphs stay warm per worker, and each dataset's
@@ -120,50 +114,34 @@ _WORKER_STATE: "OrderedDict[str, Tuple[object, MaterializationCache]]" = (
     OrderedDict()
 )
 _WORKER_BACKENDS: Dict[tuple, Type[SetBase]] = {}
-#: Datasets installed by the pool pre-warm payload.  Pinned: they may be
+#: Datasets installed by :func:`_seed_worker`.  Pinned: they may be
 #: session-local graphs a worker cannot reload by name, so the LRU never
 #: evicts them.
 _WORKER_PINNED: set = set()
 
 
-def _seed_worker(payload_bytes: bytes) -> None:
-    """Pool initializer: install pre-warmed per-dataset state.
+def _seed_worker(warm: Dict[str, tuple], budget: Optional[int]) -> None:
+    """Pool initializer: install the session's pre-warmed datasets.
 
-    The payload — pickled once in the parent, when the resident pool is
-    created — maps dataset names to independently-pickled entry blobs
-    (so one bad dataset never poisons the rest; see
-    ``MiningSession._warm_payload``).  Each blob is a tagged tuple:
-
-    * ``("pickle", graph, cache_state, budget)`` — state by value, the
-      historical transport;
-    * ``("shm", shm_payload, budget)`` — shared-memory descriptors from
-      :func:`repro.platform.shm.export_graph_payload`; the worker maps
-      the parent's segments and rebuilds the graph + materializations as
-      read-only zero-copy views.
-
-    Either way the worker seeds its local :class:`MaterializationCache`,
-    so the first task it serves finds the oriented ``SetGraph`` already
-    materialized instead of rebuilding it.  Seeded *non-registry*
-    datasets are pinned against LRU eviction: a custom session graph
-    exists only in this payload, and evicting it would make every later
-    task for it fail.  Registry datasets stay evictable — a worker can
-    always reload them by name — so the ``_WORKER_DATASET_CAPACITY``
-    bound keeps holding for them.
+    *warm* maps dataset names to ``(graph, cache_state)`` pairs, where
+    ``cache_state`` is the parent cache's :meth:`~repro.graph.set_graph.
+    MaterializationCache.export_graph_state` for that graph; *budget*
+    bounds each worker-side cache.  Under the ``fork`` start method the worker
+    inherits both from the parent's memory, so nothing is pickled.  The
+    worker seeds its local :class:`MaterializationCache`, so the first
+    task it serves finds the oriented ``SetGraph`` already materialized
+    instead of rebuilding it.  Seeded *non-registry* datasets are pinned
+    against LRU eviction: a custom session graph exists only in this
+    seed, and evicting it would make every later task for it fail.
+    Registry datasets stay evictable — a worker can always reload them
+    by name — so the ``_WORKER_DATASET_CAPACITY`` bound keeps holding
+    for them.
     """
     from ..graph import DATASETS
 
-    for dataset, blob in pickle.loads(payload_bytes).items():
-        entry = pickle.loads(blob)
-        if entry[0] == "shm":
-            from .shm import attach_graph_payload
-
-            _, shm_payload, budget = entry
-            graph, cache_state = attach_graph_payload(shm_payload)
-        else:
-            _, graph, cache_state, budget = entry
+    for dataset, (graph, cache_state) in warm.items():
         cache = MaterializationCache(budget_bytes=budget)
-        if cache_state is not None:
-            cache.seed_graph_state(graph, cache_state)
+        cache.seed_graph_state(graph, cache_state)
         _WORKER_STATE[dataset] = (graph, cache)
         if dataset not in DATASETS:
             _WORKER_PINNED.add(dataset)
@@ -264,93 +242,45 @@ def _run_shard(
 # ---------------------------------------------------------------------------
 
 
-def _shards(
-    specs: List[Tuple[str, str, str]], workers: int, schedule: str
-) -> List[List[Tuple[int, Tuple[str, str, str]]]]:
-    """Chunk the indexed cell list under the plan's scheduling policy.
-
-    Handles the submit-everything-up-front policies; ``stealing`` has its
-    own event loop (:func:`_stealing_shard_results`) because its shard
-    boundaries depend on completion order.
-    """
-    indexed = list(enumerate(specs))
-    if schedule == "static":
-        return [
-            indexed[start:end]
-            for start, end in static_chunks(len(indexed), workers)
-        ]
-    # dynamic: one pool task per cell; the executor queue does the rest.
-    return [[item] for item in indexed]
-
-
 def _submit_shard(
     pool: ProcessPoolExecutor, plan, dataset: str,
     shard: Sequence[Tuple[int, Tuple[str, str, str]]],
 ):
     """Submit one shard, metering its serialized payload as one task.
 
-    Every pool task ships ``(plan, dataset, shard)`` by pickle whatever
-    the pre-warm transport was; recording the bytes here (parent-side —
-    worker deltas carry 0) is what makes payload-bytes-per-task a
-    measured quantity in the session bench.
+    Every pool task ships ``(plan, dataset, shard)`` by pickle; recording
+    the bytes here (parent-side — worker deltas carry 0) is what makes
+    payload-bytes-per-task a measured quantity in the session bench.
     """
     _counters.COUNTERS.record_payload(
-        len(pickle.dumps((plan, dataset, shard))), tasks=1
+        len(pickle.dumps((plan, dataset, shard)))
     )
     return pool.submit(_run_shard, plan, dataset, shard)
 
 
-def _stealing_shard_results(
+def _dispatch_cells(
     pool: ProcessPoolExecutor, plan, dataset: str,
     specs: List[Tuple[str, str, str]],
 ) -> Iterator[Dict[str, object]]:
-    """Work-stealing executor: yield shard results as they complete.
+    """Run *specs* as single-cell tasks; yield results as they complete.
 
-    The parent holds one cell deque per logical worker, initialized with
-    the *static* partitioning (so with zero steals the policy degenerates
-    to ``static``), and keeps at most ``plan.workers`` single-cell pool
-    tasks in flight — one per logical worker, mapped future → owner.
-    When an owner's task completes it takes its next cell from the front
-    of its own deque; if that deque is dry it steals
-    :func:`~repro.runtime.scheduler.steal_count` cells (steal-half) from
-    the *back* of the longest other deque — the owner keeps eating its
-    front, so thief and victim touch opposite ends, exactly the
-    classical deque discipline.  Results stream back in completion
-    order; the caller reassembles cells by canonical index, so the
-    artifact is deterministic whatever the steal pattern was.
+    At most ``plan.workers`` tasks are in flight; each completion submits
+    the next cell in canonical order.  Results stream back in completion
+    order and the caller reassembles cells by canonical index, so the
+    artifact does not depend on which worker finished first.
     """
-    indexed = list(enumerate(specs))
-    deques: List[deque] = [
-        deque(indexed[start:end])
-        for start, end in static_chunks(len(indexed), plan.workers)
-    ]
-    while len(deques) < plan.workers:
-        deques.append(deque())
-
-    in_flight: Dict[object, int] = {}
-
-    def dispatch(owner: int) -> None:
-        own = deques[owner]
-        if not own:
-            victim = max(
-                (i for i in range(len(deques)) if i != owner),
-                key=lambda i: len(deques[i]), default=None,
-            )
-            if victim is None or not deques[victim]:
-                return
-            for _ in range(steal_count(len(deques[victim]))):
-                own.append(deques[victim].pop())
-        future = _submit_shard(pool, plan, dataset, [own.popleft()])
-        in_flight[future] = owner
-
-    for owner in range(plan.workers):
-        dispatch(owner)
+    cells = iter(enumerate(specs))
+    in_flight = {
+        _submit_shard(pool, plan, dataset, [cell])
+        for cell in itertools.islice(cells, plan.workers)
+    }
     while in_flight:
-        done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
+        done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
         for future in done:
-            owner = in_flight.pop(future)
             result = future.result()
-            dispatch(owner)
+            cell = next(cells, None)
+            if cell is not None:
+                in_flight.add(_submit_shard(pool, plan, dataset, [cell]))
             yield result
 
 
@@ -407,20 +337,11 @@ def run_plan_on_pool(
     """
     specs = _suite.expand_cells(plan)
     t0 = time.perf_counter()
-    if plan.schedule == "stealing":
-        results_iter = _stealing_shard_results(pool, plan, dataset, specs)
-    else:
-        shards = _shards(specs, plan.workers, plan.schedule)
-        futures = [
-            _submit_shard(pool, plan, dataset, shard)
-            for shard in shards
-        ]
-        results_iter = (future.result() for future in futures)
     cells: List[Optional[Dict[str, object]]] = [None] * len(specs)
     worker_deltas: List[Snapshot] = []
     cache_stats_by_pid: Dict[int, Dict[str, object]] = {}
     num_nodes = num_edges = 0
-    for result in results_iter:
+    for result in _dispatch_cells(pool, plan, dataset, specs):
         num_nodes = result["num_nodes"]
         num_edges = result["num_edges"]
         worker_deltas.append(result["counters"])
@@ -448,7 +369,7 @@ def run_plan_on_pool(
         _merge_cache_stats(
             cache_stats_by_pid, plan.cache_budget_bytes or None
         ),
-        measured, workers=plan.workers, schedule=plan.schedule,
+        measured, workers=plan.workers, schedule="dynamic",
     )
 
 

@@ -127,9 +127,8 @@ def serve_main(argv: Optional[List[str]] = None,
     )
     failures = 0
     with MiningSession(
-        workers=ns.workers, schedule=ns.schedule,
-        cache_budget_bytes=ns.cache_budget_bytes,
-        transport=ns.transport, verbose=ns.verbose,
+        workers=ns.workers, cache_budget_bytes=ns.cache_budget_bytes,
+        verbose=ns.verbose,
     ) as session:
         print(f"session ready: {session!r} (type 'help' for commands)")
         while True:

@@ -18,10 +18,10 @@ owner for its state when a long-lived service answers repeated queries.
   :meth:`~repro.core.counters.Snapshot.merge`);
 * a **resident** :class:`~concurrent.futures.ProcessPoolExecutor` —
   started lazily on the first batch/plan that needs it, reused by every
-  subsequent request, and **pre-warmed** by shipping the pickled graphs
-  and oriented ``SetGraph`` materializations once at pool creation
-  instead of re-materializing per task.  It is created at most once per
-  session (:attr:`~MiningSession.pool_starts` pins this) and torn down by
+  subsequent request, and **pre-warmed**: its forked workers inherit the
+  session's graphs and oriented ``SetGraph`` materializations instead of
+  re-materializing per task.  It is created at most once per session
+  (:attr:`~MiningSession.pool_starts` pins this) and torn down by
   :meth:`~MiningSession.close`.
 
 On top of the session sits the fluent :class:`Query` builder::
@@ -56,24 +56,19 @@ Migration notes
   :func:`repro.platform.cli.resolve_set_class_for_graph`, or let the
   session resolve and memoize backends.
 * Custom graphs must be added *before* the first parallel request: the
-  resident pool ships the graph store once, at creation, and workers
-  can only self-load registry datasets afterwards.
+  resident pool's workers receive the graph store once, when they start,
+  and can only self-load registry datasets afterwards.
+* The ``schedule`` and ``transport`` knobs are gone: a pool runs one
+  bounded dynamic dispatcher, and its workers inherit the warm state.
 
-Zero-copy pool architecture (``transport="shm"``)
--------------------------------------------------
-With the default ``transport="pickle"`` the pre-warm payload copies
-every graph and materialization into every worker.  With
-``transport="shm"`` the session exports the CSR arrays and each exact
-``SetGraph``'s flattened ``(offsets, values)`` member arrays into named
-:mod:`multiprocessing.shared_memory` segments **once** (a
-:class:`~repro.platform.shm.SegmentExporter` owned by the session), and
-the payload carries only array *descriptors*; workers map the segments
-and rebuild read-only zero-copy views.  Segments are unlinked by
-:meth:`~MiningSession.close` (idempotent), with a GC/atexit finalizer
-plus the stdlib resource tracker as crash backstops — a dead session
-never leaks ``/dev/shm`` entries.  Cell values, counters, and artifacts
-are identical across transports (CI gates this with ``suite-diff``);
-only ``payload_bytes_shipped`` changes.
+Process pool
+------------
+The pool's workers are forked from the session process, and the pool
+initializer receives the graph store plus each graph's
+:meth:`~repro.graph.set_graph.MaterializationCache.export_graph_state`
+straight from the parent's memory: nothing of the warm state is
+pickled or shipped.  Tasks carry only ``(plan, dataset, cells)``, which
+is what ``payload_bytes_shipped`` meters.
 
 Sequential single queries (``.run()`` on a ``workers=1`` session) execute
 in-process against the shared session cache — lowest latency, cache hits
@@ -85,8 +80,6 @@ pool when ``workers > 1``.
 from __future__ import annotations
 
 import copy
-import logging
-import pickle
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -119,7 +112,6 @@ __all__ = [
     "resolve_ordering_name",
 ]
 
-logger = logging.getLogger(__name__)
 
 def _plan_shard_key(plan: ExperimentPlan) -> tuple:
     """The plan fields two ``run_many`` variants must share to co-shard.
@@ -306,29 +298,17 @@ class MiningSession:
     ``workers=1`` (default) answers everything in-process; ``workers > 1``
     serves batches and plans from a resident process pool that is started
     lazily, pre-warmed once, and reused until :meth:`close`.
-
-    ``transport`` selects how the pre-warm state reaches the workers:
-    ``"pickle"`` (default) copies it into each worker; ``"shm"`` exports
-    the arrays once into named shared-memory segments that workers map as
-    read-only zero-copy views (see the module docstring's zero-copy
-    section) — same results, payload bytes reduced to descriptors.
-    ``schedule`` picks the pool policy (``static``/``dynamic``/
-    ``stealing``); :meth:`close` unlinks any shm segments.
     """
 
-    def __init__(self, *, workers: int = 1, schedule: str = "dynamic",
-                 cache_budget_bytes: int = 0, transport: str = "pickle",
+    def __init__(self, *, workers: int = 1, cache_budget_bytes: int = 0,
                  verbose: bool = False):
         #: The execution knobs, checked like any plan's; every query this
         #: session compiles starts from this plan.
         self.defaults = ExperimentPlan(
-            workers=workers, schedule=schedule,
-            cache_budget_bytes=cache_budget_bytes, transport=transport,
+            workers=workers, cache_budget_bytes=cache_budget_bytes,
         ).validate()
         self.workers = workers
-        self.schedule = schedule
         self.cache_budget_bytes = cache_budget_bytes
-        self.transport = transport
         self.verbose = verbose
         self.cache = MaterializationCache(
             budget_bytes=cache_budget_bytes or None
@@ -341,7 +321,6 @@ class MiningSession:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._shipped: frozenset = frozenset()
         self._rebound_after_pool: Set[str] = set()
-        self._exporter = None  # platform.shm.SegmentExporter, shm transport
         self._worker_cache_stats: Dict[int, Dict[str, object]] = {}
         self._baseline = _counters.snapshot()
         self._closed = False
@@ -350,11 +329,9 @@ class MiningSession:
     def from_plan(cls, plan: ExperimentPlan,
                   verbose: bool = False) -> "MiningSession":
         """A session running with *plan*'s execution knobs (the suite CLI's)."""
-        return cls(
-            workers=plan.workers, schedule=plan.schedule,
-            cache_budget_bytes=plan.cache_budget_bytes,
-            transport=plan.transport, verbose=verbose,
-        )
+        return cls(workers=plan.workers,
+                   cache_budget_bytes=plan.cache_budget_bytes,
+                   verbose=verbose)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -368,18 +345,11 @@ class MiningSession:
         """Tear down the resident pool and refuse further requests.
 
         Idempotent.  The cache and counters stay readable after close (for
-        final stats reporting); only execution is refused.  Under the shm
-        transport this is also where the session's shared-memory segments
-        are unlinked — after the pool drains, so no worker still needs
-        the parent to keep the names alive (the mappings themselves
-        survive unlink; the names must only outlive late *attaches*).
+        final stats reporting); only execution is refused.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._exporter is not None:
-            self._exporter.close()
-            self._exporter = None
         self._closed = True
 
     @property
@@ -404,10 +374,10 @@ class MiningSession:
         """Register an in-memory graph under *name* for this session.
 
         Add custom graphs before the first parallel request: the resident
-        pool ships the graph store once, at creation, and workers can only
-        self-load *registry* datasets afterwards.  For the same reason, a
-        name already shipped to a running pool cannot be re-bound — the
-        workers would keep serving the old graph.
+        pool's workers receive the graph store once, when they start, and
+        can only self-load *registry* datasets afterwards.  For the same
+        reason, a name already shipped to a running pool cannot be
+        re-bound — the workers would keep serving the old graph.
         """
         if name in DATASETS:
             raise ValueError(
@@ -442,14 +412,13 @@ class MiningSession:
              kmv_k: int = 0) -> None:
         """Pre-materialize (backend × ordering) combinations for *dataset*.
 
-        Populates the session cache so a subsequent pool start ships real
-        materializations — and so the first query is already warm.  The
-        budget keywords mirror :meth:`Query.backend`: warming is only
-        useful if it resolves to the *same* class the queries will use,
-        and budgeted resolution depends on these knobs.  (Budget-derived
-        sketch classes cannot ship to pool workers — they are not
-        picklable by reference — so for those the warmth benefits the
-        in-process paths only.)
+        Populates the session cache so a subsequent pool start hands its
+        workers real materializations — and so the first query is already
+        warm.  The budget keywords mirror :meth:`Query.backend`: warming
+        is only useful if it resolves to the *same* class the queries
+        will use, and budgeted resolution depends on these knobs.  (Pool
+        workers derive budgeted sketch classes of their own, so for those
+        the warmth benefits the in-process paths only.)
         """
         self._check_open()
         plan = self.defaults.with_knobs({
@@ -487,107 +456,29 @@ class MiningSession:
 
     # -- resident pool ------------------------------------------------------
 
-    def _ensure_exporter(self):
-        """The session's shm segment owner — created at most once."""
-        if self._exporter is None:
-            from .shm import SegmentExporter
-
-            self._exporter = SegmentExporter()
-        return self._exporter
-
-    def _warm_payload(self) -> Tuple[bytes, frozenset]:
-        """Build the pool pre-warm payload, one entry per dataset.
-
-        Returns the payload bytes and the set of dataset names it
-        actually carries.  Each dataset is pickled *independently* (the
-        outer payload maps names to ready-made blobs), so one graph that
-        cannot cross the process boundary drops only its own entry —
-        every other dataset keeps its full warm state — and the
-        shipped-set stays truthful so :meth:`_require_pool_dataset`
-        keeps failing fast for graphs the workers never received.
-
-        Per dataset the candidates degrade gracefully: a shared-memory
-        descriptor entry first (``transport="shm"``, plain ``CSRGraph``
-        only — a subclass would lose its behavior in the worker-side
-        rebuild), then full state by value, then graph-only.  A segment
-        exported for an entry whose pickling then fails is released
-        *before* the fallback candidate runs (:meth:`_shm_entry`), so a
-        dataset that ends up shipping by pickle never parks dead
-        segments in ``/dev/shm`` for the session's lifetime.
-        """
-        budget = self.cache_budget_bytes or None
-        entries: Dict[str, bytes] = {}
-        for name, graph in self._graphs.items():
-            state = self.cache.export_graph_state(graph)
-            candidates = []
-            if self.transport == "shm" and type(graph) is CSRGraph:
-                candidates.append(
-                    lambda g=graph, s=state: self._shm_entry(g, s, budget)
-                )
-            candidates.append(
-                lambda g=graph, s=state: pickle.dumps(
-                    ("pickle", g, s, budget)
-                )
-            )
-            candidates.append(
-                lambda g=graph: pickle.dumps(("pickle", g, None, budget))
-            )
-            for make in candidates:
-                try:
-                    entries[name] = make()
-                    break
-                except Exception:
-                    # Degrade to the next transport candidate — but log
-                    # which one failed, or a dataset silently shipping
-                    # by pickle looks identical to zero-copy shm.
-                    logger.debug("warm-payload candidate for dataset %r "
-                                 "failed; degrading to the next transport",
-                                 name, exc_info=True)
-                    continue
-        return pickle.dumps(entries), frozenset(entries)
-
-    def _shm_entry(self, graph: CSRGraph, state: Optional[dict],
-                   budget: Optional[int]) -> bytes:
-        """One dataset's shared-memory warm-payload blob.
-
-        Exports the graph + materialization arrays into the session's
-        segments, then pickles the descriptor entry.  If that pickling
-        fails (e.g. a runtime-defined set class rode along in *state*),
-        the references the export just took are released again before
-        the error propagates to the fallback chain — the failed
-        candidate must not leave segments pinned until :meth:`close`.
-        """
-        from .shm import export_graph_payload, release_graph_payload
-
-        exporter = self._ensure_exporter()
-        payload = export_graph_payload(exporter, graph, state)
-        try:
-            return pickle.dumps(("shm", payload, budget))
-        except Exception:
-            logger.debug("releasing shm payload for unpicklable entry "
-                         "before falling back", exc_info=True)
-            release_graph_payload(exporter, payload)
-            raise
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The resident pool — created (and pre-warmed) at most once."""
+        """The resident pool — created (and pre-warmed) at most once.
+
+        The workers fork from this process and inherit the graph store
+        and its exported cache state as initializer arguments, so the
+        warm state is never pickled: only task arguments are shipped.
+        """
         self._check_open()
         if self._pool is None:
             from .runner import _mp_context, _seed_worker
 
-            payload, shipped = self._warm_payload()
-            # The seed payload initializes every worker, so it ships
-            # workers-many times; metered parent-side as bytes without
-            # tasks (it amortizes over the tasks it warms).
-            _counters.COUNTERS.record_payload(len(payload) * self.workers)
+            warm = {
+                name: (graph, self.cache.export_graph_state(graph))
+                for name, graph in self._graphs.items()
+            }
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=_mp_context(),
                 initializer=_seed_worker,
-                initargs=(payload,),
+                initargs=(warm, self.cache_budget_bytes or None),
             )
             self.pool_starts += 1
-            self._shipped = shipped
+            self._shipped = frozenset(warm)
         return self._pool
 
     def _require_pool_dataset(self, dataset: str) -> None:
@@ -610,9 +501,8 @@ class MiningSession:
             return
         raise RuntimeError(
             f"dataset {dataset!r} was not shipped to the resident pool "
-            f"(added after the pool started, or its graph could not be "
-            f"pickled into the warm payload); add picklable custom "
-            f"graphs before the first parallel request"
+            f"(added after the pool started); add custom graphs before "
+            f"the first parallel request"
         )
 
     # -- query execution ----------------------------------------------------
@@ -747,7 +637,7 @@ class MiningSession:
                  ) -> List[Dict[str, object]]:
         """Execute a declarative :class:`ExperimentPlan` through the session.
 
-        The session's execution knobs (``workers``/``schedule``/
+        The session's execution knobs (``workers``/
         ``cache_budget_bytes``) govern — the plan's own are replaced, so
         one session applies a single execution policy to every plan it
         serves.  Sequential plans run against the shared session cache;
@@ -756,14 +646,14 @@ class MiningSession:
         cache deltas (gauges instantaneous), so a warm re-run shows hits
         without inheriting earlier runs' counts.
 
-        ``max_workers`` clamps *this plan's* logical worker count to at
-        most the session's (never below 1) without resizing the resident
-        pool — a plan clamped to 1 runs sequentially in-process; a plan
-        clamped to ``k < workers`` shards as if the pool had ``k``
-        workers.  ``cache_budget_bytes`` likewise overrides the byte
-        budget the plan carries into pool workers.  Both exist so a
-        multi-tenant front end (``repro serve --http``) can thread
-        per-tenant worker-share and cache quotas into individual plans.
+        ``max_workers`` clamps *this plan's* worker count to at most the
+        session's (never below 1) without resizing the resident pool — a
+        plan clamped to 1 runs sequentially in-process; a plan clamped to
+        ``k < workers`` keeps at most ``k`` cells in flight on the pool.
+        ``cache_budget_bytes`` likewise overrides the byte budget the plan
+        carries into pool workers.  Both exist so a multi-tenant front end
+        (``repro serve --http``) can thread per-tenant worker-share and
+        cache quotas into individual plans.
         """
         self._check_open()
         verbose = self.verbose if verbose is None else verbose
@@ -772,21 +662,19 @@ class MiningSession:
         if max_workers is not None:
             workers = max(1, min(workers, int(max_workers)))
         plan = replace(
-            plan, workers=workers, schedule=self.schedule,
+            plan, workers=workers,
             cache_budget_bytes=(
                 self.cache_budget_bytes if cache_budget_bytes is None
                 else max(0, int(cache_budget_bytes))
             ),
-            transport=self.transport,
         )
         if workers > 1:
             from .runner import run_plan_on_pool
 
             if self._pool is None:
                 # Pull the plan's registry datasets into the store before
-                # the one-and-only pool start, so the graphs ride the
-                # session's transport (shared memory under "shm") instead
-                # of every worker re-loading them on first touch.
+                # the one-and-only pool start, so the workers inherit the
+                # graphs instead of each re-loading them on first touch.
                 for dataset in plan.datasets:
                     if dataset in DATASETS:
                         self.load(dataset)
@@ -862,14 +750,8 @@ class MiningSession:
             },
             "pool": {
                 "workers": self.workers,
-                "schedule": self.schedule,
-                "transport": self.transport,
                 "starts": self.pool_starts,
                 "resident": self._pool is not None,
-                "shm_bytes": (
-                    self._exporter.total_bytes() if self._exporter else 0
-                ),
-                "shm_suppressed": _counters.COUNTERS.shm_suppressed,
             },
             "graphs": self.graphs(),
             "queries": self.queries_run,
@@ -881,6 +763,6 @@ class MiningSession:
         state = "closed" if self._closed else "open"
         return (
             f"MiningSession(workers={self.workers}, "
-            f"schedule={self.schedule!r}, graphs={len(self._graphs)}, "
+            f"graphs={len(self._graphs)}, "
             f"queries={self.queries_run}, {state})"
         )

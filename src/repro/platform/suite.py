@@ -21,9 +21,9 @@ Building blocks
     The declarative sweep description and the one record of request
     knobs: datasets, kernels, orderings, set backends, clique size,
     sketch budgets, repeats, dispatch — plus the execution knobs
-    ``workers`` (process-pool size), ``schedule``, ``transport`` and
-    ``cache_budget_bytes`` (per-process
-    :class:`~repro.graph.set_graph.MaterializationCache` LRU budget).
+    ``workers`` (process-pool size) and ``cache_budget_bytes``
+    (per-process :class:`~repro.graph.set_graph.MaterializationCache` LRU
+    budget).
     Every surface — the suite CLI, the fluent
     :class:`~repro.platform.session.Query`, the serve REPL, ``/query``
     and ``/suite`` — builds its plan with
@@ -50,7 +50,7 @@ One JSON object per dataset::
       "dataset": str,          # registry name
       "num_nodes": int, "num_edges": int,
       "plan": {...},           # the ExperimentPlan, as parsed (includes
-                               # workers / schedule / cache_budget_bytes)
+                               # workers / cache_budget_bytes)
       "reference_backend": "sorted",
       "materialization": {hits, misses, evictions, orderings, set_graphs,
                           oriented, resident_bytes, budget_bytes},
@@ -68,7 +68,7 @@ One JSON object per dataset::
                                # parallel runs agree exactly
       "execution": {           # measured vs modeled parallel runtime
         "workers": int,        # pool size (1 = sequential)
-        "schedule": str,       # "sequential" | "static" | "dynamic"
+        "schedule": str,       # "sequential" | "dynamic"
         "measured_seconds": float,   # wall clock of the cell loop / pool
         "cells_seconds_total": float,# sum of warm per-cell kernel times
         "measured_speedup": float,   # cells_seconds_total / measured
@@ -149,8 +149,6 @@ from ..runtime.scheduler import SCHEDULER_POLICIES, simulate_makespan
 from .bench import print_table, write_artifact
 from .cli import (
     DISPATCH_MODES,
-    RUNNER_SCHEDULES,
-    TRANSPORTS,
     add_dispatch_args,
     add_parallel_args,
     add_sketch_budget_args,
@@ -312,7 +310,7 @@ QUERY_ALIASES: Dict[str, str] = {
 
 #: Plan fields a session fixes when it opens.  Requests cannot set them;
 #: only the suite CLI, which opens its own session, does.
-SESSION_FIELDS = ("workers", "schedule", "transport")
+SESSION_FIELDS = ("workers",)
 
 
 def resolve_ordering_name(name: str) -> str:
@@ -332,10 +330,10 @@ class ExperimentPlan:
     every surface shares and :meth:`validate` the one check.  Empty
     ``kernels``/``set_classes``/``orderings`` mean *everything
     registered* at run time, so plans stay valid as kernels and backends
-    are added.  ``workers``/``schedule``/``transport``/
-    ``cache_budget_bytes`` select the execution mode without changing the
-    sweep (the cell payloads are identical up to timing).  See the module
-    docstring for the emitted artifact schema.
+    are added.  ``workers``/``cache_budget_bytes`` select the execution
+    mode without changing the sweep (the cell payloads are identical up
+    to timing).  See the module docstring for the emitted artifact
+    schema.
     """
 
     datasets: Tuple[str, ...] = ("sc-ht-mini",)
@@ -350,13 +348,7 @@ class ExperimentPlan:
     bloom_shared_bits: int = 0
     bloom_fpr: float = 0.0
     workers: int = 1
-    schedule: str = "dynamic"
     cache_budget_bytes: int = 0
-    # Pool pre-warm transport: "pickle" copies graph state into every
-    # worker; "shm" ships shared-memory descriptors and workers map the
-    # arrays zero-copy (repro.platform.shm).  Cell payloads are identical
-    # either way — only the shipping cost changes.
-    transport: str = "pickle"
     # Set-op dispatch: "static" keeps each backend's own kernels,
     # "adaptive" swaps exact backends for the density-adaptive dispatcher
     # (the reference backend stays static so the cross-check pins the
@@ -416,12 +408,9 @@ class ExperimentPlan:
         unknown = [n for n in self.set_classes if n not in known]
         if unknown:
             raise KeyError(f"unknown set classes {unknown}; known: {known}")
-        for name, allowed in (("schedule", RUNNER_SCHEDULES),
-                              ("transport", TRANSPORTS),
-                              ("dispatch", DISPATCH_MODES)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
-                                 f"known: {allowed}")
+        if self.dispatch not in DISPATCH_MODES:
+            raise ValueError(f"unknown dispatch {self.dispatch!r}; "
+                             f"known: {DISPATCH_MODES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.cache_budget_bytes < 0:
@@ -502,8 +491,8 @@ def expand_cells(plan: ExperimentPlan) -> List[Tuple[str, str, str]]:
     """The plan's cell list, in canonical (sequential) execution order.
 
     Each spec is ``(backend_name, kernel_name, ordering)``.  The parallel
-    runner shards *this* list and re-assembles results by index, so the
-    artifact's cell order never depends on the schedule.
+    runner dispatches *this* list and re-assembles results by index, so
+    the artifact's cell order never depends on completion order.
     """
     kernels = plan.resolved_kernels()
     orderings = plan.resolved_orderings()
@@ -744,7 +733,7 @@ def build_suite_parser() -> argparse.ArgumentParser:
                         help="run the tiny CI matrix "
                              "(2 backends × 2 orderings × 3 kernels) and "
                              "ignore the sweep-selection flags (the "
-                             "execution flags --workers/--schedule/"
+                             "execution flags --workers/"
                              "--cache-budget-bytes still apply)")
     parser.add_argument("--verbose", action="store_true")
     return parser

@@ -3,7 +3,7 @@
 Turns the per-task cost profiles recorded by
 :class:`~repro.runtime.workdepth.WorkDepthTracker` (costs of *real* Python
 execution, measured per outer-loop task) into simulated makespans on ``p``
-workers under two scheduling policies:
+workers under three scheduling policies:
 
 * ``"static"`` — contiguous chunking, like an OpenMP ``schedule(static)``
   loop: each worker receives an equal-length contiguous slice.
@@ -27,7 +27,6 @@ __all__ = [
     "simulate_makespan",
     "speedup_curve",
     "static_chunks",
-    "steal_count",
     "SCHEDULER_POLICIES",
 ]
 
@@ -61,11 +60,7 @@ def simulate_makespan(
 def static_chunks(num_tasks: int, threads: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, end)`` slices of the static policy.
 
-    This is the *actual* chunking rule, shared by the makespan model below
-    and the real process-pool suite runner
-    (:mod:`repro.platform.runner`) — so the measured static schedule and
-    the simulated one partition the task list identically.  Empty trailing
-    chunks (more threads than tasks) are omitted.
+    Empty trailing chunks (more threads than tasks) are omitted.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -75,18 +70,6 @@ def static_chunks(num_tasks: int, threads: int) -> List[Tuple[int, int]]:
         (start, min(start + chunk, num_tasks))
         for start in range(0, num_tasks, chunk)
     ]
-
-
-def steal_count(victim_remaining: int) -> int:
-    """Tasks a thief takes from a victim's deque — the steal-half rule.
-
-    Classic work stealing (Cilk/TBB) migrates half the victim's remaining
-    work per steal, amortizing the migration overhead over the stolen
-    batch.  Shared by the real work-stealing executor
-    (:mod:`repro.platform.runner`) so the measured policy and this model
-    agree on the migration granularity.
-    """
-    return max(1, victim_remaining // 2)
 
 
 def _static_makespan(costs: List[float], threads: int) -> float:

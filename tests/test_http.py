@@ -9,11 +9,18 @@ tenant headers, job polling, and artifacts that survive a restart.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import logging
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import time
+from typing import List
 
 import pytest
 
@@ -30,6 +37,9 @@ from repro.platform.runner import diff_payloads
 from repro.platform.session import MiningSession
 from repro.platform.suite import ExperimentPlan
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
 
 def _request(port: int, method: str, path: str, body=None, headers=None):
     """One request, parsed: ``(status, payload, response)``."""
@@ -45,6 +55,14 @@ def _request(port: int, method: str, path: str, body=None, headers=None):
         return response.status, json.loads(raw) if raw else {}, response
     finally:
         conn.close()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _wait_for_job(port: int, job_id: str, timeout: float = 120.0):
@@ -448,6 +466,43 @@ class TestServeHttpWiring:
         monkeypatch.setattr(http_mod, "serve_http", fake_serve_http)
         assert serve.serve_main(["--http", "8123"]) == 0
         assert calls["port"] == 8123
+
+    def test_sigterm_closes_the_session_and_its_pool(self, tmp_path):
+        # SIGTERM ends serve_forever like Ctrl-C: the server stops, the
+        # session closes, and the pool workers exit with the process.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--http", "0",
+             "--workers", "2", "--job-root", str(tmp_path / "jobs")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env,
+        )
+        workers: List[int] = []
+        try:
+            line = proc.stdout.readline()
+            port = int(re.search(r":(\d+) ", line).group(1))
+            status, _, _ = _request(port, "POST", "/query", {
+                "kernel": "tc", "dataset": "sc-ht-mini",
+                "variants": [{"backend": "bitset"}],
+            })
+            assert status == 200
+            workers = [int(pid) for pid in subprocess.run(
+                ["ps", "-o", "pid=", "--ppid", str(proc.pid)],
+                capture_output=True, text=True, check=True,
+            ).stdout.split()]
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_default_job_root_tracks_artifact_dir(self, artifact_dir):
         with MiningSession() as session:

@@ -17,10 +17,11 @@ import time
 
 import pytest
 
+from repro.__main__ import main
 from repro.platform.http import TenantQuota, running_server
-from repro.platform.serve import serve_main
+from repro.platform.serve import build_serve_parser, serve_main
 from repro.platform.session import MiningSession
-from repro.platform.suite import ExperimentPlan, knob_names
+from repro.platform.suite import SESSION_FIELDS, ExperimentPlan, knob_names
 
 BAD_INPUTS = {
     "unknown-backend": {"backend": "nope"},
@@ -29,6 +30,8 @@ BAD_INPUTS = {
     "non-numeric-bits": {"bits": "abc"},
     "unknown-key": {"frobnicate": "1"},
     "session-owned-workers": {"workers": "2"},
+    "pool-schedule": {"schedule": "dynamic"},
+    "pool-transport": {"transport": "shm"},
 }
 
 #: Every scalar query key, spelled as the REPL and ``/query`` take it.
@@ -145,6 +148,21 @@ class TestOneGrammarSameMeaning:
             "sorted", "bitset"]
 
     def test_request_keys_leave_out_session_fields(self):
-        assert not {"workers", "schedule", "transport"} & set(knob_names())
-        assert {"workers", "schedule", "transport"} <= set(
-            knob_names(session=True))
+        assert SESSION_FIELDS == ("workers",)
+        assert "workers" not in knob_names()
+        assert "workers" in knob_names(session=True)
+
+    @pytest.mark.parametrize("key", ["schedule", "transport"])
+    def test_pool_mode_knobs_are_accepted_nowhere(self, key):
+        with pytest.raises(KeyError, match="unknown query override"):
+            ExperimentPlan().with_knobs({key: "dynamic"}, session=True)
+        with pytest.raises(TypeError):
+            ExperimentPlan(**{key: "dynamic"})
+        with pytest.raises(TypeError):
+            MiningSession(**{key: "dynamic"})
+        with pytest.raises(SystemExit) as exc:
+            build_serve_parser().parse_args([f"--{key}", "dynamic"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--smoke", "--workers", "2", f"--{key}", "shm"])
+        assert exc.value.code == 2

@@ -15,20 +15,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 from functools import reduce
 
 import pytest
 
 from repro.core import counters as _counters
 from repro.core.counters import Snapshot
+from repro.core.sorted_set import SortedSet
 from repro.graph import load_dataset
+from repro.graph.csr import CSRGraph
+from repro.graph.set_graph import MaterializationCache
 from repro.platform.runner import diff_payloads
 from repro.platform.session import (
     MiningSession,
     Query,
     resolve_ordering_name,
 )
-from repro.platform.suite import ExperimentPlan
+from repro.platform.suite import ExperimentPlan, expand_cells
 from repro.mining.triangles import triangle_count_node_iterator
 
 #: A tiny two-kernel plan for artifact-equality checks (cheaper than the
@@ -70,7 +74,7 @@ class TestQueryBuilder:
             assert bloom is not base
 
     def test_compiles_to_single_cell_plan(self):
-        with MiningSession(workers=1, schedule="static") as session:
+        with MiningSession(workers=1, cache_budget_bytes=1 << 20) as session:
             plan = (
                 session.query("kclique", k=5)
                 .on("sc-ht-mini")
@@ -86,7 +90,7 @@ class TestQueryBuilder:
             assert plan.k == 5 and plan.repeats == 2
             assert plan.bloom_fpr == 0.05
             # The session's execution knobs travel with the compiled plan.
-            assert plan.workers == 1 and plan.schedule == "static"
+            assert plan.workers == 1 and plan.cache_budget_bytes == 1 << 20
 
     def test_ordering_free_kernel_compiles_to_dash_cell(self):
         with MiningSession() as session:
@@ -273,6 +277,31 @@ class TestResidentPool:
         with pytest.raises(RuntimeError):
             pool.submit(int)  # the executor really was shut down
 
+    def test_close_stops_every_pool_worker(self):
+        with MiningSession(workers=2) as session:
+            session.query("tc").on("sc-ht-mini").run_many(
+                [{"backend": "bitset"}]
+            )
+            workers = list(session._pool._processes.values())
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+        assert all(worker.exitcode is not None for worker in workers)
+
+    def test_double_close_after_pool_use(self):
+        session = MiningSession(workers=2)
+        session.query("tc").on("sc-ht-mini").run_many(
+            [{"backend": "sorted"}]
+        )
+        session.close()
+        session.close()
+        assert session.closed and session._pool is None
+        # Only session-owned pool facts are reported.
+        assert session.stats()["pool"] == {
+            "workers": 2, "starts": 1, "resident": False,
+        }
+        with pytest.raises(RuntimeError, match="closed"):
+            session.query("tc")
+
     def test_custom_graph_after_pool_start_fails_fast(self):
         with MiningSession(workers=2) as session:
             session.query("tc").on("sc-ht-mini").run_many(
@@ -329,30 +358,88 @@ class TestResidentPool:
                     [{"backend": "bitset"}]
                 )
 
-    def test_unpicklable_graph_drops_only_its_own_warm_entry(self):
-        # The warm payload pickles per dataset: one graph that cannot
-        # cross the process boundary loses only its own entry, while
-        # every other custom graph still ships with full warm state.
-        class LocalGraph(type(load_dataset("sc-ht-mini"))):
-            pass  # locally defined: unpicklable by reference
+    def test_unpicklable_graph_is_served_by_the_pool(self):
+        # Workers inherit the graph store by fork, so a graph whose class
+        # cannot be pickled by reference still reaches them.
+        class LocalGraph(CSRGraph):
+            pass
 
-        good = load_dataset("antcolony5-mini")
         base = load_dataset("sc-ht-mini")
         weird = LocalGraph(base.offsets, base.adjacency,
                            directed=base.directed)
         with MiningSession(workers=2) as session:
-            session.add_graph("good", good)
             session.add_graph("weird", weird)
-            results = session.query("tc").on("good").run_many(
+            in_process = session.query("tc").on("weird").backend(
+                "bitset").run()
+            (pooled,) = session.query("tc").on("weird").run_many(
                 [{"backend": "bitset"}]
             )
-            assert results[0].value == triangle_count_node_iterator(good)
-            assert "good" in session._shipped
-            assert "weird" not in session._shipped
-            with pytest.raises(RuntimeError, match="not shipped"):
-                session.query("tc").on("weird").run_many(
-                    [{"backend": "bitset"}]
+        assert pooled.value == in_process.value == \
+            triangle_count_node_iterator(base)
+
+    def test_pool_start_ships_only_task_arguments(self):
+        # The warm state reaches the workers without being shipped: the
+        # first batch meters exactly its one task's pickled arguments,
+        # and the warmed cell runs on a worker without a cache miss.
+        with MiningSession(workers=2) as session:
+            session.warm("sc-ht-mini", backends=("bitset",))
+            query = session.query("tc").on("sc-ht-mini").backend("bitset")
+            plan = query.plan()
+            before = _counters.snapshot()
+            (result,) = query.run_many()
+            delta = before.delta(_counters.snapshot())
+            assert session.pool_starts == 1
+            assert delta.payload_tasks == 1
+            assert delta.payload_bytes_shipped == len(pickle.dumps(
+                (plan, "sc-ht-mini", [(0, query.cell_spec())])))
+            assert session.stats()["worker_caches"]["misses"] == 0
+            assert result.value == triangle_count_node_iterator(
+                load_dataset("sc-ht-mini"))
+
+    def test_worker_exception_mid_shard_propagates(self, monkeypatch):
+        # Patch run_cell *before* the pool forks: the workers inherit the
+        # parent's memory, so their shard raises mid-flight.  The error
+        # reaches the caller and close() still shuts the pool down.
+        import repro.platform.suite as suite_mod
+
+        def _boom(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(suite_mod, "run_cell", _boom)
+        with MiningSession(workers=2) as session:
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                session.query("tc").on("sc-ht-mini").run_many(
+                    [{"backend": "sorted"}]
                 )
+            pool = session._pool
+        assert session._pool is None
+        with pytest.raises(RuntimeError):
+            pool.submit(int)  # the executor really was shut down
+
+    def test_worker_share_bounds_cells_in_flight(self, monkeypatch):
+        # A plan clamped to k < workers keeps at most k single-cell tasks
+        # outstanding on the pool, and its artifact is unchanged.
+        from repro.platform import runner
+
+        submit = runner._submit_shard
+        futures = []
+        in_flight = []  # outstanding futures, counted at each submission
+
+        def counting_submit(*args):
+            in_flight.append(1 + sum(not f.done() for f in futures))
+            futures.append(submit(*args))
+            return futures[-1]
+
+        monkeypatch.setattr(runner, "_submit_shard", counting_submit)
+        plan = ExperimentPlan.smoke()
+        with MiningSession(workers=3) as session:
+            (payload,) = session.run_plan(plan, max_workers=2)
+        with MiningSession() as sequential:
+            (expected,) = sequential.run_plan(plan)
+        assert len(in_flight) == len(expected["cells"])
+        assert max(in_flight) <= 2
+        assert payload["execution"]["workers"] == 2
+        assert diff_payloads(expected, payload) == []
 
     def test_run_many_batches_same_materialization_variants(self):
         # Variants that share (dataset, backend, ordering) and the
@@ -427,7 +514,7 @@ class TestSessionPlans:
             plan = ExperimentPlan(
                 datasets=("sc-ht-mini",), kernels=("tc",),
                 set_classes=("bitset",), orderings=("DGR",),
-                workers=7, schedule="static",
+                workers=7,
             )
             payload = session.run_plan(plan)[0]
             assert payload["execution"]["workers"] == 1
@@ -495,3 +582,118 @@ class TestSessionPlans:
             # tc on bitset + the sorted reference: the bitset set-graph came
             # pre-seeded, only the reference backend's had to be built.
             assert mat["misses"] <= 1 * mat["workers"]
+
+
+class TestWorkerDatasetLru:
+    def test_eviction_honors_capacity_recency_and_pins(self, monkeypatch):
+        # The in-process replica of a pool worker's dataset LRU: fill to
+        # capacity, pin one custom entry, then churn past the bound.
+        from repro.platform import runner
+
+        monkeypatch.setattr(runner, "_WORKER_STATE", runner.OrderedDict())
+        monkeypatch.setattr(runner, "_WORKER_PINNED", set())
+        monkeypatch.setattr(runner, "_WORKER_BACKENDS", {})
+        plan = ExperimentPlan()
+        cache = MaterializationCache()
+        runner._WORKER_STATE["mine"] = (load_dataset("antcolony5-mini"),
+                                        cache)
+        runner._WORKER_PINNED.add("mine")
+        fill = ("sc-ht-mini", "antcolony6-mini", "jester2-mini")
+        for name in fill:
+            runner._worker_dataset(plan, name)
+        assert len(runner._WORKER_STATE) == runner._WORKER_DATASET_CAPACITY
+        # A hit refreshes recency: sc-ht-mini is no longer the LRU.
+        runner._worker_dataset(plan, "sc-ht-mini")
+        runner._WORKER_BACKENDS[("antcolony6-mini", "sorted")] = SortedSet
+        runner._worker_dataset(plan, "mbeacxc-mini")
+        assert len(runner._WORKER_STATE) == runner._WORKER_DATASET_CAPACITY
+        assert "mine" in runner._WORKER_STATE          # pinned survives
+        assert "sc-ht-mini" in runner._WORKER_STATE    # recently used
+        assert "antcolony6-mini" not in runner._WORKER_STATE  # true LRU
+        # The victim's memoized backends left with it.
+        assert not any(k[0] == "antcolony6-mini"
+                       for k in runner._WORKER_BACKENDS)
+        # Churn far past capacity: the bound and the pin both keep holding.
+        for name in ("gearbox-mini", "jester2-mini", "antcolony6-mini"):
+            runner._worker_dataset(plan, name)
+            assert len(runner._WORKER_STATE) <= \
+                runner._WORKER_DATASET_CAPACITY
+        assert "mine" in runner._WORKER_STATE
+
+
+#: Warm states a pool can start from: nothing, part of the smoke plan's
+#: materializations, and all of them (reference backend included).
+WARM_STATES = {
+    "cold": None,
+    "warm-dgr": (("sorted", "bitset"), ("DGR",)),
+    "warm-all": (("sorted", "bitset", "bloom"), ("DGR", "ADG")),
+}
+
+
+class TestForkedWarmState:
+    @pytest.fixture(scope="class")
+    def sequential_smoke(self):
+        with MiningSession() as session:
+            return session.run_plan(ExperimentPlan.smoke())[0]
+
+    @pytest.mark.parametrize("warm", list(WARM_STATES.values()),
+                             ids=list(WARM_STATES))
+    def test_pool_run_identical_and_ships_only_tasks(self, sequential_smoke,
+                                                     warm):
+        plan = dataclasses.replace(ExperimentPlan.smoke(), workers=2)
+        with MiningSession(workers=2) as session:
+            if warm is not None:
+                backends, orderings = warm
+                session.warm("sc-ht-mini", backends=backends,
+                             orderings=orderings)
+            before = _counters.snapshot()
+            (payload,) = session.run_plan(plan)
+            delta = before.delta(_counters.snapshot())
+        assert diff_payloads(sequential_smoke, payload) == []
+        # However much warm state the workers started with, only the
+        # single-cell tasks' own arguments crossed the process boundary.
+        dataset = plan.datasets[0]
+        assert delta.payload_tasks == len(payload["cells"])
+        assert delta.payload_bytes_shipped == sum(
+            len(pickle.dumps((plan, dataset, [(index, spec)])))
+            for index, spec in enumerate(expand_cells(plan))
+        )
+        if warm == WARM_STATES["warm-all"]:
+            # Every cell found its materialization already in its worker.
+            assert payload["materialization"]["misses"] == 0
+
+
+class TestSeedWorker:
+    @pytest.fixture
+    def runner(self, monkeypatch):
+        from repro.platform import runner
+
+        monkeypatch.setattr(runner, "_WORKER_STATE", runner.OrderedDict())
+        monkeypatch.setattr(runner, "_WORKER_PINNED", set())
+        return runner
+
+    def test_installs_the_parent_graph_and_its_materializations(
+        self, runner
+    ):
+        graph = load_dataset("sc-ht-mini")
+        parent = MaterializationCache()
+        parent.oriented(graph, SortedSet, "DGR")
+        runner._seed_worker(
+            {"sc-ht-mini": (graph, parent.export_graph_state(graph))},
+            1 << 30,
+        )
+        seeded, cache = runner._worker_dataset(ExperimentPlan(),
+                                               "sc-ht-mini")
+        assert seeded is graph  # the parent's object, not a reload
+        assert cache.budget_bytes == 1 << 30
+        cache.oriented(graph, SortedSet, "DGR")
+        assert cache.misses == 0 and cache.hits > 0
+
+    def test_pins_only_graphs_a_worker_cannot_reload(self, runner):
+        graph = load_dataset("sc-ht-mini")
+        empty = MaterializationCache().export_graph_state(graph)
+        runner._seed_worker(
+            {"sc-ht-mini": (graph, empty), "mine": (graph, empty)}, None
+        )
+        assert list(runner._WORKER_STATE) == ["sc-ht-mini", "mine"]
+        assert runner._WORKER_PINNED == {"mine"}

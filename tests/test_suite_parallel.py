@@ -1,29 +1,27 @@
 """The parallel experiment-suite runtime (platform/runner.py).
 
-The contract under test: sharding the plan's cells across a process pool
-— under any of the three scheduling policies, work stealing included —
-produces an artifact that is
-cell-by-cell identical to the sequential run on every deterministic field
-(counts, software counters, cross-check anchors, extras), with only the
-wall-clock measurements free to differ.  Plus the sharding policies
-themselves, the suite-diff CLI that CI runs between the two smoke
-artifacts, and the measured-vs-modeled execution block.
+The contract under test: running the plan's cells on a process pool
+produces an artifact that is cell-by-cell identical to the sequential
+run on every deterministic field (counts, software counters, cross-check
+anchors, extras), with only the wall-clock measurements free to differ.
+Plus the static chunking the makespan model uses, the suite-diff CLI
+that CI runs between the two smoke artifacts, and the measured-vs-modeled
+execution block.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
-from repro.platform.runner import (
-    _shards,
-    diff_payloads,
-    run_suite_parallel,
-    strip_timing,
-)
+from repro.core import counters as _counters
+from repro.platform import runner
+from repro.platform.runner import diff_payloads, strip_timing
 from repro.platform.session import MiningSession
 from repro.platform.suite import ExperimentPlan
 from repro.runtime.scheduler import static_chunks
@@ -50,35 +48,44 @@ def sequential_payload():
     return _run(PLAN)
 
 
+#: Pool sizes under test: the dispatcher's in-flight bound is the worker
+#: count, so each size interleaves the cells differently.
+POOL_SIZES = (2, 3, 4)
+
+
 @pytest.fixture(scope="module")
 def parallel_payloads():
-    """workers=4 runs of the same plan, one per scheduling policy."""
-    return {
-        schedule: _run(replace(PLAN, workers=4, schedule=schedule))
-        for schedule in ("static", "dynamic", "stealing")
-    }
+    """One run of the same plan per pool size."""
+    return {workers: _run(replace(PLAN, workers=workers))
+            for workers in POOL_SIZES}
+
+
+@pytest.fixture(scope="module")
+def parallel_payload(parallel_payloads):
+    """The workers=4 run."""
+    return parallel_payloads[4]
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("schedule", ["static", "dynamic", "stealing"])
+    @pytest.mark.parametrize("workers", POOL_SIZES)
     def test_parallel_artifact_identical_up_to_timing(
-        self, sequential_payload, parallel_payloads, schedule
+        self, sequential_payload, parallel_payloads, workers
     ):
-        # The satellite regression: a workers=4 run must produce a
+        # The satellite regression: a pool run must produce a
         # cell-by-cell identical artifact (counts, counters, cross-check
-        # fields; timing excluded) under both schedules.
+        # fields; timing excluded) whatever the pool size.
         assert diff_payloads(
-            sequential_payload, parallel_payloads[schedule]
+            sequential_payload, parallel_payloads[workers]
         ) == []
 
-    @pytest.mark.parametrize("schedule", ["static", "dynamic", "stealing"])
+    @pytest.mark.parametrize("workers", POOL_SIZES)
     def test_cell_order_is_canonical(
-        self, sequential_payload, parallel_payloads, schedule
+        self, sequential_payload, parallel_payloads, workers
     ):
-        # Shard completion order must never leak into the artifact.
+        # Task completion order must never leak into the artifact.
         key = lambda c: (c["set_class"], c["kernel"], c["ordering"])
         assert (
-            [key(c) for c in parallel_payloads[schedule]["cells"]]
+            [key(c) for c in parallel_payloads[workers]["cells"]]
             == [key(c) for c in sequential_payload["cells"]]
         )
 
@@ -104,26 +111,27 @@ class TestDeterminism:
 
 
 class TestParallelExecutionBlock:
-    @pytest.mark.parametrize("schedule", ["static", "dynamic", "stealing"])
-    def test_measured_and_modeled_recorded(
-        self, parallel_payloads, schedule
-    ):
-        execution = parallel_payloads[schedule]["execution"]
-        assert execution["workers"] == 4
-        assert execution["schedule"] == schedule
+    @pytest.mark.parametrize("workers", POOL_SIZES)
+    def test_measured_and_modeled_recorded(self, parallel_payloads, workers):
+        payload = parallel_payloads[workers]
+        execution = payload["execution"]
+        assert execution["workers"] == workers
+        assert execution["schedule"] == "dynamic"
         assert execution["measured_seconds"] > 0
         assert execution["measured_speedup"] > 0
-        modeled = execution["modeled"][schedule]
-        # With 4 workers the model must predict real parallelism...
-        assert 1.0 < modeled["speedup"] <= 4.0
-        # ...and its makespan can never beat the critical path.
-        cells = parallel_payloads[schedule]["cells"]
-        assert modeled["makespan_seconds"] >= max(
-            c["seconds"] for c in cells
-        )
+        # Fig. 4's three modeled policies stay in the artifact.
+        assert set(execution["modeled"]) == {"static", "dynamic",
+                                             "stealing"}
+        for modeled in execution["modeled"].values():
+            # The model must predict real parallelism...
+            assert 1.0 < modeled["speedup"] <= workers
+            # ...and its makespan can never beat the critical path.
+            assert modeled["makespan_seconds"] >= max(
+                c["seconds"] for c in payload["cells"]
+            )
 
-    def test_per_worker_caches_are_merged(self, parallel_payloads):
-        mat = parallel_payloads["static"]["materialization"]
+    def test_per_worker_caches_are_merged(self, parallel_payload):
+        mat = parallel_payload["materialization"]
         assert mat["workers"] >= 2  # the pool really fanned out
         assert mat["hits"] + mat["misses"] > 0
         assert mat["evictions"] == 0  # unbounded budget in this plan
@@ -140,25 +148,98 @@ class TestSharding:
         with pytest.raises(ValueError):
             static_chunks(3, 0)
 
-    def test_static_shards_are_contiguous(self):
-        specs = [("b", "k", str(i)) for i in range(10)]
-        shards = _shards(specs, 3, "static")
-        assert [len(s) for s in shards] == [4, 4, 2]
-        flat = [index for shard in shards for index, _ in shard]
-        assert flat == list(range(10))
-
-    def test_dynamic_shards_are_single_cells(self):
-        specs = [("b", "k", str(i)) for i in range(5)]
-        shards = _shards(specs, 3, "dynamic")
-        assert [len(s) for s in shards] == [1] * 5
-
     def test_bad_execution_plans_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             MiningSession.from_plan(replace(PLAN, workers=0))
-        with pytest.raises(ValueError, match="schedule"):
-            run_suite_parallel(replace(PLAN, workers=2, schedule="guided"))
-        with pytest.raises(ValueError, match="transport"):
-            MiningSession.from_plan(replace(PLAN, transport="rdma"))
+
+
+class _ScriptedPool:
+    """A stand-in executor whose tasks finish only when the dispatcher
+    waits: each ``wait`` completes one in-flight task, picked by *order*
+    (``"oldest"`` or ``"newest"`` first), and records how many tasks were
+    in flight.  ``fail_at`` makes the task for that cell index raise."""
+
+    def __init__(self, order="oldest", fail_at=None):
+        self.order = order
+        self.fail_at = fail_at
+        self.submitted = []  # cell indexes, in submission order
+        self.in_flight = []  # size of each wait() set
+
+    def submit(self, fn, plan, dataset, shard):
+        assert fn is runner._run_shard
+        future = Future()
+        future.shard = shard
+        self.submitted.append(shard[0][0])
+        return future
+
+    def wait(self, fs, return_when):
+        self.in_flight.append(len(fs))
+        pick = min if self.order == "oldest" else max
+        future = pick(fs, key=lambda f: f.shard[0][0])
+        index = future.shard[0][0]
+        if index == self.fail_at:
+            future.set_exception(RuntimeError(f"cell {index} failed"))
+        else:
+            future.set_result({"cells": future.shard})
+        return {future}, set(fs) - {future}
+
+
+def _dispatch(monkeypatch, pool, workers, n_cells):
+    """Drain the dispatcher over *n_cells* cells; the yielded indexes."""
+    monkeypatch.setattr(runner, "wait", pool.wait)
+    specs = [("sorted", "tc", f"O{i}") for i in range(n_cells)]
+    plan = replace(ExperimentPlan(), workers=workers)
+    return [
+        index
+        for result in runner._dispatch_cells(pool, plan, "g", specs)
+        for index, _ in result["cells"]
+    ]
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 12])
+    def test_in_flight_bounded_by_workers(self, monkeypatch, workers):
+        pool = _ScriptedPool()
+        done = _dispatch(monkeypatch, pool, workers, 8)
+        assert sorted(done) == list(range(8))
+        # Full until the cells run out, never above the bound.
+        bound = min(workers, 8)
+        assert max(pool.in_flight) == bound
+        assert pool.in_flight[:8 - bound + 1] == [bound] * (8 - bound + 1)
+
+    @pytest.mark.parametrize("order", ["oldest", "newest"])
+    def test_submission_canonical_whatever_finishes_first(
+        self, monkeypatch, order
+    ):
+        pool = _ScriptedPool(order=order)
+        done = _dispatch(monkeypatch, pool, 3, 7)
+        assert pool.submitted == list(range(7))
+        # Results stream back in completion order, each cell once.
+        assert sorted(done) == list(range(7))
+        assert (done == list(range(7))) == (order == "oldest")
+
+    def test_no_cells_no_tasks(self, monkeypatch):
+        pool = _ScriptedPool()
+        assert _dispatch(monkeypatch, pool, 4, 0) == []
+        assert pool.submitted == [] and pool.in_flight == []
+
+    def test_failed_task_raises_and_submits_no_more(self, monkeypatch):
+        pool = _ScriptedPool(fail_at=0)
+        with pytest.raises(RuntimeError, match="cell 0 failed"):
+            _dispatch(monkeypatch, pool, 2, 6)
+        assert pool.submitted == [0, 1]
+
+    def test_each_task_meters_its_pickled_arguments(self, monkeypatch):
+        plan = replace(ExperimentPlan(), workers=2)
+        specs = [("sorted", "tc", f"O{i}") for i in range(5)]
+        before = _counters.snapshot()
+        _dispatch(monkeypatch, _ScriptedPool(), 2, 5)
+        delta = before.delta(_counters.snapshot())
+        assert delta.payload_tasks == 5
+        assert delta.payload_bytes_shipped == sum(
+            len(pickle.dumps((plan, "g", [(i, spec)])))
+            for i, spec in enumerate(specs)
+        )
 
 
 class TestSuiteDiffCommand:
@@ -208,13 +289,12 @@ class TestWorkersViaCli:
         # aggregate over this dir would not fold the dataset twice.
         seq = tmp_path / "smoke_sequential.json"
         (tmp_path / "suite_sc-ht-mini.json").rename(seq)
-        assert main(["suite", "--smoke", "--workers", "2",
-                     "--schedule", "static"]) == 0
+        assert main(["suite", "--smoke", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "static × 2 worker(s)" in out
+        assert "dynamic × 2 worker(s)" in out
         assert "scheduler model predicts" in out
         par = tmp_path / "suite_sc-ht-mini.json"
         assert main(["suite-diff", str(seq), str(par)]) == 0
         payload = json.loads(par.read_text())
         assert payload["plan"]["workers"] == 2
-        assert payload["execution"]["schedule"] == "static"
+        assert payload["execution"]["schedule"] == "dynamic"
