@@ -101,10 +101,11 @@ def main() -> None:
     #    per-worker MaterializationCache bounded to 16 MiB.  The artifact
     #    must agree with the sequential run on every deterministic field
     #    (suite-diff's check) — only the timing differs.  Caveat: that
-    #    identity is guaranteed as long as the budget never evicts a
-    #    cell's own materializations between its warm-up and metered
-    #    runs (a too-tight budget would fold re-materialization work
-    #    into some cells' counters), so check evictions before diffing.
+    #    identity is guaranteed as long as the budget keeps every cell's
+    #    materializations resident through its metered passes (under a
+    #    too-tight budget a metered pass rebuilds what was evicted,
+    #    folding re-materialization work into that cell's counters), so
+    #    check evictions before diffing.
     with MiningSession(workers=2,
                        cache_budget_bytes=16 << 20) as pool_session:
         parallel = pool_session.run_plan(plan)[0]

@@ -195,8 +195,9 @@ def _run_shard(
     """Pool task: run the indexed cell specs of one shard.
 
     Returns the finished cells (keyed by their canonical index), the
-    worker's counter delta for the shard (kernel work *plus* the warm-up /
-    materialization overhead — what the shard really cost this process),
+    worker's counter delta for the shard (the metered kernel passes
+    *plus* any materialization and the unmetered pass that paid it —
+    what the shard really cost this process),
     per-cell counter deltas (``cell_counters``, telescoping between cell
     boundaries, so their sum equals the shard delta exactly and the first
     cell absorbs any shared materialization cost — what lets a batched

@@ -135,9 +135,11 @@ class QueryResult:
 
     ``seconds`` is the warm best-of-repeats kernel time (the suite cell
     metric); ``wall_seconds`` is the end-to-end latency the session
-    observed for this request, *including* any materialization and
-    warm-up — the number the cold-vs-warm comparison is about.
-    ``counters`` is the query's set-algebra delta (warm-up included), and
+    observed for this request, *including* any materialization and the
+    unmetered pass that paid it — the number the cold-vs-warm comparison
+    is about.  ``counters`` is the query's set-algebra delta over every
+    pass it ran (a warm query runs only its metered passes, so with one
+    repeat they equal its cell's counters), and
     ``cache_hits``/``cache_misses`` the session-cache delta (in-process
     queries only; pool-served queries hit worker-local caches instead,
     visible in :meth:`MiningSession.stats`).
@@ -220,7 +222,11 @@ class Query:
         )
 
     def repeats(self, n: int) -> "Query":
-        """Meter the kernel as best-of-*n* (timing only; one warm-up pass)."""
+        """Meter the kernel as best-of-*n* (timing only).
+
+        A query that has to materialize first runs one more pass, which
+        pays the materialization and is not metered.
+        """
         return self.with_overrides({"repeats": n})
 
     def cache_budget(self, nbytes: int) -> "Query":

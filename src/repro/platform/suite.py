@@ -89,8 +89,8 @@ One JSON object per dataset::
           "exact": bool,       # cls.IS_EXACT
           "value": int,        # kernel output (count)
           "seconds": float,    # best-of-repeats *warm* kernel wall time
-                               # (an untimed warm-up pass populates the
-                               # per-process cache first; materialization
+                               # (a first pass that had to materialize
+                               # is discarded unmetered; materialization
                                # cost shows up in "materialization" and
                                # the execution block, not here)
           "set_ops": int, "point_ops": int,     # software counters
@@ -411,6 +411,8 @@ class ExperimentPlan:
         if self.dispatch not in DISPATCH_MODES:
             raise ValueError(f"unknown dispatch {self.dispatch!r}; "
                              f"known: {DISPATCH_MODES}")
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.cache_budget_bytes < 0:
@@ -533,6 +535,15 @@ def _normalize_result(raw: object) -> Tuple[int, Dict[str, object]]:
     return raw, {}
 
 
+def _kernel_pass(graph, set_cls, kernel, ordering, plan, cache):
+    """One kernel pass: ``(wall seconds, counter delta, raw result)``."""
+    before = _counters.snapshot()
+    t0 = time.perf_counter()
+    raw = kernel.runner(graph, set_cls, ordering, plan, cache)
+    elapsed = time.perf_counter() - t0
+    return elapsed, before.delta(_counters.snapshot()), raw
+
+
 def run_cell(
     graph: CSRGraph,
     set_cls: Type[SetBase],
@@ -542,28 +553,30 @@ def run_cell(
     plan: ExperimentPlan,
     cache: MaterializationCache,
 ) -> Dict[str, object]:
-    """Execute one cell: warm-up, then metered best-of-``plan.repeats``.
+    """Execute one cell: best of ``plan.repeats`` metered kernel passes.
 
-    The warm-up pass (untimed) populates the local cache so the measured
-    runs meter the *kernel*, not whichever cell happened to pay the
-    one-time materialization — without it, the reference backend (which
-    runs first) would absorb the ordering cost and every later backend's
-    speedup would be inflated.  ``reference``/``rel_error`` are filled in
-    later by :func:`finalize_cells`, once the reference cells are known.
+    A metered pass must meter the *kernel*, not whichever cell happened
+    to pay the one-time materialization — otherwise the reference
+    backend (which runs first) would absorb the ordering cost and every
+    later backend's speedup would be inflated.  So the first pass is
+    kept only if ``cache.misses`` did not move during it: on a warm
+    cache it is the first metered pass, and the cell runs its kernel
+    ``plan.repeats`` times.  A first pass that had to materialize is
+    discarded as the warm-up, and ``plan.repeats`` metered passes
+    follow.  At most one pass is discarded, so a cache too small to keep
+    the cell's entries still stops after ``1 + plan.repeats`` passes.
+    ``reference``/``rel_error`` are filled in later by
+    :func:`finalize_cells`, once the reference cells are known.
     """
-    kernel.runner(graph, set_cls, ordering, plan, cache)
-    best = float("inf")
-    value = None
-    extras: Dict[str, object] = {}
-    delta = None
-    for _ in range(max(1, plan.repeats)):
-        before = _counters.snapshot()
-        t0 = time.perf_counter()
-        raw = kernel.runner(graph, set_cls, ordering, plan, cache)
-        elapsed = time.perf_counter() - t0
-        delta = before.delta(_counters.snapshot())
-        value, extras = _normalize_result(raw)
-        best = min(best, elapsed)
+    misses = cache.misses
+    passes = [_kernel_pass(graph, set_cls, kernel, ordering, plan, cache)]
+    if cache.misses != misses:
+        passes.clear()  # it paid materialization: the warm-up
+    while len(passes) < plan.repeats:
+        passes.append(
+            _kernel_pass(graph, set_cls, kernel, ordering, plan, cache))
+    _, delta, raw = passes[-1]
+    value, extras = _normalize_result(raw)
     return {
         "kernel": kernel.name,
         "ordering": ordering,
@@ -571,7 +584,7 @@ def run_cell(
         "resolved_class": set_cls.__name__,
         "exact": bool(set_cls.IS_EXACT),
         "value": value,
-        "seconds": best,
+        "seconds": min(seconds for seconds, _, _ in passes),
         "set_ops": delta.set_ops,
         "point_ops": delta.point_ops,
         "memory_traffic": delta.memory_traffic,
@@ -732,28 +745,36 @@ def build_suite_parser() -> argparse.ArgumentParser:
     parser.add_argument("--smoke", action="store_true",
                         help="run the tiny CI matrix "
                              "(2 backends × 2 orderings × 3 kernels) and "
-                             "ignore the sweep-selection flags (the "
-                             "execution flags --workers/"
-                             "--cache-budget-bytes still apply)")
+                             "ignore the sweep-selection flags (--repeats "
+                             "and the execution flags --workers/"
+                             "--cache-budget-bytes/--dispatch still apply)")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
 
 def plan_from_argv(argv: Optional[List[str]] = None) -> ExperimentPlan:
     """Parse ``python -m repro suite`` flags into an :class:`ExperimentPlan`."""
-    return _plan_from_namespace(build_suite_parser().parse_args(argv))
+    parser = build_suite_parser()
+    return _plan_from_namespace(parser, parser.parse_args(argv))
 
 
-def _plan_from_namespace(ns: argparse.Namespace) -> ExperimentPlan:
+def _plan_from_namespace(parser: argparse.ArgumentParser,
+                         ns: argparse.Namespace) -> ExperimentPlan:
+    """The plan *ns* denotes; a value the plan refuses exits 2, as a
+    value argparse refuses does."""
     knobs = {k: v for k, v in vars(ns).items()
              if k not in ("smoke", "verbose")}
     if ns.smoke:
-        # The smoke matrix is fixed; the execution knobs still apply so CI
-        # can run the very same matrix through the process pool.
-        knobs = {k: knobs[k]
-                 for k in SESSION_FIELDS + ("cache_budget_bytes", "dispatch")}
+        # The smoke matrix is fixed; the metering and execution knobs
+        # still apply so CI can run the very same matrix through the
+        # process pool.
+        knobs = {k: knobs[k] for k in SESSION_FIELDS + (
+            "repeats", "cache_budget_bytes", "dispatch")}
     base = ExperimentPlan.smoke() if ns.smoke else ExperimentPlan()
-    return base.with_knobs(knobs, session=True)
+    try:
+        return base.with_knobs(knobs, session=True)
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc.args[0]))
 
 
 def report_payloads(payloads: List[Dict[str, object]]) -> int:
@@ -784,8 +805,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro suite`` — a thin session client."""
     from .session import MiningSession
 
-    ns = build_suite_parser().parse_args(argv)
-    plan = _plan_from_namespace(ns)
+    parser = build_suite_parser()
+    ns = parser.parse_args(argv)
+    plan = _plan_from_namespace(parser, ns)
     with MiningSession.from_plan(plan, verbose=ns.verbose) as session:
         payloads = session.run_plan(plan, verbose=ns.verbose)
     return 1 if report_payloads(payloads) else 0

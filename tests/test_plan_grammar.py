@@ -32,6 +32,7 @@ BAD_INPUTS = {
     "session-owned-workers": {"workers": "2"},
     "pool-schedule": {"schedule": "dynamic"},
     "pool-transport": {"transport": "shm"},
+    "repeats-zero": {"repeats": "0"},
 }
 
 #: Every scalar query key, spelled as the REPL and ``/query`` take it.
@@ -151,6 +152,22 @@ class TestOneGrammarSameMeaning:
         assert SESSION_FIELDS == ("workers",)
         assert "workers" not in knob_names()
         assert "workers" in knob_names(session=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["--smoke", "--repeats", "0"],
+        ["--smoke", "--repeats", "-3"],
+        ["--smoke", "--workers", "0"],
+    ], ids=["repeats-zero", "repeats-negative", "workers-zero"])
+    def test_suite_cli_refuses_what_the_plan_refuses(self, argv, tmp_path,
+                                                     monkeypatch, capsys):
+        import repro.platform.bench as bench
+
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", *argv])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["schedule", "transport"])
     def test_pool_mode_knobs_are_accepted_nowhere(self, key):

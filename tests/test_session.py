@@ -32,7 +32,13 @@ from repro.platform.session import (
     Query,
     resolve_ordering_name,
 )
-from repro.platform.suite import ExperimentPlan, expand_cells
+from repro.platform import suite as suite_mod
+from repro.platform.suite import (
+    SUITE_KERNELS,
+    ExperimentPlan,
+    expand_cells,
+    register_suite_kernel,
+)
 from repro.mining.triangles import triangle_count_node_iterator
 
 #: A tiny two-kernel plan for artifact-equality checks (cheaper than the
@@ -45,6 +51,37 @@ TINY_PLAN = ExperimentPlan(
     orderings=("DGR",),
     repeats=1,
 )
+
+#: The set-algebra counters a suite cell records.
+CELL_COUNTERS = ("set_ops", "point_ops", "memory_traffic", "sketch_builds")
+
+
+def _snapshot_counters(snapshot: Snapshot) -> dict:
+    return {name: getattr(snapshot, name) for name in CELL_COUNTERS}
+
+
+def _cell_counters(cell: dict) -> dict:
+    return {name: cell[name] for name in CELL_COUNTERS}
+
+
+@pytest.fixture
+def counted_tc():
+    """Register ``tc-counted``, the suite's tc that logs each kernel pass.
+
+    Yields the pass log; the kernel leaves the registry afterwards.
+    """
+    passes = []
+
+    def runner(*args):
+        passes.append(1)
+        return suite_mod._run_tc(*args)
+
+    register_suite_kernel("tc-counted", runner, "tc, logging its passes",
+                          uses_ordering=False)
+    try:
+        yield passes
+    finally:
+        del SUITE_KERNELS["tc-counted"]
 
 
 class TestQueryBuilder:
@@ -125,16 +162,20 @@ class TestSessionLifecycle:
             assert result.exact
             assert result.resolved_class == "BitSet"
 
-    def test_cache_state_survives_across_queries(self):
+    def test_cache_state_survives_across_queries(self, counted_tc):
         with MiningSession() as session:
-            q = session.query("tc").on("sc-ht-mini").backend("bitset")
+            q = session.query("tc-counted").on("sc-ht-mini").backend(
+                "bitset")
             cold = q.run()
             assert cold.cache_misses > 0
+            # The cold pass paid the materialization and was discarded.
+            assert len(counted_tc) == 2
             warm = q.run()
             # Acceptance: the second identical query is served from the
-            # session cache.
+            # session cache, and its first pass is its metered one.
             assert warm.cache_hits > 0
             assert warm.cache_misses == 0
+            assert len(counted_tc) == 3
             stats = session.cache.stats()
             assert stats["hits"] >= warm.cache_hits
             assert stats["set_graphs"] >= 1
@@ -204,6 +245,57 @@ class TestSessionLifecycle:
             assert a.resolved_class == b.resolved_class
             # A different budget must not reuse the memoized class.
             assert c.resolved_class != a.resolved_class
+
+
+class TestKernelPasses:
+    """Only a first pass that missed the cache goes unmetered."""
+
+    def test_repeats_are_metered_passes(self, counted_tc):
+        with MiningSession() as session:
+            q = session.query("tc-counted").on("sc-ht-mini").backend(
+                "bitset").repeats(3)
+            q.run()
+            assert len(counted_tc) == 4
+            counted_tc.clear()
+            q.run()
+            assert len(counted_tc) == 3
+
+    def test_warm_query_counters_are_its_cells(self):
+        with MiningSession() as session:
+            q = session.query("tc").on("sc-ht-mini").backend("bitset")
+            cold = q.run()
+            warm = q.run()
+        assert warm.cache_misses == 0 and warm.counters.set_ops > 0
+        assert _snapshot_counters(warm.counters) == _cell_counters(warm.cell)
+        # The cold query also paid its discarded pass.
+        assert cold.counters.set_ops == 2 * cold.cell["set_ops"]
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_cache_too_small_to_keep_discards_one_pass(self, counted_tc,
+                                                       repeats):
+        graph = load_dataset("sc-ht-mini")
+        with MiningSession(cache_budget_bytes=1) as session:
+            result = session.query("tc-counted").on("sc-ht-mini").backend(
+                "bitset").repeats(repeats).run()
+            # Every pass rebuilt the evicted SetGraph...
+            assert result.cache_misses == repeats + 1
+            assert session.cache.stats()["evictions"] == repeats + 1
+        # ...yet the query stopped after one discarded pass.
+        assert len(counted_tc) == repeats + 1
+        assert result.value == triangle_count_node_iterator(graph)
+
+    def test_cold_and_warm_bloom_cells_agree_up_to_timing(self):
+        with MiningSession() as session:
+            q = session.query("tc").on("sc-ht-mini").backend("bloom")
+            cold = q.run()
+            warm = q.run()
+        assert cold.cache_misses > 0 and warm.cache_misses == 0
+        untimed = [{k: v for k, v in r.cell.items() if k != "seconds"}
+                   for r in (cold, warm)]
+        assert untimed[0] == untimed[1]
+        # Materialization built sketches, but outside the metered pass.
+        assert cold.counters.sketch_builds > (
+            2 * cold.cell["sketch_builds"])
 
 
 class TestResidentPool:
@@ -396,12 +488,20 @@ class TestResidentPool:
             assert result.value == triangle_count_node_iterator(
                 load_dataset("sc-ht-mini"))
 
+    def test_warm_pool_variant_counters_are_its_cells(self):
+        with MiningSession(workers=2) as session:
+            session.warm("sc-ht-mini", backends=("bitset",))
+            (result,) = session.query("tc").on("sc-ht-mini").run_many(
+                [{"backend": "bitset"}])
+            assert session.stats()["worker_caches"]["misses"] == 0
+        assert result.counters.set_ops > 0
+        assert _snapshot_counters(result.counters) == \
+            _cell_counters(result.cell)
+
     def test_worker_exception_mid_shard_propagates(self, monkeypatch):
         # Patch run_cell *before* the pool forks: the workers inherit the
         # parent's memory, so their shard raises mid-flight.  The error
         # reaches the caller and close() still shuts the pool down.
-        import repro.platform.suite as suite_mod
-
         def _boom(*args, **kwargs):
             raise RuntimeError("kernel exploded")
 
