@@ -18,7 +18,10 @@ per bulk operation and ``|result|`` writes for materializing operations
 read, plus one write when it actually modifies the set (``add`` of an
 absent element, ``remove`` of a present one).  Identical operation sequences on
 identical inputs therefore produce identical deltas across all exact
-backends — the property the cross-backend regression tests pin.
+backends — the property the cross-backend regression tests pin.  A bulk
+call over ``n`` operands (``SetBase.intersect_count_many``) records
+exactly what its ``n`` per-operand operations would: ``n`` set
+operations, the same reads and writes, and the same ``words_scanned``.
 Representation-specific cost (how many machine words a kernel actually
 scanned) is attributed separately, per organization/algorithm, in
 ``words_scanned`` — e.g. a dense-bitmap intersection over a sparse set
@@ -32,7 +35,7 @@ parallel region rather than a single data structure.  Use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 
 class Counters:
@@ -91,11 +94,21 @@ class Counters:
 
     # The record methods are deliberately tiny: they sit on the hot path
     # of every set operation.
-    def record_bulk(self, read: int, written: int) -> None:
-        """Record one bulk set operation touching *read* inputs."""
-        self.set_ops += 1
+    def record_bulk(self, read: int, written: int, ops: int = 1,
+                    organization: Optional[str] = None,
+                    words: int = 0) -> None:
+        """Record *ops* bulk set operations touching *read* inputs in total.
+
+        With an *organization*, the *words* those operations scanned are
+        attributed to it too (see :meth:`record_scan`), so one call
+        accounts a whole operation, or a whole bulk instruction.
+        """
+        self.set_ops += ops
         self.elements_read += read
         self.elements_written += written
+        if organization is not None:
+            scans = self.words_scanned
+            scans[organization] = scans.get(organization, 0) + words
 
     def record_point(self, read: int = 1) -> None:
         """Record one point operation (membership test, add, remove)."""

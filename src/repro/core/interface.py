@@ -25,6 +25,8 @@ Listing 1 (C++)              This module
 ``toArray``                  :meth:`SetBase.to_array`
 ``begin``/``end`` iterators  :meth:`SetBase.__iter__`
 ``operator==`` / ``!=``      :meth:`SetBase.__eq__`
+(SISA extension)             :meth:`SetBase.intersect_count_many`: one
+                             bulk instruction, ``Σ_v |A ∩ N(v)|``
 ===========================  =============================================
 
 Set elements are vertex IDs, i.e. non-negative integers (``GMS::NodeId``).
@@ -37,7 +39,7 @@ platform's implicit conversions.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +145,21 @@ class SetBase(ABC):
     def diff_count(self, other: "SetBase") -> int:
         """Return ``|A \\ B|`` without building the difference."""
         return self.diff(other).cardinality()
+
+    def intersect_count_many(self, graph, vertices: Sequence[int]) -> int:
+        """Return ``Σ_{v ∈ vertices} |A ∩ graph[v]|`` — one bulk instruction.
+
+        SISA's set instructions take many operands at once; this is the
+        form the innermost mining loops issue (``A`` against the
+        neighborhoods of every vertex in a row).  *graph* maps a vertex to
+        its neighborhood set (a :class:`~repro.graph.set_graph.SetGraph`
+        or any indexable adjacency) and *vertices* may repeat.  The
+        default is the per-operation loop, so results and counters are
+        those of ``len(vertices)`` :meth:`intersect_count` calls; a
+        backend's fast path must account exactly the same.
+        """
+        count = self.intersect_count
+        return sum(count(graph[v]) for v in vertices)
 
     # -- in-place variants: avoid excessive data copying (paper section 5.1)
     def intersect_inplace(self, other: "SetBase") -> None:

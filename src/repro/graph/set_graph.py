@@ -41,9 +41,15 @@ __all__ = [
 
 
 class SetGraph:
-    """A graph whose neighborhoods are GMS sets (Listing 2)."""
+    """A graph whose neighborhoods are GMS sets (Listing 2).
 
-    __slots__ = ("_neighborhoods", "set_cls", "directed")
+    ``cardinalities[v]`` is ``|N(v)|``, recorded once at construction:
+    neighborhoods are shared and read-only by contract, so it cannot go
+    stale.  Bulk set instructions read operand sizes from it instead of
+    recomputing them per operation.
+    """
+
+    __slots__ = ("_neighborhoods", "set_cls", "directed", "cardinalities")
 
     def __init__(
         self,
@@ -55,6 +61,9 @@ class SetGraph:
         self._neighborhoods: List[SetBase] = list(neighborhoods)
         self.set_cls = set_cls
         self.directed = directed
+        self.cardinalities: List[int] = [
+            s.cardinality() for s in self._neighborhoods
+        ]
 
     @property
     def num_nodes(self) -> int:
@@ -62,8 +71,13 @@ class SetGraph:
 
     @property
     def num_edges(self) -> int:
-        total = sum(s.cardinality() for s in self._neighborhoods)
+        total = sum(self.cardinalities)
         return total if self.directed else total // 2
+
+    @property
+    def neighborhoods(self) -> List[SetBase]:
+        """Every ``N(v)``, indexed by vertex (shared and read-only)."""
+        return self._neighborhoods
 
     def out_neigh(self, v: int) -> SetBase:
         """Return ``N(v)`` as a set (shared object — clone before mutating)."""
@@ -76,7 +90,7 @@ class SetGraph:
         return self._neighborhoods[v]
 
     def out_degree(self, v: int) -> int:
-        return self._neighborhoods[v].cardinality()
+        return self.cardinalities[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return self._neighborhoods[u].contains(v)

@@ -21,8 +21,9 @@ The kernels are written purely against the
 :class:`~repro.graph.set_graph.SetGraph` (the ``5+`` modularity hook): the
 oriented out-neighborhoods are sets of the chosen representation, candidate
 sets shrink via ``assign`` + ``intersect_inplace`` into one scratch set per
-recursion level, and the innermost level goes through ``intersect_count`` —
-so an approximate backend (``"bloom"``/``"kmv"``) turns the same code into a
+recursion level, and the innermost level goes through ``intersect_count``
+(one bulk ``intersect_count_many`` call per candidate set) — so an
+approximate backend (``"bloom"``/``"kmv"``) turns the same code into a
 ProbGraph-style estimator without a separate code path.
 
 The GMS memory optimization bounds the space of every ``C_{i+1}`` by
@@ -77,16 +78,14 @@ def _count_rec(
     intermediate copy the unfused ``assign`` + ``intersect_inplace`` pair
     would make); by the time level ``i`` loops to its next candidate, the
     whole subtree below has returned, so reuse is safe.  The innermost
-    level is a pure ``intersect_count`` — the hook where sketch backends
-    estimate.
+    level is one bulk ``intersect_count_many`` call — a sum of
+    ``intersect_count``s, the hook where sketch backends estimate.
     """
     if i == k:
         return candidates.cardinality()
     if i + 1 == k:
-        return sum(
-            candidates.intersect_count(dag[v])
-            for v in candidates.to_array().tolist()
-        )
+        return candidates.intersect_count_many(
+            dag, candidates.to_array().tolist())
     total = 0
     nxt = scratch[i + 1]
     for v in candidates.to_array().tolist():

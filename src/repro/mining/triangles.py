@@ -11,9 +11,10 @@ Two classic schemes, both expressed with set algebra over a materialized
   the ``O(m^{3/2})`` scheme of Table 8.
 
 Both take a pluggable set class (modularity hook ``5+``); the default is
-the CSR-like :class:`~repro.core.sorted_set.SortedSet`.  Every candidate
-count goes through ``SetBase.intersect_count``, so approximate backends
-(``"bloom"``/``"kmv"``) estimate with the same kernel code.
+the CSR-like :class:`~repro.core.sorted_set.SortedSet`.  Each vertex's
+candidate counts are one bulk ``SetBase.intersect_count_many`` call (a
+sum of ``intersect_count``s), so approximate backends (``"bloom"``/
+``"kmv"``) estimate with the same kernel code.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ def triangle_count_node_iterator(
     sets = cache.set_graph(graph, cls)
     total = 0
     for v in graph.vertices():
-        sv = sets[v]
-        for w in graph.out_neigh(v).tolist():
-            total += sv.intersect_count(sets[w])
+        row = graph.out_neigh(v).tolist()
+        total += sets[v].intersect_count_many(sets, row)
     # Each triangle {a, b, c} is found once per ordered corner pair: 6 times
     # over the symmetric adjacency, i.e. tc/3 with the paper's per-edge loop
     # over directed arcs being tc/6 here (we loop over both arc directions).
@@ -62,6 +62,5 @@ def triangle_count_rank_merge(
     total = 0
     for u in dag.vertices():
         su = dag[u]
-        for v in su.to_array().tolist():
-            total += su.intersect_count(dag[v])
+        total += su.intersect_count_many(dag, su.to_array().tolist())
     return total

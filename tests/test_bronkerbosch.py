@@ -45,6 +45,34 @@ class TestCorrectness:
             run_bk_variant(csr, "BK-NOPE")
 
 
+#: The cold-graphs benchmark shapes: the registry's planted-clique
+#: parameters for sc-ht-mini, gupta3-mini, ep-trust-mini and flickr-mini.
+PLANTED_SHAPES = {
+    "sc-ht": (300, 1500, [(15, 2), (8, 6)]),
+    "gupta3": (900, 3600, [(26, 1), (12, 4)]),
+    "ep-trust": (1300, 2600, [(22, 2), (8, 10)]),
+    "flickr": (1500, 3000, [(12, 12), (8, 30)]),
+}
+
+
+class TestOrderIndependence:
+    """The maximal-clique count does not depend on the outer-loop order,
+    ADG's approximate degeneracy included; BitSet's pivot scans over
+    ``P``/``X`` list their members through both ``to_array`` paths."""
+
+    @pytest.mark.parametrize("shape", sorted(PLANTED_SHAPES))
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_adg_and_dgr_match_networkx(self, shape, seed):
+        n, background_m, cliques = PLANTED_SHAPES[shape]
+        csr = gen.planted_cliques(n, background_m, cliques, seed=seed)
+        G = nx.Graph(list(csr.edges()))
+        G.add_nodes_from(range(n))
+        expect = sum(1 for _ in nx.find_cliques(G))
+        for ordering in ("ADG", "DGR"):
+            got = bron_kerbosch(csr, ordering, BitSet).num_cliques
+            assert got == expect, ordering
+
+
 class TestInvariants:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(0, 180))

@@ -53,6 +53,7 @@ from repro.core.packed import (
     unpack,
     words_needed,
 )
+from repro.graph import SetGraph
 from repro.platform.cli import parse_args, resolve_set_class
 from repro.platform.runner import diff_payloads, strip_timing
 from repro.platform.session import MiningSession
@@ -217,9 +218,12 @@ def test_from_sorted_array_validates_every_exact_backend():
 def _exercise(cls):
     a = cls.from_iterable(range(0, 120, 2))
     b = cls.from_iterable(range(0, 90, 3))
+    graph = SetGraph([b, cls.from_iterable(range(1, 200, 5)), cls.empty()],
+                     cls)
     before = snapshot()
     a.intersect(b)
     a.intersect_count(b)
+    a.intersect_count_many(graph, [0, 1, 2, 1])
     a.union(b)
     a.diff(b)
     scratch = cls.empty()
@@ -231,7 +235,7 @@ def _exercise(cls):
     c.remove(7)   # present: 1 write
     c.remove(7)   # absent: no write
     delta = before.delta(snapshot())
-    return (delta.elements_read, delta.elements_written,
+    return (delta.set_ops, delta.elements_read, delta.elements_written,
             delta.point_ops, delta.sketch_builds)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitSet, SortedSet
-from repro.core.counters import COUNTERS, reset as reset_counters
+from repro.core.counters import COUNTERS, reset as reset_counters, snapshot
 from repro.graph import (
     MaterializationCache,
     build_oriented_set_graph,
@@ -82,25 +82,47 @@ def matrix_graph():
     return csr, G
 
 
+def warm_pass(runner, csr, cls):
+    """``(value, counter units)`` of a kernel pass on a warm cache.
+
+    The units are the backend-independent ones (module docstring of
+    :mod:`repro.core.counters`); materialization stays outside the pass.
+    """
+    cache = MaterializationCache()
+    runner(csr, cls, cache)
+    before = snapshot()
+    value = runner(csr, cls, cache)
+    delta = before.delta(snapshot())
+    return value, (delta.set_ops, delta.point_ops, delta.elements_read,
+                   delta.elements_written)
+
+
 @pytest.fixture(scope="module")
-def reference_counts(matrix_graph):
+def reference_passes(matrix_graph):
     """SortedSet is the reference backend; every exact class must match."""
     csr, _ = matrix_graph
-    cache = MaterializationCache()
     return {
-        name: runner(csr, SortedSet, cache)
+        name: warm_pass(runner, csr, SortedSet)
         for name, runner in KERNEL_RUNNERS.items()
     }
+
+
+@pytest.fixture(scope="module")
+def reference_counts(reference_passes):
+    return {name: value for name, (value, _) in reference_passes.items()}
 
 
 class TestExactEquivalence:
     @pytest.mark.parametrize("kernel", sorted(KERNEL_RUNNERS))
     def test_identical_counts_across_exact_backends(
-        self, kernel, set_cls, matrix_graph, reference_counts
+        self, kernel, set_cls, matrix_graph, reference_passes
     ):
+        # Counters too: a backend's bulk fast path (BitSet's
+        # intersect_count_many) must account what SortedSet's
+        # per-operation loop does, inside every kernel that issues it.
         csr, _ = matrix_graph
-        got = KERNEL_RUNNERS[kernel](csr, set_cls, MaterializationCache())
-        assert got == reference_counts[kernel]
+        got = warm_pass(KERNEL_RUNNERS[kernel], csr, set_cls)
+        assert got == reference_passes[kernel]
 
     def test_reference_agrees_with_networkx(self, matrix_graph):
         csr, G = matrix_graph

@@ -142,6 +142,36 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/polite.py", "GMS002") == []
 
+    def test_bulk_instruction_without_accounting_flagged(self):
+        source = """
+            from repro.core.interface import SetBase
+
+            class Bulk(SetBase):
+                def intersect_count_many(self, graph, vertices):
+                    return sum(len(self._d & graph[v]._d) for v in vertices)
+        """
+        findings = run(source, "src/repro/core/bulk.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 5)]
+        assert "Bulk.intersect_count_many" in findings[0].message
+
+    def test_bulk_instruction_recording_or_delegating_passes(self):
+        source = """
+            from repro.core.counters import COUNTERS
+            from repro.core.interface import SetBase
+
+            class Recorded(SetBase):
+                def intersect_count_many(self, graph, vertices):
+                    COUNTERS.record_bulk(len(vertices) * len(self._d), 0,
+                                         len(vertices))
+                    return sum(len(self._d & graph[v]._d) for v in vertices)
+
+            class Delegated(SetBase):
+                def intersect_count_many(self, graph, vertices):
+                    return sum(self.intersect_count(graph[v])
+                               for v in vertices)
+        """
+        assert run(source, "src/repro/core/bulk.py", "GMS002") == []
+
     def test_aliased_counters_import_recognized(self):
         source = """
             from repro.core import counters as _counters

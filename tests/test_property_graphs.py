@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress import LogGraph
 from repro.core import BitSet
 from repro.graph import (
+    MaterializationCache,
     build_undirected,
     orient_by_rank,
     permute,
     total_triangles,
 )
-from repro.mining import kclique_count
+from repro.mining import (
+    kclique_count,
+    triangle_count_node_iterator,
+    triangle_count_rank_merge,
+)
 from repro.preprocess import degeneracy_order
+from tests.conftest import EXACT_SET_CLASSES
 
 N = 20
 edge_lists = st.lists(
@@ -72,14 +81,42 @@ def test_loggraph_roundtrip_arbitrary(edges):
         assert LogGraph(g, encoding).to_csr() == g
 
 
-@settings(max_examples=15, deadline=None)
-@given(edges=edge_lists, k=st.integers(3, 5))
-def test_kclique_matches_networkx_randomized(edges, k):
-    g = build_undirected(N, edges)
+def _networkx_twin(g):
     G = nx.Graph(list(g.edges()))
     G.add_nodes_from(range(N))
-    expect = sum(1 for c in nx.enumerate_all_cliques(G) if len(c) == k)
-    assert kclique_count(g, k, "DGR", "edge").count == expect
+    return G
+
+
+# Differential oracles: every kernel that issues the bulk
+# intersect_count_many instruction, on every exact backend, against
+# networkx.  (The set_cls fixture cannot combine with @given.)
+exact_backends = pytest.mark.parametrize(
+    "cls", EXACT_SET_CLASSES, ids=lambda c: c.__name__)
+
+
+@exact_backends
+@settings(max_examples=30, deadline=None)
+@given(edges=edge_lists)
+def test_triangle_schemes_match_networkx(cls, edges):
+    g = build_undirected(N, edges)
+    expect = sum(nx.triangles(_networkx_twin(g)).values()) // 3
+    cache = MaterializationCache()
+    assert triangle_count_node_iterator(g, cls, cache) == expect
+    assert triangle_count_rank_merge(g, cls, cache) == expect
+
+
+@exact_backends
+@settings(max_examples=30, deadline=None)
+@given(edges=edge_lists)
+def test_kclique_matches_networkx_randomized(cls, edges):
+    g = build_undirected(N, edges)
+    sizes = Counter(len(c) for c in nx.enumerate_all_cliques(_networkx_twin(g)))
+    cache = MaterializationCache()
+    for k in (3, 4, 5):
+        for parallel in ("node", "edge"):
+            got = kclique_count(g, k, "DGR", parallel, set_cls=cls,
+                                cache=cache).count
+            assert got == sizes[k], (k, parallel)
 
 
 @settings(max_examples=15, deadline=None)
@@ -88,7 +125,5 @@ def test_bk_count_equals_networkx_randomized(edges):
     from repro.mining import bron_kerbosch
 
     g = build_undirected(N, edges)
-    G = nx.Graph(list(g.edges()))
-    G.add_nodes_from(range(N))
-    expect = sum(1 for _ in nx.find_cliques(G))
+    expect = sum(1 for _ in nx.find_cliques(_networkx_twin(g)))
     assert bron_kerbosch(g, "ADG", BitSet).num_cliques == expect

@@ -17,10 +17,13 @@ one-sided guarantees instead:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import BitSet, SortedSet
+from repro.core.counters import snapshot
 from repro.core.registry import registered_set_classes
+from repro.graph import SetGraph
 
 CLASSES = registered_set_classes()
 EXACT_CLASSES = [cls for cls in CLASSES if cls.IS_EXACT]
@@ -210,8 +213,13 @@ def test_op_sequences_keep_approx_invariants(initial, sequence):
                 assert s.contains(x), (cls.__name__, name)
 
 
+# Both BitSet.to_array paths: peeled in Python up to 16 members,
+# unpacked with numpy from 17 on, over a wide universe either way.
 @settings(max_examples=50, deadline=None)
 @given(values=element_lists)
+@example(values=list(range(0, 160, 10)))
+@example(values=list(range(0, 170, 10)))
+@example(values=[3, 64, 199_999])
 def test_iteration_is_sorted_and_to_array_roundtrips(values):
     # Strict for every class: approximate backends keep an exact member
     # store, so iteration and to_array are exact by design.
@@ -222,3 +230,41 @@ def test_iteration_is_sorted_and_to_array_roundtrips(values):
         assert np.array_equal(s.to_array(), np.array(out, dtype=np.int64))
         # Rebuilding from to_array reproduces the set.
         assert cls.from_sorted_array(s.to_array()) == s
+
+
+# intersect_count_many is one bulk instruction: whatever path a backend
+# takes, it must return and record exactly what the per-operation loop
+# does — every counter field, words_scanned included.
+small_elements = st.integers(min_value=0, max_value=300)
+neighborhood_lists = st.lists(st.lists(small_elements, max_size=30),
+                              min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(neighborhoods=neighborhood_lists,
+       receiver=st.lists(small_elements, max_size=40),
+       picks=st.lists(st.integers(min_value=0, max_value=7), max_size=12))
+def test_intersect_count_many_equals_per_op_loop(neighborhoods, receiver,
+                                                 picks):
+    vertices = [p % len(neighborhoods) for p in picks]  # repeats allowed
+    pairs = [(cls, cls) for cls in CLASSES] + [(BitSet, SortedSet)]
+    for receiver_cls, graph_cls in pairs:
+        def build():
+            graph = SetGraph([graph_cls.from_iterable(n)
+                              for n in neighborhoods], graph_cls)
+            return receiver_cls.from_iterable(receiver), graph
+
+        a, graph = build()
+        before = snapshot()
+        bulk = a.intersect_count_many(graph, vertices)
+        bulk_delta = before.delta(snapshot())
+        a, graph = build()
+        before = snapshot()
+        loop = sum(a.intersect_count(graph[v]) for v in vertices)
+        loop_delta = before.delta(snapshot())
+        name = (receiver_cls.__name__, graph_cls.__name__)
+        assert bulk == loop, name
+        assert bulk_delta == loop_delta, name
+        if receiver_cls.IS_EXACT and graph_cls.IS_EXACT:
+            assert bulk == sum(len(set(receiver) & set(neighborhoods[v]))
+                               for v in vertices), name
