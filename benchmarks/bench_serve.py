@@ -16,19 +16,12 @@ The matrix is ``workers × concurrency`` over one warmed dataset
 end-to-end QPS, plus the server's own admission gauges.  Results land in
 ``results/serve_bench.json`` (schema ``gms-serve-bench/v1``).
 
-``--smoke`` additionally runs the serving-correctness gate CI consumes:
-a smoke suite submitted as an HTTP job must produce an artifact
-``suite-diff --semantic``-identical to the same plan run directly on a
-session (the CLI path), and the HTTP-served payload is persisted as
-``results/serve_smoke_suite.json`` for the workflow's artifact upload.
-
 Script form::
 
     PYTHONPATH=src python benchmarks/bench_serve.py            # full matrix
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke    # CI smoke
 
-Pytest form: the smoke matrix on the mini dataset, with the suite-diff
-gate asserted.
+Pytest form: the smoke matrix on the mini dataset.
 """
 
 from __future__ import annotations
@@ -45,9 +38,7 @@ from typing import Dict, List, Optional
 from repro.graph.datasets import dataset_provenance
 from repro.platform.bench import print_table, write_artifact
 from repro.platform.http import running_server
-from repro.platform.runner import diff_payloads
 from repro.platform.session import MiningSession
-from repro.platform.suite import ExperimentPlan
 
 SCHEMA = "gms-serve-bench/v1"
 
@@ -151,52 +142,6 @@ def bench_cell(dataset: str, workers: int, concurrency: int,
     }
 
 
-def suite_diff_gate(dataset: str = "sc-ht-mini") -> Dict[str, object]:
-    """HTTP-served suite vs direct session run: must be semantically equal.
-
-    Returns the gate verdict plus the HTTP-served payload (which the
-    caller persists as ``serve_smoke_suite.json`` so CI can upload the
-    exact artifact the gate judged).
-    """
-    plan = ExperimentPlan.smoke()
-    with MiningSession() as session:
-        reference = session.run_plan(plan)[0]
-    with tempfile.TemporaryDirectory() as job_root:
-        with running_server(job_root=job_root) as server:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", server.port, timeout=300
-            )
-            conn.request("POST", "/suite", body=json.dumps({"smoke": True}))
-            accepted = json.loads(conn.getresponse().read())
-            job_id = accepted["job"]
-            deadline = time.time() + 300
-            while True:
-                conn.request("GET", f"/jobs/{job_id}")
-                record = json.loads(conn.getresponse().read())
-                if record["state"] in ("done", "failed", "interrupted"):
-                    break
-                if time.time() > deadline:
-                    raise TimeoutError(f"job {job_id} did not finish")
-                time.sleep(0.1)
-            conn.close()
-            if record["state"] != "done":
-                raise RuntimeError(
-                    f"suite job ended {record['state']}: {record['error']}"
-                )
-            (artifact_path,) = record["artifacts"]
-            with open(artifact_path) as handle:
-                served = json.load(handle)
-    problems = diff_payloads(reference, served, semantic=True)
-    return {
-        "dataset": dataset,
-        "job_state": record["state"],
-        "exact_mismatches": record["exact_mismatches"],
-        "identical_to_cli": problems == [],
-        "diff_problems": problems,
-        "served_payload": served,
-    }
-
-
 def run_bench(smoke: bool = False) -> Dict[str, object]:
     if smoke:
         dataset, requests_per_client = "sc-ht-mini", 6
@@ -238,24 +183,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="closed-loop load bench for repro serve --http"
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="mini dataset + the CLI-equivalence gate "
-                             "(CI form)")
+                        help="mini dataset, smaller matrix (CI form)")
     ns = parser.parse_args(argv)
     payload = run_bench(smoke=ns.smoke)
     _print_payload(payload)
-    if ns.smoke:
-        gate = suite_diff_gate()
-        served = gate.pop("served_payload")
-        payload["suite_diff_gate"] = gate
-        path = write_artifact("serve_smoke_suite", served)
-        print(f"served-suite artifact: {path}")
-        if not gate["identical_to_cli"]:
-            print("HTTP-served suite DIVERGED from the CLI run:")
-            for problem in gate["diff_problems"]:
-                print(f"  {problem}")
-            write_artifact("serve_bench", payload)
-            return 1
-        print("suite-diff gate: HTTP-served artifact identical to CLI run")
     path = write_artifact("serve_bench", payload)
     print(f"artifact: {path}")
     return 0
@@ -275,13 +206,6 @@ def test_serve_bench_smoke():
                                     * payload["requests_per_client"])
         assert cell["qps"] > 0
         assert 0 < cell["p50_seconds"] <= cell["p99_seconds"]
-
-
-def test_serve_suite_diff_gate():
-    gate = suite_diff_gate()
-    assert gate["job_state"] == "done"
-    assert gate["exact_mismatches"] == 0
-    assert gate["identical_to_cli"], gate["diff_problems"]
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ def test_suite_smoke_matrix(benchmark, show_table):
     assert os.path.exists(path)
     with open(path) as handle:
         on_disk = json.load(handle)
-    assert on_disk["schema"] == "gms-suite/v2"
+    assert on_disk["schema"] == "gms-suite/v3"
 
     cells = payload["cells"]
     show_table(

@@ -1,15 +1,12 @@
-"""Plot the unified result artifacts (aggregate + session bench).
+"""Plot the unified result artifact (the cross-dataset aggregate).
 
 Consumes ``results/aggregate.json`` (``gms-aggregate/v2``, produced by
-``python -m repro aggregate``) and ``results/session_bench.json``
-(``gms-session-bench/v2``, produced by ``benchmarks/bench_session.py``)
-and renders:
+``python -m repro aggregate``) and renders:
 
 * per-backend speed vs accuracy (mean speedup over the reference vs mean
   relative error) — the paper's ProbGraph operating-curve view;
 * measured vs modeled parallel speedup per dataset (the ``execution``
-  blocks the suite artifacts carry);
-* session cold-vs-warm query latency and resident-pool reuse bars.
+  blocks the suite artifacts carry).
 
 Matplotlib is optional (the container may not ship it): with it, PNGs
 land under ``results/plots/``; without it, the same figures degrade to
@@ -132,56 +129,19 @@ def plot_aggregate(payload: Dict, out_dir: str) -> List[str]:
     return emitted
 
 
-def plot_session_bench(payload: Dict, out_dir: str) -> List[str]:
-    emitted: List[str] = []
-    rows: List[Tuple[str, float]] = []
-    for row in payload.get("cold_warm", []):
-        tag = f"{row['dataset']}/{row['kernel']}/{row['backend']}"
-        rows.append((tag + " cold", 1000 * row["cold_seconds"]))
-        rows.append((tag + " warm", 1000 * row["warm_seconds"]))
-    if rows:
-        emitted.append(_emit(
-            os.path.join(out_dir, "session_cold_warm"),
-            "Session query latency: cold vs warm",
-            rows, "ms",
-        ))
-    rows = []
-    for row in payload.get("pool_reuse", []):
-        rows.append((f"{row['dataset']} first batch",
-                     1000 * row["first_batch_seconds"]))
-        rows.append((f"{row['dataset']} resident pool",
-                     1000 * row["resident_batch_seconds"]))
-        rows.append((f"{row['dataset']} per-call pool",
-                     1000 * row["per_call_pool_seconds"]))
-    if rows:
-        emitted.append(_emit(
-            os.path.join(out_dir, "session_pool_reuse"),
-            "Batch latency: resident vs per-call pool",
-            rows, "ms",
-        ))
-    return emitted
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description="plot result artifacts")
     parser.add_argument("--results-dir", default="results")
     ns = parser.parse_args(argv)
     out_dir = os.path.join(ns.results_dir, "plots")
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(ns.results_dir, "aggregate.json")
     emitted: List[str] = []
-    for name, renderer in (
-        ("aggregate.json", plot_aggregate),
-        ("session_bench.json", plot_session_bench),
-    ):
-        path = os.path.join(ns.results_dir, name)
-        if not os.path.exists(path):
-            print(f"skipping {name}: not found under {ns.results_dir}/")
-            continue
+    if os.path.exists(path):
         with open(path) as handle:
-            emitted.extend(renderer(json.load(handle), out_dir))
+            emitted = plot_aggregate(json.load(handle), out_dir)
     if not emitted:
-        print("nothing to plot (run `python -m repro aggregate` and "
-              "`python benchmarks/bench_session.py` first)")
+        print("nothing to plot (run `python -m repro aggregate` first)")
         return 1
     backend = "matplotlib" if plt is not None else "ascii fallback"
     print(f"rendered {len(emitted)} figure(s) via {backend}:")
@@ -208,19 +168,8 @@ def test_plot_renderers(tmp_path):
             "measured_speedup": 1.6, "modeled_speedup": 1.9,
         }],
     }
-    session = {
-        "cold_warm": [{
-            "dataset": "alpha", "kernel": "tc", "backend": "bitset",
-            "cold_seconds": 0.4, "warm_seconds": 0.1,
-        }],
-        "pool_reuse": [{
-            "dataset": "alpha", "first_batch_seconds": 1.0,
-            "resident_batch_seconds": 0.4, "per_call_pool_seconds": 0.9,
-        }],
-    }
     out = plot_aggregate(aggregate, str(tmp_path))
-    out += plot_session_bench(session, str(tmp_path))
-    assert len(out) == 4
+    assert len(out) == 2
     for path in out:
         assert os.path.exists(path)
         assert os.path.getsize(path) > 0

@@ -37,8 +37,9 @@ Commands
                         parallel speedups)
 ``lint``                AST-based invariant analyzer (``repro.analysis``):
                         GMS001 set-algebra purity, GMS002 counter
-                        discipline, GMS003 resource lifecycle, GMS004
-                        silent suppression, GMS005 determinism;
+                        discipline, GMS003 resource lifecycle (shared
+                        memory, executor pools), GMS004 silent
+                        suppression, GMS005 determinism;
                         ``--format json`` emits the ``gms-lint/v1``
                         artifact the CI gate diffs
 

@@ -3,9 +3,9 @@
 An AST-based analyzer that mechanically enforces the contracts the
 suite's correctness-and-comparability story rests on: all mining goes
 through the :class:`SetBase` algebra (GMS001), every backend op
-accounts its element traffic (GMS002), shared resources are released on
-every path (GMS003), no exception is swallowed silently (GMS004), and
-artifact values are deterministic (GMS005).
+accounts its element traffic (GMS002), shared memory and executor pools
+are released on every path (GMS003), no exception is swallowed silently
+(GMS004), and artifact values are deterministic (GMS005).
 
 Entry points
 ------------

@@ -1,11 +1,12 @@
-"""GMS003 — shared-resource lifecycle (the PR 7/8 leak class).
+"""GMS003 — OS-resource lifecycle: shared memory and worker pools.
 
-A ``multiprocessing.shared_memory.SharedMemory`` segment or a
-``SegmentExporter`` created and then dropped on an exception path
-squats in ``/dev/shm`` until reboot — exactly the leak class PRs 7/8
-fixed by hand.  This rule requires every creation site to reach a
-release on all control-flow paths through one of the accepted
-ownership patterns:
+A ``multiprocessing.shared_memory.SharedMemory`` segment created and
+then dropped on an exception path squats in ``/dev/shm`` until reboot;
+a ``ProcessPoolExecutor`` or ``ThreadPoolExecutor`` that is never shut
+down leaves its worker processes or threads running (a session pool
+orphaned by SIGTERM is this leak class).  This rule requires every
+creation site to reach a release on all control-flow paths through one
+of the accepted ownership patterns:
 
 * ``with`` statement (context manager owns the release),
 * direct ``return`` of the fresh resource (ownership transfers to the
@@ -15,9 +16,12 @@ ownership patterns:
   that defines ``close``/``__exit__``/``__del__`` (the instance owns it),
 * local variable that is later (in the same function) stored into such
   a ``self`` slot, returned, registered with ``weakref.finalize``,
-  entered via ``with``, or released inside a ``try/finally``.
+  entered via ``with``, or released (``close``, ``shutdown``, …) inside
+  a ``try/finally``.
 
 Anything else is an orphan creation: no path guarantees the release.
+Servers created under ``await`` (``asyncio.start_server``) are out of
+scope: the ownership analysis does not follow coroutines.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from ..engine import Finding, ModuleContext, Rule, register
 #: Fully-qualified constructors that allocate a leakable OS resource.
 _RESOURCE_FACTORIES = frozenset({
     "multiprocessing.shared_memory.SharedMemory",
-    "repro.platform.shm.SegmentExporter",
-    "SegmentExporter",  # same-module references inside shm.py itself
+    "concurrent.futures.ProcessPoolExecutor",
+    "concurrent.futures.ThreadPoolExecutor",
 })
 
 #: Method names whose presence marks a class as a resource owner.
@@ -39,14 +43,14 @@ _OWNER_METHODS = frozenset({"close", "__exit__", "__del__"})
 
 #: Callee names (last dotted segment) that take over the release.
 _RELEASE_HINTS = frozenset({
-    "close", "unlink", "release", "finalize", "register",
+    "close", "unlink", "release", "finalize", "register", "shutdown",
 })
 
 
 @register
 class ResourceLifecycleRule(Rule):
     id = "GMS003"
-    title = ("SharedMemory/SegmentExporter creations must reach a "
+    title = ("SharedMemory and executor-pool creations must reach a "
              "release on every path")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -19,7 +19,7 @@ from .cli import (
     resolve_set_class_for_graph,
 )
 from .pipeline import Pipeline, PipelineReport, StageRecord
-from .runner import diff_payloads, run_suite_parallel, strip_timing
+from .runner import diff_payloads, strip_timing
 from .session import MiningSession, Query, QueryResult
 from .suite import (
     SUITE_KERNELS,
@@ -52,7 +52,6 @@ __all__ = [
     "SuiteKernel",
     "SUITE_KERNELS",
     "register_suite_kernel",
-    "run_suite_parallel",
     "strip_timing",
     "diff_payloads",
     "aggregate_results",

@@ -26,8 +26,9 @@ Aggregate schema (``results/aggregate.json``)::
             "<kernel>": {
               "cells": int, "mean_rel_error": float,
               "mean_seconds": float,
-              # work-distribution stats from the gms-suite/v2 per-cell
-              # extras (absent for kernels that report none):
+              # work-distribution stats from the per-cell extras
+              # (gms-suite/v3 task profiles, or v2 task_costs lists;
+              # absent for kernels that report none):
               "tasks": int,             # summed kClist/BK outer tasks
               "recursive_calls": int,   # summed BK recursion size
               "cost_imbalance": float,  # mean of per-cell max/mean
@@ -64,12 +65,13 @@ from typing import Dict, List, Optional
 
 from . import bench
 from .bench import print_table, write_artifact
+from .suite import task_profile
 
 __all__ = ["AGGREGATE_SCHEMA", "aggregate_results", "main"]
 
 #: Aggregate schema identifier, bumped on breaking layout changes.
 #: v2 (over v1): per-kernel work-distribution stats folded from the
-#: gms-suite/v2 cell extras, plus the "parallel" measured-vs-modeled table.
+#: gms-suite cell extras, plus the "parallel" measured-vs-modeled table.
 AGGREGATE_SCHEMA = "gms-aggregate/v2"
 
 
@@ -107,16 +109,20 @@ class _BackendFold:
         bucket = self.per_kernel[kernel]
         bucket["rel_errors"].append(rel_error)
         bucket["seconds"].append(seconds)
-        # gms-suite/v2 work profiles; v1 artifacts simply carry none.
+        # gms-suite/v3 task profiles; a v2 cell's task_costs list folds
+        # through the same profile, and v1 artifacts simply carry none.
         extras = extras or {}
         if "recursive_calls" in extras:
             bucket["recursive_calls"].append(int(extras["recursive_calls"]))
-        costs = extras.get("task_costs") or []
-        if costs:
-            bucket["tasks"].append(len(costs))
-            mean_cost = sum(costs) / len(costs)
+        profile = (task_profile(extras["task_costs"])
+                   if "task_costs" in extras else extras)
+        tasks = profile.get("tasks", 0)
+        if tasks:
+            bucket["tasks"].append(tasks)
+            seconds = profile["task_seconds"]
+            mean_cost = seconds["sum"] / tasks
             if mean_cost > 0:
-                bucket["imbalances"].append(max(costs) / mean_cost)
+                bucket["imbalances"].append(seconds["max"] / mean_cost)
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -16,7 +16,7 @@ Every job owns a directory ``<root>/<job-id>/`` (default
 
 * ``job.json`` — the ``gms-job/v1`` record: plan, tenant, state,
   timestamps, progress, artifact paths, error;
-* ``suite_<dataset>.json`` — one finished ``gms-suite/v2`` artifact per
+* ``suite_<dataset>.json`` — one finished ``gms-suite/v3`` artifact per
   dataset, written *as each dataset completes* (not at job end), byte-
   compatible with the CLI's ``results/suite_<dataset>.json`` and
   therefore ``suite-diff``-comparable against it.
@@ -207,7 +207,7 @@ class JobStore:
 
     def write_artifact(self, job: Job, dataset: str,
                        payload: Dict[str, object]) -> str:
-        """Persist one dataset's finished ``gms-suite/v2`` payload.
+        """Persist one dataset's finished ``gms-suite/v3`` payload.
 
         Same layout as the CLI's ``results/suite_<dataset>.json`` — the
         file is directly consumable by ``python -m repro suite-diff``.

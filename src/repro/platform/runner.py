@@ -68,7 +68,6 @@ from . import suite as _suite
 
 __all__ = [
     "run_plan_on_pool",
-    "run_suite_parallel",
     "strip_timing",
     "diff_payloads",
     "diff_main",
@@ -78,8 +77,9 @@ __all__ = [
 #: else in a cell is deterministic and must match across run modes.
 TIMING_CELL_KEYS = ("seconds",)
 
-#: Extras keys holding per-task wall-clock profiles.
-TIMING_EXTRAS_KEYS = ("task_costs",)
+#: Extras keys holding per-task wall-clock summaries.  The task count
+#: next to them (``tasks``) is fixed by the graph and is compared.
+TIMING_EXTRAS_KEYS = ("task_seconds",)
 
 #: Cell-level keys recording *which code served the cell* rather than what
 #: it computed.  The ``--semantic`` suite-diff drops these too: a static
@@ -251,7 +251,7 @@ def _submit_shard(
 
     Every pool task ships ``(plan, dataset, shard)`` by pickle; recording
     the bytes here (parent-side — worker deltas carry 0) is what makes
-    payload-bytes-per-task a measured quantity in the session bench.
+    payload-bytes-per-task a measured quantity in ``session.stats()``.
     """
     _counters.COUNTERS.record_payload(
         len(pickle.dumps((plan, dataset, shard)))
@@ -327,12 +327,11 @@ def run_plan_on_pool(
 ) -> Dict[str, object]:
     """Execute *plan*'s cells for one dataset on an existing pool.
 
-    This is the per-dataset body shared by :func:`run_suite_parallel`
-    (which owns a pool for the duration of one plan) and
-    :class:`~repro.platform.session.MiningSession` (whose *resident* pool
-    outlives any single plan).  Worker counter deltas are folded back into
-    this process's global block, so ``snapshot()`` around a parallel run
-    still reports true totals.  *worker_stats*, when given, additionally
+    :class:`~repro.platform.session.MiningSession` runs every pool plan
+    through here, on its *resident* pool, which outlives any single
+    plan.  Worker counter deltas are folded back into this process's
+    global block, so ``snapshot()`` around a parallel run still reports
+    true totals.  *worker_stats*, when given, additionally
     receives the run's per-PID cache-stats reports (the session feeds its
     own accumulator here so ``session.stats()`` sees pool-served plans).
     """
@@ -374,32 +373,6 @@ def run_plan_on_pool(
     )
 
 
-def run_suite_parallel(
-    plan, verbose: bool = False, pool: Optional[ProcessPoolExecutor] = None
-) -> List[Dict[str, object]]:
-    """Execute *plan* on a ``plan.workers``-process pool; one payload per
-    dataset, cell-for-cell identical to the sequential run up to timing.
-
-    With no *pool* argument, a pool is created once and reused across the
-    plan's datasets, so worker-side graph/cache state amortizes over the
-    whole plan.  Passing an existing executor (a session's resident pool)
-    skips pool creation entirely — worker state then amortizes across
-    *plans*, not just datasets.
-    """
-    plan.validate()
-    if pool is not None:
-        return [
-            run_plan_on_pool(pool, plan, dataset, verbose=verbose)
-            for dataset in plan.datasets
-        ]
-    ctx = _mp_context()
-    with ProcessPoolExecutor(max_workers=plan.workers, mp_context=ctx) as owned:
-        return [
-            run_plan_on_pool(owned, plan, dataset, verbose=verbose)
-            for dataset in plan.datasets
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Determinism diffing: strip timing, compare everything else byte-for-byte.
 # ---------------------------------------------------------------------------
@@ -412,13 +385,14 @@ def strip_timing(
 
     Keeps the dataset identity, the cross-check anchor, and every cell
     field except wall-clock measurements (``seconds`` and the
-    ``task_costs`` extras).  Execution mode, timing, the plan's execution
-    knobs, and the materialization stats (which legitimately differ
-    between one shared cache and per-worker caches) are dropped — two
-    runs of the same sweep must agree on *this* projection exactly,
-    whatever the schedule.  gms-suite/v1 payloads (no ``extras``, no
-    ``counters`` block) project cleanly too, so suite-diff can diagnose a
-    v1-vs-v2 pair instead of crashing on it.
+    ``task_seconds`` extras; the ``tasks`` count stays).  Execution mode,
+    timing, the plan's execution knobs, and the materialization stats
+    (which legitimately differ between one shared cache and per-worker
+    caches) are dropped — two runs of the same sweep must agree on
+    *this* projection exactly, whatever the schedule.  Older payloads
+    (v1: no ``extras``, no ``counters`` block) project cleanly too, so
+    suite-diff can diagnose a mixed-schema pair instead of crashing on
+    it.
 
     ``semantic=True`` additionally drops the provenance keys
     (``resolved_class``): the projection then states *what was computed*,

@@ -47,20 +47,6 @@ into the plan's parser, :meth:`~repro.platform.suite.ExperimentPlan.
 with_knobs`, which the suite CLI, the ``python -m repro serve`` REPL and
 the HTTP front door share.
 
-Migration notes
----------------
-* The ``run_suite`` shim is gone: hold a session and call
-  :meth:`MiningSession.run_plan` (``MiningSession.from_plan(plan)``
-  opens one with the plan's execution knobs).
-* ``Args`` no longer resolves a backend per graph: call
-  :func:`repro.platform.cli.resolve_set_class_for_graph`, or let the
-  session resolve and memoize backends.
-* Custom graphs must be added *before* the first parallel request: the
-  resident pool's workers receive the graph store once, when they start,
-  and can only self-load registry datasets afterwards.
-* The ``schedule`` and ``transport`` knobs are gone: a pool runs one
-  bounded dynamic dispatcher, and its workers inherit the warm state.
-
 Process pool
 ------------
 The pool's workers are forked from the session process, and the pool

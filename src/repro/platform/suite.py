@@ -41,12 +41,12 @@ Building blocks
     backends are cross-checked against the reference backend — any
     disagreement fails the run.
 
-Artifact schema (``results/suite_<dataset>.json``, ``gms-suite/v2``)
+Artifact schema (``results/suite_<dataset>.json``, ``gms-suite/v3``)
 --------------------------------------------------------------------
 One JSON object per dataset::
 
     {
-      "schema": "gms-suite/v2",
+      "schema": "gms-suite/v3",
       "dataset": str,          # registry name
       "num_nodes": int, "num_edges": int,
       "plan": {...},           # the ExperimentPlan, as parsed (includes
@@ -96,11 +96,17 @@ One JSON object per dataset::
           "set_ops": int, "point_ops": int,     # software counters
           "memory_traffic": int, "sketch_builds": int,
           "extras": {...},     # per-kernel work profile:
-                               #   bk        -> recursive_calls, task_costs
-                               #   kclique/4clique -> task_costs
+                               #   bk        -> recursive_calls + task profile
+                               #   kclique/4clique -> task profile
                                #   others    -> {}
-                               # task_costs are timings; everything else
-                               # in a cell except "seconds" is
+                               # task profile (task_profile()):
+                               #   "tasks": int  -- outer tasks: 4clique one
+                               #     per DAG arc (m), kclique/bk one per
+                               #     vertex (n); deterministic
+                               #   "task_seconds": {"sum", "max"} -- the
+                               #     summed and slowest task wall time
+                               # task_seconds and "seconds" are timings;
+                               # everything else in a cell is
                                # deterministic and shard-independent
           "reference": int,    # reference-backend value, same cell
           "rel_error": float,  # |value - reference| / max(reference, 1)
@@ -168,6 +174,7 @@ __all__ = [
     "resolve_ordering_name",
     "expand_cells",
     "run_cell",
+    "task_profile",
     "finalize_cells",
     "resolve_backend",
     "dataset_payload",
@@ -178,7 +185,9 @@ __all__ = [
 #: Artifact schema identifier, bumped on breaking layout changes.
 #: v2 (over v1): per-cell ``extras`` work profiles, payload-level merged
 #: ``counters``, and the ``execution`` measured-vs-modeled block.
-SCHEMA = "gms-suite/v2"
+#: v3 (over v2): the per-task ``task_costs`` list in ``extras`` becomes
+#: the :func:`task_profile` summary (``tasks`` + ``task_seconds``).
+SCHEMA = "gms-suite/v3"
 
 #: Reference backend for cross-checking and relative error (registry name).
 REFERENCE_BACKEND = "sorted"
@@ -191,7 +200,7 @@ class SuiteKernel:
     ``runner(graph, set_cls, ordering, plan, cache)`` returns the kernel's
     count under the given set representation — either a bare ``int`` or an
     ``(int, extras)`` pair, where ``extras`` is a JSON-ready work profile
-    (e.g. BK's ``recursive_calls``, kClist's per-task ``task_costs``)
+    (e.g. BK's ``recursive_calls``, kClist's :func:`task_profile`)
     folded into the cell schema.  ``uses_ordering=False`` kernels are run
     once per backend with the ordering column recorded as ``"-"``
     (re-running them per ordering would duplicate identical cells).
@@ -214,16 +223,29 @@ def _run_tc_merge(graph, set_cls, ordering, plan, cache):
     return triangle_count_rank_merge(graph, set_cls=set_cls, cache=cache)
 
 
+def task_profile(costs: Sequence[float]) -> Dict[str, object]:
+    """A cell's summary of per-task wall times: what the aggregate reads.
+
+    ``tasks`` is fixed by the graph; ``task_seconds`` holds the summed
+    and the slowest task time.  Kernel results keep the full list for
+    the modelled makespans.
+    """
+    return {
+        "tasks": len(costs),
+        "task_seconds": {"sum": sum(costs), "max": max(costs, default=0.0)},
+    }
+
+
 def _run_4clique(graph, set_cls, ordering, plan, cache):
     res = kclique_count(graph, 4, ordering, "edge", eps=plan.eps,
                         set_cls=set_cls, cache=cache)
-    return res.count, {"task_costs": list(res.task_costs)}
+    return res.count, task_profile(res.task_costs)
 
 
 def _run_kclique(graph, set_cls, ordering, plan, cache):
     res = kclique_count(graph, plan.k, ordering, "node", eps=plan.eps,
                         set_cls=set_cls, cache=cache)
-    return res.count, {"task_costs": list(res.task_costs)}
+    return res.count, task_profile(res.task_costs)
 
 
 def _run_kstar(graph, set_cls, ordering, plan, cache):
@@ -246,7 +268,7 @@ def _run_bk(graph, set_cls, ordering, plan, cache):
                             pivot_set_cls=set_cls, cache=cache)
     return res.num_cliques, {
         "recursive_calls": res.recursive_calls,
-        "task_costs": list(res.task_costs),
+        **task_profile(res.task_costs),
     }
 
 

@@ -26,6 +26,7 @@ import pytest
 
 import repro.platform.bench as bench
 from repro.platform.http import (
+    MAX_BODY_BYTES,
     AdmissionControl,
     MiningHTTPServer,
     TenantQuota,
@@ -128,6 +129,27 @@ class TestQueryEndpoint:
                {k: v for k, v in direct.items()
                 if k not in timing and k != "extras"}
 
+    def test_query_answer_carries_a_task_profile(self, server):
+        # A cell ships its task count and its summed and slowest task
+        # time, not one float per task: the 4clique answer on sc-ht-mini
+        # (one task per DAG arc, m = 1861) stays a few hundred bytes.
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+        try:
+            conn.request("POST", "/query", body=json.dumps(
+                {"kernel": "4clique", "dataset": "sc-ht-mini",
+                 "backend": "bitset", "ordering": "DGR"}))
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 200
+        extras = json.loads(body)["result"]["cell"]["extras"]
+        assert extras["tasks"] == 1861
+        assert set(extras["task_seconds"]) == {"sum", "max"}
+        assert "task_costs" not in extras
+        assert len(body) < 4096
+
     def test_variants_run_as_one_batch(self, server):
         status, payload, _ = _request(
             server.port, "POST", "/query",
@@ -186,6 +208,23 @@ class TestQueryEndpoint:
         assert b"Connection: close" in response
         assert b"Content-Length must be" in response
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_oversized_body_is_a_413_then_close(self, server, caplog):
+        request = (f"POST /query HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode()
+        with caplog.at_level(logging.ERROR), socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(4096):  # b"" once the server closes
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in response
+        assert f"exceeds {MAX_BODY_BYTES} bytes".encode() in response
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        # The server survives the refusal and keeps answering.
+        status, health, _ = _request(server.port, "GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
 
     def test_healthz_and_stats(self, server):
         status, health, _ = _request(server.port, "GET", "/healthz")
@@ -322,7 +361,7 @@ class TestSuiteJobs:
             assert progress["current_dataset"] is None
             (path,) = record["artifacts"]
             artifact = json.loads(open(path).read())
-            assert artifact["schema"] == "gms-suite/v2"
+            assert artifact["schema"] == "gms-suite/v3"
             assert artifact["dataset"] == "sc-ht-mini"
             # Job listing includes it.
             _, listing, _ = _request(server.port, "GET", "/jobs")

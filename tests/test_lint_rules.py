@@ -315,16 +315,65 @@ class TestGMS003ResourceLifecycle:
         """
         assert run(source, "src/repro/platform/fin.py", "GMS003") == []
 
-    def test_segment_exporter_tracked_too(self):
+    def test_pool_never_shut_down_flagged(self):
         source = """
-            from repro.platform.shm import SegmentExporter
+            from concurrent.futures import ProcessPoolExecutor
+            import concurrent.futures
 
-            def orphan_exporter():
-                exporter = SegmentExporter()
-                exporter.export_array(None)
+            def orphan_pool(tasks):
+                pool = ProcessPoolExecutor(max_workers=2)
+                return [pool.submit(task) for task in tasks]
+
+            def orphan_threads(fn):
+                threads = concurrent.futures.ThreadPoolExecutor(1)
+                return threads.submit(fn)
         """
         findings = run(source, "src/repro/platform/exp.py", "GMS003")
-        assert lines(findings) == [5]
+        assert lines(findings) == [6, 10]
+        assert "ProcessPoolExecutor" in findings[0].message
+        assert "ThreadPoolExecutor" in findings[1].message
+
+    def test_pool_under_with_passes(self):
+        source = """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def scoped(fn, items):
+                with ProcessPoolExecutor(max_workers=2) as pool:
+                    return list(pool.map(fn, items))
+        """
+        assert run(source, "src/repro/platform/pw.py", "GMS003") == []
+
+    def test_pool_shut_down_in_finally_passes(self):
+        source = """
+            from concurrent.futures import ThreadPoolExecutor
+
+            def careful(fn):
+                pool = ThreadPoolExecutor(max_workers=1)
+                try:
+                    return pool.submit(fn).result()
+                finally:
+                    pool.shutdown(wait=True)
+        """
+        assert run(source, "src/repro/platform/pf.py", "GMS003") == []
+
+    def test_pool_on_owner_with_close_passes(self):
+        source = """
+            from concurrent.futures import ProcessPoolExecutor
+
+            class Session:
+                def __init__(self):
+                    self._pool = None
+
+                def ensure_pool(self):
+                    if self._pool is None:
+                        self._pool = ProcessPoolExecutor(max_workers=2)
+                    return self._pool
+
+                def close(self):
+                    if self._pool is not None:
+                        self._pool.shutdown(wait=True)
+        """
+        assert run(source, "src/repro/platform/po.py", "GMS003") == []
 
     def test_inline_suppression_honored(self):
         source = """

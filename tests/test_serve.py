@@ -53,7 +53,7 @@ class TestServe:
         assert "Experiment suite" in out
         artifact = tmp_path / "suite_sc-ht-mini.json"
         assert artifact.exists()
-        assert json.loads(artifact.read_text())["schema"] == "gms-suite/v2"
+        assert json.loads(artifact.read_text())["schema"] == "gms-suite/v3"
         # The stats dump reflects the plan's traffic on the one session.
         stats = json.loads(out[out.index("{"):out.rindex("}") + 1])
         assert stats["plans"] == 1

@@ -22,6 +22,7 @@ from repro.platform.suite import (
     ExperimentPlan,
     plan_from_argv,
     register_suite_kernel,
+    task_profile,
 )
 
 SMOKE = ExperimentPlan.smoke()
@@ -87,7 +88,7 @@ class TestRunSuite:
             assert (kernel, backend) in seen
 
     def test_unified_schema_fields(self, smoke_payload):
-        assert smoke_payload["schema"] == "gms-suite/v2"
+        assert smoke_payload["schema"] == "gms-suite/v3"
         for field in ("dataset", "num_nodes", "num_edges", "plan",
                       "reference_backend", "materialization", "counters",
                       "execution", "cells"):
@@ -100,19 +101,35 @@ class TestRunSuite:
                 assert field in cell, field
 
     def test_per_kernel_extras(self, smoke_payload):
-        # BK cells expose the recursion size plus per-task costs, kClist
-        # cells the per-task costs, and the scalar kernels nothing — the
-        # work profiles the aggregate folds into distribution stats.
-        for cell in smoke_payload["cells"]:
+        # BK cells expose the recursion size plus a task profile, kClist
+        # cells the task profile, and the scalar kernels nothing — the
+        # work profiles the aggregate folds into distribution stats.  The
+        # task count is fixed by the graph on every backend, sketches
+        # included: one 4clique task per arc of the oriented DAG, one
+        # kclique or bk task per vertex.
+        plan = ExperimentPlan(kernels=("kclique",),
+                              set_classes=("bitset", "bloom"),
+                              orderings=("DGR",))
+        with MiningSession.from_plan(plan) as session:
+            (kclique,) = session.run_plan(plan)
+        n, m = smoke_payload["num_nodes"], smoke_payload["num_edges"]
+        cells = smoke_payload["cells"] + kclique["cells"]
+        assert {c["kernel"] for c in cells} == {"tc", "4clique", "kclique",
+                                                "bk"}
+        for cell in cells:
             extras = cell["extras"]
+            if cell["kernel"] == "tc":
+                assert extras == {}
+                continue
+            assert extras["tasks"] == (m if cell["kernel"] == "4clique"
+                                       else n), cell
+            seconds = extras["task_seconds"]
+            assert 0 < seconds["max"] <= seconds["sum"]
+            assert "task_costs" not in extras
             if cell["kernel"] == "bk":
                 assert extras["recursive_calls"] > 0
-                assert len(extras["task_costs"]) > 0
-            elif cell["kernel"] == "4clique":
-                assert len(extras["task_costs"]) > 0
+            else:
                 assert "recursive_calls" not in extras
-            elif cell["kernel"] == "tc":
-                assert extras == {}
 
     def test_payload_counters_merge_cell_deltas(self, smoke_payload):
         totals = smoke_payload["counters"]
@@ -206,7 +223,7 @@ class TestSuiteCommand:
         artifact = tmp_path / "suite_sc-ht-mini.json"
         assert artifact.exists()
         payload = json.loads(artifact.read_text())
-        assert payload["schema"] == "gms-suite/v2"
+        assert payload["schema"] == "gms-suite/v3"
         assert payload["cells"]
 
     def test_suite_listed_in_help(self, capsys):
@@ -272,7 +289,7 @@ class TestAggregate:
 
 def _synthetic_suite_artifact(dataset, workers, schedule, measured,
                               bk_calls, costs):
-    """A minimal gms-suite/v2 payload with known work profiles."""
+    """A minimal gms-suite/v2 payload with known per-task cost lists."""
     cell_seconds = [0.4, 0.1]
     modeled_makespan = 0.3 if workers > 1 else sum(cell_seconds)
     total = sum(cell_seconds)
@@ -322,22 +339,53 @@ def _synthetic_suite_artifact(dataset, workers, schedule, measured,
     }
 
 
-class TestAggregateWorkDistribution:
-    """The gms-suite/v2 extras folded over a synthetic artifact pair."""
+def _as_v3(payload):
+    """The gms-suite/v3 twin of a v2 payload: lists become task profiles."""
+    twin = json.loads(json.dumps(payload))
+    twin["schema"] = "gms-suite/v3"
+    for cell in twin["cells"]:
+        costs = cell["extras"].pop("task_costs", None)
+        if costs is not None:
+            cell["extras"].update(task_profile(costs))
+    return twin
 
-    @pytest.fixture
-    def results_dir(self, tmp_path):
-        seq = _synthetic_suite_artifact(
-            "alpha", 1, "sequential", 0.6,
-            bk_calls=100, costs=[0.3, 0.1, 0.1, 0.1],
-        )
-        par = _synthetic_suite_artifact(
-            "beta", 4, "static", 0.2,
-            bk_calls=40, costs=[0.2, 0.2],
-        )
-        (tmp_path / "suite_alpha.json").write_text(json.dumps(seq))
-        (tmp_path / "suite_beta.json").write_text(json.dumps(par))
-        return tmp_path
+
+def _write_artifact_pair(directory, v3):
+    seq = _synthetic_suite_artifact(
+        "alpha", 1, "sequential", 0.6,
+        bk_calls=100, costs=[0.3, 0.1, 0.1, 0.1],
+    )
+    par = _synthetic_suite_artifact(
+        "beta", 4, "static", 0.2,
+        bk_calls=40, costs=[0.2, 0.2],
+    )
+    for payload in (seq, par):
+        if v3:
+            payload = _as_v3(payload)
+        path = directory / f"suite_{payload['dataset']}.json"
+        path.write_text(json.dumps(payload))
+    return directory
+
+
+class TestAggregateWorkDistribution:
+    """The suite extras folded over a synthetic artifact pair, written
+    both as v2 task_costs lists and as their v3 task-profile twins."""
+
+    @pytest.fixture(params=["v2", "v3"])
+    def results_dir(self, request, tmp_path):
+        return _write_artifact_pair(tmp_path, v3=request.param == "v3")
+
+    def test_v2_lists_and_v3_profiles_fold_identically(self, tmp_path):
+        folded = {}
+        for schema in ("v2", "v3"):
+            directory = tmp_path / schema
+            directory.mkdir()
+            _write_artifact_pair(directory, v3=schema == "v3")
+            payload = aggregate_results(str(directory))
+            folded[schema] = payload["backends"]["sorted"]["per_kernel"]
+        for key in ("tasks", "cost_imbalance", "recursive_calls"):
+            assert folded["v2"]["bk"][key] == folded["v3"]["bk"][key], key
+        assert folded["v2"] == folded["v3"]
 
     def test_work_distribution_summary(self, results_dir):
         payload = aggregate_results(str(results_dir))

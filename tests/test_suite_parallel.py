@@ -95,9 +95,14 @@ class TestDeterminism:
         stripped = strip_timing(sequential_payload)
         for cell in stripped["cells"]:
             assert "seconds" not in cell
-            assert "task_costs" not in cell["extras"]
-        # Deterministic work profiles survive the projection.
-        bk = [c for c in stripped["cells"] if c["kernel"] == "bk"]
+            assert "task_seconds" not in cell["extras"]
+        # Deterministic work profiles survive the projection: the task
+        # count, which the graph fixes, and BK's recursion size.
+        profiled = [c for c in stripped["cells"]
+                    if c["kernel"] in ("4clique", "bk")]
+        assert profiled
+        assert all(c["extras"]["tasks"] > 0 for c in profiled)
+        bk = [c for c in profiled if c["kernel"] == "bk"]
         assert all(c["extras"]["recursive_calls"] > 0 for c in bk)
         # The projection is JSON-stable (what suite-diff compares).
         json.dumps(stripped)
@@ -264,15 +269,32 @@ class TestSuiteDiffCommand:
         b = tmp_path / "b.json"
         a.write_text(json.dumps(sequential_payload))
         slower = json.loads(json.dumps(sequential_payload))
+        scaled = 0
         for cell in slower["cells"]:
             cell["seconds"] *= 100
-            if "task_costs" in cell["extras"]:
-                cell["extras"]["task_costs"] = [
-                    c * 100 for c in cell["extras"]["task_costs"]
-                ]
+            if "task_seconds" in cell["extras"]:
+                seconds = cell["extras"]["task_seconds"]
+                seconds["sum"] *= 100
+                seconds["max"] *= 100
+                scaled += 1
+        assert scaled
         b.write_text(json.dumps(slower))
         assert main(["suite-diff", str(a), str(b)]) == 0
         capsys.readouterr()
+
+    def test_cli_catches_a_doctored_task_count(self, tmp_path, capsys,
+                                               sequential_payload):
+        # The task count is fixed by the graph, so it is part of every
+        # identity gate: one task fewer in one cell fails suite-diff.
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps(sequential_payload))
+        doctored = json.loads(json.dumps(sequential_payload))
+        cell = next(c for c in doctored["cells"] if c["kernel"] == "4clique")
+        cell["extras"]["tasks"] -= 1
+        b.write_text(json.dumps(doctored))
+        assert main(["suite-diff", str(a), str(b)]) == 1
+        assert "tasks" in capsys.readouterr().err
 
 
 class TestWorkersViaCli:
