@@ -75,7 +75,8 @@ def main() -> None:
         mat = payload["materialization"]
         print_table(
             f"{payload['dataset']}: {len(payload['cells'])} cells, "
-            f"{mat['misses']} materializations ({mat['hits']} cache hits)",
+            f"{mat['misses']} materializations in "
+            f"{1000 * mat['build_seconds']:.1f} ms ({mat['hits']} cache hits)",
             ["kernel", "order", "backend", "exact", "value", "rel err",
              "ms"],
             [
@@ -100,16 +101,12 @@ def main() -> None:
     # 5. The same plan through the process-pool runtime, with the
     #    per-worker MaterializationCache bounded to 16 MiB.  The artifact
     #    must agree with the sequential run on every deterministic field
-    #    (suite-diff's check) — only the timing differs.  Caveat: that
-    #    identity is guaranteed as long as the budget keeps every cell's
-    #    materializations resident through its metered passes (under a
-    #    too-tight budget a metered pass rebuilds what was evicted,
-    #    folding re-materialization work into that cell's counters), so
-    #    check evictions before diffing.
+    #    (suite-diff's check) — only the timing differs.  That holds
+    #    under any budget: a pass that rebuilds what was evicted has the
+    #    rebuild, metered by the cache, taken out of its cell.
     with MiningSession(workers=2,
                        cache_budget_bytes=16 << 20) as pool_session:
         parallel = pool_session.run_plan(plan)[0]
-    assert parallel["materialization"]["evictions"] == 0
     assert diff_payloads(payloads[0], parallel) == []
     execution = parallel["execution"]
     modeled = execution["modeled"][execution["schedule"]]

@@ -29,6 +29,13 @@ _WORD_BITS = 64
 #: Python instead of unpacking the bitvector with numpy (the two cost the
 #: same at ~20-30 members on a 1,400-bit universe).
 _SPARSE_MEMBERS = 16
+#: Scratch bytes :meth:`BitSet.from_csr` spends per arc: its int64 byte
+#: index, the int64 temporaries that compute it, and its uint8 bit.
+_ARC_SCRATCH_BYTES = 24
+#: Memory one :meth:`BitSet.from_csr` chunk may use: its byte buffer plus
+#: its arcs' scratch.  A bulk build then peaks at the finished bitsets
+#: plus about one chunk, where one unchunked buffer would double it.
+_CHUNK_BYTES = 4 << 20
 
 
 class BitSet(SetBase):
@@ -61,6 +68,54 @@ class BitSet(SetBase):
         buf = np.zeros(nbytes, dtype=np.uint8)
         np.bitwise_or.at(buf, arr >> 3, np.left_shift(1, arr & 7).astype(np.uint8))
         return cls(int.from_bytes(buf.tobytes(), "little"))
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, targets: np.ndarray) -> list:
+        # Bulk construction, chunk by chunk of vertices: one vectorized
+        # sortedness check, one scatter of every arc's bit into a shared
+        # byte buffer, then one int.from_bytes per vertex over its slice.
+        # Each bitvector spans (max >> 3) + 1 bytes, as in
+        # from_sorted_array, so both build the same integers.
+        offsets = np.asarray(offsets, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        counts = np.diff(offsets)
+        nbytes = np.zeros(len(counts), dtype=np.int64)
+        filled = counts > 0
+        nbytes[filled] = (targets[offsets[1:][filled] - 1] >> 3) + 1
+        spent = np.cumsum(nbytes + _ARC_SCRATCH_BYTES * counts)
+        sets: list = []
+        start = 0
+        while start < len(counts):
+            budget = _CHUNK_BYTES + (spent[start - 1] if start else 0)
+            stop = max(int(np.searchsorted(spent, budget, "right")),
+                       start + 1)
+            sets += cls._from_csr_chunk(offsets[start:stop + 1], targets,
+                                        nbytes[start:stop])
+            start = stop
+        return sets
+
+    @classmethod
+    def _from_csr_chunk(cls, offsets: np.ndarray, targets: np.ndarray,
+                        nbytes: np.ndarray) -> list:
+        arcs = targets[offsets[0]:offsets[-1]]
+        local = offsets - offsets[0]
+        # Pairs that straddle two neighborhoods need not rise; any other
+        # fall takes the per-vertex validate-or-sort path.
+        rising = arcs[1:] > arcs[:-1]
+        bounds = local[1:-1]
+        rising[bounds[(bounds > 0) & (bounds < len(arcs))] - 1] = True
+        if not rising.all():
+            return super().from_csr(local, arcs)
+        ends = np.cumsum(nbytes)
+        starts = ends - nbytes
+        buf = np.zeros(int(ends[-1]), dtype=np.uint8)
+        index = np.repeat(starts, np.diff(local))
+        index += arcs >> 3
+        np.bitwise_or.at(buf, index, np.left_shift(
+            np.uint8(1), (arcs & 7).astype(np.uint8)))
+        view = memoryview(buf)
+        return [cls(int.from_bytes(view[a:b], "little"))
+                for a, b in zip(starts.tolist(), ends.tolist())]
 
     @classmethod
     def range(cls, bound: int) -> "BitSet":

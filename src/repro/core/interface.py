@@ -27,6 +27,8 @@ Listing 1 (C++)              This module
 ``operator==`` / ``!=``      :meth:`SetBase.__eq__`
 (SISA extension)             :meth:`SetBase.intersect_count_many`: one
                              bulk instruction, ``Σ_v |A ∩ N(v)|``
+(SISA extension)             :meth:`SetBase.from_csr`: every
+                             neighborhood of a CSR graph in one call
 ===========================  =============================================
 
 Set elements are vertex IDs, i.e. non-negative integers (``GMS::NodeId``).
@@ -82,6 +84,20 @@ class SetBase(ABC):
         :meth:`from_iterable`.
         """
         return cls.from_iterable(array)
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, targets: np.ndarray) -> list:
+        """Build one set per ``targets[offsets[v]:offsets[v + 1]]``.
+
+        The bulk form of :meth:`from_sorted_array` that materializing a
+        :class:`~repro.graph.set_graph.SetGraph` calls: every
+        neighborhood of a CSR graph (or of its oriented DAG) at once.
+        The default is the per-vertex loop; a backend's fast path must
+        build exactly the sets that loop builds.
+        """
+        build = cls.from_sorted_array
+        return [build(targets[offsets[v]:offsets[v + 1]])
+                for v in range(len(offsets) - 1)]
 
     @classmethod
     def empty(cls) -> "SetBase":

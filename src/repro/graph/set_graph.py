@@ -11,23 +11,31 @@ the two materialization services the unified mining pipeline is built on:
 
 * :func:`build_oriented_set_graph` — the ``dir(G)`` step (Listing 7) fused
   with representation conversion: the arc filter ``η(v) < η(u)`` and the
-  per-vertex set construction run in one pass, without materializing an
+  set construction run back to back, without materializing an
   intermediate oriented CSR graph.
 * :class:`MaterializationCache` — memoizes orderings and (graph, backend,
   ordering) materializations, so an experiment-suite run converts each
-  combination exactly once no matter how many kernels consume it.
+  combination exactly once no matter how many kernels consume it, and
+  meters the builds it performs.
   Neighborhood sets handed out by the cache are **shared and read-only by
   contract**: kernels must clone (or ``intersect`` into fresh sets) before
   mutating.
+
+:func:`build_set_graph` and :func:`build_oriented_set_graph` each convert
+every neighborhood with one bulk
+:meth:`~repro.core.interface.SetBase.from_csr` call.
 """
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from ..core import counters as _counters
+from ..core.counters import Snapshot
 from ..core.interface import SetBase
 from ..core.roaring import RoaringSet
 from .csr import CSRGraph
@@ -146,13 +154,13 @@ def build_set_graph(graph: CSRGraph, set_cls: Type[SetBase]) -> SetGraph:
     """Materialize a :class:`SetGraph` from a CSR graph.
 
     This is the representation-construction step whose peak memory the
-    paper's section 8.9 analysis measures (CSR neighborhoods are converted
-    one by one, so the CSR source plus the growing set graph are co-resident).
+    paper's section 8.9 analysis measures: one bulk
+    :meth:`~repro.core.interface.SetBase.from_csr` call, so the CSR source,
+    the growing set graph and the backend's construction scratch (one
+    bounded chunk for ``BitSet``) are co-resident.
     """
-    neighborhoods = [
-        set_cls.from_sorted_array(graph.out_neigh(v)) for v in graph.vertices()
-    ]
-    return SetGraph(neighborhoods, set_cls, directed=graph.directed)
+    return SetGraph(set_cls.from_csr(graph.offsets, graph.adjacency),
+                    set_cls, directed=graph.directed)
 
 
 def build_oriented_set_graph(
@@ -164,17 +172,15 @@ def build_oriented_set_graph(
     ``η(v) < η(u)``, ties broken by vertex ID — the shared
     :func:`~repro.graph.transforms.oriented_arcs` rule) with the
     representation conversion: the surviving out-neighborhoods are
-    converted straight into ``set_cls`` sets — no intermediate oriented
-    ``CSRGraph`` is allocated.
+    converted straight into ``set_cls`` sets by one bulk
+    :meth:`~repro.core.interface.SetBase.from_csr` call — no intermediate
+    oriented ``CSRGraph`` is allocated.
     """
     from .transforms import oriented_arcs
 
     offsets, arcs_dst = oriented_arcs(graph, rank)
-    neighborhoods = [
-        set_cls.from_sorted_array(arcs_dst[offsets[v] : offsets[v + 1]])
-        for v in range(graph.num_nodes)
-    ]
-    return SetGraph(neighborhoods, set_cls, directed=True)
+    return SetGraph(set_cls.from_csr(offsets, arcs_dst), set_cls,
+                    directed=True)
 
 
 def _picklable_by_reference(cls: type) -> bool:
@@ -230,6 +236,16 @@ class MaterializationCache:
     read-only** — kernels must not mutate its neighborhood sets.
     ``hits``/``misses``/``evictions`` meter the materialization savings
     (and churn) and are reported in the suite artifact.
+
+    Every miss is one build — a ``compute_ordering``,
+    :func:`build_set_graph` or :func:`build_oriented_set_graph` call,
+    looked up through its module at call time — and the cache meters it:
+    ``build_seconds`` and ``build_counters`` (a counter
+    :class:`~repro.core.counters.Snapshot`) total the wall time and the
+    set-algebra counters of every build so far.  That is what lets
+    :func:`~repro.platform.suite.run_cell` keep a pass that had to
+    materialize, with the builds taken out of it.  A hit costs nothing
+    extra.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
@@ -247,6 +263,8 @@ class MaterializationCache:
         self.insertions = 0
         self.evictions = 0
         self.resident_bytes = 0
+        self.build_seconds = 0.0
+        self.build_counters = Snapshot.zero()
 
     def _key(self, graph: CSRGraph) -> int:
         self._pinned[id(graph)] = graph
@@ -273,6 +291,17 @@ class MaterializationCache:
             del self._orderings[key]
         self._pinned.pop(graph_id, None)
 
+    def _build(self, build: Callable, *args, **kwargs):
+        """One miss: run *build*, adding its wall time and counter delta
+        to the build totals."""
+        self.misses += 1
+        before = _counters.snapshot()
+        t0 = time.perf_counter()
+        result = build(*args, **kwargs)
+        self.build_seconds += time.perf_counter() - t0
+        self.build_counters += before.delta(_counters.snapshot())
+        return result
+
     def _insert(self, key: tuple, sg: SetGraph) -> None:
         """Insert *sg* as most-recently-used, then evict LRU-first to fit."""
         size = sg.storage_bytes()
@@ -296,8 +325,7 @@ class MaterializationCache:
             return self._orderings[key]
         from ..preprocess.ordering import compute_ordering
 
-        self.misses += 1
-        result = compute_ordering(graph, name, **kwargs)
+        result = self._build(compute_ordering, graph, name, **kwargs)
         self._orderings[key] = result
         return result
 
@@ -307,8 +335,7 @@ class MaterializationCache:
         cached = self._lookup(key)
         if cached is not None:
             return cached
-        self.misses += 1
-        sg = build_set_graph(graph, set_cls)
+        sg = self._build(build_set_graph, graph, set_cls)
         self._insert(key, sg)
         return sg
 
@@ -322,8 +349,8 @@ class MaterializationCache:
         cached = self._lookup(key)
         if cached is not None:
             return order_res, cached
-        self.misses += 1
-        dag = build_oriented_set_graph(graph, order_res.rank, set_cls)
+        dag = self._build(build_oriented_set_graph, graph, order_res.rank,
+                          set_cls)
         self._insert(key, dag)
         return order_res, dag
 
@@ -374,15 +401,18 @@ class MaterializationCache:
 
     #: The monotone event counters in :meth:`stats` (deltas make sense);
     #: the remaining fields are instantaneous gauges.
-    MONOTONE_STATS = ("hits", "misses", "insertions", "evictions")
+    MONOTONE_STATS = ("hits", "misses", "insertions", "evictions",
+                      "build_seconds")
 
     def stats(self) -> Dict[str, object]:
-        """Hit/miss/eviction/entry/byte counts for the suite artifact."""
+        """Hit/miss/eviction/entry/byte counts, and the measured build
+        seconds, for the suite artifact."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "insertions": self.insertions,
             "evictions": self.evictions,
+            "build_seconds": self.build_seconds,
             "orderings": len(self._orderings),
             "set_graphs": self._count("set_graph"),
             "oriented": self._count("oriented"),
@@ -416,3 +446,5 @@ class MaterializationCache:
         self.insertions = 0
         self.evictions = 0
         self.resident_bytes = 0
+        self.build_seconds = 0.0
+        self.build_counters = Snapshot.zero()

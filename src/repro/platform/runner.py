@@ -4,7 +4,7 @@ A sequential session executes every cell of the kernel × backend ×
 ordering matrix in-process; this module is the real-parallel runtime
 behind ``plan.workers > 1`` (CLI: ``python -m repro suite --workers N``).
 It closes the loop the paper draws between *modeled* and *measured*
-parallel speedups: the very same per-cell warm kernel times that feed
+parallel speedups: the very same per-cell kernel times that feed
 :func:`repro.runtime.scheduler.simulate_makespan` are produced by a run
 whose wall clock is recorded next to the model's prediction (the
 artifact's ``execution`` block).
@@ -196,8 +196,8 @@ def _run_shard(
 
     Returns the finished cells (keyed by their canonical index), the
     worker's counter delta for the shard (the metered kernel passes
-    *plus* any materialization and the unmetered pass that paid it —
-    what the shard really cost this process),
+    *plus* any builds the worker's cache performed, which the cells
+    leave out — what the shard really cost this process),
     per-cell counter deltas (``cell_counters``, telescoping between cell
     boundaries, so their sum equals the shard delta exactly and the first
     cell absorbs any shared materialization cost — what lets a batched
@@ -286,9 +286,11 @@ def _dispatch_cells(
 
 
 #: Cache-stat fields that are deltas per shard report (summed when a
-#: worker reports several shards); the rest are instantaneous gauges
-#: where the latest report per worker wins.
+#: worker reports several shards), and the instantaneous gauges, where
+#: the latest report per worker wins.
 _DELTA_CACHE_FIELDS = MaterializationCache.MONOTONE_STATS
+_GAUGE_CACHE_FIELDS = ("orderings", "set_graphs", "oriented",
+                       "resident_bytes")
 
 
 def accumulate_cache_stats(
@@ -302,7 +304,7 @@ def accumulate_cache_stats(
         return
     for field in _DELTA_CACHE_FIELDS:
         acc[field] += report[field]
-    for field in ("orderings", "set_graphs", "oriented", "resident_bytes"):
+    for field in _GAUGE_CACHE_FIELDS:
         acc[field] = report[field]
 
 
@@ -312,9 +314,7 @@ def _merge_cache_stats(
     """Sum the pool's accumulated per-process cache stats."""
     merged = {
         field: sum(stats[field] for stats in per_pid.values())
-        for field in ("hits", "misses", "insertions", "evictions",
-                      "orderings", "set_graphs", "oriented",
-                      "resident_bytes")
+        for field in _DELTA_CACHE_FIELDS + _GAUGE_CACHE_FIELDS
     }
     merged["budget_bytes"] = budget_bytes
     merged["workers"] = len(per_pid)

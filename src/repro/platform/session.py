@@ -119,13 +119,13 @@ def _plan_shard_key(plan: ExperimentPlan) -> tuple:
 class QueryResult:
     """One answered query.
 
-    ``seconds`` is the warm best-of-repeats kernel time (the suite cell
-    metric); ``wall_seconds`` is the end-to-end latency the session
-    observed for this request, *including* any materialization and the
-    unmetered pass that paid it — the number the cold-vs-warm comparison
-    is about.  ``counters`` is the query's set-algebra delta over every
-    pass it ran (a warm query runs only its metered passes, so with one
-    repeat they equal its cell's counters), and
+    ``seconds`` is the best-of-repeats kernel time (the suite cell
+    metric, which leaves out the builds the cache metered); ``wall_seconds``
+    is the end-to-end latency the session observed for this request,
+    *including* any materialization — the number the cold-vs-warm
+    comparison is about.  ``counters`` is the query's set-algebra delta
+    over everything it ran, builds included (a warm query builds
+    nothing, so with one repeat they equal its cell's counters), and
     ``cache_hits``/``cache_misses`` the session-cache delta (in-process
     queries only; pool-served queries hit worker-local caches instead,
     visible in :meth:`MiningSession.stats`).
@@ -727,7 +727,7 @@ class MiningSession:
         counters = self.counters
         worker_stats = {
             field_: sum(s[field_] for s in self._worker_cache_stats.values())
-            for field_ in ("hits", "misses", "evictions")
+            for field_ in ("hits", "misses", "evictions", "build_seconds")
         } if self._worker_cache_stats else None
         return {
             "cache": self.cache.stats(),

@@ -52,11 +52,13 @@ One JSON object per dataset::
       "plan": {...},           # the ExperimentPlan, as parsed (includes
                                # workers / cache_budget_bytes)
       "reference_backend": "sorted",
-      "materialization": {hits, misses, evictions, orderings, set_graphs,
+      "materialization": {hits, misses, insertions, evictions,
+                          build_seconds, orderings, set_graphs,
                           oriented, resident_bytes, budget_bytes},
                                # THIS run's cache deltas (hit/miss/
-                               # insertion/eviction counters since the
-                               # run started; entry/byte gauges
+                               # insertion/eviction counters and the
+                               # measured wall seconds of the builds
+                               # since the run started; entry/byte gauges
                                # instantaneous) — a warm re-run on a
                                # long-lived session/pool shows hits
                                # without inheriting earlier runs' counts.
@@ -70,7 +72,7 @@ One JSON object per dataset::
         "workers": int,        # pool size (1 = sequential)
         "schedule": str,       # "sequential" | "dynamic"
         "measured_seconds": float,   # wall clock of the cell loop / pool
-        "cells_seconds_total": float,# sum of warm per-cell kernel times
+        "cells_seconds_total": float,# sum of per-cell kernel times
         "measured_speedup": float,   # cells_seconds_total / measured
         "modeled": {           # runtime/scheduler.py makespan model at
                                # this worker count, one entry per policy
@@ -88,11 +90,11 @@ One JSON object per dataset::
           "resolved_class": str,  # budget-resolved class actually run
           "exact": bool,       # cls.IS_EXACT
           "value": int,        # kernel output (count)
-          "seconds": float,    # best-of-repeats *warm* kernel wall time
-                               # (a first pass that had to materialize
-                               # is discarded unmetered; materialization
-                               # cost shows up in "materialization" and
-                               # the execution block, not here)
+          "seconds": float,    # best-of-repeats kernel wall time (the
+                               # cache meters its builds and they are
+                               # kept out of the cell, seconds and
+                               # counters alike; materialization cost
+                               # shows up in "materialization", not here)
           "set_ops": int, "point_ops": int,     # software counters
           "memory_traffic": int, "sketch_builds": int,
           "extras": {...},     # per-kernel work profile:
@@ -558,12 +560,24 @@ def _normalize_result(raw: object) -> Tuple[int, Dict[str, object]]:
 
 
 def _kernel_pass(graph, set_cls, kernel, ordering, plan, cache):
-    """One kernel pass: ``(wall seconds, counter delta, raw result)``."""
+    """One kernel pass: ``(wall seconds, counter delta, raw result)``.
+
+    The builds the cache performed during the pass (each miss is one
+    metered build) are taken out of both the seconds and the counters,
+    so a pass that had to materialize meters the same kernel work as a
+    warm one.
+    """
+    misses = cache.misses
+    build_seconds, built = cache.build_seconds, cache.build_counters
     before = _counters.snapshot()
     t0 = time.perf_counter()
     raw = kernel.runner(graph, set_cls, ordering, plan, cache)
     elapsed = time.perf_counter() - t0
-    return elapsed, before.delta(_counters.snapshot()), raw
+    delta = before.delta(_counters.snapshot())
+    if cache.misses != misses:
+        elapsed -= cache.build_seconds - build_seconds
+        delta = built.delta(cache.build_counters).delta(delta)
+    return elapsed, delta, raw
 
 
 def run_cell(
@@ -580,23 +594,17 @@ def run_cell(
     A metered pass must meter the *kernel*, not whichever cell happened
     to pay the one-time materialization — otherwise the reference
     backend (which runs first) would absorb the ordering cost and every
-    later backend's speedup would be inflated.  So the first pass is
-    kept only if ``cache.misses`` did not move during it: on a warm
-    cache it is the first metered pass, and the cell runs its kernel
-    ``plan.repeats`` times.  A first pass that had to materialize is
-    discarded as the warm-up, and ``plan.repeats`` metered passes
-    follow.  At most one pass is discarded, so a cache too small to keep
-    the cell's entries still stops after ``1 + plan.repeats`` passes.
+    later backend's speedup would be inflated.  The cache meters the
+    builds it performs and :func:`_kernel_pass` takes them out of the
+    pass they ran in, so every pass is kept: cold or warm, and under any
+    cache budget, the cell runs its kernel exactly ``plan.repeats``
+    times and equals a warm cell up to timing.  The materialization
+    cost shows up in the cache's stats (``build_seconds``), not here.
     ``reference``/``rel_error`` are filled in later by
     :func:`finalize_cells`, once the reference cells are known.
     """
-    misses = cache.misses
-    passes = [_kernel_pass(graph, set_cls, kernel, ordering, plan, cache)]
-    if cache.misses != misses:
-        passes.clear()  # it paid materialization: the warm-up
-    while len(passes) < plan.repeats:
-        passes.append(
-            _kernel_pass(graph, set_cls, kernel, ordering, plan, cache))
+    passes = [_kernel_pass(graph, set_cls, kernel, ordering, plan, cache)
+              for _ in range(plan.repeats)]
     _, delta, raw = passes[-1]
     value, extras = _normalize_result(raw)
     return {
@@ -714,7 +722,8 @@ def _print_payload(payload: Dict[str, object]) -> None:
     print_table(
         f"Experiment suite — {payload['dataset']} "
         f"(n={payload['num_nodes']:,}, m={payload['num_edges']:,}; "
-        f"materializations {mat['misses']}, cache hits {mat['hits']}; "
+        f"materializations {mat['misses']} "
+        f"({1000 * mat['build_seconds']:.1f} ms), cache hits {mat['hits']}; "
         f"{execution['schedule']} × {execution['workers']} worker(s))",
         ["kernel", "order", "backend", "exact", "value", "rel err",
          "time", "set ops"],

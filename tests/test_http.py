@@ -234,6 +234,8 @@ class TestQueryEndpoint:
         status, stats, _ = _request(server.port, "GET", "/stats")
         assert status == 200
         assert stats["session"]["queries"] > 0
+        # The session cache's measured materialize layer.
+        assert stats["session"]["cache"]["build_seconds"] > 0
         assert stats["admission"]["admitted"] > 0
         assert stats["admission"]["rejected"] == 0
         assert stats["tenants"]["public"]["usage"]["queries"] > 0

@@ -30,7 +30,12 @@ import numpy as np
 import pytest
 
 from repro.core import BitSet, SortedSet
-from repro.core.counters import COUNTERS, reset as reset_counters, snapshot
+from repro.core.counters import (
+    COUNTERS,
+    Snapshot,
+    reset as reset_counters,
+    snapshot,
+)
 from repro.graph import (
     MaterializationCache,
     build_oriented_set_graph,
@@ -261,9 +266,11 @@ class TestMaterializationCache:
         cache.clear()
         stats = cache.stats()
         assert stats == {"hits": 0, "misses": 0, "insertions": 0,
-                         "evictions": 0, "orderings": 0, "set_graphs": 0,
+                         "evictions": 0, "build_seconds": 0.0,
+                         "orderings": 0, "set_graphs": 0,
                          "oriented": 0, "resident_bytes": 0,
                          "budget_bytes": None}
+        assert cache.build_counters == Snapshot.zero()
 
 
 class TestIncrementalPivotSketch:

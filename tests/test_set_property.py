@@ -16,14 +16,19 @@ one-sided guarantees instead:
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSet, SortedSet
+from repro.core import BitSet, SortedSet, bit_set
 from repro.core.counters import snapshot
 from repro.core.registry import registered_set_classes
-from repro.graph import SetGraph
+from repro.graph import SetGraph, build_oriented_set_graph, build_undirected
+from repro.graph.generators import holme_kim
+from repro.graph.transforms import oriented_arcs
 
 CLASSES = registered_set_classes()
 EXACT_CLASSES = [cls for cls in CLASSES if cls.IS_EXACT]
@@ -268,3 +273,102 @@ def test_intersect_count_many_equals_per_op_loop(neighborhoods, receiver,
         if receiver_cls.IS_EXACT and graph_cls.IS_EXACT:
             assert bulk == sum(len(set(receiver) & set(neighborhoods[v]))
                                for v in vertices), name
+
+
+# BitSet.from_csr builds every neighborhood of a CSR graph in bulk; it
+# must build exactly the integers the per-vertex from_sorted_array loop
+# builds, whatever the chunking, and fall back to that loop's
+# validate-or-sort result when a neighborhood is not strictly increasing.
+def _per_vertex_bits(offsets, targets):
+    return [BitSet.from_sorted_array(targets[offsets[v]:offsets[v + 1]])._bits
+            for v in range(len(offsets) - 1)]
+
+
+def _csr(neighborhoods):
+    offsets = np.zeros(len(neighborhoods) + 1, dtype=np.int64)
+    np.cumsum([len(nb) for nb in neighborhoods], out=offsets[1:])
+    targets = np.array([x for nb in neighborhoods for x in nb],
+                       dtype=np.int64)
+    return offsets, targets
+
+
+@st.composite
+def csr_neighborhoods(draw):
+    """Neighborhoods over ``0..top``: mostly sorted-unique (the CSR
+    contract), some left unsorted or duplicated."""
+    top = draw(st.integers(min_value=0, max_value=700))
+    vertex = st.integers(min_value=0, max_value=top)
+    neighborhoods = draw(st.lists(st.lists(vertex, max_size=20),
+                                  min_size=1, max_size=12))
+    return [nb if draw(st.integers(0, 4)) == 0 else sorted(set(nb))
+            for nb in neighborhoods]
+
+
+@settings(max_examples=80, deadline=None)
+@given(neighborhoods=csr_neighborhoods(),
+       chunk=st.sampled_from([1, 64, 4 << 20]))
+@example(neighborhoods=[[], [0, 9, 700], [], [700], []], chunk=1)
+@example(neighborhoods=[[0], [5, 3], [2, 2, 7], [0, 700]], chunk=4 << 20)
+@example(neighborhoods=[[], []], chunk=64)
+def test_bitset_from_csr_equals_per_vertex(neighborhoods, chunk):
+    offsets, targets = _csr(neighborhoods)
+    with mock.patch.object(bit_set, "_CHUNK_BYTES", chunk):
+        bulk = BitSet.from_csr(offsets, targets)
+    assert all(type(s) is BitSet for s in bulk)
+    assert [s._bits for s in bulk] == _per_vertex_bits(offsets, targets)
+    assert [set(s) for s in bulk] == [set(nb) for nb in neighborhoods]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=60),
+       edges=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                      max_size=200),
+       seed=st.integers(0, 3),
+       chunk=st.sampled_from([1, 64, 4 << 20]))
+def test_bitset_from_csr_on_oriented_arcs(n, edges, seed, chunk):
+    graph = build_undirected(n, [(u % n, v % n) for u, v in edges])
+    rank = np.random.default_rng(seed).permutation(n)
+    offsets, targets = oriented_arcs(graph, rank)
+    with mock.patch.object(bit_set, "_CHUNK_BYTES", chunk):
+        bulk = BitSet.from_csr(offsets, targets)
+        dag = build_oriented_set_graph(graph, rank, BitSet)
+    expected = _per_vertex_bits(offsets, targets)
+    assert [s._bits for s in bulk] == expected
+    assert [s._bits for s in dag.neighborhoods] == expected
+
+
+def test_bitset_from_csr_spans_several_chunks(monkeypatch):
+    chunks = []
+    build_chunk = BitSet._from_csr_chunk.__func__
+
+    def counted(cls, *args):
+        chunks.append(1)
+        return build_chunk(cls, *args)
+
+    monkeypatch.setattr(BitSet, "_from_csr_chunk", classmethod(counted))
+    monkeypatch.setattr(bit_set, "_CHUNK_BYTES", 2048)
+    graph = holme_kim(400, 4, 0.5, seed=3)
+    bulk = BitSet.from_csr(graph.offsets, graph.adjacency)
+    assert len(chunks) > 10
+    assert [s._bits for s in bulk] == _per_vertex_bits(graph.offsets,
+                                                       graph.adjacency)
+
+
+def test_bitset_from_csr_peak_memory_is_final_size_plus_one_chunk(
+        monkeypatch):
+    # A single buffer for the whole graph would double the peak (the
+    # bytes plus the integers built from them); chunks bound the extra.
+    chunk = 256 << 10
+    monkeypatch.setattr(bit_set, "_CHUNK_BYTES", chunk)
+    graph = holme_kim(4000, 5, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sets = BitSet.from_csr(graph.offsets, graph.adjacency)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == graph.num_nodes
+    assert final > 4 * chunk  # the bound below is a real constraint
+    slack = (64 << 10) + 32 * graph.num_nodes
+    assert peak <= final + chunk + slack, (peak, final)

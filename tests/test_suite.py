@@ -10,12 +10,14 @@ per-backend speed-vs-accuracy folding of both artifact families.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from repro.__main__ import main
 from repro.platform.aggregate import aggregate_results
+from repro.platform.runner import diff_payloads
 from repro.platform.session import MiningSession
 from repro.platform.suite import (
     SUITE_KERNELS,
@@ -189,6 +191,25 @@ class TestRunSuite:
         # 3 kernels × 3 backends × 2 orderings would be 18 oriented
         # materializations without the cache; sharing must cut that down.
         assert stats["oriented"] < 18
+
+    def test_cache_budget_does_not_change_the_artifact(self, smoke_payload):
+        # A 1-byte budget keeps nothing, so every pass rebuilds what it
+        # reads; the cache meters those builds apart from the cells, so
+        # the artifact still equals the unbounded one up to timing.
+        plan = replace(SMOKE, cache_budget_bytes=1)
+        with MiningSession.from_plan(plan) as session:
+            tight = session.run_plan(plan)[0]
+        assert tight["materialization"]["evictions"] > 0
+        assert diff_payloads(smoke_payload, tight) == []
+
+    def test_materialization_reports_measured_build_seconds(self):
+        with MiningSession.from_plan(SMOKE) as session:
+            cold = session.run_plan(SMOKE)[0]["materialization"]
+            warm = session.run_plan(SMOKE)[0]["materialization"]
+            cache = session.stats()["cache"]
+        assert cold["build_seconds"] > 0
+        assert warm["build_seconds"] == 0.0 and warm["misses"] == 0
+        assert cache["build_seconds"] == cold["build_seconds"]
 
     def test_custom_kernel_joins_the_sweep(self):
         def _edges(graph, set_cls, ordering, plan, cache):

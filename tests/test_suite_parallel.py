@@ -139,6 +139,7 @@ class TestParallelExecutionBlock:
         mat = parallel_payload["materialization"]
         assert mat["workers"] >= 2  # the pool really fanned out
         assert mat["hits"] + mat["misses"] > 0
+        assert mat["build_seconds"] > 0  # summed over the workers
         assert mat["evictions"] == 0  # unbounded budget in this plan
         assert mat["budget_bytes"] is None
 
