@@ -36,12 +36,12 @@ from ..resolve import dotted_name
 
 #: Methods of the SetBase surface that touch member storage and must
 #: account (bulk family + point family + the Listing-1 overloads + the
-#: SISA bulk instruction).
+#: SISA bulk instructions).
 OP_METHODS = frozenset({
     "intersect", "union", "diff",
     "intersect_count", "union_count", "diff_count",
     "intersect_inplace", "union_inplace", "diff_inplace",
-    "intersect_assign", "intersect_count_many",
+    "intersect_assign", "intersect_count_many", "intersect_count_argmax",
     "diff_element", "union_element",
     "contains", "add", "remove",
 })

@@ -148,12 +148,11 @@ class BitSet(SetBase):
         # One loop of big-int ANDs over a SetGraph of BitSets, with
         # |graph[v]| read from its cardinalities, accounted once for the
         # whole call: exactly what len(vertices) intersect_count calls
-        # record.  Any other graph takes the per-operation default.
-        if getattr(graph, "set_cls", None) is not BitSet:
-            return super().intersect_count_many(graph, vertices)
+        # record.  Any other receiver or graph takes the default.
         n = len(vertices)
-        if n == 0:
-            return 0
+        if (n == 0 or type(self) is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            return super().intersect_count_many(graph, vertices)
         neighborhoods = graph.neighborhoods
         cardinalities = graph.cardinalities
         a_bits = self._bits
@@ -165,9 +164,35 @@ class BitSet(SetBase):
             words += (b_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS
         COUNTERS.record_bulk(
             n * a_bits.bit_count() + read, 0, n, "bitset",
-            n * _word_count(a_bits) + words,
+            n * ((a_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
+            + words,
         )
         return count
+
+    def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
+        # The pivot scan as the same loop, keeping the first best vertex.
+        n = len(vertices)
+        if (n == 0 or type(self) is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            return super().intersect_count_argmax(graph, vertices)
+        neighborhoods = graph.neighborhoods
+        cardinalities = graph.cardinalities
+        a_bits = self._bits
+        best_v, best = -1, -1
+        read = words = 0
+        for v in vertices:
+            b_bits = neighborhoods[v]._bits
+            c = (a_bits & b_bits).bit_count()
+            if c > best:
+                best_v, best = v, c
+            read += cardinalities[v]
+            words += (b_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+        COUNTERS.record_bulk(
+            n * a_bits.bit_count() + read, 0, n, "bitset",
+            n * ((a_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
+            + words,
+        )
+        return best_v
 
     def intersect_inplace(self, other: SetBase) -> None:
         # Genuinely in-place (no intermediate BitSet as in the generic
@@ -259,7 +284,3 @@ class BitSet(SetBase):
     def storage_bits(self) -> int:
         """Size of the dense bitvector in bits (``n`` in the paper)."""
         return max(self._bits.bit_length(), 1)
-
-
-def _word_count(bits: int) -> int:
-    return (bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS

@@ -19,9 +19,10 @@ read, plus one write when it actually modifies the set (``add`` of an
 absent element, ``remove`` of a present one).  Identical operation sequences on
 identical inputs therefore produce identical deltas across all exact
 backends — the property the cross-backend regression tests pin.  A bulk
-call over ``n`` operands (``SetBase.intersect_count_many``) records
-exactly what its ``n`` per-operand operations would: ``n`` set
-operations, the same reads and writes, and the same ``words_scanned``.
+call over ``n`` operands (``SetBase.intersect_count_many`` or the pivot
+scan ``SetBase.intersect_count_argmax``) records exactly what its ``n``
+per-operand ``intersect_count`` operations would: ``n`` set operations,
+the same reads and writes, and the same ``words_scanned``.
 Representation-specific cost (how many machine words a kernel actually
 scanned) is attributed separately, per organization/algorithm, in
 ``words_scanned`` — e.g. a dense-bitmap intersection over a sparse set

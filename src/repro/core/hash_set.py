@@ -9,7 +9,7 @@ sorted array is requested — the same trade-off as in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,12 +46,45 @@ class HashSet(SetBase):
     def intersect_count(self, other: SetBase) -> int:
         b = self._coerce(other)
         COUNTERS.record_bulk(len(self._data) + len(b._data), 0)
-        small, large = (
-            (self._data, b._data)
-            if len(self._data) <= len(b._data)
-            else (b._data, self._data)
-        )
-        return sum(1 for e in small if e in large)
+        return len(self._data & b._data)
+
+    def intersect_count_many(self, graph, vertices: Sequence[int]) -> int:
+        # C-level set intersections over a SetGraph of HashSets, accounted
+        # once for the whole call: exactly what len(vertices)
+        # intersect_count calls record.  Any other receiver or graph
+        # takes the per-operation default.
+        n = len(vertices)
+        if (n == 0 or type(self) is not HashSet
+                or getattr(graph, "set_cls", None) is not HashSet):
+            return super().intersect_count_many(graph, vertices)
+        neighborhoods = graph.neighborhoods
+        a = self._data
+        count = read = 0
+        for v in vertices:
+            b = neighborhoods[v]._data
+            count += len(a & b)
+            read += len(b)
+        COUNTERS.record_bulk(n * len(a) + read, 0, n)
+        return count
+
+    def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
+        # The pivot scan as the same loop, keeping the first best vertex.
+        n = len(vertices)
+        if (n == 0 or type(self) is not HashSet
+                or getattr(graph, "set_cls", None) is not HashSet):
+            return super().intersect_count_argmax(graph, vertices)
+        neighborhoods = graph.neighborhoods
+        a = self._data
+        best_v, best = -1, -1
+        read = 0
+        for v in vertices:
+            b = neighborhoods[v]._data
+            c = len(a & b)
+            if c > best:
+                best_v, best = v, c
+            read += len(b)
+        COUNTERS.record_bulk(n * len(a) + read, 0, n)
+        return best_v
 
     def union(self, other: SetBase) -> "HashSet":
         b = self._coerce(other)

@@ -27,6 +27,9 @@ Listing 1 (C++)              This module
 ``operator==`` / ``!=``      :meth:`SetBase.__eq__`
 (SISA extension)             :meth:`SetBase.intersect_count_many`: one
                              bulk instruction, ``Σ_v |A ∩ N(v)|``
+(SISA extension)             :meth:`SetBase.intersect_count_argmax`: the
+                             Tomita pivot scan as one instruction,
+                             the first ``argmax_v |A ∩ N(v)|``
 (SISA extension)             :meth:`SetBase.from_csr`: every
                              neighborhood of a CSR graph in one call
 ===========================  =============================================
@@ -176,6 +179,25 @@ class SetBase(ABC):
         """
         count = self.intersect_count
         return sum(count(graph[v]) for v in vertices)
+
+    def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
+        """Return the first ``v`` in *vertices* maximizing ``|A ∩ graph[v]|``.
+
+        The Tomita pivot scan of Bron–Kerbosch as one bulk instruction;
+        ``-1`` when *vertices* is empty.  Operands are those of
+        :meth:`intersect_count_many`, and so is the contract: the
+        default is the per-operation loop (a strictly greater count
+        replaces the best, so ties keep the earliest vertex), and a
+        backend's fast path must pick the same vertex and account
+        exactly what ``len(vertices)`` :meth:`intersect_count` calls do.
+        """
+        best_v, best = -1, -1
+        count = self.intersect_count
+        for v in vertices:
+            c = count(graph[v])
+            if c > best:
+                best_v, best = v, c
+        return best_v
 
     # -- in-place variants: avoid excessive data copying (paper section 5.1)
     def intersect_inplace(self, other: "SetBase") -> None:

@@ -9,13 +9,13 @@ intersection kernels for the algorithm-choice experiments of section 6.5.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
-from .ops import as_sorted_unique
+from .ops import as_sorted_unique, member_mask_galloping
 
 __all__ = ["SortedSet"]
 
@@ -61,6 +61,58 @@ class SortedSet(SetBase):
         COUNTERS.record_bulk(len(self._data) + len(b._data), 0)
         return len(_intersect_arrays(self._data, b._data))
 
+    def intersect_count_many(self, graph, vertices: Sequence[int]) -> int:
+        # One membership test of every operand's members over a SetGraph
+        # of SortedSets, accounted once for the whole call: exactly what
+        # len(vertices) intersect_count calls record.  Any other receiver
+        # or graph takes the per-operation default.
+        n = len(vertices)
+        if (n == 0 or type(self) is not SortedSet
+                or getattr(graph, "set_cls", None) is not SortedSet):
+            return super().intersect_count_many(graph, vertices)
+        members, _ = self._bulk_members(graph, vertices)
+        return int(np.count_nonzero(members))
+
+    def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
+        # The same membership test; each operand's count is the rise of
+        # its running member count over its segment.
+        n = len(vertices)
+        if (n == 0 or type(self) is not SortedSet
+                or getattr(graph, "set_cls", None) is not SortedSet):
+            return super().intersect_count_argmax(graph, vertices)
+        members, sizes = self._bulk_members(graph, vertices)
+        hits = [0]
+        hits += np.cumsum(members).tolist()
+        best_v, best = -1, -1
+        start = 0
+        for v, size in zip(vertices, sizes):
+            end = start + size
+            c = hits[end] - hits[start]
+            if c > best:
+                best_v, best = v, c
+            start = end
+        return best_v
+
+    def _bulk_members(self, graph, vertices: Sequence[int]
+                      ) -> Tuple[np.ndarray, list]:
+        """Membership in ``A`` of the members of every ``graph[v]``,
+        concatenated in *vertices* order, and the operand sizes; accounted
+        as ``len(vertices)`` :meth:`intersect_count` calls."""
+        a = self._data
+        neighborhoods = graph.neighborhoods
+        cardinalities = graph.cardinalities
+        sizes = [cardinalities[v] for v in vertices]
+        operands = np.concatenate([neighborhoods[v]._data for v in vertices])
+        members = member_mask_galloping(operands, a)
+        n = len(vertices)
+        COUNTERS.record_bulk(n * len(a) + sum(sizes), 0, n)
+        gallop, merge = _scan_words(len(a), sizes)
+        if gallop:
+            COUNTERS.record_scan("sorted/gallop", gallop)
+        if merge:
+            COUNTERS.record_scan("sorted/merge", merge)
+        return members, sizes
+
     def intersect_inplace(self, other: SetBase) -> None:
         # One merge, rebound in place — skips the intermediate SortedSet
         # (and its copy) that the generic default would build.
@@ -84,8 +136,10 @@ class SortedSet(SetBase):
         return SortedSet(out, _trusted=True)
 
     def diff(self, other: SetBase) -> "SortedSet":
+        # One binary-search membership mask of A's members in B, where
+        # np.setdiff1d would run the generic np.isin.
         b = self._coerce(other)
-        out = np.setdiff1d(self._data, b._data, assume_unique=True)
+        out = self._data[~member_mask_galloping(self._data, b._data)]
         COUNTERS.record_bulk(len(self._data) + len(b._data), len(out))
         return SortedSet(out, _trusted=True)
 
@@ -94,19 +148,27 @@ class SortedSet(SetBase):
         idx = np.searchsorted(self._data, element)
         return bool(idx < len(self._data) and self._data[idx] == element)
 
+    # add and remove splice with slices: np.insert/np.delete would run
+    # numpy's generic axis machinery for one copy around one index.
     def add(self, element: int) -> None:
         COUNTERS.record_point()
-        idx = int(np.searchsorted(self._data, element))
-        if idx < len(self._data) and self._data[idx] == element:
+        data = self._data
+        idx = int(data.searchsorted(element))
+        if idx < len(data) and data[idx] == element:
             return
-        self._data = np.insert(self._data, idx, element)
+        out = np.empty(len(data) + 1, dtype=np.int64)
+        out[:idx] = data[:idx]
+        out[idx] = element
+        out[idx + 1:] = data[idx:]
+        self._data = out
         COUNTERS.elements_written += 1
 
     def remove(self, element: int) -> None:
         COUNTERS.record_point()
-        idx = int(np.searchsorted(self._data, element))
-        if idx < len(self._data) and self._data[idx] == element:
-            self._data = np.delete(self._data, idx)
+        data = self._data
+        idx = int(data.searchsorted(element))
+        if idx < len(data) and data[idx] == element:
+            self._data = np.concatenate((data[:idx], data[idx + 1:]))
             COUNTERS.elements_written += 1
 
     def cardinality(self) -> int:
@@ -133,6 +195,30 @@ class SortedSet(SetBase):
     __hash__ = SetBase.__hash__
 
 
+def _scan_words(m: int, sizes: Iterable[int]) -> Tuple[int, int]:
+    """Words an ``m``-member sorted array scans against arrays of each of
+    *sizes* members, one intersection each, as ``(gallop, merge)``.
+
+    The one rule :func:`_intersect_arrays` and the bulk instructions both
+    attribute by: a pair with an empty side scans nothing; a pair whose
+    larger side exceeds 32 times the smaller gallops, ``|small|`` binary
+    searches of ``bit_length(|large|)`` words each; any other pair merges,
+    ``|a| + |b|`` words.
+    """
+    gallop = merge = 0
+    if m:
+        for n in sizes:
+            if n == 0:
+                continue
+            if n > 32 * m:
+                gallop += m * n.bit_length()
+            elif m > 32 * n:
+                gallop += n * m.bit_length()
+            else:
+                merge += m + n
+    return gallop, merge
+
+
 def _intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersect two sorted unique arrays, adaptively.
 
@@ -141,14 +227,14 @@ def _intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the merge; this is the adaptive strategy the paper describes for
     vertex-similarity kernels (section 6.5).
     """
-    if len(a) == 0 or len(b) == 0:
+    gallop, merge = _scan_words(len(a), (len(b),))
+    if merge:
+        COUNTERS.record_scan("sorted/merge", merge)
+        return np.intersect1d(a, b, assume_unique=True)
+    if not gallop:
         return _EMPTY
+    COUNTERS.record_scan("sorted/gallop", gallop)
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    if len(large) > 32 * len(small):
-        COUNTERS.record_scan("sorted/gallop",
-                             len(small) * max(1, len(large).bit_length()))
-        idx = np.searchsorted(large, small)
-        idx[idx == len(large)] = len(large) - 1
-        return small[large[idx] == small]
-    COUNTERS.record_scan("sorted/merge", len(a) + len(b))
-    return np.intersect1d(a, b, assume_unique=True)
+    idx = np.searchsorted(large, small)
+    idx[idx == len(large)] = len(large) - 1
+    return small[large[idx] == small]

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -242,10 +243,12 @@ class MaterializationCache:
     looked up through its module at call time — and the cache meters it:
     ``build_seconds`` and ``build_counters`` (a counter
     :class:`~repro.core.counters.Snapshot`) total the wall time and the
-    set-algebra counters of every build so far.  That is what lets
-    :func:`~repro.platform.suite.run_cell` keep a pass that had to
-    materialize, with the builds taken out of it.  A hit costs nothing
-    extra.
+    set-algebra counters of every build so far.  A :class:`SetGraph`
+    build is metered together with its insertion, whose
+    :meth:`SetGraph.storage_bytes` sizing walks every neighborhood.
+    That is what lets :func:`~repro.platform.suite.run_cell` keep a pass
+    that had to materialize, with the builds taken out of it.  A hit
+    costs nothing extra.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
@@ -291,16 +294,16 @@ class MaterializationCache:
             del self._orderings[key]
         self._pinned.pop(graph_id, None)
 
-    def _build(self, build: Callable, *args, **kwargs):
-        """One miss: run *build*, adding its wall time and counter delta
-        to the build totals."""
+    @contextmanager
+    def _metered_build(self) -> Iterator[None]:
+        """Meter one miss: the wall time and counter delta of the block
+        join the build totals."""
         self.misses += 1
         before = _counters.snapshot()
         t0 = time.perf_counter()
-        result = build(*args, **kwargs)
+        yield
         self.build_seconds += time.perf_counter() - t0
         self.build_counters += before.delta(_counters.snapshot())
-        return result
 
     def _insert(self, key: tuple, sg: SetGraph) -> None:
         """Insert *sg* as most-recently-used, then evict LRU-first to fit."""
@@ -325,7 +328,8 @@ class MaterializationCache:
             return self._orderings[key]
         from ..preprocess.ordering import compute_ordering
 
-        result = self._build(compute_ordering, graph, name, **kwargs)
+        with self._metered_build():
+            result = compute_ordering(graph, name, **kwargs)
         self._orderings[key] = result
         return result
 
@@ -335,8 +339,9 @@ class MaterializationCache:
         cached = self._lookup(key)
         if cached is not None:
             return cached
-        sg = self._build(build_set_graph, graph, set_cls)
-        self._insert(key, sg)
+        with self._metered_build():
+            sg = build_set_graph(graph, set_cls)
+            self._insert(key, sg)
         return sg
 
     def oriented(
@@ -349,9 +354,9 @@ class MaterializationCache:
         cached = self._lookup(key)
         if cached is not None:
             return order_res, cached
-        dag = self._build(build_oriented_set_graph, graph, order_res.rank,
-                          set_cls)
-        self._insert(key, dag)
+        with self._metered_build():
+            dag = build_oriented_set_graph(graph, order_res.rank, set_cls)
+            self._insert(key, dag)
         return order_res, dag
 
     def export_graph_state(self, graph: CSRGraph) -> Dict[str, Dict]:

@@ -32,16 +32,23 @@ section 6.2: ``P = N(v) ∩ {v_{i+1}..v_n}`` and ``X = N(v) ∩ {v_1..v_{i-1}}``
 are computed by *splitting* ``N(v)`` by rank instead of materializing the
 range sets.
 
+The Tomita pivot scan is one bulk set instruction,
+:meth:`~repro.core.interface.SetBase.intersect_count_argmax` of ``P``
+over the neighborhoods of ``P ∪ X``; ``bitset``, ``hash`` and ``sorted``
+run it on their fast paths.
+
 Sketch-assisted pivoting (``pivot_set_cls``): the Tomita pivot scan only
 feeds an **argmax** over ``|P ∩ N(u)|``, so a bounded-error estimate of the
 count is sufficient — the SISA/ProbGraph observation that estimated
 ``intersect_count`` is enough wherever a count only selects a winner.
 Passing an approximate set class (``"bloom"``/``"kmv"``) as
-``pivot_set_cls`` routes *only* that scan through sketch estimators while
-``P``/``X`` and the candidate pruning stay exact.  Any ``u ∈ P ∪ X`` is a
-valid pivot for BK-Pivot, so the enumerated maximal-clique set is provably
-identical to the exact run — a mis-ranked pivot can only change the
-recursion shape (number of recursive calls), never the output.
+``pivot_set_cls`` routes *only* that scan through sketch estimators — the
+same instruction, issued on the ``P`` sketch against the sketch
+neighborhoods — while ``P``/``X`` and the candidate pruning stay exact.
+Any ``u ∈ P ∪ X`` is a valid pivot for BK-Pivot, so the enumerated
+maximal-clique set is provably identical to the exact run — a mis-ranked
+pivot can only change the recursion shape (number of recursive calls),
+never the output.
 
 The ``P`` sketch is maintained *incrementally*, ProbGraph style: it is
 built from scratch once per outer vertex, derived for each child call by a
@@ -102,16 +109,14 @@ class BKResult:
 class _BKEngine:
     """Shared recursive kernel; adjacency is any vertex → SetBase mapping.
 
-    ``pivot_adjacency``/``pivot_set_cls`` optionally route the pivot scan
-    through sketch estimates (see module docstring); when unset, the scan
-    uses the exact ``adjacency``.
+    ``pivot_adjacency`` optionally routes the pivot scan through sketch
+    estimates (see module docstring); when unset, the scan uses the exact
+    ``adjacency``.
     """
 
-    def __init__(self, adjacency, collect: bool,
-                 pivot_adjacency=None, pivot_set_cls=None):
+    def __init__(self, adjacency, collect: bool, pivot_adjacency=None):
         self.adjacency = adjacency
         self.pivot_adjacency = pivot_adjacency
-        self.pivot_set_cls = pivot_set_cls
         self.cliques: Optional[List[List[int]]] = [] if collect else None
         self.num_cliques = 0
         self.calls = 0
@@ -162,49 +167,19 @@ class _BKEngine:
     def _choose_pivot(
         self, P: SetBase, X: SetBase, P_sketch: Optional[SetBase] = None
     ) -> int:
-        """Tomita pivot: ``u ∈ P ∪ X`` maximizing ``|P ∩ N(u)|``."""
-        if P_sketch is not None and self.pivot_adjacency is not None:
-            return self._choose_pivot_sketch(P, X, P_sketch)
-        best_u = -1
-        best = -1
-        adjacency = self.adjacency
-        count = P.intersect_count
-        for u in P.to_array().tolist():
-            c = count(adjacency[u])
-            if c > best:
-                best, best_u = c, u
-        for u in X.to_array().tolist():
-            c = count(adjacency[u])
-            if c > best:
-                best, best_u = c, u
-        return best_u
+        """Tomita pivot: ``u ∈ P ∪ X`` maximizing ``|P ∩ N(u)|``.
 
-    def _choose_pivot_sketch(
-        self, P: SetBase, X: SetBase, P_sketch: SetBase
-    ) -> int:
-        """Estimated Tomita pivot: argmax of sketch ``|P ∩ N(u)|`` counts.
-
-        The maintained sketch is amortized over the whole ``P ∪ X`` scan;
-        each per-candidate count costs O(sketch) instead of O(|P| + Δ(u)).
-        The scan iterates the **exact** ``P``/``X`` members (only the
-        counts come from the sketch), so the winner is always a member of
-        ``P ∪ X`` and enumeration correctness is independent of both the
-        estimate error and any drift the incremental sketch maintenance
-        accumulated.
+        One bulk :meth:`~SetBase.intersect_count_argmax` instruction over
+        the exact ``P``/``X`` members.  With sketch pivoting it runs on
+        ``P_sketch`` against the sketch neighborhoods: only the counts
+        are estimates, so the winner is still a member of ``P ∪ X``
+        whatever the estimate error or the sketch's maintenance drift.
         """
-        adjacency = self.pivot_adjacency
-        count = P_sketch.intersect_count
-        best_u = -1
-        best = -1
-        for u in P.to_array().tolist():
-            c = count(adjacency[u])
-            if c > best:
-                best, best_u = c, u
-        for u in X.to_array().tolist():
-            c = count(adjacency[u])
-            if c > best:
-                best, best_u = c, u
-        return best_u
+        members = P.to_array().tolist() + X.to_array().tolist()
+        if P_sketch is not None and self.pivot_adjacency is not None:
+            return P_sketch.intersect_count_argmax(self.pivot_adjacency,
+                                                   members)
+        return P.intersect_count_argmax(self.adjacency, members)
 
 
 def bron_kerbosch(
@@ -261,8 +236,7 @@ def bron_kerbosch(
     if pivot_set_cls is not None:
         pivot_neighborhoods = cache.set_graph(graph, pivot_set_cls)
     engine = _BKEngine(neighborhoods, collect,
-                       pivot_adjacency=pivot_neighborhoods,
-                       pivot_set_cls=pivot_set_cls)
+                       pivot_adjacency=pivot_neighborhoods)
     task_costs: List[float] = []
     t1 = time.perf_counter()
     for v in order_res.order.tolist():

@@ -172,6 +172,39 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/bulk.py", "GMS002") == []
 
+    def test_pivot_instruction_without_accounting_flagged(self):
+        source = """
+            from repro.core.interface import SetBase
+
+            class Pivot(SetBase):
+                def intersect_count_argmax(self, graph, vertices):
+                    counts = [len(self._d & graph[v]._d) for v in vertices]
+                    return vertices[counts.index(max(counts))]
+        """
+        findings = run(source, "src/repro/core/pivot.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 5)]
+        assert "Pivot.intersect_count_argmax" in findings[0].message
+
+    def test_pivot_instruction_recording_or_delegating_passes(self):
+        source = """
+            from repro.core.counters import COUNTERS
+            from repro.core.interface import SetBase
+
+            class Recorded(SetBase):
+                def intersect_count_argmax(self, graph, vertices):
+                    COUNTERS.record_bulk(len(vertices) * len(self._d), 0,
+                                         len(vertices))
+                    counts = [len(self._d & graph[v]._d) for v in vertices]
+                    return vertices[counts.index(max(counts))]
+
+            class Delegated(SetBase):
+                def intersect_count_argmax(self, graph, vertices):
+                    counts = [self.intersect_count(graph[v])
+                              for v in vertices]
+                    return vertices[counts.index(max(counts))]
+        """
+        assert run(source, "src/repro/core/pivot.py", "GMS002") == []
+
     def test_aliased_counters_import_recognized(self):
         source = """
             from repro.core import counters as _counters

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress import LogGraph
-from repro.core import BitSet
+from repro.core import SortedSet
 from repro.graph import (
     MaterializationCache,
     build_undirected,
@@ -20,6 +20,7 @@ from repro.graph import (
     total_triangles,
 )
 from repro.mining import (
+    bron_kerbosch,
     kclique_count,
     triangle_count_node_iterator,
     triangle_count_rank_merge,
@@ -119,11 +120,16 @@ def test_kclique_matches_networkx_randomized(cls, edges):
             assert got == sizes[k], (k, parallel)
 
 
+# BK's Tomita pivot scan is one intersect_count_argmax instruction: its
+# choice, and so the recursion shape, must not depend on the backend.
+@exact_backends
+@pytest.mark.parametrize("ordering", ["DGR", "ADG"])
 @settings(max_examples=15, deadline=None)
 @given(edges=edge_lists)
-def test_bk_count_equals_networkx_randomized(edges):
-    from repro.mining import bron_kerbosch
-
+def test_bk_count_equals_networkx_randomized(cls, ordering, edges):
     g = build_undirected(N, edges)
     expect = sum(1 for _ in nx.find_cliques(_networkx_twin(g)))
-    assert bron_kerbosch(g, "ADG", BitSet).num_cliques == expect
+    got = bron_kerbosch(g, ordering, cls)
+    assert got.num_cliques == expect
+    reference = bron_kerbosch(g, ordering, SortedSet)
+    assert got.recursive_calls == reference.recursive_calls

@@ -20,11 +20,12 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSet, SortedSet, bit_set
-from repro.core.counters import snapshot
+from repro.core import BitSet, HashSet, SortedSet, bit_set
+from repro.core.counters import Snapshot, snapshot
 from repro.core.registry import registered_set_classes
 from repro.graph import SetGraph, build_oriented_set_graph, build_undirected
 from repro.graph.generators import holme_kim
@@ -243,6 +244,25 @@ def test_iteration_is_sorted_and_to_array_roundtrips(values):
 small_elements = st.integers(min_value=0, max_value=300)
 neighborhood_lists = st.lists(st.lists(small_elements, max_size=30),
                               min_size=1, max_size=8)
+# Every class over a graph of its own class (the fast paths of bitset,
+# sorted and hash), and mixed pairs, which take the default loop.
+BULK_PAIRS = [(cls, cls) for cls in CLASSES] + [(BitSet, SortedSet),
+                                                (SortedSet, HashSet)]
+
+
+def _bulk_and_loop(receiver_cls, graph_cls, receiver, neighborhoods,
+                   bulk, loop):
+    """Run *bulk* and *loop* on fresh copies of the same receiver and
+    graph; return each result with its counter delta."""
+    runs = []
+    for call in (bulk, loop):
+        graph = SetGraph([graph_cls.from_iterable(n) for n in neighborhoods],
+                         graph_cls)
+        a = receiver_cls.from_iterable(receiver)
+        before = snapshot()
+        result = call(a, graph)
+        runs.append((result, before.delta(snapshot())))
+    return runs
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,27 +272,67 @@ neighborhood_lists = st.lists(st.lists(small_elements, max_size=30),
 def test_intersect_count_many_equals_per_op_loop(neighborhoods, receiver,
                                                  picks):
     vertices = [p % len(neighborhoods) for p in picks]  # repeats allowed
-    pairs = [(cls, cls) for cls in CLASSES] + [(BitSet, SortedSet)]
-    for receiver_cls, graph_cls in pairs:
-        def build():
-            graph = SetGraph([graph_cls.from_iterable(n)
-                              for n in neighborhoods], graph_cls)
-            return receiver_cls.from_iterable(receiver), graph
-
-        a, graph = build()
-        before = snapshot()
-        bulk = a.intersect_count_many(graph, vertices)
-        bulk_delta = before.delta(snapshot())
-        a, graph = build()
-        before = snapshot()
-        loop = sum(a.intersect_count(graph[v]) for v in vertices)
-        loop_delta = before.delta(snapshot())
+    for receiver_cls, graph_cls in BULK_PAIRS:
+        (bulk, bulk_delta), (loop, loop_delta) = _bulk_and_loop(
+            receiver_cls, graph_cls, receiver, neighborhoods,
+            lambda a, graph: a.intersect_count_many(graph, vertices),
+            lambda a, graph: sum(a.intersect_count(graph[v])
+                                 for v in vertices))
         name = (receiver_cls.__name__, graph_cls.__name__)
         assert bulk == loop, name
         assert bulk_delta == loop_delta, name
         if receiver_cls.IS_EXACT and graph_cls.IS_EXACT:
             assert bulk == sum(len(set(receiver) & set(neighborhoods[v]))
                                for v in vertices), name
+
+
+# intersect_count_argmax is the Tomita pivot scan as one instruction, under
+# the same contract: the loop's vertex (the first of the best) and the
+# loop's counters; -1 and nothing recorded for no operands.
+def _argmax_loop(a, graph, vertices):
+    best_v, best = -1, -1
+    for v in vertices:
+        c = a.intersect_count(graph[v])
+        if c > best:
+            best_v, best = v, c
+    return best_v
+
+
+@settings(max_examples=40, deadline=None)
+@given(neighborhoods=neighborhood_lists,
+       receiver=st.lists(small_elements, max_size=40),
+       picks=st.lists(st.integers(min_value=0, max_value=7), max_size=12))
+@example(neighborhoods=[[1, 2]], receiver=[1, 2], picks=[])
+@example(neighborhoods=[[], [1, 2], [5, 6], [2, 9]], receiver=[1, 2, 6, 9],
+         picks=[0, 2, 3, 1, 2])
+def test_intersect_count_argmax_equals_per_op_loop(neighborhoods, receiver,
+                                                   picks):
+    vertices = [p % len(neighborhoods) for p in picks]  # repeats allowed
+    for receiver_cls, graph_cls in BULK_PAIRS:
+        (bulk, bulk_delta), (loop, loop_delta) = _bulk_and_loop(
+            receiver_cls, graph_cls, receiver, neighborhoods,
+            lambda a, graph: a.intersect_count_argmax(graph, vertices),
+            lambda a, graph: _argmax_loop(a, graph, vertices))
+        name = (receiver_cls.__name__, graph_cls.__name__)
+        assert bulk == loop, name
+        assert bulk_delta == loop_delta, name
+        if not vertices:
+            assert bulk == -1 and bulk_delta == Snapshot.zero(), name
+        elif receiver_cls.IS_EXACT and graph_cls.IS_EXACT:
+            counts = [len(set(receiver) & set(neighborhoods[v]))
+                      for v in vertices]
+            assert bulk == vertices[counts.index(max(counts))], name
+
+
+@pytest.mark.parametrize("cls", EXACT_CLASSES, ids=lambda c: c.__name__)
+def test_intersect_count_argmax_ties_go_to_the_first_listed(cls):
+    # |A ∩ N(v)| is 2 for v = 0, 1, 2 and 0 for v = 3.
+    graph = SetGraph([cls.from_iterable(n)
+                      for n in ([1, 2], [2, 3], [1, 3], [9])], cls)
+    a = cls.from_iterable([1, 2, 3])
+    assert a.intersect_count_argmax(graph, [3, 2, 0, 1]) == 2
+    assert a.intersect_count_argmax(graph, [1, 0, 2]) == 1
+    assert a.intersect_count_argmax(graph, [3]) == 3
 
 
 # BitSet.from_csr builds every neighborhood of a CSR graph in bulk; it

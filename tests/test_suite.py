@@ -10,12 +10,16 @@ per-backend speed-vs-accuracy folding of both artifact families.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from repro.__main__ import main
+from repro.core import BitSet
+from repro.graph import load_dataset
+from repro.graph.set_graph import MaterializationCache, SetGraph
 from repro.platform.aggregate import aggregate_results
 from repro.platform.runner import diff_payloads
 from repro.platform.session import MiningSession
@@ -24,6 +28,7 @@ from repro.platform.suite import (
     ExperimentPlan,
     plan_from_argv,
     register_suite_kernel,
+    run_cell,
     task_profile,
 )
 
@@ -210,6 +215,23 @@ class TestRunSuite:
         assert cold["build_seconds"] > 0
         assert warm["build_seconds"] == 0.0 and warm["misses"] == 0
         assert cache["build_seconds"] == cold["build_seconds"]
+
+    def test_cold_cell_seconds_exclude_the_cache_sizing(self, monkeypatch):
+        # Sizing a SetGraph for the cache budget walks every neighborhood;
+        # it is part of the build, so a cold cell must not pay for it.
+        sizing = SetGraph.storage_bytes
+
+        def slow_sizing(sg):
+            time.sleep(0.05)
+            return sizing(sg)
+
+        monkeypatch.setattr(SetGraph, "storage_bytes", slow_sizing)
+        cache = MaterializationCache()
+        cell = run_cell(load_dataset("sc-ht-mini"), BitSet,
+                        SUITE_KERNELS["tc"], "bitset", "DGR", SMOKE, cache)
+        assert cache.misses == 1
+        assert cell["seconds"] < 0.05
+        assert cache.build_seconds >= 0.05
 
     def test_custom_kernel_joins_the_sweep(self):
         def _edges(graph, set_cls, ordering, plan, cache):
