@@ -1,40 +1,36 @@
-"""Process-pool execution of the experiment suite.
+"""The cell task, and the process-pool side of running it.
 
-A sequential session executes every cell of the kernel × backend ×
-ordering matrix in-process; this module is the real-parallel runtime
-behind ``plan.workers > 1`` (CLI: ``python -m repro suite --workers N``).
-It closes the loop the paper draws between *modeled* and *measured*
-parallel speedups: the very same per-cell kernel times that feed
-:func:`repro.runtime.scheduler.simulate_makespan` are produced by a run
-whose wall clock is recorded next to the model's prediction (the
-artifact's ``execution`` block).
+Every cell a :class:`~repro.platform.session.MiningSession` executes —
+a query, one variant of a batch, one cell of a suite plan — is one
+task, ``(plan, dataset, spec)``, with ``spec`` a ``(backend, kernel,
+ordering)`` triple from :func:`repro.platform.suite.expand_cells`.
+:func:`metered_cell` runs it against a graph and a
+:class:`MaterializationCache` and returns one metered result: the cell,
+the process's counter delta over it (builds included), and the cache's
+stats delta.  The session runs that function in-process on its own
+cache, or ships the task to its resident
+:class:`concurrent.futures.ProcessPoolExecutor`, where :func:`_run_task`
+runs it on the worker's graph and cache.
 
-Design
-------
-The plan's cell list is expanded once, in canonical order
-(:func:`repro.platform.suite.expand_cells`), and handed to a
-:class:`concurrent.futures.ProcessPoolExecutor` by one bounded
-dispatcher: at most ``plan.workers`` single-cell tasks are in flight, and
-as one completes the next cell in canonical order is submitted.  That is
-the greedy list schedule the ``dynamic`` makespan model simulates (the
-OpenMP ``schedule(dynamic)`` loop GMS runs), and it is what lets a plan
+:func:`dispatch` is the one bounded dispatcher: at most *limit* tasks
+are in flight, and as one completes the next task in canonical order is
+submitted.  That is the greedy list schedule the ``dynamic`` makespan
+model (:func:`repro.runtime.scheduler.simulate_makespan`) simulates —
+the OpenMP ``schedule(dynamic)`` loop GMS runs — and what lets a plan
 clamped to fewer workers than the pool has really use only that many.
-
-Every pool-task submission meters its pickled argument size into
+Every submission meters its pickled arguments into
 ``Counters.payload_bytes_shipped`` (parent-side; see
 :mod:`repro.core.counters`).
 
-Each worker process owns its graph + :class:`MaterializationCache`
-(bounded by ``plan.cache_budget_bytes``) in module-global state that
-persists across pool tasks, so single-cell tasks do not reload the
-dataset per cell.  A session pool starts its workers with the session's
-graphs and warm materializations already installed
-(:func:`_seed_worker`).  Workers return finished cell payloads plus their
-counter deltas; the parent re-assembles cells by index, merges the
-per-worker :class:`~repro.core.counters.Snapshot` deltas (associative +
+Each worker process owns its graphs and per-dataset caches (bounded by
+``plan.cache_budget_bytes``) in module-global state that persists across
+tasks, so a worker does not reload a dataset per cell.  A session pool
+starts its workers with the session's graphs and warm materializations
+already installed (:func:`_seed_worker`).  The parent re-assembles cells
+by index, folds the workers' counter deltas (associative and
 commutative, so completion order cannot change the totals) into its own
-global block, and finalizes the reference cross-check exactly as the
-sequential path does.  The resulting artifact is **cell-by-cell
+global block, and finalizes the reference cross-check exactly as an
+in-process run does.  A pool-run artifact is therefore **cell-by-cell
 identical to the sequential run up to timing fields** — pinned by the
 determinism regression tests and by ``python -m repro suite-diff``.
 
@@ -52,6 +48,7 @@ import argparse
 import itertools
 import json
 import multiprocessing
+import os
 import pickle
 import sys
 import time
@@ -60,18 +57,23 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..core import counters as _counters
-from ..core.counters import Snapshot, merge_snapshots
 from ..core.interface import SetBase
 from ..graph import load_dataset  # noqa: F401 — worker-side import
+from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
 from . import suite as _suite
 
 __all__ = [
-    "run_plan_on_pool",
+    "metered_cell",
+    "dispatch",
     "strip_timing",
     "diff_payloads",
     "diff_main",
 ]
+
+#: One cell task: the plan, the dataset name, and the
+#: ``(backend, kernel, ordering)`` spec.
+Task = Tuple[_suite.ExperimentPlan, str, Tuple[str, str, str]]
 
 #: Cell-level keys whose values are wall-clock measurements; everything
 #: else in a cell is deterministic and must match across run modes.
@@ -95,6 +97,37 @@ def _mp_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
     )
+
+
+def metered_cell(graph: CSRGraph, cache: MaterializationCache,
+                 set_cls: Type[SetBase], plan, spec: Tuple[str, str, str]
+                 ) -> Dict[str, object]:
+    """Run one cell and meter it: the result every cell task returns.
+
+    ``counters`` is this process's counter delta over the cell, builds
+    included (what the cell really cost here; the cell's own counters
+    leave the builds out), and ``cache_stats`` the cache's
+    :meth:`~MaterializationCache.stats_since` delta over it.  The graph
+    dimensions travel with the result because the parent of a pool run
+    need not hold the graph.  The cell runs through
+    ``suite.run_cell`` looked up at call time, so a patch on it reaches
+    every cell, in-process or in a forked worker.
+    """
+    backend_name, kernel_name, ordering = spec
+    stats = cache.stats()
+    before = _counters.snapshot()
+    cell = _suite.run_cell(
+        graph, set_cls, _suite.SUITE_KERNELS[kernel_name], backend_name,
+        ordering, plan, cache,
+    )
+    return {
+        "pid": os.getpid(),
+        "cell": cell,
+        "counters": before.delta(_counters.snapshot()),
+        "cache_stats": cache.stats_since(stats),
+        "num_nodes": graph.num_nodes,
+        "num_edges": graph.num_edges,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -189,53 +222,12 @@ def _worker_backend(plan, dataset: str, backend_name: str, graph):
     return cls
 
 
-def _run_shard(
-    plan, dataset: str, shard: Sequence[Tuple[int, Tuple[str, str, str]]]
-) -> Dict[str, object]:
-    """Pool task: run the indexed cell specs of one shard.
-
-    Returns the finished cells (keyed by their canonical index), the
-    worker's counter delta for the shard (the metered kernel passes
-    *plus* any builds the worker's cache performed, which the cells
-    leave out — what the shard really cost this process),
-    per-cell counter deltas (``cell_counters``, telescoping between cell
-    boundaries, so their sum equals the shard delta exactly and the first
-    cell absorbs any shared materialization cost — what lets a batched
-    ``run_many`` shard still report per-variant counters), and the
-    cache-stats *delta* attributable to this shard (monotone counters
-    since the shard started; gauges instantaneous) so the parent can
-    aggregate per-run materialization work even though the worker's
-    cache — and, under a resident session pool, the worker itself —
-    outlives any single run.
-    """
+def _run_task(plan, dataset: str,
+              spec: Tuple[str, str, str]) -> Dict[str, object]:
+    """Pool task: one cell on this worker's graph, cache and backend."""
     graph, cache = _worker_dataset(plan, dataset)
-    stats_baseline = cache.stats()
-    before = _counters.snapshot()
-    boundary = before
-    cells: List[Tuple[int, Dict[str, object]]] = []
-    cell_deltas: List[Snapshot] = []
-    for index, (backend_name, kernel_name, ordering) in shard:
-        set_cls = _worker_backend(plan, dataset, backend_name, graph)
-        cell = _suite.run_cell(
-            graph, set_cls, _suite.SUITE_KERNELS[kernel_name],
-            backend_name, ordering, plan, cache,
-        )
-        cells.append((index, cell))
-        now = _counters.snapshot()
-        cell_deltas.append(boundary.delta(now))
-        boundary = now
-    delta = before.delta(boundary)
-    return {
-        "pid": multiprocessing.current_process().pid,
-        "cells": cells,
-        "counters": delta,
-        "cell_counters": cell_deltas,
-        "cache_stats": cache.stats_since(stats_baseline),
-        # The parent never loads the dataset itself; the dims it needs
-        # for the artifact travel back with every shard.
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
-    }
+    set_cls = _worker_backend(plan, dataset, spec[0], graph)
+    return metered_cell(graph, cache, set_cls, plan, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -243,51 +235,45 @@ def _run_shard(
 # ---------------------------------------------------------------------------
 
 
-def _submit_shard(
-    pool: ProcessPoolExecutor, plan, dataset: str,
-    shard: Sequence[Tuple[int, Tuple[str, str, str]]],
-):
-    """Submit one shard, metering its serialized payload as one task.
+def dispatch(
+    pool: ProcessPoolExecutor, tasks: Sequence[Task], limit: int,
+) -> Iterator[Tuple[int, Dict[str, object]]]:
+    """Run *tasks* on *pool*; yield ``(index, result)`` as they complete.
 
-    Every pool task ships ``(plan, dataset, shard)`` by pickle; recording
-    the bytes here (parent-side — worker deltas carry 0) is what makes
+    At most *limit* tasks are in flight; each completion submits the next
+    task in canonical order.  Results stream back in completion order,
+    each stamped (``done_at``) with the parent's ``perf_counter`` when it
+    saw the task finish, and the caller reassembles them by index, so
+    nothing it builds depends on which worker finished first.  Every
+    submission records its pickled arguments as one shipped payload
+    (parent-side; worker deltas carry 0), which is what makes
     payload-bytes-per-task a measured quantity in ``session.stats()``.
     """
-    _counters.COUNTERS.record_payload(
-        len(pickle.dumps((plan, dataset, shard)))
-    )
-    return pool.submit(_run_shard, plan, dataset, shard)
+    pending = iter(enumerate(tasks))
+    in_flight: Dict[object, int] = {}
 
+    def submit(index: int, task: Task) -> None:
+        _counters.COUNTERS.record_payload(len(pickle.dumps(task)))
+        in_flight[pool.submit(_run_task, *task)] = index
 
-def _dispatch_cells(
-    pool: ProcessPoolExecutor, plan, dataset: str,
-    specs: List[Tuple[str, str, str]],
-) -> Iterator[Dict[str, object]]:
-    """Run *specs* as single-cell tasks; yield results as they complete.
-
-    At most ``plan.workers`` tasks are in flight; each completion submits
-    the next cell in canonical order.  Results stream back in completion
-    order and the caller reassembles cells by canonical index, so the
-    artifact does not depend on which worker finished first.
-    """
-    cells = iter(enumerate(specs))
-    in_flight = {
-        _submit_shard(pool, plan, dataset, [cell])
-        for cell in itertools.islice(cells, plan.workers)
-    }
+    for index, task in itertools.islice(pending, limit):
+        submit(index, task)
     while in_flight:
-        done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+        done_at = time.perf_counter()
         for future in done:
+            index = in_flight.pop(future)
             result = future.result()
-            cell = next(cells, None)
-            if cell is not None:
-                in_flight.add(_submit_shard(pool, plan, dataset, [cell]))
-            yield result
+            result["done_at"] = done_at
+            following = next(pending, None)
+            if following is not None:
+                submit(*following)
+            yield index, result
 
 
-#: Cache-stat fields that are deltas per shard report (summed when a
-#: worker reports several shards), and the instantaneous gauges, where
-#: the latest report per worker wins.
+#: Cache-stat fields that are deltas per task report (summed when a
+#: process reports several tasks), and the instantaneous gauges, where
+#: the latest report per process wins.
 _DELTA_CACHE_FIELDS = MaterializationCache.MONOTONE_STATS
 _GAUGE_CACHE_FIELDS = ("orderings", "set_graphs", "oriented",
                        "resident_bytes")
@@ -297,7 +283,7 @@ def accumulate_cache_stats(
     per_pid: Dict[int, Dict[str, object]], pid: int,
     report: Dict[str, object],
 ) -> None:
-    """Fold one shard's cache-stats report into the per-PID accumulator."""
+    """Fold one task's cache-stats report into the per-PID accumulator."""
     acc = per_pid.get(pid)
     if acc is None:
         per_pid[pid] = dict(report)
@@ -311,7 +297,7 @@ def accumulate_cache_stats(
 def _merge_cache_stats(
     per_pid: Dict[int, Dict[str, object]], budget_bytes: Optional[int],
 ) -> Dict[str, object]:
-    """Sum the pool's accumulated per-process cache stats."""
+    """Sum the per-process cache stats of one run."""
     merged = {
         field: sum(stats[field] for stats in per_pid.values())
         for field in _DELTA_CACHE_FIELDS + _GAUGE_CACHE_FIELDS
@@ -319,58 +305,6 @@ def _merge_cache_stats(
     merged["budget_bytes"] = budget_bytes
     merged["workers"] = len(per_pid)
     return merged
-
-
-def run_plan_on_pool(
-    pool: ProcessPoolExecutor, plan, dataset: str, verbose: bool = False,
-    worker_stats: Optional[Dict[int, Dict[str, object]]] = None,
-) -> Dict[str, object]:
-    """Execute *plan*'s cells for one dataset on an existing pool.
-
-    :class:`~repro.platform.session.MiningSession` runs every pool plan
-    through here, on its *resident* pool, which outlives any single
-    plan.  Worker counter deltas are folded back into this process's
-    global block, so ``snapshot()`` around a parallel run still reports
-    true totals.  *worker_stats*, when given, additionally
-    receives the run's per-PID cache-stats reports (the session feeds its
-    own accumulator here so ``session.stats()`` sees pool-served plans).
-    """
-    specs = _suite.expand_cells(plan)
-    t0 = time.perf_counter()
-    cells: List[Optional[Dict[str, object]]] = [None] * len(specs)
-    worker_deltas: List[Snapshot] = []
-    cache_stats_by_pid: Dict[int, Dict[str, object]] = {}
-    num_nodes = num_edges = 0
-    for result in _dispatch_cells(pool, plan, dataset, specs):
-        num_nodes = result["num_nodes"]
-        num_edges = result["num_edges"]
-        worker_deltas.append(result["counters"])
-        accumulate_cache_stats(
-            cache_stats_by_pid, result["pid"], result["cache_stats"]
-        )
-        if worker_stats is not None:
-            accumulate_cache_stats(
-                worker_stats, result["pid"], result["cache_stats"]
-            )
-        for index, cell in result["cells"]:
-            cells[index] = cell
-            if verbose:
-                print(
-                    f"  {dataset} {cell['kernel']:<9} "
-                    f"{cell['ordering']:<4} "
-                    f"{cell['set_class']:<10} value={cell['value']} "
-                    f"({1000 * cell['seconds']:.1f} ms, "
-                    f"pid {result['pid']})"
-                )
-    measured = time.perf_counter() - t0
-    _counters.COUNTERS.absorb(merge_snapshots(worker_deltas))
-    return _suite.dataset_payload(
-        plan, dataset, num_nodes, num_edges, cells,
-        _merge_cache_stats(
-            cache_stats_by_pid, plan.cache_budget_bytes or None
-        ),
-        measured, workers=plan.workers, schedule="dynamic",
-    )
 
 
 # ---------------------------------------------------------------------------

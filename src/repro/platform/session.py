@@ -47,37 +47,52 @@ into the plan's parser, :meth:`~repro.platform.suite.ExperimentPlan.
 with_knobs`, which the suite CLI, the ``python -m repro serve`` REPL and
 the HTTP front door share.
 
-Process pool
-------------
+Execution
+---------
+Every cell the session executes — a query, one variant of a batch, one
+cell of a plan — is one task, ``(plan, dataset, spec)``, run by one
+method, :meth:`MiningSession._execute`, with one metered result
+(:func:`repro.platform.runner.metered_cell`).  The call's concurrency
+limit picks where: a limit of 1 runs the tasks one after another
+in-process against the shared session cache; a larger limit runs them
+on the resident pool behind the bounded dispatcher
+(:func:`repro.platform.runner.dispatch`).  :meth:`Query.run` is a limit
+of 1, so a single query stays in-process even on a pool session;
+:meth:`Query.run_many` uses the session's ``workers`` and
+:meth:`MiningSession.run_plan` the plan's clamped worker count.
+
 The pool's workers are forked from the session process, and the pool
 initializer receives the graph store plus each graph's
 :meth:`~repro.graph.set_graph.MaterializationCache.export_graph_state`
 straight from the parent's memory: nothing of the warm state is
-pickled or shipped.  Tasks carry only ``(plan, dataset, cells)``, which
+pickled or shipped.  Tasks carry only ``(plan, dataset, spec)``, which
 is what ``payload_bytes_shipped`` meters.
-
-Sequential single queries (``.run()`` on a ``workers=1`` session) execute
-in-process against the shared session cache — lowest latency, cache hits
-visible in :meth:`MiningSession.stats`.  Batches (:meth:`Query.run_many`)
-and plans (:meth:`MiningSession.run_plan`) fan out across the resident
-pool when ``workers > 1``.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Type
+from dataclasses import dataclass, field, replace
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Type)
 
 from ..core import counters as _counters
-from ..core.counters import Snapshot, merge_snapshots
+from ..core.counters import Snapshot
 from ..core.interface import SetBase
 from ..graph import DATASETS, load_dataset
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
+from .runner import (
+    Task,
+    _merge_cache_stats,
+    _mp_context,
+    _seed_worker,
+    accumulate_cache_stats,
+    dispatch,
+    metered_cell,
+)
 from .suite import (
     ORDERING_ALIASES,
     REFERENCE_BACKEND,
@@ -87,7 +102,9 @@ from .suite import (
     expand_cells,
     resolve_backend,
     resolve_ordering_name,
-    run_cell,
+    # Cells run through suite.run_cell (see runner.metered_cell); the
+    # name stays here because tracers patch it on both modules.
+    run_cell,  # noqa: F401
 )
 
 __all__ = [
@@ -99,36 +116,20 @@ __all__ = [
 ]
 
 
-def _plan_shard_key(plan: ExperimentPlan) -> tuple:
-    """The plan fields two ``run_many`` variants must share to co-shard.
-
-    Everything except the sweep selection (datasets/kernels/set_classes/
-    orderings, which the shard's explicit cell specs carry instead): the
-    kernel parameters, budgets, and execution knobs a worker actually
-    reads while serving a shard.  Variants differing only in kernel (or
-    cross-checking the same kernel under one backend) therefore share a
-    shard — and its single materialization — while a variant with, say,
-    a different ``k`` gets its own.
-    """
-    return astuple(replace(
-        plan, datasets=(), kernels=(), set_classes=(), orderings=(),
-    ))
-
-
 @dataclass(frozen=True)
 class QueryResult:
     """One answered query.
 
     ``seconds`` is the best-of-repeats kernel time (the suite cell
     metric, which leaves out the builds the cache metered); ``wall_seconds``
-    is the end-to-end latency the session observed for this request,
-    *including* any materialization — the number the cold-vs-warm
-    comparison is about.  ``counters`` is the query's set-algebra delta
-    over everything it ran, builds included (a warm query builds
-    nothing, so with one repeat they equal its cell's counters), and
-    ``cache_hits``/``cache_misses`` the session-cache delta (in-process
-    queries only; pool-served queries hit worker-local caches instead,
-    visible in :meth:`MiningSession.stats`).
+    is the time from the call's start until the session saw this cell
+    finish, *including* any materialization — the number the
+    cold-vs-warm comparison is about.  ``counters`` is the query's
+    set-algebra delta over everything it ran, builds included (a warm
+    query builds nothing, so with one repeat they equal its cell's
+    counters), and ``cache_hits``/``cache_misses`` the delta of the
+    cache that served it: the session cache in-process, the worker's
+    cache on the pool.
     """
 
     kernel: str
@@ -210,22 +211,10 @@ class Query:
     def repeats(self, n: int) -> "Query":
         """Meter the kernel as best-of-*n* (timing only).
 
-        A query that has to materialize first runs one more pass, which
-        pays the materialization and is not metered.
+        Cold or warm, the cell runs exactly *n* kernel passes: the cache
+        meters the builds a cold pass performs and keeps them out of it.
         """
         return self.with_overrides({"repeats": n})
-
-    def cache_budget(self, nbytes: int) -> "Query":
-        """Override the plan's worker-cache byte budget for this query.
-
-        The session's own shared cache keeps the budget it was built
-        with; this knob rides the compiled plan into *pool workers*
-        (each worker's per-dataset :class:`MaterializationCache` is
-        bounded by the plan budget), which is how the HTTP tier threads
-        a tenant's cache-bytes quota into pool-served requests.  ``0``
-        means unbounded; the default inherits the session budget.
-        """
-        return self.with_overrides({"cache_budget_bytes": nbytes})
 
     def with_overrides(self, overrides: Mapping[str, object]) -> "Query":
         """This query with *overrides* applied.
@@ -263,7 +252,8 @@ class Query:
 
     def run(self) -> QueryResult:
         """Answer this query in-process against the session cache."""
-        return self._session._run_query(self)
+        (result,) = self._session._answer([self], limit=1)
+        return result
 
     def run_many(
         self, variants: Optional[Sequence[Mapping[str, object]]] = None
@@ -272,7 +262,7 @@ class Query:
 
         ``variants=None`` runs the query once (a batch of one).  On a
         ``workers > 1`` session the batch fans out over the resident pool,
-        one task per variant; per-variant counter deltas are merged with
+        one task per variant; the workers' counter deltas are merged with
         the associative :meth:`Snapshot.merge` so the session totals are
         identical to a sequential run of the same batch.
         """
@@ -280,13 +270,13 @@ class Query:
             [self] if variants is None
             else [self.with_overrides(v) for v in variants]
         )
-        return self._session._run_batch(queries)
+        return self._session._answer(queries, limit=self._session.workers)
 
 
 class MiningSession:
     """The long-lived facade owning graphs, cache, counters, and the pool.
 
-    See the module docstring for the object model and migration notes.
+    See the module docstring for the object model and execution.
     ``workers=1`` (default) answers everything in-process; ``workers > 1``
     serves batches and plans from a resident process pool that is started
     lazily, pre-warmed once, and reused until :meth:`close`.
@@ -457,8 +447,6 @@ class MiningSession:
         """
         self._check_open()
         if self._pool is None:
-            from .runner import _mp_context, _seed_worker
-
             warm = {
                 name: (graph, self.cache.export_graph_state(graph))
                 for name, graph in self._graphs.items()
@@ -504,121 +492,79 @@ class MiningSession:
         self._check_open()
         return Query(self, kernel, k=k, eps=eps)
 
-    def _result_from_cell(self, dataset: str, cell: Dict[str, object],
-                          wall: float, delta: Snapshot,
-                          hits: int, misses: int) -> QueryResult:
-        return QueryResult(
-            kernel=cell["kernel"],
-            dataset=dataset,
-            backend=cell["set_class"],
-            resolved_class=cell["resolved_class"],
-            ordering=cell["ordering"],
-            value=cell["value"],
-            exact=cell["exact"],
-            seconds=cell["seconds"],
-            wall_seconds=wall,
-            counters=delta,
-            cache_hits=hits,
-            cache_misses=misses,
-            cell=cell,
-        )
+    def _execute(self, tasks: Sequence[Task],
+                 limit: int) -> Iterator[Tuple[int, Dict[str, object]]]:
+        """Run cell *tasks*; yield ``(index, result)`` as cells finish.
 
-    def _run_query(self, query: Query) -> QueryResult:
-        """Answer one query in-process against the shared session cache."""
-        self._check_open()
-        plan = query.plan()
-        dataset = plan.datasets[0]
-        graph = self.load(dataset)
-        backend_name, kernel_name, ordering = query.cell_spec()
-        set_cls = self._backend_for(plan, dataset, backend_name, graph)
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        before = _counters.snapshot()
-        t0 = time.perf_counter()
-        cell = run_cell(
-            graph, set_cls, SUITE_KERNELS[kernel_name], backend_name,
-            ordering, plan, self.cache,
-        )
-        wall = time.perf_counter() - t0
-        delta = before.delta(_counters.snapshot())
-        self.queries_run += 1
-        return self._result_from_cell(
-            dataset, cell, wall, delta,
-            self.cache.hits - hits0, self.cache.misses - misses0,
-        )
-
-    def _run_batch(self, queries: Sequence[Query]) -> List[QueryResult]:
-        """Answer a batch — through the resident pool when workers > 1.
-
-        Variants sharing a ``(dataset, backend, ordering)``
-        materialization (under identical kernel parameters and budgets)
-        are batched into **one** pool shard: the worker runs them
-        back-to-back against the same warm cache entry, and the batch
-        ships one task payload instead of one per variant.  Per-variant
-        counters come from the shard's telescoping per-cell deltas, so
-        they still sum exactly to what the shard cost; the shard's wall
-        clock is attributed to each of its variants (they completed
-        together).
+        The one executor behind :meth:`Query.run`, :meth:`Query.run_many`
+        and :meth:`run_plan`.  A *limit* of 1 runs the tasks one after
+        another in-process on the session cache; a larger limit runs them
+        on the resident pool with at most *limit* in flight.  Each result
+        is a :func:`~repro.platform.runner.metered_cell` report stamped
+        with ``done_at``, this process's ``perf_counter`` when the cell
+        finished.  Pool results have their counter deltas folded into
+        this process's global block, and their cache stats into
+        ``stats()["worker_caches"]``.
         """
         self._check_open()
-        if self.workers <= 1 or not queries:
-            return [self._run_query(q) for q in queries]
-        from .runner import _submit_shard, accumulate_cache_stats
-
+        if limit <= 1 or not tasks:
+            for index, (plan, dataset, spec) in enumerate(tasks):
+                graph = self.load(dataset)
+                set_cls = self._backend_for(plan, dataset, spec[0], graph)
+                result = metered_cell(graph, self.cache, set_cls, plan, spec)
+                result["done_at"] = time.perf_counter()
+                yield index, result
+            return
+        if self._pool is None:
+            # Pull registry datasets into the store before the one and
+            # only pool start, so the workers inherit the graphs instead
+            # of each loading them on first touch.
+            for _, dataset, _ in tasks:
+                if dataset in DATASETS:
+                    self.load(dataset)
         pool = self._ensure_pool()
-        # Validate the whole batch before the first submission: a bad
-        # variant must fail the batch up front, not after earlier
-        # variants' shards (and their counter deltas) are already in
-        # flight and would be silently abandoned.
-        compiled = []
+        # Check every task before the first submit: a bad one must fail
+        # the call up front, not after earlier tasks are in flight.
+        for _, dataset, _ in tasks:
+            self._require_pool_dataset(dataset)
+        for index, result in dispatch(pool, tasks, limit):
+            _counters.COUNTERS.absorb(result["counters"])
+            accumulate_cache_stats(self._worker_cache_stats, result["pid"],
+                                   result["cache_stats"])
+            yield index, result
+
+    def _answer(self, queries: Sequence[Query],
+                limit: int) -> List[QueryResult]:
+        """Answer *queries*, one task each, through :meth:`_execute`.
+
+        Every query compiles before the first cell runs, so a bad
+        variant fails the whole batch up front.
+        """
+        tasks: List[Task] = []
         for query in queries:
             plan = query.plan()
-            self._require_pool_dataset(plan.datasets[0])
-            compiled.append((query, plan))
-        groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for index, (query, plan) in enumerate(compiled):
-            backend, _, ordering = query.cell_spec()
-            key = (plan.datasets[0], backend, ordering,
-                   _plan_shard_key(plan))
-            groups.setdefault(key, []).append(index)
+            tasks.append((plan, plan.datasets[0], query.cell_spec()))
+        answers: List[Optional[QueryResult]] = [None] * len(tasks)
         t0 = time.perf_counter()
-        submitted = []
-        done_at: Dict[int, float] = {}
-        for group_index, members in enumerate(groups.values()):
-            _, plan = compiled[members[0]]
-            shard = [(i, compiled[i][0].cell_spec()) for i in members]
-            future = _submit_shard(pool, plan, plan.datasets[0], shard)
-            # Stamp completion as it happens — collecting futures in
-            # submission order below would otherwise charge early
-            # finishers with their predecessors' wait time.
-            future.add_done_callback(
-                lambda _f, g=group_index: done_at.setdefault(
-                    g, time.perf_counter()
-                )
+        for index, result in self._execute(tasks, limit):
+            cell, stats = result["cell"], result["cache_stats"]
+            answers[index] = QueryResult(
+                kernel=cell["kernel"],
+                dataset=tasks[index][1],
+                backend=cell["set_class"],
+                resolved_class=cell["resolved_class"],
+                ordering=cell["ordering"],
+                value=cell["value"],
+                exact=cell["exact"],
+                seconds=cell["seconds"],
+                wall_seconds=result["done_at"] - t0,
+                counters=result["counters"],
+                cache_hits=stats["hits"],
+                cache_misses=stats["misses"],
+                cell=cell,
             )
-            submitted.append((future, members))
-        results: List[Optional[QueryResult]] = [None] * len(compiled)
-        deltas: List[Snapshot] = []
-        for group_index, (future, members) in enumerate(submitted):
-            shard = future.result()
-            wall = done_at.get(group_index, time.perf_counter()) - t0
-            deltas.append(shard["counters"])
-            accumulate_cache_stats(
-                self._worker_cache_stats, shard["pid"],
-                shard["cache_stats"],
-            )
-            for (index, cell), cell_delta in zip(
-                shard["cells"], shard["cell_counters"]
-            ):
-                results[index] = self._result_from_cell(
-                    compiled[index][1].datasets[0], cell, wall, cell_delta,
-                    0, 0,
-                )
-        # One associative merge, folded into this process's global block —
-        # the session totals come out identical to a sequential run of the
-        # same batch, whatever the completion order.
-        _counters.COUNTERS.absorb(merge_snapshots(deltas))
-        self.queries_run += len(queries)
-        return results
+        self.queries_run += len(tasks)
+        return answers
 
     # -- plan execution (the suite path) ------------------------------------
 
@@ -632,11 +578,12 @@ class MiningSession:
         The session's execution knobs (``workers``/
         ``cache_budget_bytes``) govern — the plan's own are replaced, so
         one session applies a single execution policy to every plan it
-        serves.  Sequential plans run against the shared session cache;
-        parallel plans run on the resident pool.  Either way the
-        artifact's ``materialization`` block reports only *this run's*
-        cache deltas (gauges instantaneous), so a warm re-run shows hits
-        without inheriting earlier runs' counts.
+        serves.  Each dataset's cells run through :meth:`_execute`: in
+        process on the shared session cache for one worker, on the
+        resident pool for more.  Either way the artifact's
+        ``materialization`` block reports only *this run's* cache deltas
+        (gauges instantaneous), so a warm re-run shows hits without
+        inheriting earlier runs' counts.
 
         ``max_workers`` clamps *this plan's* worker count to at most the
         session's (never below 1) without resizing the resident pool — a
@@ -660,53 +607,34 @@ class MiningSession:
                 else max(0, int(cache_budget_bytes))
             ),
         )
-        if workers > 1:
-            from .runner import run_plan_on_pool
-
-            if self._pool is None:
-                # Pull the plan's registry datasets into the store before
-                # the one-and-only pool start, so the workers inherit the
-                # graphs instead of each re-loading them on first touch.
-                for dataset in plan.datasets:
-                    if dataset in DATASETS:
-                        self.load(dataset)
-            pool = self._ensure_pool()
-            for dataset in plan.datasets:
-                self._require_pool_dataset(dataset)
-            payloads = [
-                run_plan_on_pool(pool, plan, dataset, verbose=verbose,
-                                 worker_stats=self._worker_cache_stats)
-                for dataset in plan.datasets
-            ]
-            self.plans_run += 1
-            return payloads
-
+        # In-process cells run on the session cache, whatever budget the
+        # plan carries for pool workers.
+        budget = (self.cache.budget_bytes if workers == 1
+                  else plan.cache_budget_bytes or None)
+        specs = expand_cells(plan)
         payloads: List[Dict[str, object]] = []
         for dataset in plan.datasets:
-            graph = self.load(dataset)
-            stats_baseline = self.cache.stats()
-            cells: List[Dict[str, object]] = []
+            cells: List[Optional[Dict[str, object]]] = [None] * len(specs)
+            per_pid: Dict[int, Dict[str, object]] = {}
             t0 = time.perf_counter()
-            for backend_name, kernel_name, ordering in expand_cells(plan):
-                set_cls = self._backend_for(plan, dataset, backend_name,
-                                            graph)
-                cell = run_cell(
-                    graph, set_cls, SUITE_KERNELS[kernel_name],
-                    backend_name, ordering, plan, self.cache,
-                )
-                cells.append(cell)
+            for index, result in self._execute(
+                    [(plan, dataset, spec) for spec in specs], workers):
+                cell = cells[index] = result["cell"]
+                accumulate_cache_stats(per_pid, result["pid"],
+                                       result["cache_stats"])
                 if verbose:
                     print(
                         f"  {dataset} {cell['kernel']:<9} "
-                        f"{cell['ordering']:<4} {backend_name:<10} "
-                        f"value={cell['value']} "
-                        f"({1000 * cell['seconds']:.1f} ms)"
+                        f"{cell['ordering']:<4} "
+                        f"{cell['set_class']:<10} value={cell['value']} "
+                        f"({1000 * cell['seconds']:.1f} ms, "
+                        f"pid {result['pid']})"
                     )
-            measured = time.perf_counter() - t0
             payloads.append(dataset_payload(
-                plan, dataset, graph.num_nodes, graph.num_edges, cells,
-                self.cache.stats_since(stats_baseline), measured,
-                workers=1, schedule="sequential",
+                plan, dataset, result["num_nodes"], result["num_edges"],
+                cells, _merge_cache_stats(per_pid, budget),
+                time.perf_counter() - t0, workers=workers,
+                schedule="dynamic" if workers > 1 else "sequential",
             ))
         self.plans_run += 1
         return payloads

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 
 import pytest
@@ -354,6 +355,26 @@ class TestResidentPool:
         assert [r.resolved_class for r in pooled] == \
             [r.resolved_class for r in direct]
 
+    def test_pooled_batch_equals_in_process_batch(self):
+        # Pool or in-process, a batch runs the same cell task: the cells
+        # agree on everything but timing, and a warmed pool reports its
+        # workers' cache hits instead of zeros.
+        backends = ("bitset", "hash", "sorted", "bloom")
+        variants = [{"backend": name} for name in backends]
+        with MiningSession(workers=2) as session:
+            session.warm("sc-ht-mini", backends=backends)
+            pooled = session.query("tc").on("sc-ht-mini").run_many(variants)
+        with MiningSession() as session:
+            direct = session.query("tc").on("sc-ht-mini").run_many(variants)
+        assert [_untimed(r.cell) for r in pooled] == \
+            [_untimed(r.cell) for r in direct]
+        for result in pooled:
+            assert result.cache_misses == 0 and result.cache_hits > 0
+        # One clock for both: completion minus the call's start, so an
+        # in-process batch's walls grow with its position.
+        walls = [r.wall_seconds for r in direct]
+        assert walls == sorted(walls) and walls[0] > 0
+
     def test_run_many_merges_snapshots_associatively(self, pool_session):
         variants = [{"backend": "bitset"}, {"backend": "bloom"},
                     {"backend": "sorted"}]
@@ -369,14 +390,14 @@ class TestResidentPool:
         # Merge order cannot matter, and the merged total is exactly what
         # the session absorbed into the parent's global block — except the
         # payload-shipping fields, which are parent-side transport
-        # accounting (one submit per shard group) and intentionally never
+        # accounting (one submit per task) and intentionally never
         # attributed to individual variants.
         assert left == right
         assert left == dataclasses.replace(
             delta, payload_bytes_shipped=0, payload_tasks=0
         )
         assert delta.set_ops > 0
-        # Distinct backends cannot share a shard: one submit each.
+        # One task per variant: one submit each.
         assert delta.payload_tasks == len(variants)
         assert delta.payload_bytes_shipped > 0
 
@@ -506,7 +527,7 @@ class TestResidentPool:
             assert session.pool_starts == 1
             assert delta.payload_tasks == 1
             assert delta.payload_bytes_shipped == len(pickle.dumps(
-                (plan, "sc-ht-mini", [(0, query.cell_spec())])))
+                (plan, "sc-ht-mini", query.cell_spec())))
             assert session.stats()["worker_caches"]["misses"] == 0
             assert result.value == triangle_count_node_iterator(
                 load_dataset("sc-ht-mini"))
@@ -542,18 +563,16 @@ class TestResidentPool:
     def test_worker_share_bounds_cells_in_flight(self, monkeypatch):
         # A plan clamped to k < workers keeps at most k single-cell tasks
         # outstanding on the pool, and its artifact is unchanged.
-        from repro.platform import runner
-
-        submit = runner._submit_shard
+        submit = ProcessPoolExecutor.submit
         futures = []
         in_flight = []  # outstanding futures, counted at each submission
 
-        def counting_submit(*args):
+        def counting_submit(pool, *args):
             in_flight.append(1 + sum(not f.done() for f in futures))
-            futures.append(submit(*args))
+            futures.append(submit(pool, *args))
             return futures[-1]
 
-        monkeypatch.setattr(runner, "_submit_shard", counting_submit)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
         plan = ExperimentPlan.smoke()
         with MiningSession(workers=3) as session:
             (payload,) = session.run_plan(plan, max_workers=2)
@@ -564,28 +583,26 @@ class TestResidentPool:
         assert payload["execution"]["workers"] == 2
         assert diff_payloads(expected, payload) == []
 
-    def test_run_many_batches_same_materialization_variants(self):
-        # Variants that share (dataset, backend, ordering) and the
-        # plan-level knobs ride ONE pool shard: a single submit (one
-        # payload task) whose per-cell counter deltas come back split
-        # per variant.
+    def test_run_many_ships_one_task_per_variant(self):
+        # Variants sharing a dataset, backend, ordering and every other
+        # plan knob are still one (plan, dataset, spec) task each.
         with MiningSession(workers=2) as session:
             session.query("tc").on("sc-ht-mini").run_many(
                 [{"backend": "bitset"}]
             )  # pool is up; later deltas are pure submits
+            query = session.query("bk").on("sc-ht-mini").backend("bitset")
+            overrides = [{"kernel": "4clique"}, {"kernel": "bk"}]
             before = _counters.snapshot()
-            results = session.query("bk").on("sc-ht-mini").backend(
-                "bitset").run_many([{"kernel": "4clique"}, {"kernel": "bk"}])
+            results = query.run_many(overrides)
             delta = before.delta(_counters.snapshot())
-            assert delta.payload_tasks == 1
-            assert len(results) == 2
-            assert all(r.counters.set_ops > 0 for r in results)
-            # Distinct orderings break the shard: two submits.
-            before = _counters.snapshot()
-            session.query("bk").on("sc-ht-mini").backend("bitset").run_many(
-                [{"ordering": "DGR"}, {"ordering": "ADG"}]
-            )
-            assert before.delta(_counters.snapshot()).payload_tasks == 2
+        variants = [query.with_overrides(o) for o in overrides]
+        assert delta.payload_tasks == len(variants)
+        assert delta.payload_bytes_shipped == sum(
+            len(pickle.dumps((v.plan(), "sc-ht-mini", v.cell_spec())))
+            for v in variants
+        )
+        assert [r.kernel for r in results] == ["4clique", "bk"]
+        assert all(r.counters.set_ops > 0 for r in results)
 
     def test_backend_memo_tracks_graph_identity(self):
         # Re-binding a name to a different graph must re-resolve budgeted
@@ -642,6 +659,19 @@ class TestSessionPlans:
             payload = session.run_plan(plan)[0]
             assert payload["execution"]["workers"] == 1
             assert payload["execution"]["schedule"] == "sequential"
+
+    def test_in_process_plan_reports_the_session_cache_budget(self):
+        # The budget override rides the plan into pool workers; cells run
+        # in-process are bounded by the session cache, and say so.
+        plan = ExperimentPlan(
+            datasets=("sc-ht-mini",), kernels=("tc",),
+            set_classes=("bitset",), orderings=("DGR",),
+        )
+        with MiningSession(cache_budget_bytes=1 << 20) as session:
+            (payload,) = session.run_plan(plan, cache_budget_bytes=1 << 10)
+        assert payload["plan"]["cache_budget_bytes"] == 1 << 10
+        assert payload["materialization"]["budget_bytes"] == 1 << 20
+        assert payload["materialization"]["workers"] == 1
 
     def test_parallel_plan_through_resident_pool_is_deterministic(self):
         with MiningSession() as sequential:
@@ -778,8 +808,8 @@ class TestForkedWarmState:
         dataset = plan.datasets[0]
         assert delta.payload_tasks == len(payload["cells"])
         assert delta.payload_bytes_shipped == sum(
-            len(pickle.dumps((plan, dataset, [(index, spec)])))
-            for index, spec in enumerate(expand_cells(plan))
+            len(pickle.dumps((plan, dataset, spec)))
+            for spec in expand_cells(plan)
         )
         if warm == WARM_STATES["warm-all"]:
             # Every cell found its materialization already in its worker.

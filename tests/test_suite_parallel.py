@@ -163,7 +163,8 @@ class _ScriptedPool:
     """A stand-in executor whose tasks finish only when the dispatcher
     waits: each ``wait`` completes one in-flight task, picked by *order*
     (``"oldest"`` or ``"newest"`` first), and records how many tasks were
-    in flight.  ``fail_at`` makes the task for that cell index raise."""
+    in flight.  ``fail_at`` makes the task for that cell index raise.
+    Task *i* is the cell ordered ``O<i>``."""
 
     def __init__(self, order="oldest", fail_at=None):
         self.order = order
@@ -171,35 +172,38 @@ class _ScriptedPool:
         self.submitted = []  # cell indexes, in submission order
         self.in_flight = []  # size of each wait() set
 
-    def submit(self, fn, plan, dataset, shard):
-        assert fn is runner._run_shard
+    def submit(self, fn, plan, dataset, spec):
+        assert fn is runner._run_task
         future = Future()
-        future.shard = shard
-        self.submitted.append(shard[0][0])
+        future.spec = spec
+        future.index = int(spec[2][1:])
+        self.submitted.append(future.index)
         return future
 
     def wait(self, fs, return_when):
         self.in_flight.append(len(fs))
         pick = min if self.order == "oldest" else max
-        future = pick(fs, key=lambda f: f.shard[0][0])
-        index = future.shard[0][0]
-        if index == self.fail_at:
-            future.set_exception(RuntimeError(f"cell {index} failed"))
+        future = pick(fs, key=lambda f: f.index)
+        if future.index == self.fail_at:
+            future.set_exception(RuntimeError(f"cell {future.index} failed"))
         else:
-            future.set_result({"cells": future.shard})
+            future.set_result({"spec": future.spec})
         return {future}, set(fs) - {future}
 
 
 def _dispatch(monkeypatch, pool, workers, n_cells):
     """Drain the dispatcher over *n_cells* cells; the yielded indexes."""
     monkeypatch.setattr(runner, "wait", pool.wait)
-    specs = [("sorted", "tc", f"O{i}") for i in range(n_cells)]
     plan = replace(ExperimentPlan(), workers=workers)
-    return [
-        index
-        for result in runner._dispatch_cells(pool, plan, "g", specs)
-        for index, _ in result["cells"]
-    ]
+    tasks = [(plan, "g", ("sorted", "tc", f"O{i}")) for i in range(n_cells)]
+    done = []
+    for index, result in runner.dispatch(pool, tasks, workers):
+        # Each result comes back under its task's index, stamped with
+        # the parent's completion time.
+        assert result["spec"] == tasks[index][2]
+        assert result["done_at"] > 0
+        done.append(index)
+    return done
 
 
 class TestDispatcher:
@@ -243,8 +247,7 @@ class TestDispatcher:
         delta = before.delta(_counters.snapshot())
         assert delta.payload_tasks == 5
         assert delta.payload_bytes_shipped == sum(
-            len(pickle.dumps((plan, "g", [(i, spec)])))
-            for i, spec in enumerate(specs)
+            len(pickle.dumps((plan, "g", spec))) for spec in specs
         )
 
 
