@@ -1,10 +1,11 @@
-"""CLI-driven sketch-budget sweep (ProbGraph operating curve, via parse_args).
+"""CLI-driven sketch-budget sweep (ProbGraph operating curve, one plan).
 
 Unlike the other benches, this one consumes the shared GMS CLI surface
-end-to-end: flags are parsed by :func:`repro.platform.cli.parse_args`, the
-headline backend comes from ``cli.resolve_set_class_for_graph`` (so
-``--bloom-bits`` / ``--kmv-k`` / ``--bloom-shared-bits`` apply verbatim),
-and the rows land in ``results/budget_sweep_<dataset>.json`` — the artifact
+end-to-end: the sweep is an :class:`~repro.platform.suite.ExperimentPlan`
+built from its flags, the headline backend comes from
+``suite.resolve_backend`` (so ``--bloom-bits`` / ``--kmv-k`` /
+``--bloom-shared-bits`` apply verbatim), and the rows land in
+``results/budget_sweep_<dataset>.json`` next to the plan — the artifact
 the CI upload step publishes.
 
 Run as a script (same flags as ``python -m repro budget-sweep``)::
@@ -22,24 +23,26 @@ import os
 
 import pytest
 
-from repro.platform import parse_args, run_budget_sweep
+from repro.platform import run_budget_sweep
 from repro.platform.bench import write_artifact
+from repro.platform.budget_sweep import SWEEP_PLAN
 from repro.platform.budget_sweep import main as budget_sweep_main
 
 
 @pytest.mark.benchmark(group="budget-sweep")
 def test_budget_sweep_cli(benchmark, show_table):
     """The sweep through the CLI path, with the artifact shape asserted."""
-    args = parse_args(["--dataset", "sc-ht-mini", "--set-class", "bloom",
-                       "--bloom-bits", "6", "--repeats", "1"])
+    plan = SWEEP_PLAN.with_knobs({"dataset": "sc-ht-mini", "backend": "bloom",
+                                  "bloom_bits": "6", "repeats": "1"})
     payload = benchmark.pedantic(
-        lambda: run_budget_sweep(args), rounds=1, iterations=1
+        lambda: run_budget_sweep(plan), rounds=1, iterations=1
     )
-    path = write_artifact(f"budget_sweep_{args.dataset}", payload)
+    path = write_artifact(f"budget_sweep_{payload['dataset']}", payload)
     assert os.path.exists(path)
     with open(path) as handle:
         on_disk = json.load(handle)
     assert on_disk["dataset"] == "sc-ht-mini"
+    assert on_disk["plan"]["bloom_bits"] == 6
 
     rows = payload["rows"]
     show_table(

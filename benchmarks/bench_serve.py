@@ -35,7 +35,6 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.graph.datasets import dataset_provenance
 from repro.platform.bench import print_table, write_artifact
 from repro.platform.http import running_server
 from repro.platform.session import MiningSession
@@ -128,7 +127,6 @@ def bench_cell(dataset: str, workers: int, concurrency: int,
     total = len(latencies)
     return {
         "dataset": dataset,
-        "provenance": dataset_provenance(dataset),
         "workers": workers,
         "concurrency": concurrency,
         "requests": total,

@@ -9,7 +9,7 @@ Commands
 --------
 ``datasets``            list the Table 7 stand-in registry
 ``stats <dataset>``     print the Table 7 row of one dataset
-``bk <dataset>``        maximal clique listing (variant/set/ordering flags)
+``bk <dataset>``        maximal clique listing (variant/set-class flags)
 ``kclique <dataset>``   k-clique counting
 ``approx <dataset>``    sketch-based approximate counting (ProbGraph workload)
 ``similarity <dataset>``link-prediction effectiveness of every measure
@@ -43,6 +43,13 @@ Commands
                         ``--format json`` emits the ``gms-lint/v1``
                         artifact the CI gate diffs
 
+Every flag that sets a plan knob (``--set-class``, ``--ordering``,
+``-k``, the sketch budgets, ``--workers``, ...) is an
+:class:`~repro.platform.suite.ExperimentPlan` field added by
+:func:`~repro.platform.suite.add_knob_flags` and parsed by
+:meth:`~repro.platform.suite.ExperimentPlan.with_knobs`, so a bad value
+exits 2 with the message every other surface gives.
+
 Piping any command into a reader that stops early (``... | head``)
 exits with status 1 and no traceback.
 """
@@ -50,11 +57,12 @@ exits with status 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from typing import List, Optional
 
-from .core.registry import get_set_class, set_class_names
+from .core.registry import get_set_class
 from .graph import DATASETS, load_dataset, summarize
 from .learning import evaluate_scheme, known_measures
 from .mining import (
@@ -66,13 +74,50 @@ from .mining import (
     sketch_pivot_bron_kerbosch,
 )
 from .optimization import johansson, jones_plassmann, verify_coloring
-from .platform import (
-    add_sketch_budget_args,
-    resolve_set_class,
-    simulated_parallel_seconds,
+from .platform import ExperimentPlan, simulated_parallel_seconds
+from .platform.suite import (
+    BUDGET_FLAGS,
+    add_knob_flags,
+    plan_from_flags,
+    resolve_backend,
 )
-from .preprocess.ordering import ORDERINGS
 from .runtime import algorithmic_throughput
+
+#: Commands that parse their own argv: name -> (module, entry, help).
+FORWARDED = {
+    "budget-sweep": (
+        "repro.platform.budget_sweep", "main",
+        "CLI-driven sketch-budget sweep (writes "
+        "results/budget_sweep_<dataset>.json)",
+    ),
+    "suite": (
+        "repro.platform.suite", "main",
+        "declarative kernel × backend × ordering experiment suite "
+        "(--smoke for the tiny CI matrix; writes "
+        "results/suite_<dataset>.json)",
+    ),
+    "suite-diff": (
+        "repro.platform.runner", "diff_main",
+        "compare two suite artifacts up to timing fields "
+        "(parallel-vs-sequential determinism check)",
+    ),
+    "aggregate": (
+        "repro.platform.aggregate", "main",
+        "merge suite/budget-sweep artifacts into results/aggregate.json",
+    ),
+    "lint": (
+        "repro.analysis.cli", "main",
+        "AST-based invariant analyzer: set-algebra purity, counter "
+        "discipline, resource lifecycle, silent suppression, "
+        "determinism (gms-lint/v1 artifact)",
+    ),
+    "serve": (
+        "repro.platform.serve", "serve_main",
+        "session REPL: serve repeated query/suite lines from one "
+        "long-lived MiningSession (resident --workers N pool); "
+        "--http PORT serves HTTP/JSON instead",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,79 +134,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bk", help="maximal clique listing")
     p.add_argument("dataset")
     p.add_argument("--variant", default="BK-GMS-ADG", choices=BK_VARIANTS)
-    p.add_argument("--set-class", default="bitset",
-                   choices=set_class_names())
+    add_knob_flags(p, "--set-class")
     p.add_argument("--threads", type=int, default=16)
+    # A kernel command's defaults are a base plan; its knob flags and the
+    # errors they raise belong to its own parser.
+    p.set_defaults(base=ExperimentPlan(set_classes=("bitset",)), parser=p)
 
     p = sub.add_parser("kclique", help="k-clique counting")
     p.add_argument("dataset")
-    p.add_argument("-k", type=int, default=4)
-    p.add_argument("--ordering", default="ADG", choices=sorted(ORDERINGS))
+    add_knob_flags(p, "-k", "--ordering")
     p.add_argument("--parallel", default="edge", choices=["node", "edge"])
+    p.set_defaults(base=ExperimentPlan(orderings=("ADG",)), parser=p)
 
     p = sub.add_parser("approx", help="sketch-based approximate counting")
     p.add_argument("dataset")
     p.add_argument("--kernel", default="tc", choices=["tc", "4clique", "bk"])
-    p.add_argument("--set-class", default="bloom",
-                   choices=set_class_names())
     p.add_argument("--reconcile", action="store_true",
                    help="4clique: exact candidate sets at every level, "
                         "estimates only at the top (counting) level")
-    add_sketch_budget_args(p)
+    add_knob_flags(p, "--set-class", *BUDGET_FLAGS)
+    p.set_defaults(base=ExperimentPlan(set_classes=("bloom",)), parser=p)
 
     p = sub.add_parser("similarity", help="link-prediction effectiveness")
     p.add_argument("dataset")
     p.add_argument("--fraction", type=float, default=0.1)
 
-    p = sub.add_parser(
-        "budget-sweep",
-        help="CLI-driven sketch-budget sweep (flags of the shared "
-             "benchmark parser; writes results/budget_sweep_<dataset>.json)",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-
-    p = sub.add_parser(
-        "suite",
-        help="declarative kernel × backend × ordering experiment suite "
-             "(--smoke for the tiny CI matrix; writes "
-             "results/suite_<dataset>.json)",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-
-    p = sub.add_parser(
-        "suite-diff",
-        help="compare two suite artifacts up to timing fields "
-             "(parallel-vs-sequential determinism check)",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-
-    p = sub.add_parser(
-        "aggregate",
-        help="merge suite/budget-sweep artifacts into results/aggregate.json",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-
-    p = sub.add_parser(
-        "lint",
-        help="AST-based invariant analyzer: set-algebra purity, counter "
-             "discipline, resource lifecycle, silent suppression, "
-             "determinism (gms-lint/v1 artifact)",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-
-    p = sub.add_parser(
-        "serve",
-        help="session REPL: serve repeated query/suite lines from one "
-             "long-lived MiningSession (resident --workers N pool); "
-             "--http PORT serves HTTP/JSON instead",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
+    for name, (_, _, text) in FORWARDED.items():
+        sub.add_parser(name, help=text)
 
     p = sub.add_parser("color", help="graph coloring")
     p.add_argument("dataset")
@@ -187,38 +186,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run(argv: Optional[List[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "budget-sweep":
-        # The sweep owns the full shared benchmark parser (dataset, budgets,
-        # ordering, …), so its flags are forwarded wholesale instead of
-        # being re-declared on this driver's subparser.
-        from .platform.budget_sweep import main as budget_sweep_main
-
-        return budget_sweep_main(argv[1:])
-    if argv and argv[0] == "suite":
-        # Same forwarding pattern: the suite owns its own parser (plan
-        # selection + the shared sketch-budget and parallel flags).
-        from .platform.suite import main as suite_main
-
-        return suite_main(argv[1:])
-    if argv and argv[0] == "suite-diff":
-        from .platform.runner import diff_main
-
-        return diff_main(argv[1:])
-    if argv and argv[0] == "aggregate":
-        from .platform.aggregate import main as aggregate_main
-
-        return aggregate_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from .platform.serve import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "lint":
-        # The analyzer is stdlib-only and owns its full parser (paths,
-        # rule selection, baseline flags) — forwarded like the suite.
-        from .analysis.cli import main as lint_main
-
-        return lint_main(argv[1:])
+    if argv and argv[0] in FORWARDED:
+        module, entry, _ = FORWARDED[argv[0]]
+        return getattr(importlib.import_module(module), entry)(argv[1:])
     args = _build_parser().parse_args(argv)
+    if "base" in args:
+        plan = plan_from_flags(args.parser, args, args.base)
 
     if args.command == "datasets":
         for name, spec in sorted(DATASETS.items()):
@@ -234,35 +207,28 @@ def _run(argv: Optional[List[str]]) -> int:
 
     if args.command == "bk":
         res = run_bk_variant(graph, args.variant,
-                             set_cls=get_set_class(args.set_class))
+                             set_cls=get_set_class(plan.set_classes[0]))
         par = simulated_parallel_seconds(res, args.threads)
         print(f"{res.variant}: {res.num_cliques} maximal cliques "
               f"(max size {res.max_clique_size})")
         print(f"  sequential {1000 * res.total_seconds:.1f} ms "
               f"({1000 * res.reorder_seconds:.2f} ms reorder), "
-              f"simulated {args.threads}-thread {1000 * par:.2f} ms")
-        print(f"  throughput {algorithmic_throughput(res.num_cliques, par):,.0f} cliques/s")
+              f"modeled {args.threads}-thread {1000 * par:.2f} ms")
+        print(f"  modeled throughput "
+              f"{algorithmic_throughput(res.num_cliques, par):,.0f} cliques/s")
         return 0
 
     if args.command == "kclique":
-        res = kclique_count(graph, args.k, args.ordering, args.parallel)
-        print(f"{res.variant}: {res.count} {args.k}-cliques in "
+        res = kclique_count(graph, plan.k, plan.orderings[0], args.parallel)
+        print(f"{res.variant}: {res.count} {plan.k}-cliques in "
               f"{1000 * res.total_seconds:.1f} ms "
               f"({res.throughput():,.0f}/s)")
         return 0
 
     if args.command == "approx":
         try:
-            set_cls = resolve_set_class(
-                args.set_class, bloom_bits=args.bloom_bits, kmv_k=args.kmv_k,
-                bloom_shared_bits=args.bloom_shared_bits,
-                num_sets=graph.num_nodes,
-                bloom_fpr=args.bloom_fpr,
-                avg_set_size=(
-                    2.0 * graph.num_edges / graph.num_nodes
-                    if graph.num_nodes else 0.0
-                ),
-            )
+            set_cls = resolve_backend(plan, args.dataset,
+                                      plan.set_classes[0], graph)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -23,11 +23,11 @@ is that both choices are better made later and finer:
 iteration order, ``to_array``, equality, and every result are
 **bit-identical** to :class:`~repro.core.sorted_set.SortedSet` — and
 additionally carries the packed bitmap when the density policy says the
-neighborhood is dense.  ``--dispatch adaptive`` (threaded through
-``Args``/``ExperimentPlan``/``Query``) swaps any *exact* backend for this
-class; sketched backends (``bloom``/``kmv``) are never swapped — their
-accuracy contract is budget-tuned per graph, ProbGraph-style, and adaptive
-repacking would silently change it.
+neighborhood is dense.  ``--dispatch adaptive`` (the ``dispatch`` field
+of ``ExperimentPlan``, set by ``suite``, ``/query`` and ``Query``) swaps
+any *exact* backend for this class; sketched backends (``bloom``/``kmv``)
+are never swapped — their accuracy contract is budget-tuned per graph,
+ProbGraph-style, and adaptive repacking would silently change it.
 
 Every operation records the normalized element counters plus a
 ``words_scanned`` attribution under the ``adaptive/<algorithm>`` keys, so

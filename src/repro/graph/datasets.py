@@ -14,11 +14,8 @@ Every entry records the paper graph it mirrors and why it was selected, and
 
 from __future__ import annotations
 
-import gzip
-import logging
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from .csr import CSRGraph
 from . import generators as gen
@@ -26,16 +23,10 @@ from . import generators as gen
 __all__ = [
     "DatasetSpec",
     "DATASETS",
-    "REAL_DATASETS",
     "load_dataset",
     "dataset_names",
-    "dataset_provenance",
-    "data_dir",
-    "fetch_dataset",
     "suite",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -287,67 +278,23 @@ DATASETS: Dict[str, DatasetSpec] = {
             "extremely low m/n and T; huge diameter",
             lambda: gen.road_grid(50, 50, extra_p=0.02, seed=81),
         ),
-    ]
-}
-
-
-# ---------------------------------------------------------------------------
-# Real datasets (SNAP), with a local cache and an offline fallback.
-#
-# The miniature generators above keep the whole registry runnable offline,
-# but the parallel-runtime follow-ups (measured-vs-modeled speedups, the
-# session warm/cold timings) need inputs big enough that per-worker warm-up
-# does not dominate.  Each real dataset resolves in priority order:
-#
-# 1. a cached edge list under ``data_dir()`` (``<name>.el`` or the raw
-#    SNAP ``<name>.txt.gz`` dropped there by hand or by
-#    :func:`fetch_dataset`);
-# 2. a network download — only when ``REPRO_AUTO_FETCH`` is set, so
-#    offline runs (CI, tests) never stall on a socket;
-# 3. a deterministic synthetic stand-in at the real graph's scale, built
-#    by the same generators as the miniatures.
-#
-# :func:`dataset_provenance` reports which source actually served a load,
-# and the benchmarks record it next to their timings.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealDatasetSpec:
-    """A real-world graph with download metadata and a synthetic fallback."""
-
-    name: str
-    category: str
-    url: str
-    why: str
-    num_nodes: int  # published size, for the fallback and sanity checks
-    num_edges: int
-    fallback: Callable[[], CSRGraph]
-
-
-REAL_DATASETS: Dict[str, RealDatasetSpec] = {
-    spec.name: spec
-    for spec in [
-        RealDatasetSpec(
+        # ----- SNAP-scale graphs -------------------------------------------------
+        _spec(
             "ca-grqc",
             "so",
-            "https://snap.stanford.edu/data/ca-GrQc.txt.gz",
+            "ca-GrQc (SNAP)",
             "collaboration network: small, clique-rich (co-authorship "
             "cliques), the classic non-toy mining input",
-            5242,
-            14496,
             # Triadic-closure preferential attachment lands in the same
             # sparsity/clustering regime as co-authorship.
             lambda: gen.holme_kim(5242, 3, 0.55, seed=101),
         ),
-        RealDatasetSpec(
+        _spec(
             "email-eu-core",
             "co",
-            "https://snap.stanford.edu/data/email-Eu-core.txt.gz",
+            "email-Eu-core (SNAP)",
             "dense institutional e-mail core: high m/n and triangle "
             "count concentrated in departments",
-            1005,
-            16706,
             # Department structure = planted dense groups over a sparse
             # background of cross-department mail.
             lambda: gen.planted_cliques(
@@ -356,136 +303,6 @@ REAL_DATASETS: Dict[str, RealDatasetSpec] = {
         ),
     ]
 }
-
-#: How the most recent load of each real dataset was satisfied:
-#: ``"cache"`` | ``"download"`` | ``"fallback"``.
-_PROVENANCE: Dict[str, str] = {}
-
-
-def data_dir() -> str:
-    """The local dataset cache directory (override: ``REPRO_DATA_DIR``)."""
-    return os.environ.get(
-        "REPRO_DATA_DIR",
-        os.path.join(os.path.expanduser("~"), ".cache", "gms-repro"),
-    )
-
-
-def dataset_provenance(name: str) -> Optional[str]:
-    """``"cache"``/``"download"``/``"fallback"`` for the last load of *name*."""
-    return _PROVENANCE.get(name)
-
-
-def _cached_paths(name: str) -> List[str]:
-    base = data_dir()
-    return [
-        os.path.join(base, f"{name}.el"),
-        os.path.join(base, f"{name}.txt.gz"),
-    ]
-
-
-def _parse_real_edge_list(path: str) -> CSRGraph:
-    """Parse a (possibly gzipped) SNAP edge list into a compact CSR graph.
-
-    SNAP files carry ``#`` comment headers, arbitrary (non-contiguous)
-    vertex IDs, and — for directed sources like e-mail — both arc
-    directions; IDs are relabeled densely and the builder's undirected
-    cleaning (self-loop and duplicate removal, symmetrization) applies.
-    """
-    import numpy as np
-
-    from .builder import build_undirected
-
-    opener = gzip.open if path.endswith(".gz") else open
-    sources: List[int] = []
-    targets: List[int] = []
-    with opener(path, "rt") as handle:
-        for line in handle:
-            text = line.strip()
-            if not text or text.startswith("#") or text.startswith("%"):
-                continue
-            fields = text.split()
-            if len(fields) < 2:
-                raise ValueError(f"{path}: malformed line {text!r}")
-            sources.append(int(fields[0]))
-            targets.append(int(fields[1]))
-    arr = np.array([sources, targets], dtype=np.int64).T
-    ids, relabeled = np.unique(arr, return_inverse=True)
-    return build_undirected(len(ids), relabeled.reshape(arr.shape))
-
-
-def fetch_dataset(name: str, timeout: float = 60.0) -> str:
-    """Download a real dataset into the cache; return the cached path.
-
-    Explicit network access — never called implicitly unless the
-    ``REPRO_AUTO_FETCH`` environment variable is set.  The payload is
-    parsed *before* being committed to the cache, so a failed or
-    truncated download (server error page, cut connection) can never
-    poison later loads.
-    """
-    from urllib.request import urlopen
-
-    spec = REAL_DATASETS[name]
-    os.makedirs(data_dir(), exist_ok=True)
-    path = _cached_paths(name)[1]  # keep the raw .txt.gz
-    with urlopen(spec.url, timeout=timeout) as response:
-        payload = response.read()
-    # Staging name keeps the .gz suffix (the parser sniffs it) but never
-    # collides with the names _cached_paths() looks up.
-    staging = os.path.join(data_dir(), f"{name}.part.txt.gz")
-    with open(staging, "wb") as handle:
-        handle.write(payload)
-    try:
-        _parse_real_edge_list(staging)
-    except Exception:
-        logger.debug("discarding unparseable staged download for %s "
-                     "(%s)", name, staging, exc_info=True)
-        os.remove(staging)
-        raise
-    os.replace(staging, path)
-    return path
-
-
-def _load_real(name: str) -> CSRGraph:
-    spec = REAL_DATASETS[name]
-    for path in _cached_paths(name):
-        if os.path.exists(path):
-            _PROVENANCE[name] = "cache"
-            try:
-                return _parse_real_edge_list(path)
-            except Exception as exc:
-                raise ValueError(
-                    f"cached dataset file {path} is unreadable "
-                    f"({exc}); delete it to fall back to the synthetic "
-                    f"twin or re-fetch"
-                ) from exc
-    if os.environ.get("REPRO_AUTO_FETCH"):
-        try:
-            path = fetch_dataset(name)
-            _PROVENANCE[name] = "download"
-            return _parse_real_edge_list(path)
-        except Exception:
-            # Offline or blocked: fall through to the synthetic twin —
-            # but leave a trail, or a misconfigured mirror looks
-            # identical to an intentional offline run.
-            logger.debug("auto-fetch of dataset %r failed; using the "
-                         "synthetic fallback", name, exc_info=True)
-    _PROVENANCE[name] = "fallback"
-    return spec.fallback()
-
-
-def _real_spec(real: RealDatasetSpec) -> DatasetSpec:
-    return DatasetSpec(
-        real.name,
-        real.category,
-        f"{real.name} (SNAP, real)",
-        real.why + " (cached download, synthetic twin offline)",
-        lambda: _load_real(real.name),
-    )
-
-
-DATASETS.update(
-    {name: _real_spec(spec) for name, spec in REAL_DATASETS.items()}
-)
 
 
 def load_dataset(name: str) -> CSRGraph:

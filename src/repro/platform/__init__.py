@@ -9,15 +9,7 @@ from .bench import (
     write_artifact,
 )
 from .budget_sweep import run_budget_sweep
-from .cli import (
-    Args,
-    add_parallel_args,
-    add_sketch_budget_args,
-    build_parser,
-    parse_args,
-    resolve_set_class,
-    resolve_set_class_for_graph,
-)
+from .cli import resolve_set_class, resolve_set_class_for_graph
 from .pipeline import Pipeline, PipelineReport, StageRecord
 from .runner import diff_payloads, strip_timing
 from .session import MiningSession, Query, QueryResult
@@ -32,11 +24,6 @@ __all__ = [
     "Pipeline",
     "PipelineReport",
     "StageRecord",
-    "Args",
-    "add_parallel_args",
-    "add_sketch_budget_args",
-    "build_parser",
-    "parse_args",
     "resolve_set_class",
     "resolve_set_class_for_graph",
     "MiningSession",

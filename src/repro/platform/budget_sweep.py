@@ -1,12 +1,13 @@
 """CLI-driven sketch-budget sweep (the ProbGraph operating-curve bench).
 
-This is the first benchmark wired end-to-end through the shared GMS CLI
-surface: arguments come from :func:`repro.platform.cli.parse_args`, the
-headline representation is resolved through
-:func:`~repro.platform.cli.resolve_set_class_for_graph` (so
-``--bloom-bits`` / ``--kmv-k`` / ``--bloom-shared-bits`` all apply), and the
-rows are persisted with :func:`~repro.platform.bench.write_artifact` as
-``results/budget_sweep_<dataset>.json`` for the CI artifact-upload step.
+The sweep is one :class:`~repro.platform.suite.ExperimentPlan`: its flags
+come from :func:`~repro.platform.suite.add_knob_flags`, the headline
+representation is resolved through
+:func:`~repro.platform.suite.resolve_backend` (so ``--bloom-bits`` /
+``--kmv-k`` / ``--bloom-shared-bits`` / ``--bloom-fpr`` all apply), and
+the rows are persisted with :func:`~repro.platform.bench.write_artifact`
+as ``results/budget_sweep_<dataset>.json`` for the CI artifact-upload
+step, next to the plan that produced them.
 
 The sweep walks three budget families over one dataset:
 
@@ -25,6 +26,7 @@ Run it as ``python -m repro budget-sweep --dataset sc-ht-mini`` or
 
 from __future__ import annotations
 
+import argparse
 import time
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Type
@@ -39,9 +41,24 @@ from ..mining.triangles import (
     triangle_count_rank_merge,
 )
 from .bench import print_table, write_artifact
-from .cli import Args, parse_args, resolve_set_class, resolve_set_class_for_graph
+from .cli import resolve_set_class
+from .suite import (
+    BUDGET_FLAGS,
+    ExperimentPlan,
+    add_knob_flags,
+    plan_from_flags,
+    resolve_backend,
+)
 
-__all__ = ["DEFAULT_BLOOM_GRID", "DEFAULT_KMV_GRID", "run_budget_sweep", "main"]
+__all__ = ["DEFAULT_BLOOM_GRID", "DEFAULT_KMV_GRID", "SWEEP_PLAN",
+           "run_budget_sweep", "main"]
+
+#: The sweep's defaults.  It reads one dataset, set class and ordering,
+#: ``repeats`` and the four sketch budgets of its plan, and takes a flag
+#: for each of them and nothing else.
+SWEEP_PLAN = ExperimentPlan(datasets=("gearbox-mini",),
+                            set_classes=("bitset",), orderings=("ADG",),
+                            repeats=3)
 
 #: Default per-element Bloom budgets swept (bits per element).
 DEFAULT_BLOOM_GRID = (4, 8, 16, 32)
@@ -106,35 +123,37 @@ def _measure_row(
 
 
 def run_budget_sweep(
-    args: Args,
+    plan: ExperimentPlan,
     bloom_grid: Sequence[int] = DEFAULT_BLOOM_GRID,
     shared_grid: Sequence[int] = DEFAULT_SHARED_GRID,
     kmv_grid: Sequence[int] = DEFAULT_KMV_GRID,
 ) -> Dict[str, object]:
-    """Run the sweep described by *args*; return the artifact payload.
+    """Run the sweep *plan* describes; return the artifact payload.
 
-    The CLI budget flags extend the default grids (so ``--bloom-bits 6``
-    adds a ``b=6`` point), and the headline row is whatever
-    :func:`~repro.platform.cli.resolve_set_class_for_graph` yields for the
-    flags — the exact configuration a kernel run with them would use.
+    The plan names exactly one dataset, set class and ordering.  Its
+    budgets extend the default grids (so ``--bloom-bits 6`` adds a
+    ``b=6`` point), and the headline row is whatever
+    :func:`~repro.platform.suite.resolve_backend` yields for the plan —
+    the exact configuration a kernel run with it would use.
     """
-    graph = load_dataset(args.dataset)
-    ordering = args.ordering
-    repeats = args.repeats
+    (dataset,), (set_class,), (ordering,) = (
+        plan.datasets, plan.set_classes, plan.orderings)
+    graph = load_dataset(dataset)
+    repeats = plan.repeats
 
     tc_exact = triangle_count_rank_merge(graph)
     fc_exact = kclique_count(graph, 4, ordering).count
 
     rows: List[Dict[str, object]] = []
 
-    for b in sorted({*bloom_grid, *((args.bloom_bits,) if args.bloom_bits else ())}):
+    for b in sorted({*bloom_grid, *((plan.bloom_bits,) if plan.bloom_bits else ())}):
         cls = resolve_set_class("bloom", bloom_bits=b)
         rows.append(_measure_row(graph, "bloom", f"b={b}", cls,
                                  tc_exact, fc_exact, ordering, repeats))
 
     shared_totals = sorted(
         {*(per_v * graph.num_nodes for per_v in shared_grid),
-         *((args.bloom_shared_bits,) if args.bloom_shared_bits else ())}
+         *((plan.bloom_shared_bits,) if plan.bloom_shared_bits else ())}
     )
     # Small graphs floor several totals to the same per-set size — dedupe
     # on the resolved class so the sweep never measures one budget twice
@@ -155,7 +174,7 @@ def run_budget_sweep(
     # The exact half of the effectiveness comparison is K-independent —
     # run it once and pair it with each KMV grid point's approx run.
     eff_exact = evaluate_scheme(graph, "jaccard", fraction=0.1, seed=0)
-    for K in sorted({*kmv_grid, *((args.kmv_k,) if args.kmv_k else ())}):
+    for K in sorted({*kmv_grid, *((plan.kmv_k,) if plan.kmv_k else ())}):
         cls = resolve_set_class("kmv", kmv_k=K)
         row = _measure_row(graph, "kmv", f"K={K}", cls,
                            tc_exact, fc_exact, ordering, repeats)
@@ -169,30 +188,27 @@ def run_budget_sweep(
         row["linkpred_eff_loss"] = loss.loss
         rows.append(row)
 
-    # Headline row: the exact configuration the CLI flags select.  When it
+    # Headline row: the exact configuration the plan selects.  When it
     # coincides with a grid row (e.g. --set-class bloom --bloom-bits 8),
     # reuse that row's measurements instead of re-running the whole kernel
     # battery for a duplicate class.
-    headline_cls = resolve_set_class_for_graph(
-        graph, args.set_class, bloom_bits=args.bloom_bits, kmv_k=args.kmv_k,
-        bloom_shared_bits=args.bloom_shared_bits, bloom_fpr=args.bloom_fpr,
-    )
+    headline_cls = resolve_backend(plan, dataset, set_class, graph)
     match = next(
         (r for r in rows if r["set_class"] == headline_cls.__name__), None
     )
     if match is not None:
-        headline = dict(match, family="headline", label=args.set_class)
+        headline = dict(match, family="headline", label=set_class)
     else:
-        headline = _measure_row(graph, "headline", args.set_class,
+        headline = _measure_row(graph, "headline", set_class,
                                 headline_cls, tc_exact, fc_exact, ordering,
                                 repeats)
     rows.insert(0, headline)
 
     payload: Dict[str, object] = {
-        "dataset": args.dataset,
-        "args": asdict(args),
+        "dataset": dataset,
+        "plan": asdict(plan),
         "ordering": ordering,
-        "repeats": max(1, repeats),
+        "repeats": repeats,
         "tc_exact": tc_exact,
         "fc_exact": fc_exact,
         "num_nodes": graph.num_nodes,
@@ -229,10 +245,17 @@ def _print_payload(payload: Dict[str, object]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro budget-sweep`` and the bench script."""
-    args = parse_args(argv, description="CLI-driven sketch-budget sweep")
-    payload = run_budget_sweep(args)
+    # No abbreviations: ``--k`` would otherwise be taken for ``--kmv-k``.
+    parser = argparse.ArgumentParser(
+        prog="repro budget-sweep",
+        description="CLI-driven sketch-budget sweep", allow_abbrev=False,
+    )
+    add_knob_flags(parser, "--dataset", "--set-class", "--ordering",
+                   "--repeats", *BUDGET_FLAGS)
+    plan = plan_from_flags(parser, parser.parse_args(argv), SWEEP_PLAN)
+    payload = run_budget_sweep(plan)
     _print_payload(payload)
-    path = write_artifact(f"budget_sweep_{args.dataset}", payload)
+    path = write_artifact(f"budget_sweep_{payload['dataset']}", payload)
     print(f"\nartifact: {path}")
     bad = [r for r in payload["rows"] if not r["bk_identical"]]
     return 1 if bad else 0

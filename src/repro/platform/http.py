@@ -843,20 +843,16 @@ def running_server(session: Optional[MiningSession] = None,
             session.close()
 
 
-def serve_http(ns) -> int:
+def serve_http(ns, session: MiningSession) -> int:
     """``python -m repro serve --http PORT`` — run until interrupted.
 
     *ns* is the parsed ``serve`` namespace (see
-    :func:`repro.platform.serve.build_serve_parser`); the session is
-    built from the shared parallel flags exactly like the REPL's.
-    SIGTERM and Ctrl-C both stop the server and close the session, so
-    the resident pool's workers exit with the server.
+    :func:`repro.platform.serve.build_serve_parser`) and *session* the
+    session ``serve`` built from it, exactly like the REPL's.  SIGTERM
+    and Ctrl-C both stop the server and return, so the caller closes the
+    session and the resident pool's workers exit with the server.
     """
     tenants = load_tenants(ns.tenants)
-    session = MiningSession(
-        workers=ns.workers, cache_budget_bytes=ns.cache_budget_bytes,
-        verbose=ns.verbose,
-    )
     server = MiningHTTPServer(
         session, host=ns.host, port=ns.http,
         max_inflight=ns.max_inflight, backlog=ns.admission_backlog,
@@ -883,6 +879,4 @@ def serve_http(ns) -> int:
         asyncio.run(_main())
     except KeyboardInterrupt:
         print("interrupted; shutting down", flush=True)
-    finally:
-        session.close()
     return 0

@@ -52,9 +52,16 @@ import sys
 from typing import IO, List, Optional
 
 from ..graph import dataset_names
-from .cli import add_parallel_args
 from .session import MiningSession
-from .suite import SUITE_KERNELS, knob_names, plan_from_argv, report_payloads
+from .suite import (
+    SUITE_KERNELS,
+    ExperimentPlan,
+    add_knob_flags,
+    knob_names,
+    plan_from_argv,
+    plan_from_flags,
+    report_payloads,
+)
 
 __all__ = ["build_serve_parser", "serve_main"]
 
@@ -67,7 +74,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="serve repeated mining queries from one MiningSession",
     )
-    add_parallel_args(parser)
+    add_knob_flags(parser, "--workers", "--cache-budget-bytes")
     parser.add_argument("--no-prompt", action="store_true",
                         help="suppress the interactive prompt (script mode)")
     parser.add_argument("--verbose", action="store_true")
@@ -113,23 +120,22 @@ def serve_main(argv: Optional[List[str]] = None,
 
     *stdin* overrides the input stream (tests feed an ``io.StringIO``).
     """
-    ns = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    ns = parser.parse_args(argv)
+    plan = plan_from_flags(parser, ns, ExperimentPlan())
     if ns.verbose:
         logging.basicConfig(level=logging.DEBUG)
-    if ns.http is not None:
-        from .http import serve_http
-
-        return serve_http(ns)
     stream = stdin if stdin is not None else sys.stdin
     interactive = (
         not ns.no_prompt and stream is sys.stdin
         and getattr(stream, "isatty", lambda: False)()
     )
     failures = 0
-    with MiningSession(
-        workers=ns.workers, cache_budget_bytes=ns.cache_budget_bytes,
-        verbose=ns.verbose,
-    ) as session:
+    with MiningSession.from_plan(plan, verbose=ns.verbose) as session:
+        if ns.http is not None:
+            from .http import serve_http
+
+            return serve_http(ns, session)
         print(f"session ready: {session!r} (type 'help' for commands)")
         while True:
             if interactive:

@@ -24,12 +24,14 @@ Building blocks
     ``workers`` (process-pool size) and ``cache_budget_bytes``
     (per-process :class:`~repro.graph.set_graph.MaterializationCache` LRU
     budget).
-    Every surface — the suite CLI, the fluent
+    Every surface — the command line, the fluent
     :class:`~repro.platform.session.Query`, the serve REPL, ``/query``
     and ``/suite`` — builds its plan with
     :meth:`ExperimentPlan.with_knobs` and checks it with
-    :meth:`ExperimentPlan.validate`.  Budget knobs are resolved per graph
-    through :func:`repro.platform.cli.resolve_set_class_for_graph`.
+    :meth:`ExperimentPlan.validate`.  Every command's knob flags come
+    from :func:`add_knob_flags`, documented once in :data:`FIELD_HELP`.
+    Budget knobs are resolved per graph through
+    :func:`repro.platform.cli.resolve_set_class_for_graph`.
 
 ``MiningSession.run_plan``
     Executes a plan (:mod:`repro.platform.session`).  A sequential
@@ -141,6 +143,7 @@ from typing import (
 
 from ..core import counters as _counters
 from ..core.bit_set import BitSet
+from ..core.dispatch import DISPATCH_MODES
 from ..core.interface import SetBase
 from ..core.registry import set_class_names
 from ..graph.csr import CSRGraph
@@ -155,13 +158,7 @@ from ..mining.triangles import (
 from ..preprocess.ordering import ORDERINGS
 from ..runtime.scheduler import SCHEDULER_POLICIES, simulate_makespan
 from .bench import print_table, write_artifact
-from .cli import (
-    DISPATCH_MODES,
-    add_dispatch_args,
-    add_parallel_args,
-    add_sketch_budget_args,
-    resolve_set_class_for_graph,
-)
+from .cli import resolve_set_class_for_graph
 
 __all__ = [
     "SCHEMA",
@@ -172,7 +169,11 @@ __all__ = [
     "ORDERING_ALIASES",
     "QUERY_ALIASES",
     "SESSION_FIELDS",
+    "FIELD_HELP",
+    "BUDGET_FLAGS",
     "knob_names",
+    "add_knob_flags",
+    "plan_from_flags",
     "resolve_ordering_name",
     "expand_cells",
     "run_cell",
@@ -502,6 +503,84 @@ def knob_names(*, session: bool = False) -> List[str]:
     )
 
 
+#: Each plan field's command-line help: the one place a flag is documented.
+FIELD_HELP: Dict[str, str] = {
+    "datasets": "registry dataset name(s)",
+    "kernels": "suite kernel(s) (suite default: every registered kernel)",
+    "set_classes": "set representation(s), by registered name (suite "
+                   "default: every registered name)",
+    "orderings": "vertex ordering(s) for ordering-aware kernels: registry "
+                 "mnemonics or aliases such as 'degeneracy'",
+    "k": "clique size k",
+    "eps": "ADG approximation parameter",
+    "repeats": "timing repeats per cell (best-of)",
+    "bloom_bits": "Bloom budget in bits per element "
+                  "(set-class 'bloom'; 0 = class default)",
+    "kmv_k": "KMV signature size (set-class 'kmv'; 0 = class default)",
+    "bloom_shared_bits": "total Bloom budget in bits shared across the "
+                         "whole graph: m = total/n fixed for every "
+                         "neighborhood, making all pairs eligible for the "
+                         "popcount estimator (0 = per-set sizing)",
+    "bloom_fpr": "target false-positive rate for the Bloom probes: "
+                 "auto-sizes a shared per-graph budget by inverting the "
+                 "Swamidass-Baldi fill model for the average neighborhood "
+                 "size (takes precedence over the explicit bit budgets; "
+                 "0 = disabled)",
+    "workers": "process-pool workers (1 = sequential, in-process)",
+    "cache_budget_bytes": "MaterializationCache LRU budget in bytes (per "
+                          "process; sized via SetGraph.storage_bytes; "
+                          "0 = unbounded)",
+    "dispatch": "set-op dispatch: 'static' keeps the chosen set class "
+                "everywhere; 'adaptive' picks the organization per "
+                "neighborhood and the intersection algorithm per call",
+}
+
+#: The sketch-budget flags, for the commands that resolve a sketch backend.
+BUDGET_FLAGS = ("--bloom-bits", "--bloom-shared-bits", "--bloom-fpr",
+                "--kmv-k")
+
+#: Namespace prefix of the knob flags, so :func:`plan_from_flags` finds
+#: them next to a command's own flags and positionals.
+_KNOB_DEST = "knob:"
+
+
+def add_knob_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add one command-line flag per plan knob in *flags*.
+
+    A flag is ``--<field>`` (``--bloom-fpr``, ``-k``) or a query-alias
+    flag (``--dataset``, ``--ordering``, and ``--set-class`` for the
+    ``backend`` key).  A list field's own flag takes one or more values,
+    any other flag one.  The flags carry no default and no type: a flag
+    left out keeps the command's base plan, and :func:`plan_from_flags`
+    hands the strings to :meth:`ExperimentPlan.with_knobs`, which parses
+    and checks them as it does on every other surface.
+    """
+    for flag in flags:
+        name = flag.lstrip("-").replace("-", "_")
+        # The one spelling apart from its knob: --set-class sets backend.
+        key = "backend" if name == "set_class" else name
+        field = QUERY_ALIASES.get(key, key)
+        many = _FIELD_TYPES[field] is tuple and key == field
+        parser.add_argument(flag, dest=_KNOB_DEST + key, metavar=name.upper(),
+                            nargs="+" if many else None,
+                            help=FIELD_HELP[field])
+
+
+def plan_from_flags(parser: argparse.ArgumentParser, ns: argparse.Namespace,
+                    base: ExperimentPlan) -> ExperimentPlan:
+    """*base* with the knob flags set in *ns* applied.
+
+    A value the plan refuses exits 2 through ``parser.error``, as a value
+    argparse refuses does.
+    """
+    knobs = {dest[len(_KNOB_DEST):]: value for dest, value in vars(ns).items()
+             if dest.startswith(_KNOB_DEST) and value is not None}
+    try:
+        return base.with_knobs(knobs, session=True)
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc.args[0]))
+
+
 def _cell_orderings(kernel: SuiteKernel, orderings: Sequence[str]) -> List[str]:
     return list(orderings) if kernel.uses_ordering else ["-"]
 
@@ -753,26 +832,8 @@ def build_suite_parser() -> argparse.ArgumentParser:
         prog="repro suite",
         description="declarative kernel × backend × ordering experiment suite",
     )
-    parser.add_argument("--datasets", nargs="+", default=["sc-ht-mini"],
-                        help="registry dataset names")
-    parser.add_argument("--kernels", nargs="+", default=[],
-                        choices=sorted(SUITE_KERNELS), metavar="KERNEL",
-                        help=f"suite kernels (default: all of "
-                             f"{sorted(SUITE_KERNELS)})")
-    parser.add_argument("--set-classes", nargs="+", default=[],
-                        metavar="BACKEND",
-                        help="set backends (default: every registered name)")
-    parser.add_argument("--orderings", nargs="+", default=["DGR", "ADG"],
-                        choices=sorted(ORDERINGS), metavar="ORDER",
-                        help="vertex orderings for ordering-aware kernels")
-    parser.add_argument("--k", type=int, default=4, help="clique size k")
-    parser.add_argument("--eps", type=float, default=0.1,
-                        help="ADG approximation parameter")
-    parser.add_argument("--repeats", type=int, default=1,
-                        help="timing repeats per cell (best-of)")
-    add_sketch_budget_args(parser)
-    add_parallel_args(parser)
-    add_dispatch_args(parser)
+    add_knob_flags(parser, *("--" + name.replace("_", "-")
+                             for name in _FIELD_TYPES))
     parser.add_argument("--smoke", action="store_true",
                         help="run the tiny CI matrix "
                              "(2 backends × 2 orderings × 3 kernels) and "
@@ -791,21 +852,15 @@ def plan_from_argv(argv: Optional[List[str]] = None) -> ExperimentPlan:
 
 def _plan_from_namespace(parser: argparse.ArgumentParser,
                          ns: argparse.Namespace) -> ExperimentPlan:
-    """The plan *ns* denotes; a value the plan refuses exits 2, as a
-    value argparse refuses does."""
-    knobs = {k: v for k, v in vars(ns).items()
-             if k not in ("smoke", "verbose")}
-    if ns.smoke:
-        # The smoke matrix is fixed; the metering and execution knobs
-        # still apply so CI can run the very same matrix through the
-        # process pool.
-        knobs = {k: knobs[k] for k in SESSION_FIELDS + (
-            "repeats", "cache_budget_bytes", "dispatch")}
-    base = ExperimentPlan.smoke() if ns.smoke else ExperimentPlan()
-    try:
-        return base.with_knobs(knobs, session=True)
-    except (KeyError, ValueError) as exc:
-        parser.error(str(exc.args[0]))
+    """The plan *ns* denotes; every flag is checked, ``--smoke`` or not."""
+    plan = plan_from_flags(parser, ns, ExperimentPlan())
+    if not ns.smoke:
+        return plan
+    # The smoke matrix is fixed; the metering and execution knobs still
+    # apply so CI can run the very same matrix through the process pool.
+    return replace(ExperimentPlan.smoke(), **{
+        name: getattr(plan, name) for name in SESSION_FIELDS + (
+            "repeats", "cache_budget_bytes", "dispatch")})
 
 
 def report_payloads(payloads: List[Dict[str, object]]) -> int:

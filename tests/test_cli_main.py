@@ -31,6 +31,8 @@ def test_bk(capsys):
     out = capsys.readouterr().out
     assert "maximal cliques" in out
     assert "throughput" in out
+    # The parallel numbers are modeled, not measured, and say so.
+    assert "modeled 16-thread" in out and "modeled throughput" in out
 
 
 def test_bk_with_set_class(capsys):
@@ -40,6 +42,11 @@ def test_bk_with_set_class(capsys):
 def test_kclique(capsys):
     assert main(["kclique", "sc-ht-mini", "-k", "3"]) == 0
     assert "3-cliques" in capsys.readouterr().out
+
+
+def test_kclique_ordering_takes_aliases(capsys):
+    assert main(["kclique", "sc-ht-mini", "--ordering", "degeneracy"]) == 0
+    assert capsys.readouterr().out.startswith("KC-DGR-edge: ")
 
 
 def test_similarity(capsys):
@@ -82,10 +89,9 @@ def test_approx_budget_flags_are_applied(capsys):
 
 def test_resolve_set_class_budgets():
     from repro.core import SortedSet
-    from repro.platform import parse_args, resolve_set_class
+    from repro.platform import resolve_set_class
 
-    args = parse_args(["--set-class", "bloom", "--bloom-bits", "8"])
-    assert args.resolve_set_class().BITS_PER_ELEMENT == 8
+    assert resolve_set_class("bloom", bloom_bits=8).BITS_PER_ELEMENT == 8
     assert resolve_set_class("kmv", kmv_k=16).K == 16
     assert resolve_set_class("sorted") is SortedSet
     # Budget overrides are ignored for non-matching backends.
@@ -137,38 +143,43 @@ def test_similarity_includes_sketch_measure(capsys):
 
 
 class TestSharedParserFlags:
-    """parse_args / Args.resolve_set_class over the sketch-budget flags."""
+    """The sketch-budget knob flags and the set-class resolution they feed."""
 
-    def test_parse_args_collects_all_budget_flags(self):
-        from repro.platform import parse_args
+    def test_knob_flags_collect_all_budget_flags(self):
+        import argparse
 
-        args = parse_args(["--set-class", "bloom", "--bloom-bits", "8",
-                           "--kmv-k", "16", "--bloom-shared-bits", "4096"])
-        assert args.set_class == "bloom"
-        assert args.bloom_bits == 8
-        assert args.kmv_k == 16
-        assert args.bloom_shared_bits == 4096
+        from repro.platform.suite import (
+            BUDGET_FLAGS, ExperimentPlan, add_knob_flags, plan_from_flags,
+        )
+
+        parser = argparse.ArgumentParser()
+        add_knob_flags(parser, "--set-class", *BUDGET_FLAGS)
+        ns = parser.parse_args(["--set-class", "bloom", "--bloom-bits", "8",
+                                "--kmv-k", "16", "--bloom-shared-bits",
+                                "4096"])
+        plan = plan_from_flags(parser, ns, ExperimentPlan())
+        assert plan.set_classes == ("bloom",)
+        assert plan.bloom_bits == 8
+        assert plan.kmv_k == 16
+        assert plan.bloom_shared_bits == 4096
 
     def test_shared_budget_needs_num_sets(self):
-        from repro.platform import parse_args
+        from repro.platform import resolve_set_class
 
-        args = parse_args(["--set-class", "bloom",
-                           "--bloom-shared-bits", "8192"])
         # Without a graph size the shared budget cannot be split…
-        assert args.resolve_set_class().SHARED_BITS == 0
+        assert resolve_set_class(
+            "bloom", bloom_shared_bits=8192).SHARED_BITS == 0
         # …with one, the factory fixes m = 8192/16 = 512 for all instances.
-        cls = args.resolve_set_class(num_sets=16)
+        cls = resolve_set_class("bloom", bloom_shared_bits=8192, num_sets=16)
         assert cls.SHARED_BITS == 512
 
     def test_resolve_for_graph_splits_by_vertex_count(self):
         from repro.graph import load_dataset
-        from repro.platform import parse_args, resolve_set_class_for_graph
+        from repro.platform import resolve_set_class_for_graph
 
         graph = load_dataset("sc-ht-mini")  # 300 vertices
-        args = parse_args(["--set-class", "bloom",
-                           "--bloom-shared-bits", str(300 * 128)])
         cls = resolve_set_class_for_graph(
-            graph, args.set_class, bloom_shared_bits=args.bloom_shared_bits)
+            graph, "bloom", bloom_shared_bits=300 * 128)
         assert cls.SHARED_BITS == 128
         a = cls.from_sorted_array(graph.out_neigh(0))
         b = cls.from_sorted_array(graph.out_neigh(299))
@@ -191,31 +202,15 @@ class TestSharedParserFlags:
         assert resolve_set_class("kmv", bloom_shared_bits=4096,
                                  num_sets=8).__name__ == "KMVSketchSet"
 
-    def test_unknown_backend_error_paths(self):
-        from repro.platform import build_parser, resolve_set_class
+    def test_unknown_backend_error_paths(self, capsys):
+        from repro.platform import resolve_set_class
 
         with pytest.raises(KeyError, match="unknown set class"):
             resolve_set_class("frobnitz")
-        with pytest.raises(SystemExit):  # argparse rejects via choices
-            build_parser().parse_args(["--set-class", "frobnitz"])
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--workers", "2"), ("--schedule", "static"),
-        ("--cache-budget-bytes", "2"), ("--transport", "shm"),
-    ])
-    def test_benchmark_parser_has_no_execution_flags(self, flag, value):
-        # Nothing behind the benchmark parser runs a pool, so it must
-        # refuse the flags rather than accept and ignore them.
-        from repro.platform import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([flag, value])
-
-    def test_parser_choices_include_lazy_backends(self):
-        from repro.platform import parse_args
-
-        args = parse_args(["--set-class", "kmv", "--kmv-k", "8"])
-        assert args.resolve_set_class().K == 8
+        with pytest.raises(SystemExit) as exc:  # the plan refuses it
+            main(["bk", "sc-ht-mini", "--set-class", "frobnitz"])
+        assert exc.value.code == 2
+        assert "unknown set classes ['frobnitz']" in capsys.readouterr().err
 
 
 class TestBudgetSweepCommand:
@@ -235,6 +230,11 @@ class TestBudgetSweepCommand:
         assert payload["rows"] and all(
             r["bk_identical"] for r in payload["rows"]
         )
+        # The artifact records the plan the sweep ran.
+        assert "args" not in payload
+        assert payload["plan"]["datasets"] == ["sc-ht-mini"]
+        assert payload["plan"]["set_classes"] == ["bitset"]
+        assert payload["plan"]["repeats"] == 1
 
     def test_budget_sweep_listed_in_help(self, capsys):
         with pytest.raises(SystemExit):

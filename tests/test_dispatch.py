@@ -54,10 +54,12 @@ from repro.core.packed import (
     words_needed,
 )
 from repro.graph import SetGraph
-from repro.platform.cli import parse_args, resolve_set_class
+from repro.platform.cli import resolve_set_class
 from repro.platform.runner import diff_payloads, strip_timing
 from repro.platform.session import MiningSession
-from repro.platform.suite import ExperimentPlan, resolve_backend
+from repro.platform.suite import (
+    ExperimentPlan, plan_from_argv, resolve_backend,
+)
 
 EXACT_BACKENDS = [SortedSet, AdaptiveSet, BitSet, RoaringSet, HashSet,
                   CompressedSortedSet]
@@ -281,11 +283,11 @@ def test_resolve_set_class_dispatch_mapping():
         resolve_set_class("sorted", dispatch="wat")
 
 
-def test_parse_args_dispatch_flag():
-    args = parse_args(["--dataset", "sc-ht-mini", "--dispatch", "adaptive"])
-    assert args.dispatch == "adaptive"
-    assert args.resolve_set_class() is AdaptiveSet
-    assert parse_args(["--dataset", "sc-ht-mini"]).dispatch == "static"
+def test_suite_dispatch_flag():
+    plan = plan_from_argv(["--dispatch", "adaptive"])
+    assert plan.dispatch == "adaptive"
+    assert resolve_set_class("bitset", dispatch=plan.dispatch) is AdaptiveSet
+    assert plan_from_argv([]).dispatch == "static"
 
 
 def test_reference_backend_pinned_static():

@@ -114,77 +114,24 @@ class TestDatasets:
             assert spec.why
 
 
-class TestRealDatasets:
-    """The SNAP-backed entries: cache path, offline fallback, provenance."""
+class TestSnapShapedDatasets:
+    """The entries shaped after SNAP graphs: registered and real-scale."""
+
+    #: The published SNAP sizes, nodes and edges.
+    PUBLISHED = {"ca-grqc": (5242, 14496), "email-eu-core": (1005, 16706)}
+    #: What the seeded generators build: pinned so the graphs never drift.
+    GENERATED = {"ca-grqc": (5242, 15717), "email-eu-core": (1005, 11073)}
 
     def test_registered_in_the_main_registry(self):
-        from repro.graph.datasets import REAL_DATASETS
-
-        for name in ("ca-grqc", "email-eu-core"):
-            assert name in REAL_DATASETS
+        for name in self.PUBLISHED:
             assert name in DATASETS
             assert "SNAP" in DATASETS[name].mirrors
 
-    def test_offline_fallback_is_deterministic_and_real_scale(self, monkeypatch, tmp_path):
-        from repro.graph.datasets import REAL_DATASETS, dataset_provenance
-
-        # An empty cache dir and no REPRO_AUTO_FETCH: must fall back to
-        # the synthetic twin without touching the network.
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_AUTO_FETCH", raising=False)
-        for name, spec in REAL_DATASETS.items():
+    def test_deterministic_and_real_scale(self):
+        for name, (nodes, edges) in self.PUBLISHED.items():
             g1 = load_dataset(name)
-            assert dataset_provenance(name) == "fallback"
             assert g1 == load_dataset(name)
+            assert (g1.num_nodes, g1.num_edges) == self.GENERATED[name]
             # Same order of magnitude as the published graph.
-            assert 0.5 * spec.num_nodes <= g1.num_nodes <= 2 * spec.num_nodes
-            assert 0.3 * spec.num_edges <= g1.num_edges <= 3 * spec.num_edges
-
-    def test_cached_edge_list_wins_over_fallback(self, monkeypatch, tmp_path):
-        from repro.graph.datasets import dataset_provenance
-
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-        # SNAP-style file: comments, non-contiguous IDs, both directions.
-        (tmp_path / "ca-grqc.el").write_text(
-            "# FromNodeId ToNodeId\n10 20\n20 10\n20 30\n10 30\n30 30\n"
-        )
-        g = load_dataset("ca-grqc")
-        assert dataset_provenance("ca-grqc") == "cache"
-        assert g.num_nodes == 3  # densely relabeled
-        assert g.num_edges == 3  # deduped, self-loop dropped
-
-    def test_gzipped_cache_supported(self, monkeypatch, tmp_path):
-        import gzip
-
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-        with gzip.open(tmp_path / "email-eu-core.txt.gz", "wt") as handle:
-            handle.write("0 1\n1 2\n2 0\n")
-        g = load_dataset("email-eu-core")
-        assert (g.num_nodes, g.num_edges) == (3, 3)
-
-    def test_fetch_writes_into_the_cache_dir(self, monkeypatch, tmp_path):
-        import gzip
-        import io
-
-        from repro.graph import datasets as ds
-
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-        payload = gzip.compress(b"0 1\n1 2\n")
-
-        class _Response(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        def fake_urlopen(url, timeout):
-            assert url == ds.REAL_DATASETS["ca-grqc"].url
-            return _Response(payload)
-
-        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        path = ds.fetch_dataset("ca-grqc")
-        assert path.endswith("ca-grqc.txt.gz")
-        g = load_dataset("ca-grqc")
-        assert ds.dataset_provenance("ca-grqc") == "cache"
-        assert (g.num_nodes, g.num_edges) == (3, 2)
+            assert 0.5 * nodes <= g1.num_nodes <= 2 * nodes
+            assert 0.3 * edges <= g1.num_edges <= 3 * edges

@@ -497,16 +497,19 @@ class TestServeHttpWiring:
         calls = {}
         import repro.platform.serve as serve
 
-        def fake_serve_http(ns):
+        def fake_serve_http(ns, session):
             calls["port"] = ns.http
+            calls["budget"] = session.cache_budget_bytes
             return 0
 
         # serve_main imports serve_http from .http lazily; intercept there.
         import repro.platform.http as http_mod
 
         monkeypatch.setattr(http_mod, "serve_http", fake_serve_http)
-        assert serve.serve_main(["--http", "8123"]) == 0
-        assert calls["port"] == 8123
+        assert serve.serve_main(["--http", "8123",
+                                 "--cache-budget-bytes", "64"]) == 0
+        # The HTTP server gets the session built from serve's plan.
+        assert calls == {"port": 8123, "budget": 64}
 
     def test_sigterm_closes_the_session_and_its_pool(self, tmp_path):
         # SIGTERM ends serve_forever like Ctrl-C: the server stops, the

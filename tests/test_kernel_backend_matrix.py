@@ -330,13 +330,15 @@ class TestBloomFprSizing:
 
     def test_cli_flag_resolves_to_shared_budget_meeting_target(self):
         from repro.approx.estimators import bloom_false_positive_rate
-        from repro.platform.cli import parse_args, resolve_set_class_for_graph
+        from repro.platform.cli import resolve_set_class_for_graph
+        from repro.platform.suite import plan_from_argv
 
-        args = parse_args(["--set-class", "bloom", "--bloom-fpr", "0.02"])
-        assert args.bloom_fpr == 0.02
+        plan = plan_from_argv(["--set-classes", "bloom",
+                               "--bloom-fpr", "0.02"])
+        assert plan.bloom_fpr == 0.02
         csr, _ = random_csr(60, 300, 4)
-        cls = resolve_set_class_for_graph(csr, args.set_class,
-                                          bloom_fpr=args.bloom_fpr)
+        cls = resolve_set_class_for_graph(csr, plan.set_classes[0],
+                                          bloom_fpr=plan.bloom_fpr)
         assert cls.SHARED_BITS > 0
         avg = int(round(2 * csr.num_edges / csr.num_nodes))
         assert bloom_false_positive_rate(

@@ -5,7 +5,8 @@ through the serve REPL's ``query`` line, through ``POST /query`` as the
 public and as a quota-capped tenant, and through ``POST /suite``.  A bad
 input is a ``KeyError``/``ValueError`` in-process, an HTTP 400 (never a
 500, never an accepted job) and one ``error:`` line from the REPL; a good
-key means the same thing everywhere.
+key means the same thing everywhere.  On the command line every knob flag
+is a plan field (or a query alias) and means what its key means.
 """
 
 from __future__ import annotations
@@ -14,14 +15,21 @@ import http.client
 import io
 import json
 import time
+from dataclasses import fields
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import FORWARDED, main
 from repro.platform.http import TenantQuota, running_server
 from repro.platform.serve import build_serve_parser, serve_main
 from repro.platform.session import MiningSession
-from repro.platform.suite import SESSION_FIELDS, ExperimentPlan, knob_names
+from repro.platform.suite import (
+    SESSION_FIELDS,
+    ExperimentPlan,
+    build_suite_parser,
+    knob_names,
+    plan_from_argv,
+)
 
 BAD_INPUTS = {
     "unknown-backend": {"backend": "nope"},
@@ -183,3 +191,44 @@ class TestOneGrammarSameMeaning:
         with pytest.raises(SystemExit) as exc:
             main(["suite", "--smoke", "--workers", "2", f"--{key}", "shm"])
         assert exc.value.code == 2
+
+
+class TestCommandLineGrammar:
+    def test_suite_flags_are_the_plan_fields(self):
+        flags = {option for action in build_suite_parser()._actions
+                 for option in action.option_strings}
+        plan_flags = {"--" + f.name.replace("_", "-")
+                      for f in fields(ExperimentPlan)}
+        assert flags == plan_flags | {"--smoke", "--verbose", "-h", "--help"}
+
+    @pytest.mark.parametrize("argv, knobs", [
+        (["--orderings", "degeneracy"], {"orderings": ["degeneracy"]}),
+        (["--bloom-fpr", "0.02"], {"bloom_fpr": "0.02"}),
+        (["--dispatch", "adaptive"], {"dispatch": "adaptive"}),
+        (["--cache-budget-bytes", "1"], {"cache_budget_bytes": "1"}),
+    ], ids=["orderings", "bloom-fpr", "dispatch", "cache-budget-bytes"])
+    def test_suite_flag_means_its_knob(self, argv, knobs):
+        assert plan_from_argv(argv) == ExperimentPlan().with_knobs(
+            knobs, session=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["--dispatch", "adaptive"], ["--k", "5"], ["--eps", "0.2"],
+        ["--threads", "2"], ["--verbose"],
+    ], ids=["dispatch", "k", "eps", "threads", "verbose"])
+    def test_budget_sweep_refuses_knobs_it_does_not_read(
+            self, argv, tmp_path, monkeypatch):
+        import repro.platform.bench as bench
+
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["budget-sweep", "--dataset", "sc-ht-mini",
+                  "--repeats", "1", *argv])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(FORWARDED))
+    def test_every_forwarded_command_answers_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -11,10 +11,8 @@ from repro.core import BitSet
 from repro.graph import build_model, load_dataset
 from repro.mining import bron_kerbosch
 from repro.platform import (
-    Args,
     Pipeline,
     parallel_reorder_seconds,
-    parse_args,
     print_table,
     simulated_parallel_seconds,
     write_artifact,
@@ -63,27 +61,6 @@ class TestPipeline:
     def test_kernel_required(self):
         with pytest.raises(NotImplementedError):
             Pipeline().run()
-
-
-class TestCLI:
-    def test_defaults(self):
-        args = parse_args([])
-        assert args.dataset == "gearbox-mini"
-        assert args.threads == [1, 2, 4, 8, 16, 32]
-
-    def test_custom(self):
-        args = parse_args(
-            ["--dataset", "jester2-mini", "--set-class", "roaring",
-             "--ordering", "DGR", "--k", "5", "--threads", "1", "4"]
-        )
-        assert args.dataset == "jester2-mini"
-        assert args.set_class == "roaring"
-        assert args.ordering == "DGR"
-        assert args.k == 5
-        assert args.threads == [1, 4]
-
-    def test_args_dataclass_defaults(self):
-        assert Args().threads == [1, 2, 4, 8, 16, 32]
 
 
 class TestBenchHelpers:
