@@ -46,7 +46,7 @@ from repro.core.counters import snapshot
 from repro.core.packed import intersect_count_words, pack_sorted
 from repro.graph import load_dataset
 from repro.graph.set_graph import MaterializationCache
-from repro.graph.transforms import split_neighbors
+from repro.graph.transforms import rank_split
 from repro.mining import (
     bron_kerbosch,
     kclique_count,
@@ -152,7 +152,6 @@ def test_abl2_merge_vs_galloping(benchmark, show_table):
 def _bk_subgraph_every_level(graph) -> Dict[str, float]:
     """BK-ADG rebuilding H at *every* recursion level (the [92] design)."""
     order_res = compute_ordering(graph, "ADG", eps=0.1)
-    rank = order_res.rank
     neighborhoods = {
         v: graph.neighborhood_set(v, BitSet) for v in graph.vertices()
     }
@@ -182,10 +181,11 @@ def _bk_subgraph_every_level(graph) -> Dict[str, float]:
             X.add(v)
 
     t0 = time.perf_counter()
-    for v in order_res.order.tolist():
-        later, earlier = split_neighbors(graph.out_neigh(v), rank, rank[v])
-        expand(neighborhoods, BitSet.from_sorted_array(later), [v],
-               BitSet.from_sorted_array(earlier))
+    (p_off, p_arcs), (x_off, x_arcs) = rank_split(graph, order_res.rank)
+    initial = zip(BitSet.from_csr(p_off, p_arcs),
+                  BitSet.from_csr(x_off, x_arcs))
+    for v, (P, X) in zip(order_res.order.tolist(), initial):
+        expand(neighborhoods, P, [v], X)
     return {"seconds": time.perf_counter() - t0, "cliques": cliques}
 
 

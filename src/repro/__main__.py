@@ -122,16 +122,22 @@ FORWARDED = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro", description="GraphMineSuite reproduction driver"
+        prog="repro", description="GraphMineSuite reproduction driver",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datasets", help="list the dataset registry")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        # No parser matches a flag by its prefix: a renamed or deleted
+        # flag must fail, not parse as an abbreviation of another one.
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
 
-    p = sub.add_parser("stats", help="Table 7 row of one dataset")
+    command("datasets", help="list the dataset registry")
+
+    p = command("stats", help="Table 7 row of one dataset")
     p.add_argument("dataset")
 
-    p = sub.add_parser("bk", help="maximal clique listing")
+    p = command("bk", help="maximal clique listing")
     p.add_argument("dataset")
     p.add_argument("--variant", default="BK-GMS-ADG", choices=BK_VARIANTS)
     add_knob_flags(p, "--set-class")
@@ -140,13 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # errors they raise belong to its own parser.
     p.set_defaults(base=ExperimentPlan(set_classes=("bitset",)), parser=p)
 
-    p = sub.add_parser("kclique", help="k-clique counting")
+    p = command("kclique", help="k-clique counting")
     p.add_argument("dataset")
     add_knob_flags(p, "-k", "--ordering")
     p.add_argument("--parallel", default="edge", choices=["node", "edge"])
     p.set_defaults(base=ExperimentPlan(orderings=("ADG",)), parser=p)
 
-    p = sub.add_parser("approx", help="sketch-based approximate counting")
+    p = command("approx", help="sketch-based approximate counting")
     p.add_argument("dataset")
     p.add_argument("--kernel", default="tc", choices=["tc", "4clique", "bk"])
     p.add_argument("--reconcile", action="store_true",
@@ -155,14 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_knob_flags(p, "--set-class", *BUDGET_FLAGS)
     p.set_defaults(base=ExperimentPlan(set_classes=("bloom",)), parser=p)
 
-    p = sub.add_parser("similarity", help="link-prediction effectiveness")
+    p = command("similarity", help="link-prediction effectiveness")
     p.add_argument("dataset")
     p.add_argument("--fraction", type=float, default=0.1)
 
     for name, (_, _, text) in FORWARDED.items():
-        sub.add_parser(name, help=text)
+        command(name, help=text)
 
-    p = sub.add_parser("color", help="graph coloring")
+    p = command("color", help="graph coloring")
     p.add_argument("dataset")
     p.add_argument("--method", default="JP-SL",
                    choices=["JP-random", "JP-FF", "JP-LF", "JP-SL",
@@ -227,8 +233,7 @@ def _run(argv: Optional[List[str]]) -> int:
 
     if args.command == "approx":
         try:
-            set_cls = resolve_backend(plan, args.dataset,
-                                      plan.set_classes[0], graph)
+            set_cls = resolve_backend(plan, plan.set_classes[0], graph)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -57,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based project-invariant analyzer (GMS rule pack)",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "paths", nargs="*",

@@ -14,7 +14,7 @@ C++ platform.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,19 @@ _ARC_SCRATCH_BYTES = 24
 #: its arcs' scratch.  A bulk build then peaks at the finished bitsets
 #: plus about one chunk, where one unchunked buffer would double it.
 _CHUNK_BYTES = 4 << 20
+
+
+def _members(bits: int) -> list:
+    """The members of the bitvector *bits*, ascending, as a list: what
+    ``to_array().tolist()`` returns, without the array for tiny sets."""
+    if bits.bit_count() > _SPARSE_MEMBERS:
+        return BitSet(bits).to_array().tolist()
+    members = []
+    while bits:
+        low = bits & -bits
+        members.append(low.bit_length() - 1)
+        bits ^= low
+    return members
 
 
 class BitSet(SetBase):
@@ -193,6 +206,54 @@ class BitSet(SetBase):
             + words,
         )
         return best_v
+
+    def pivot_branch(self, X: SetBase, graph, pivot: Optional[int] = None):
+        # BK's Tomita step over a SetGraph of BitSets: the scan is the
+        # intersect_count_argmax fast path; the diff and each child's two
+        # ANDs, with the previous child's move from P to X, take one
+        # record call, so the counters stay what the default's
+        # operations record at every child.  P and X are re-read after
+        # each child, as the default's operations would read them.
+        if (type(self) is not BitSet or type(X) is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            yield from super().pivot_branch(X, graph, pivot)
+            return
+        if pivot is None:
+            pivot = self.intersect_count_argmax(
+                graph, _members(self._bits) + _members(X._bits))
+            if pivot < 0:
+                return
+        neighborhoods = graph.neighborhoods
+        cardinalities = graph.cardinalities
+        p, b = self._bits, neighborhoods[pivot]._bits
+        branch = p & ~b
+        ops, points = 1, 0
+        read = p.bit_count() + cardinalities[pivot]
+        written = branch.bit_count()
+        words = ((p.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+                 + (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
+        for v in _members(branch):
+            p, x, b = self._bits, X._bits, neighborhoods[v]._bits
+            p_v, x_v = p & b, x & b
+            COUNTERS.record_step(
+                ops + 2, points,
+                read + p.bit_count() + x.bit_count() + 2 * cardinalities[v],
+                written + p_v.bit_count() + x_v.bit_count(), "bitset",
+                words + (p.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+                + (x.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+                + 2 * ((b.bit_length() + _WORD_BITS - 1) // _WORD_BITS))
+            yield v, BitSet(p_v), BitSet(x_v)
+            # P.remove(v) and X.add(v): one read each, one write each
+            # that changes its set.
+            bit = 1 << v
+            ops, points, read, written, words = 0, 2, 2, 0, 0
+            if self._bits & bit:
+                self._bits ^= bit
+                written += 1
+            if not X._bits & bit:
+                X._bits |= bit
+                written += 1
+        COUNTERS.record_step(ops, points, read, written, "bitset", words)
 
     def intersect_inplace(self, other: SetBase) -> None:
         # Genuinely in-place (no intermediate BitSet as in the generic

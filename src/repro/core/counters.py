@@ -22,7 +22,11 @@ backends — the property the cross-backend regression tests pin.  A bulk
 call over ``n`` operands (``SetBase.intersect_count_many`` or the pivot
 scan ``SetBase.intersect_count_argmax``) records exactly what its ``n``
 per-operand ``intersect_count`` operations would: ``n`` set operations,
-the same reads and writes, and the same ``words_scanned``.
+the same reads and writes, and the same ``words_scanned``.  The Tomita
+step ``SetBase.pivot_branch`` records what its per-operation sequence
+would: the pivot scan, one ``diff``, and per child two ``intersect``
+operations plus the ``remove``/``add`` point operations that move the
+child from ``P`` to ``X``.
 Representation-specific cost (how many machine words a kernel actually
 scanned) is attributed separately, per organization/algorithm, in
 ``words_scanned`` — e.g. a dense-bitmap intersection over a sparse set
@@ -105,6 +109,24 @@ class Counters:
         accounts a whole operation, or a whole bulk instruction.
         """
         self.set_ops += ops
+        self.elements_read += read
+        self.elements_written += written
+        if organization is not None:
+            scans = self.words_scanned
+            scans[organization] = scans.get(organization, 0) + words
+
+    def record_step(self, ops: int, points: int, read: int, written: int,
+                    organization: Optional[str] = None,
+                    words: int = 0) -> None:
+        """Record *ops* bulk and *points* point operations in one call.
+
+        A bulk instruction that mixes both kinds (a Tomita step's
+        children: two intersections each, then a ``remove`` and an
+        ``add``) accounts them together; *read*, *written* and *words*
+        are the sums over all of them.
+        """
+        self.set_ops += ops
+        self.point_ops += points
         self.elements_read += read
         self.elements_written += written
         if organization is not None:

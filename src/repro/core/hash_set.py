@@ -9,7 +9,7 @@ sorted array is requested — the same trade-off as in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +85,44 @@ class HashSet(SetBase):
             read += len(b)
         COUNTERS.record_bulk(n * len(a) + read, 0, n)
         return best_v
+
+    def pivot_branch(self, X: SetBase, graph, pivot: Optional[int] = None):
+        # BK's Tomita step over a SetGraph of HashSets: the scan is the
+        # intersect_count_argmax fast path; the diff and each child's two
+        # C-level intersections, with the previous child's move from P
+        # to X, take one record call, so the counters stay what the
+        # default's operations record at every child.
+        if (type(self) is not HashSet or type(X) is not HashSet
+                or getattr(graph, "set_cls", None) is not HashSet):
+            yield from super().pivot_branch(X, graph, pivot)
+            return
+        if pivot is None:
+            pivot = self.intersect_count_argmax(
+                graph, sorted(self._data) + sorted(X._data))
+            if pivot < 0:
+                return
+        neighborhoods = graph.neighborhoods
+        p, b = self._data, neighborhoods[pivot]._data
+        branch = sorted(p - b)
+        ops, points, read, written = 1, 0, len(p) + len(b), len(branch)
+        for v in branch:
+            p, x, b = self._data, X._data, neighborhoods[v]._data
+            p_v, x_v = p & b, x & b
+            COUNTERS.record_step(ops + 2, points,
+                                 read + len(p) + len(x) + 2 * len(b),
+                                 written + len(p_v) + len(x_v))
+            yield v, HashSet(p_v), HashSet(x_v)
+            # P.remove(v) and X.add(v): one read each, one write each
+            # that changes its set.
+            ops, points, read, written = 0, 2, 2, 0
+            p, x = self._data, X._data
+            if v in p:
+                p.discard(v)
+                written += 1
+            if v not in x:
+                x.add(v)
+                written += 1
+        COUNTERS.record_step(ops, points, read, written)
 
     def union(self, other: SetBase) -> "HashSet":
         b = self._coerce(other)

@@ -30,6 +30,9 @@ Listing 1 (C++)              This module
 (SISA extension)             :meth:`SetBase.intersect_count_argmax`: the
                              Tomita pivot scan as one instruction,
                              the first ``argmax_v |A ∩ N(v)|``
+(SISA extension)             :meth:`SetBase.pivot_branch`: BK's whole
+                             Tomita step (pivot, candidate diff, the
+                             branch loop) as one instruction
 (SISA extension)             :meth:`SetBase.from_csr`: every
                              neighborhood of a CSR graph in one call
 ===========================  =============================================
@@ -44,7 +47,7 @@ platform's implicit conversions.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,6 +201,39 @@ class SetBase(ABC):
             if c > best:
                 best_v, best = v, c
         return best_v
+
+    def pivot_branch(
+        self, X: "SetBase", graph, pivot: Optional[int] = None,
+    ) -> Iterator[Tuple[int, "SetBase", "SetBase"]]:
+        """BK's Tomita step as one bulk instruction, with ``P = self``.
+
+        Picks the pivot ``u ∈ P ∪ X`` maximizing ``|P ∩ graph[u]|`` with
+        one :meth:`intersect_count_argmax` over ``P``'s members and then
+        ``X``'s (ties keep the first), or takes the *pivot* given, and
+        yields ``(v, P ∩ graph[v], X ∩ graph[v])`` for each ``v`` of
+        ``P \\ graph[pivot]`` in ascending order.  When the consumer
+        resumes it after a child, it moves ``v`` from ``P`` to ``X``, so
+        both are current after every child.  Nothing is yielded when
+        ``P ∪ X`` is empty.  *graph* maps a vertex to its neighborhood,
+        as for :meth:`intersect_count_many`.
+
+        The default is the per-operation sequence: the scan, one
+        :meth:`diff`, and per child two :meth:`intersect` calls, then
+        :meth:`remove` and :meth:`add`.  A backend's fast path must yield
+        the same children in the same order and account exactly what
+        that sequence records.
+        """
+        P = self
+        if pivot is None:
+            pivot = P.intersect_count_argmax(
+                graph, P.to_array().tolist() + X.to_array().tolist())
+            if pivot < 0:
+                return
+        for v in P.diff(graph[pivot]).to_array().tolist():
+            neighbors = graph[v]
+            yield v, P.intersect(neighbors), X.intersect(neighbors)
+            P.remove(v)
+            X.add(v)
 
     # -- in-place variants: avoid excessive data copying (paper section 5.1)
     def intersect_inplace(self, other: "SetBase") -> None:

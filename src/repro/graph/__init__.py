@@ -31,7 +31,7 @@ from .transforms import (
     orient_by_rank,
     oriented_arcs,
     permute,
-    split_neighbors,
+    rank_split,
 )
 from . import generators
 
@@ -63,7 +63,7 @@ __all__ = [
     "oriented_arcs",
     "permute",
     "induced_subgraph",
-    "split_neighbors",
+    "rank_split",
     "AdjacencyListGraph",
     "AdjacencyMatrixGraph",
     "EdgeListGraph",

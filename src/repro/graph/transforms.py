@@ -4,6 +4,8 @@
   (Listing 7): keep only arcs ``v → u`` with ``η(v) < η(u)``, turning the
   undirected graph into a DAG whose out-degrees are bounded by the
   (approximate) degeneracy when η is a degeneracy-style order.
+* :func:`rank_split` — the same rule applied to both sides of every
+  arc: Bron–Kerbosch's initial ``P``/``X`` split of section 6.2.
 * :func:`permute` — relabel vertices by a permutation (pipeline stage 3):
   the preprocessing hook for all reordering schemes.
 * :func:`induced_subgraph` — extract ``G[S]`` with compacted vertex IDs,
@@ -12,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +26,21 @@ __all__ = [
     "orient_by_rank",
     "permute",
     "induced_subgraph",
-    "split_neighbors",
+    "rank_split",
 ]
+
+
+def _precedes(rank: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``η(a) < η(b)`` elementwise, ties broken by vertex ID: the one
+    orientation rule."""
+    ra, rb = rank[a], rank[b]
+    return (ra < rb) | ((ra == rb) & (a < b))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def oriented_arcs(
@@ -46,14 +61,10 @@ def oriented_arcs(
     n = graph.num_nodes
     sources = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
     targets = graph.adjacency
-    keep = (rank[sources] < rank[targets]) | (
-        (rank[sources] == rank[targets]) & (sources < targets)
-    )
-    counts = np.bincount(sources[keep], minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    keep = _precedes(rank, sources, targets)
     # Arcs stay grouped by source (CSR order) and sorted by target.
-    return offsets, targets[keep]
+    return (_offsets(np.bincount(sources[keep], minlength=n)),
+            targets[keep])
 
 
 def orient_by_rank(graph: CSRGraph, rank: np.ndarray) -> CSRGraph:
@@ -64,6 +75,41 @@ def orient_by_rank(graph: CSRGraph, rank: np.ndarray) -> CSRGraph:
     """
     offsets, arcs_dst = oriented_arcs(graph, rank)
     return CSRGraph(offsets, arcs_dst, directed=True)
+
+
+def rank_split(
+    graph: CSRGraph, rank: np.ndarray, vertices: Optional[np.ndarray] = None
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Split ``N(v)`` by rank for each listed vertex: ``(later, earlier)``.
+
+    Section 6.2 gets Bron–Kerbosch's initial ``P = N(v) ∩ {v_{i+1}..v_n}``
+    and ``X = N(v) ∩ {v_1..v_{i-1}}`` by *splitting* each neighborhood
+    by rank.  ``later`` holds the arcs :func:`oriented_arcs` keeps and
+    ``earlier`` the reversed ones, each an ``(offsets, targets)`` pair
+    whose ``i``-th set belongs to ``vertices[i]`` (default: every vertex
+    in rank order, ties by vertex ID), with targets sorted.  Only the
+    listed vertices' arcs are read, so a caller can split a graph run by
+    run of its order.
+    """
+    if graph.directed:
+        raise ValueError("rank split expects an undirected graph")
+    rank = np.asarray(rank)
+    if vertices is None:
+        vertices = np.argsort(rank, kind="stable")
+    vertices = np.asarray(vertices, dtype=np.int64)
+    starts = graph.offsets[vertices]
+    degrees = graph.offsets[vertices + 1] - starts
+    listed = _offsets(degrees)
+    # Each listed vertex's CSR slice, in the order of the list.
+    arcs = np.repeat(starts - listed[:-1], degrees)
+    arcs += np.arange(listed[-1], dtype=np.int64)
+    targets = graph.adjacency[arcs]
+    sources = np.repeat(vertices, degrees)
+    sides = []
+    for keep in (_precedes(rank, sources, targets),
+                 _precedes(rank, targets, sources)):
+        sides.append((_offsets(keep)[listed], targets[keep]))
+    return sides[0], sides[1]
 
 
 def permute(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
@@ -112,17 +158,3 @@ def induced_subgraph(
 
         return build_directed(len(verts), edges), verts
     return build_undirected(len(verts), edges), verts
-
-
-def split_neighbors(
-    neighbors: np.ndarray, rank: np.ndarray, pivot_rank: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ``N(v)`` into later/earlier vertices w.r.t. a rank order.
-
-    Implements the observation of section 6.2 that the initial
-    ``P = N(v) ∩ {v_{i+1}..v_n}`` and ``X = N(v) ∩ {v_1..v_{i-1}}``
-    intersections reduce to *splitting* the neighborhood by rank.
-    Returns ``(later, earlier)`` as arrays of vertex IDs.
-    """
-    ranks = rank[neighbors]
-    return neighbors[ranks > pivot_rank], neighbors[ranks < pivot_rank]

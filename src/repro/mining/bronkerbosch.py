@@ -30,12 +30,19 @@ universes; see the set-representation ablation bench).
 The initial per-vertex candidate sets follow the splitting observation of
 section 6.2: ``P = N(v) ∩ {v_{i+1}..v_n}`` and ``X = N(v) ∩ {v_1..v_{i-1}}``
 are computed by *splitting* ``N(v)`` by rank instead of materializing the
-range sets.
+range sets.  The outer loop runs in blocks of the order: each block is
+split with one vectorized :func:`~repro.graph.transforms.rank_split` and
+built with one bulk :meth:`~repro.core.interface.SetBase.from_csr` per
+side, so a run holds at most one block of them (:data:`_BLOCK_BYTES`).
 
-The Tomita pivot scan is one bulk set instruction,
-:meth:`~repro.core.interface.SetBase.intersect_count_argmax` of ``P``
-over the neighborhoods of ``P ∪ X``; ``bitset``, ``hash`` and ``sorted``
-run it on their fast paths.
+Each recursive call is one bulk set instruction,
+:meth:`~repro.core.interface.SetBase.pivot_branch`: the Tomita pivot scan
+(:meth:`~repro.core.interface.SetBase.intersect_count_argmax` of ``P``
+over the neighborhoods of ``P ∪ X``), the candidate diff, and the branch
+loop that yields each child's ``P ∩ N(v)`` and ``X ∩ N(v)`` and moves
+``v`` from ``P`` to ``X`` after the child returns.  ``bitset`` and
+``hash`` run it on fast paths; every other backend, and the dict
+adjacency of the ``H`` subgraph, runs the per-operation default.
 
 Sketch-assisted pivoting (``pivot_set_cls``): the Tomita pivot scan only
 feeds an **argmax** over ``|P ∩ N(u)|``, so a bounded-error estimate of the
@@ -43,8 +50,9 @@ count is sufficient — the SISA/ProbGraph observation that estimated
 ``intersect_count`` is enough wherever a count only selects a winner.
 Passing an approximate set class (``"bloom"``/``"kmv"``) as
 ``pivot_set_cls`` routes *only* that scan through sketch estimators — the
-same instruction, issued on the ``P`` sketch against the sketch
-neighborhoods — while ``P``/``X`` and the candidate pruning stay exact.
+same scan instruction, issued on the ``P`` sketch against the sketch
+neighborhoods, whose winner is passed to ``pivot_branch`` — while
+``P``/``X`` and the candidate pruning stay exact.
 Any ``u ∈ P ∪ X`` is a valid pivot for BK-Pivot, so the enumerated
 maximal-clique set is provably identical to the exact run — a mis-ranked
 pivot can only change the recursion shape (number of recursive calls),
@@ -75,10 +83,18 @@ from ..core.hash_set import HashSet
 from ..core.interface import SetBase
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
-from ..graph.transforms import split_neighbors
+from ..graph.transforms import rank_split
 from ..preprocess.ordering import OrderingResult
 
 __all__ = ["BKResult", "bron_kerbosch", "bk_das", "BK_VARIANTS", "run_bk_variant"]
+
+#: Bytes one block of the outer loop's initial ``P``/``X`` sets may hold,
+#: as :func:`_blocks` estimates them (like ``BitSet.from_csr``'s chunks).
+_BLOCK_BYTES = 4 << 20
+#: Estimated bytes per member and per set on top of a set's dense
+#: bitvector: a hash-table slot and its int object, which bounds the
+#: other backends' per-member cost too.
+_MEMBER_BYTES = 64
 
 
 @dataclass
@@ -131,11 +147,15 @@ class _BKEngine:
     ) -> None:
         """BK-Pivot(P, R, X) — Algorithm 6, lines 18–28.
 
+        One :meth:`~SetBase.pivot_branch` instruction per call.
         ``P_sketch`` is the incrementally maintained pivot-scan sketch of
-        ``P`` (when sketch pivoting is active): child calls derive their
-        sketch with one sketch-level ``intersect``, and the sibling loop
-        mirrors every ``P.remove(v)`` with ``P_sketch.remove(v)`` — the
-        sketch is never rebuilt from ``P``'s members inside the recursion.
+        ``P`` (when sketch pivoting is active): the pivot is scanned on
+        it against the sketch neighborhoods and passed in, each child
+        derives its sketch with one sketch-level ``intersect``, and
+        ``v`` leaves ``P_sketch`` once its subtree returns — the sketch
+        is never rebuilt from ``P``'s members inside the recursion.  Only
+        the counts are estimates, so the pivot is still a member of
+        ``P ∪ X`` whatever the estimate error or the sketch's drift.
         """
         self.calls += 1
         if P.is_empty() and X.is_empty():
@@ -145,41 +165,19 @@ class _BKEngine:
             if self.cliques is not None:
                 self.cliques.append(list(R))
             return
-        pivot = self._choose_pivot(P, X, P_sketch)
-        candidates = P.diff(self.adjacency[pivot]).to_array()
-        for v in candidates.tolist():
-            neigh_v = self.adjacency[v]
+        pivot = child_sketch = None
+        if P_sketch is not None:
+            pivot = P_sketch.intersect_count_argmax(
+                self.pivot_adjacency,
+                P.to_array().tolist() + X.to_array().tolist())
+        for v, P_v, X_v in P.pivot_branch(X, self.adjacency, pivot):
+            if P_sketch is not None:
+                child_sketch = P_sketch.intersect(self.pivot_adjacency[v])
             R.append(v)
-            child_sketch = (
-                P_sketch.intersect(self.pivot_adjacency[v])
-                if P_sketch is not None
-                else None
-            )
-            self.expand(
-                P.intersect(neigh_v), R, X.intersect(neigh_v), child_sketch
-            )
+            self.expand(P_v, R, X_v, child_sketch)
             R.pop()
-            P.remove(v)
             if P_sketch is not None:
                 P_sketch.remove(v)  # incremental maintenance (ProbGraph)
-            X.add(v)
-
-    def _choose_pivot(
-        self, P: SetBase, X: SetBase, P_sketch: Optional[SetBase] = None
-    ) -> int:
-        """Tomita pivot: ``u ∈ P ∪ X`` maximizing ``|P ∩ N(u)|``.
-
-        One bulk :meth:`~SetBase.intersect_count_argmax` instruction over
-        the exact ``P``/``X`` members.  With sketch pivoting it runs on
-        ``P_sketch`` against the sketch neighborhoods: only the counts
-        are estimates, so the winner is still a member of ``P ∪ X``
-        whatever the estimate error or the sketch's maintenance drift.
-        """
-        members = P.to_array().tolist() + X.to_array().tolist()
-        if P_sketch is not None and self.pivot_adjacency is not None:
-            return P_sketch.intersect_count_argmax(self.pivot_adjacency,
-                                                   members)
-        return P.intersect_count_argmax(self.adjacency, members)
 
 
 def bron_kerbosch(
@@ -230,7 +228,6 @@ def bron_kerbosch(
     order_res: OrderingResult = cache.ordering(graph, ordering, **kwargs)
     reorder_seconds = time.perf_counter() - t0
 
-    rank = order_res.rank
     neighborhoods = cache.set_graph(graph, set_cls)
     pivot_neighborhoods = None
     if pivot_set_cls is not None:
@@ -239,28 +236,35 @@ def bron_kerbosch(
                        pivot_adjacency=pivot_neighborhoods)
     task_costs: List[float] = []
     t1 = time.perf_counter()
-    for v in order_res.order.tolist():
-        tv = time.perf_counter()
-        later, earlier = split_neighbors(graph.out_neigh(v), rank, rank[v])
-        P = set_cls.from_sorted_array(later)
-        X = set_cls.from_sorted_array(earlier)
-        if subgraph_opt:
-            # Swap in the per-vertex H subgraph; P, X ⊆ H's vertex set for
-            # the whole subtree, so every intersection below uses N_H.
-            engine.adjacency = _induced_adjacency(
-                neighborhoods, later, earlier, set_cls
+    order = order_res.order
+    for start, stop in _blocks(graph, order):
+        block = order[start:stop]
+        (p_off, p_arcs), (x_off, x_arcs) = rank_split(graph, order_res.rank,
+                                                      block)
+        sets = zip(block.tolist(), set_cls.from_csr(p_off, p_arcs),
+                   set_cls.from_csr(x_off, x_arcs))
+        for i, (v, P, X) in enumerate(sets):
+            tv = time.perf_counter()
+            later = p_arcs[p_off[i]:p_off[i + 1]]
+            if subgraph_opt:
+                # Swap in the per-vertex H subgraph; P, X ⊆ H's vertex
+                # set for the whole subtree, so every intersection below
+                # uses N_H.
+                engine.adjacency = _induced_adjacency(
+                    neighborhoods, later, x_arcs[x_off[i]:x_off[i + 1]],
+                    set_cls)
+            else:
+                engine.adjacency = neighborhoods
+            # The only from-scratch pivot-sketch build of this subtree:
+            # the recursion maintains it incrementally from here on.
+            P_sketch = (
+                pivot_set_cls.from_sorted_array(later)
+                if pivot_set_cls is not None
+                else None
             )
-        else:
-            engine.adjacency = neighborhoods
-        # The only from-scratch pivot-sketch build of this subtree: the
-        # recursion maintains it incrementally from here on.
-        P_sketch = (
-            pivot_set_cls.from_sorted_array(later)
-            if pivot_set_cls is not None
-            else None
-        )
-        engine.expand(P, [v], X, P_sketch)
-        task_costs.append(time.perf_counter() - tv)
+            engine.expand(P, [v], X, P_sketch)
+            task_costs.append(time.perf_counter() - tv)
+        del sets  # hold one block of initial sets at a time
     mine_seconds = time.perf_counter() - t1
 
     name = f"BK-GMS-{order_res.name}" + ("-S" if subgraph_opt else "")
@@ -277,6 +281,28 @@ def bron_kerbosch(
         recursive_calls=engine.calls,
         max_clique_size=engine.max_size,
     )
+
+
+def _blocks(graph: CSRGraph, order: np.ndarray):
+    """Yield ``(start, stop)`` runs of *order* whose initial ``P`` and
+    ``X`` sets fit in :data:`_BLOCK_BYTES`, one vertex at least.
+
+    Each of a vertex's two sets is estimated as a dense bitvector as wide
+    as ``N(v)`` (``(max >> 3) + 1`` bytes, as ``BitSet.from_csr`` sizes
+    it), and :data:`_MEMBER_BYTES` is added per member and per set.
+    """
+    degrees = graph.degrees()[order]
+    cost = _MEMBER_BYTES * (degrees + 2)
+    filled = degrees > 0
+    last = graph.adjacency[graph.offsets[order[filled] + 1] - 1]
+    cost[filled] += 2 * ((last >> 3) + 1)
+    spent = np.cumsum(cost)
+    start = 0
+    while start < len(cost):
+        budget = _BLOCK_BYTES + (spent[start - 1] if start else 0)
+        stop = max(int(np.searchsorted(spent, budget, "right")), start + 1)
+        yield start, stop
+        start = stop
 
 
 def _induced_adjacency(

@@ -310,6 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro aggregate",
         description="merge suite/budget-sweep artifacts into "
                     "results/aggregate.json",
+        allow_abbrev=False,
     )
     parser.add_argument("--results-dir", default=None,
                         help="artifact directory (default: the shared "

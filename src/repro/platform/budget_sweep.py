@@ -192,7 +192,7 @@ def run_budget_sweep(
     # coincides with a grid row (e.g. --set-class bloom --bloom-bits 8),
     # reuse that row's measurements instead of re-running the whole kernel
     # battery for a duplicate class.
-    headline_cls = resolve_backend(plan, dataset, set_class, graph)
+    headline_cls = resolve_backend(plan, set_class, graph)
     match = next(
         (r for r in rows if r["set_class"] == headline_cls.__name__), None
     )

@@ -217,7 +217,7 @@ def _worker_backend(plan, dataset: str, backend_name: str, graph):
     key = (dataset, backend_name) + plan.budget_key()
     cls = _WORKER_BACKENDS.get(key)
     if cls is None:
-        cls = _suite.resolve_backend(plan, dataset, backend_name, graph)
+        cls = _suite.resolve_backend(plan, backend_name, graph)
         _WORKER_BACKENDS[key] = cls
     return cls
 
@@ -396,6 +396,7 @@ def diff_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro suite-diff",
         description="compare two suite artifacts up to timing fields",
+        allow_abbrev=False,
     )
     parser.add_argument("artifact_a")
     parser.add_argument("artifact_b")

@@ -73,6 +73,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="serve repeated mining queries from one MiningSession",
+        allow_abbrev=False,
     )
     add_knob_flags(parser, "--workers", "--cache-budget-bytes")
     parser.add_argument("--no-prompt", action="store_true",

@@ -432,7 +432,7 @@ class MiningSession:
         memo = self._resolved.get(key)
         if memo is not None and memo[0] is graph:
             return memo[1]
-        cls = resolve_backend(plan, dataset, backend_name, graph)
+        cls = resolve_backend(plan, backend_name, graph)
         self._resolved[key] = (graph, cls)
         return cls
 

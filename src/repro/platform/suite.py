@@ -610,7 +610,7 @@ def expand_cells(plan: ExperimentPlan) -> List[Tuple[str, str, str]]:
 
 
 def resolve_backend(
-    plan: ExperimentPlan, dataset: str, backend_name: str, graph: CSRGraph
+    plan: ExperimentPlan, backend_name: str, graph: CSRGraph
 ) -> Type[SetBase]:
     """Resolve one backend name under the plan's budgets and dispatch.
 
@@ -831,6 +831,7 @@ def build_suite_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro suite",
         description="declarative kernel × backend × ordering experiment suite",
+        allow_abbrev=False,
     )
     add_knob_flags(parser, *("--" + name.replace("_", "-")
                              for name in _FIELD_TYPES))

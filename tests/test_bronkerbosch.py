@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BitSet, HashSet, RoaringSet, SortedSet
-from repro.graph import build_undirected
+from repro.core.counters import snapshot
+from repro.graph import MaterializationCache, build_undirected, rank_split
 from repro.graph import generators as gen
 from repro.mining import BK_VARIANTS, bk_das, bron_kerbosch, run_bk_variant
+from repro.mining import bronkerbosch
 from tests.conftest import random_csr
 
 
@@ -140,3 +144,64 @@ class TestInstrumentation:
         res = bk_das(csr)
         assert res.variant == "BK-DAS"
         assert res.ordering_rounds == 30  # sequential peeling: n rounds
+
+
+class TestInitialSplit:
+    """The outer loop's P/X sets come from one rank split, built in
+    blocks of the order."""
+
+    @pytest.mark.parametrize("cls", [BitSet, HashSet, SortedSet],
+                             ids=lambda c: c.__name__)
+    def test_block_size_changes_nothing(self, cls, monkeypatch):
+        csr, _ = random_csr(60, 300, 7)
+        runs = []
+        for block_bytes in (1, 600, 4 << 20):  # one vertex .. one block
+            monkeypatch.setattr(bronkerbosch, "_BLOCK_BYTES", block_bytes)
+            cache = MaterializationCache()
+            cache.set_graph(csr, cls)
+            before = snapshot()
+            res = bron_kerbosch(csr, "DGR", cls, collect=True, cache=cache)
+            runs.append((sorted(res.cliques), res.recursive_calls,
+                         len(res.task_costs), before.delta(snapshot())))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_construction_holds_one_block(self, monkeypatch):
+        # Built up front, every vertex's P and X would hold more than the
+        # graph's own bitset SetGraph; built block by block, BK holds one
+        # block of them (and of the split arrays) at a time.
+        graph = gen.holme_kim(20000, 5, 0.5, seed=1)
+        cache = MaterializationCache()
+        rank = cache.ordering(graph, "DGR").rank
+        cache.set_graph(graph, BitSet)
+        builds = []
+        build = BitSet.from_csr.__func__
+
+        def counted(cls, offsets, targets):
+            builds.append(len(offsets) - 1)
+            return build(cls, offsets, targets)
+
+        monkeypatch.setattr(BitSet, "from_csr", classmethod(counted))
+        monkeypatch.setattr(bronkerbosch, "_BLOCK_BYTES", 1 << 20)
+        # Only the construction is measured: no recursion below it.
+        monkeypatch.setattr(bronkerbosch._BKEngine, "expand",
+                            lambda self, P, R, X, P_sketch=None: None)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = bron_kerbosch(graph, "DGR", BitSet, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(res.task_costs) == graph.num_nodes
+        assert sum(builds) == 2 * graph.num_nodes and len(builds) > 10
+        (p_off, p_arcs), (x_off, x_arcs) = rank_split(graph, rank)
+        held = sum(s._bits.bit_length() // 8
+                   for s in (build(BitSet, p_off, p_arcs)
+                             + build(BitSet, x_off, x_arcs)))
+        # One block of sets, BitSet.from_csr's scratch while it builds
+        # them, and the order, the task costs and a block's split arrays.
+        slack = 100 * graph.num_nodes + (1 << 20)
+        bound = 2 * bronkerbosch._BLOCK_BYTES + slack
+        assert held > 8 * bound  # the bound below is a real constraint
+        assert peak <= bound, (peak, held)

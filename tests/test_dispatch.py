@@ -296,8 +296,8 @@ def test_reference_backend_pinned_static():
 
     graph = load_dataset("sc-ht-mini")
     # The reference backend anchors the cross-check: never swapped.
-    assert resolve_backend(plan, "sc-ht-mini", "sorted", graph) is SortedSet
-    assert (resolve_backend(plan, "sc-ht-mini", "bitset", graph)
+    assert resolve_backend(plan, "sorted", graph) is SortedSet
+    assert (resolve_backend(plan, "bitset", graph)
             is AdaptiveSet)
 
 

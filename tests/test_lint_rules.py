@@ -205,6 +205,41 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/pivot.py", "GMS002") == []
 
+    def test_tomita_instruction_without_accounting_flagged(self):
+        source = """
+            from repro.core.interface import SetBase
+
+            class Tomita(SetBase):
+                def pivot_branch(self, X, graph, pivot=None):
+                    for v in sorted(self._d - graph[pivot]._d):
+                        b = graph[v]._d
+                        yield v, Tomita(self._d & b), Tomita(X._d & b)
+                        self._d -= {v}
+                        X._d |= {v}
+        """
+        findings = run(source, "src/repro/core/tomita.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 5)]
+        assert "Tomita.pivot_branch" in findings[0].message
+
+    def test_tomita_instruction_recording_or_delegating_passes(self):
+        source = """
+            from repro.core.counters import COUNTERS
+            from repro.core.interface import SetBase
+
+            class Recorded(SetBase):
+                def pivot_branch(self, X, graph, pivot=None):
+                    for v in sorted(self._d - graph[pivot]._d):
+                        b = graph[v]._d
+                        COUNTERS.record_step(2, 0, len(self._d) + len(X._d)
+                                             + 2 * len(b), 0)
+                        yield v, Recorded(self._d & b), Recorded(X._d & b)
+
+            class Delegated(SetBase):
+                def pivot_branch(self, X, graph, pivot=None):
+                    yield from super().pivot_branch(X, graph, pivot)
+        """
+        assert run(source, "src/repro/core/tomita.py", "GMS002") == []
+
     def test_aliased_counters_import_recognized(self):
         source = """
             from repro.core import counters as _counters

@@ -232,3 +232,27 @@ class TestCommandLineGrammar:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--dataset", "ca-grqc", "--set-class", "hash"],
+        ["bk", "sc-ht-mini", "--set", "hash"],
+        ["kclique", "sc-ht-mini", "--order", "DGR"],
+        ["suite-diff", "a.json", "b.json", "--sem"],
+        ["aggregate", "--results", "results"],
+        ["serve", "--work", "2"],
+        ["lint", "--form", "json"],
+    ], ids=["suite", "bk", "kclique", "suite-diff", "aggregate", "serve",
+            "lint"])
+    def test_no_parser_takes_a_flag_prefix(self, argv, tmp_path,
+                                           monkeypatch, capsys):
+        # Each line abbreviates a real flag (--datasets/--set-classes,
+        # --set-class, --ordering, --semantic, --results-dir, --workers,
+        # --format); prefix matching would run it as that flag.
+        import repro.platform.bench as bench
+
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

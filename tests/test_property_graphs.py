@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress import LogGraph
-from repro.core import SortedSet
+from repro.core import BitSet, SortedSet, get_set_class
+from repro.core.counters import snapshot
 from repro.graph import (
     MaterializationCache,
     build_undirected,
@@ -133,3 +134,27 @@ def test_bk_count_equals_networkx_randomized(cls, ordering, edges):
     assert got.num_cliques == expect
     reference = bron_kerbosch(g, ordering, SortedSet)
     assert got.recursive_calls == reference.recursive_calls
+
+
+# The routes on which BK's pivot_branch takes no fast path: subgraph_opt's
+# dict adjacency runs the per-operation default, and sketch pivoting
+# passes in the pivot it scanned on P's sketch.  The sketch of P is
+# built once per outer vertex and maintained incrementally below it.
+@pytest.mark.parametrize("ordering", ["DGR", "ADG"])
+@settings(max_examples=15, deadline=None)
+@given(edges=edge_lists)
+def test_bk_routes_without_a_fast_path_equal_networkx(ordering, edges):
+    g = build_undirected(N, edges)
+    expect = sum(1 for _ in nx.find_cliques(_networkx_twin(g)))
+    for cls in EXACT_SET_CLASSES:
+        got = bron_kerbosch(g, ordering, cls, subgraph_opt=True)
+        assert got.num_cliques == expect, cls.__name__
+    for name in ("bloom", "kmv"):
+        sketch_cls = get_set_class(name)
+        cache = MaterializationCache()
+        cache.set_graph(g, sketch_cls)  # its sketch builds stay out
+        before = snapshot()
+        got = bron_kerbosch(g, ordering, BitSet, pivot_set_cls=sketch_cls,
+                            cache=cache)
+        assert got.num_cliques == expect, name
+        assert before.delta(snapshot()).sketch_builds == N, name

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import BitSet, HashSet, SortedSet, bit_set
 from repro.core.counters import Snapshot, snapshot
+from repro.core.interface import SetBase
 from repro.core.registry import registered_set_classes
 from repro.graph import SetGraph, build_oriented_set_graph, build_undirected
 from repro.graph.generators import holme_kim
@@ -333,6 +334,118 @@ def test_intersect_count_argmax_ties_go_to_the_first_listed(cls):
     assert a.intersect_count_argmax(graph, [3, 2, 0, 1]) == 2
     assert a.intersect_count_argmax(graph, [1, 0, 2]) == 1
     assert a.intersect_count_argmax(graph, [3]) == 3
+
+
+# pivot_branch is BK's whole Tomita step as one instruction, under the
+# same contract: whatever path a class takes, it yields the children of
+# the per-operation sequence in its order, leaves P and X where that
+# sequence leaves them after every child, and records its counter delta.
+def _tomita_loop(P, X, graph, pivot):
+    """The per-operation Tomita step that the instruction replaces."""
+    if pivot is None:
+        pivot = _argmax_loop(P, graph, list(P) + list(X))
+        if pivot < 0:
+            return
+    for v in P.diff(graph[pivot]).to_array().tolist():
+        yield v, P.intersect(graph[v]), X.intersect(graph[v])
+        P.remove(v)
+        X.add(v)
+
+
+class _SubBitSet(BitSet):
+    __slots__ = ()
+
+
+# (P, X, graph) classes: each class on its own (bitset's and hash's fast
+# paths, everyone else's default), then mixes and a subclass, which take
+# the default.
+TOMITA_CLASSES = [(cls, cls, cls) for cls in CLASSES] + [
+    (BitSet, BitSet, SortedSet), (BitSet, HashSet, BitSet),
+    (HashSet, HashSet, SortedSet), (HashSet, BitSet, HashSet),
+    (_SubBitSet, _SubBitSet, BitSet),
+]
+
+
+@st.composite
+def tomita_inputs(draw):
+    """A graph over ``0..n-1`` (crossing word boundaries), ``P`` and
+    ``X`` drawn from its vertices (either may be empty, and they may
+    overlap), and either no pivot or one of ``P ∪ X``."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    neighborhoods = draw(st.lists(st.lists(vertex, max_size=12),
+                                  min_size=n, max_size=n))
+    P = draw(st.lists(vertex, max_size=16))
+    X = draw(st.lists(vertex, max_size=16))
+    members = sorted(set(P) | set(X))
+    pivot = draw(st.none() | st.sampled_from(members)) if members else None
+    return neighborhoods, P, X, pivot
+
+
+def _run_tomita(step, classes, neighborhoods, P, X, pivot):
+    """Drain *step* over fresh sets; return what it yielded with the
+    state of P and X at each child, the final P and X, and the delta."""
+    p_cls, x_cls, graph_cls = classes
+    graph = SetGraph([graph_cls.from_iterable(nb) for nb in neighborhoods],
+                     graph_cls)
+    p, x = p_cls.from_iterable(P), x_cls.from_iterable(X)
+    before = snapshot()
+    children = [(v, type(p_v), list(p_v), type(x_v), list(x_v), list(p),
+                 list(x))
+                for v, p_v, x_v in step(p, x, graph, pivot)]
+    return children, list(p), list(x), before.delta(snapshot())
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=tomita_inputs())
+@example(inputs=([[1], [2], [1]], [1, 2], [0], None))  # a tie
+@example(inputs=([[1], [2], [1]], [1, 2], [0], 0))
+@example(inputs=([[1, 2], [0, 2], [0, 1]], [], [0, 2], None))  # empty P
+@example(inputs=([[1, 2], [0, 2], [0, 1]], [], [], None))
+@example(inputs=([[1, 2, 3], [0, 2], [0, 1, 3], [0, 2]], [0, 1, 3],
+                 [1, 3], None))  # P ∩ X = {1, 3}
+@example(inputs=([[70, 130], [], [], [1]] + [[0]] * 140,
+                 [0, 70, 130], [3, 64], 64))
+def test_pivot_branch_equals_per_op_loop(inputs):
+    neighborhoods, P, X, pivot = inputs
+    for classes in TOMITA_CLASSES:
+        name = tuple(cls.__name__ for cls in classes)
+        got = _run_tomita(lambda p, x, graph, u: p.pivot_branch(x, graph, u),
+                          classes, neighborhoods, P, X, pivot)
+        default = _run_tomita(
+            lambda p, x, graph, u: SetBase.pivot_branch(p, x, graph, u),
+            classes, neighborhoods, P, X, pivot)
+        loop = _run_tomita(_tomita_loop, classes, neighborhoods, P, X,
+                           pivot)
+        assert got == default == loop, name
+        if not all(cls.IS_EXACT for cls in classes):
+            continue
+        # The exact classes also agree with Python's sets.
+        p, x = set(P), set(X)
+        chosen = pivot
+        if chosen is None and (p or x):
+            listed = sorted(p) + sorted(x)
+            counts = [len(p & set(neighborhoods[u])) for u in listed]
+            chosen = listed[counts.index(max(counts))]
+        expected = sorted(p - set(neighborhoods[chosen])) if p or x else []
+        assert [child[0] for child in got[0]] == expected, name
+        for v, _, p_v, _, x_v, p_now, x_now in got[0]:
+            assert p_v == sorted(p & set(neighborhoods[v])), name
+            assert x_v == sorted(x & set(neighborhoods[v])), name
+            assert (p_now, x_now) == (sorted(p), sorted(x)), name
+            p.discard(v)
+            x.add(v)
+        assert (got[1], got[2]) == (sorted(p), sorted(x)), name
+
+
+@pytest.mark.parametrize("cls", EXACT_CLASSES, ids=lambda c: c.__name__)
+def test_pivot_branch_ties_keep_the_first_listed(cls):
+    # |P ∩ N(u)| is 1 for every u of P ∪ X = {1, 2} ∪ {0}; P's members
+    # are listed first, so 1 is the pivot and 1 alone branches.
+    graph = SetGraph([cls.from_iterable(n) for n in ([1], [2], [1])], cls)
+    P, X = cls.from_iterable([1, 2]), cls.from_iterable([0])
+    assert [v for v, _, _ in P.pivot_branch(X, graph)] == [1]
+    assert (list(P), list(X)) == ([2], [0, 1])
 
 
 # BitSet.from_csr builds every neighborhood of a CSR graph in bulk; it

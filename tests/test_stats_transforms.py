@@ -12,8 +12,9 @@ from repro.graph import (
     build_undirected,
     induced_subgraph,
     orient_by_rank,
+    oriented_arcs,
     permute,
-    split_neighbors,
+    rank_split,
     summarize,
     total_triangles,
     triangle_counts,
@@ -111,12 +112,44 @@ class TestInducedSubgraph:
         assert sub.num_nodes == 0
 
 
-class TestSplitNeighbors:
-    def test_partition(self):
+class TestRankSplit:
+    def test_partition_along_the_order(self):
         csr, _ = random_csr(25, 80, 6)
         rank = np.random.default_rng(2).permutation(25)
-        for v in range(25):
-            later, earlier = split_neighbors(csr.out_neigh(v), rank, rank[v])
-            assert len(later) + len(earlier) == csr.out_degree(v)
-            assert all(rank[u] > rank[v] for u in later.tolist())
-            assert all(rank[u] < rank[v] for u in earlier.tolist())
+        (p_off, p_arcs), (x_off, x_arcs) = rank_split(csr, rank)
+        order = np.argsort(rank)
+        assert len(p_off) == len(x_off) == 26
+        for i, v in enumerate(order.tolist()):
+            later = p_arcs[p_off[i]:p_off[i + 1]].tolist()
+            earlier = x_arcs[x_off[i]:x_off[i + 1]].tolist()
+            assert later == sorted(later) and earlier == sorted(earlier)
+            assert sorted(later + earlier) == csr.out_neigh(v).tolist()
+            assert all(rank[u] > rank[v] for u in later)
+            assert all(rank[u] < rank[v] for u in earlier)
+        # A run of the order splits to the same slice of the whole split.
+        (b_off, b_arcs), (c_off, c_arcs) = rank_split(csr, rank, order[5:17])
+        assert b_arcs.tolist() == p_arcs[p_off[5]:p_off[17]].tolist()
+        assert c_arcs.tolist() == x_arcs[x_off[5]:x_off[17]].tolist()
+        assert (b_off == p_off[5:18] - p_off[5]).all()
+        assert (c_off == x_off[5:18] - x_off[5]).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40),
+           edges=st.lists(st.tuples(st.integers(0, 39),
+                                    st.integers(0, 39)), max_size=120),
+           ranks=st.lists(st.integers(0, 5), min_size=40, max_size=40))
+    def test_later_side_is_the_oriented_dag(self, n, edges, ranks):
+        # Ties in the rank are allowed: both sides follow oriented_arcs'
+        # rule, so every arc lands on exactly one side of its two ends.
+        csr = build_undirected(n, [(u % n, v % n) for u, v in edges])
+        rank = np.array(ranks[:n])
+        (p_off, p_arcs), (x_off, x_arcs) = rank_split(csr, rank)
+        order = np.argsort(rank, kind="stable")
+        dag_off, dag_arcs = oriented_arcs(csr, rank)
+        for i, v in enumerate(order.tolist()):
+            later = p_arcs[p_off[i]:p_off[i + 1]].tolist()
+            earlier = x_arcs[x_off[i]:x_off[i + 1]].tolist()
+            assert later == dag_arcs[dag_off[v]:dag_off[v + 1]].tolist()
+            assert all(v in dag_arcs[dag_off[u]:dag_off[u + 1]].tolist()
+                       for u in earlier)
+            assert sorted(later + earlier) == csr.out_neigh(v).tolist()
