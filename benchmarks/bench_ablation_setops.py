@@ -13,8 +13,8 @@
   reordering kernel executes fewer (byte-code) instructions than the
   pointer-chasing original (the paper reports 22 vs 31 x86 movs).
 * **abl5 — density-adaptive dispatch** (the SISA fast path): the same
-  kclique / tc kernels under ``--dispatch static`` (pinned SortedSet) vs
-  ``--dispatch adaptive`` (:class:`~repro.core.dispatch.AdaptiveSet`), with
+  kclique / tc kernels on the ``sorted`` backend (mode ``static``) vs the
+  ``adaptive`` backend (:class:`~repro.core.dispatch.AdaptiveSet`), with
   value identity asserted, per-organization ``words_scanned`` attribution,
   and the representation histogram of the adaptive oriented DAG.  Run as a
   script for the ``gms-ablation/v1`` artifact CI publishes::

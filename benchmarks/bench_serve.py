@@ -103,8 +103,8 @@ def bench_cell(dataset: str, workers: int, concurrency: int,
                      orderings=("DGR",))
         with tempfile.TemporaryDirectory() as job_root:
             with running_server(
-                session, max_inflight=max(4, concurrency),
-                backlog=4 * max(4, concurrency), job_root=job_root,
+                session, max_inflight=5 * max(4, concurrency),
+                job_root=job_root,
             ) as server:
                 latencies: List[float] = []
                 errors: List[str] = []

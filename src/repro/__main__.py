@@ -62,7 +62,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .core.registry import get_set_class
 from .graph import DATASETS, load_dataset, summarize
 from .learning import evaluate_scheme, known_measures
 from .mining import (
@@ -212,8 +211,9 @@ def _run(argv: Optional[List[str]]) -> int:
         return 0
 
     if args.command == "bk":
-        res = run_bk_variant(graph, args.variant,
-                             set_cls=get_set_class(plan.set_classes[0]))
+        res = run_bk_variant(
+            graph, args.variant,
+            set_cls=resolve_backend(plan, plan.set_classes[0], graph))
         par = simulated_parallel_seconds(res, args.threads)
         print(f"{res.variant}: {res.num_cliques} maximal cliques "
               f"(max size {res.max_clique_size})")

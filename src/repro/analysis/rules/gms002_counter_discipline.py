@@ -16,8 +16,10 @@ flags overridden op methods whose body shows *no accounting evidence*:
 * no reference to the global ``COUNTERS`` block (record calls or
   direct ``elements_written`` bumps),
 * no delegation to another algebra method (``self.x()``, ``super().x()``
-  or ``other_set.x()`` for an op-method name — delegated work is
-  accounted by the delegate),
+  or ``other_set.x()`` for an op-method name, with ``other_set`` a
+  parameter or a local — delegated work is accounted by the delegate;
+  a call on private storage such as ``self._d.add(v)`` mutates a raw
+  container and is no delegation),
 * no call to a same-module helper that itself references ``COUNTERS``,
 * no call into :mod:`repro.core.ops` / :mod:`repro.core.packed`, whose
   kernels account internally.
@@ -67,10 +69,11 @@ class _AccountingScan(ast.NodeVisitor):
     """Scan one method body for any accounting evidence."""
 
     def __init__(self, ctx: ModuleContext, class_methods: Set[str],
-                 accounted_helpers: Set[str]) -> None:
+                 accounted_helpers: Set[str], set_names: Set[str]) -> None:
         self.ctx = ctx
         self.class_methods = class_methods
         self.accounted_helpers = accounted_helpers
+        self.set_names = set_names
         self.found = False
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -82,11 +85,19 @@ class _AccountingScan(ast.NodeVisitor):
         if _counter_reference(self.ctx, node):
             self.found = True
 
+    def _can_be_set(self, receiver: ast.expr) -> bool:
+        """Is *receiver* ``self``, ``super()``, a parameter or a local?"""
+        if isinstance(receiver, ast.Name):
+            return receiver.id in self.set_names
+        return (isinstance(receiver, ast.Call)
+                and isinstance(receiver.func, ast.Name)
+                and receiver.func.id == "super")
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute):
-            # Delegation to an algebra method on any receiver — self,
-            # super(), a coerced operand, or a wrapped inner set.
+        if isinstance(func, ast.Attribute) and self._can_be_set(func.value):
+            # Delegation to an algebra method on a receiver that can be a
+            # set; ``X._d.add(v)`` is a raw storage update, not one.
             if func.attr in OP_METHODS or func.attr in self.class_methods:
                 self.found = True
         resolved = self.ctx.resolve(func)
@@ -96,6 +107,18 @@ class _AccountingScan(ast.NodeVisitor):
             if resolved.startswith(_ACCOUNTED_MODULES):
                 self.found = True
         self.generic_visit(node)
+
+
+def _bound_names(method: ast.FunctionDef) -> Set[str]:
+    """The method's parameters (``self`` included) and locals."""
+    args = method.args
+    names = {arg.arg for arg in (args.posonlyargs + args.args
+                                 + args.kwonlyargs)}
+    names.update(arg.arg for arg in (args.vararg, args.kwarg) if arg)
+    names.update(node.id for node in ast.walk(method)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store))
+    return names
 
 
 def _is_abstract_body(body: List[ast.stmt]) -> bool:
@@ -149,7 +172,7 @@ class CounterDisciplineRule(Rule):
                 if _is_abstract_body(stmt.body):
                     continue
                 scan = _AccountingScan(ctx, method_names - {stmt.name},
-                                       helpers)
+                                       helpers, _bound_names(stmt))
                 for body_stmt in stmt.body:
                     scan.visit(body_stmt)
                     if scan.found:

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..core.counters import COUNTERS
 from ..core.interface import SetBase
+from ..core.registry import derived_set_class
 from .estimators import (
     bloom_cardinality_estimate,
     bloom_false_positive_rate,
@@ -319,22 +320,16 @@ class BloomFilterSet(SetBase):
 
         Deriving from ``cls`` (not the base class) preserves any method
         overrides of user subclasses; omitted parameters keep ``cls``'s
-        values.
+        values.  Equal parameters give the same class object.
         """
         bpe = cls.BITS_PER_ELEMENT if bits_per_element is None else bits_per_element
         hashes = cls.NUM_HASHES if num_hashes is None else num_hashes
         floor = cls.MIN_BITS if min_bits is None else min_bits
         if bpe < 1 or hashes < 1 or floor < 64:
             raise ValueError("bloom budget parameters out of range")
-        return type(
-            name or f"{cls.__name__.split('_b')[0]}_b{bpe}_k{hashes}",
-            (cls,),
-            {
-                "__slots__": (),
-                "BITS_PER_ELEMENT": bpe,
-                "NUM_HASHES": hashes,
-                "MIN_BITS": floor,
-            },
+        return derived_set_class(
+            cls, name or f"{cls.__name__.split('_b')[0]}_b{bpe}_k{hashes}",
+            BITS_PER_ELEMENT=bpe, NUM_HASHES=hashes, MIN_BITS=floor,
         )
 
     @classmethod
@@ -356,7 +351,8 @@ class BloomFilterSet(SetBase):
         budget) and every such total yields the same class.  With all
         filters equal-sized, every ``intersect_count`` pair takes the pure
         popcount estimator — the disparate-budget probe fallback never
-        triggers.
+        triggers.  Every total that yields the same filter size (and hash
+        count) gives the same class object.
         """
         if total_bits < 64 or num_sets < 1:
             raise ValueError("shared bloom budget parameters out of range")
@@ -375,10 +371,9 @@ class BloomFilterSet(SetBase):
         hashes = cls.NUM_HASHES if num_hashes is None else num_hashes
         if hashes < 1:
             raise ValueError("bloom budget parameters out of range")
-        return type(
-            name or f"{cls.__name__.split('_m')[0].split('_b')[0]}_m{m}",
-            (cls,),
-            {"__slots__": (), "SHARED_BITS": m, "NUM_HASHES": hashes},
+        return derived_set_class(
+            cls, name or f"{cls.__name__.split('_m')[0].split('_b')[0]}_m{m}",
+            SHARED_BITS=m, NUM_HASHES=hashes,
         )
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..core.counters import COUNTERS
 from ..core.interface import SetBase
+from ..core.registry import derived_set_class
 from .estimators import (
     kmv_cardinality_estimate,
     kmv_intersection_estimate,
@@ -221,15 +222,12 @@ class KMVSketchSet(SetBase):
         """Derive a subclass of *cls* with signature size *k*.
 
         Deriving from ``cls`` preserves any method overrides of user
-        subclasses.
+        subclasses.  Equal parameters give the same class object.
         """
         if k < 4:
             raise ValueError("KMV signatures need k >= 4")
-        return type(
-            name or f"{cls.__name__.split('_k')[0]}_k{k}",
-            (cls,),
-            {"__slots__": (), "K": k},
-        )
+        return derived_set_class(
+            cls, name or f"{cls.__name__.split('_k')[0]}_k{k}", K=k)
 
 
 def kmv_set_class(k: int = 128, name: Optional[str] = None) -> Type[KMVSketchSet]:

@@ -1,16 +1,15 @@
 """Set-algebra core of the GMS platform (paper section 5).
 
 Exports the abstract :class:`~repro.core.interface.SetBase` interface, the
-concrete set representations (including the density-adaptive dispatch
-backend), the merge/galloping/packed-bitmap kernels, the set-class
-registry, and the software performance counters.
+concrete set representations (including the density-adaptive
+``adaptive`` backend), the merge/galloping/packed-bitmap kernels, the
+set-class registry, and the software performance counters.
 """
 
 from .bit_set import BitSet
 from .compressed_set import CompressedSortedSet
 from .counters import COUNTERS, Snapshot, merge_snapshots, reset, snapshot
 from .dispatch import (
-    DISPATCH_MODES,
     AdaptiveSet,
     choose_intersect_algorithm,
     choose_representation,
@@ -46,7 +45,6 @@ __all__ = [
     "HashSet",
     "CompressedSortedSet",
     "AdaptiveSet",
-    "DISPATCH_MODES",
     "choose_intersect_algorithm",
     "choose_representation",
     "ARRAY_CONTAINER_MAX",

@@ -23,11 +23,10 @@ is that both choices are better made later and finer:
 iteration order, ``to_array``, equality, and every result are
 **bit-identical** to :class:`~repro.core.sorted_set.SortedSet` — and
 additionally carries the packed bitmap when the density policy says the
-neighborhood is dense.  ``--dispatch adaptive`` (the ``dispatch`` field
-of ``ExperimentPlan``, set by ``suite``, ``/query`` and ``Query``) swaps
-any *exact* backend for this class; sketched backends (``bloom``/``kmv``)
-are never swapped — their accuracy contract is budget-tuned per graph,
-ProbGraph-style, and adaptive repacking would silently change it.
+neighborhood is dense.  It is selected by name like any other backend
+(``--set-classes adaptive``, ``backend=adaptive`` on ``/query`` and the
+REPL, ``Query.backend("adaptive")``), so the suite's exact-backend
+cross-check pins it against ``sorted`` cell for cell.
 
 Every operation records the normalized element counters plus a
 ``words_scanned`` attribution under the ``adaptive/<algorithm>`` keys, so
@@ -53,16 +52,11 @@ from .ops import (
 from .packed import member_mask_words
 
 __all__ = [
-    "DISPATCH_MODES",
     "GALLOP_RATIO",
     "AdaptiveSet",
     "choose_intersect_algorithm",
     "choose_representation",
 ]
-
-#: The dispatch knob's values: ``static`` keeps the per-graph ``set_cls``
-#: choice, ``adaptive`` swaps exact backends for :class:`AdaptiveSet`.
-DISPATCH_MODES = ("static", "adaptive")
 
 #: Gallop when ``|large| > GALLOP_RATIO * |small|`` — the probe does
 #: ``|small| * log|large|`` work versus the merge's ``|small| + |large|``,

@@ -171,6 +171,18 @@ class HashSet(SetBase):
     def clone(self) -> "HashSet":
         return HashSet(set(self._data))
 
+    def assign(self, other: SetBase) -> None:
+        # A private copy: add/remove update the table in place.
+        self._data = set(self._coerce(other)._data)
+
+    def intersect_assign(self, a: SetBase, b: SetBase) -> None:
+        # Fused A = a ∩ b: the intersection is a fresh table, so this set
+        # adopts it without the copy of ``a`` that ``assign`` makes.
+        ca, cb = self._coerce(a), self._coerce(b)
+        out = ca._data & cb._data
+        COUNTERS.record_bulk(len(ca._data) + len(cb._data), len(out))
+        self._data = out
+
     def _replace_with(self, other: SetBase) -> None:
         self._data = self._coerce(other)._data
 

@@ -287,7 +287,12 @@ class SetBase(ABC):
 
     @abstractmethod
     def _replace_with(self, other: "SetBase") -> None:
-        """Overwrite this set's payload with *other*'s (same class)."""
+        """Overwrite this set's payload with *other*'s (same class).
+
+        *other* may be a live set (the default :meth:`assign`): a backend
+        whose ``add``/``remove`` update storage in place overrides
+        :meth:`assign` to copy it, so ``A = B`` never shares it.
+        """
 
     # ------------------------------------------------------------------
     # Other methods (Listing 1, part 3)

@@ -21,6 +21,7 @@ automatically.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Type
 
 from .bit_set import BitSet
@@ -33,6 +34,7 @@ from .sorted_set import SortedSet
 
 __all__ = [
     "SET_CLASSES",
+    "derived_set_class",
     "get_set_class",
     "register_set_class",
     "registered_set_classes",
@@ -133,6 +135,20 @@ def registered_set_classes() -> List[Type[SetBase]]:
 def set_class_names() -> List[str]:
     """Sorted registry names, including the lazily-registered backends."""
     return sorted(SET_CLASSES)
+
+
+@functools.lru_cache(maxsize=None)
+def derived_set_class(base: Type[SetBase], name: str,
+                      **attrs: object) -> Type[SetBase]:
+    """The subclass *name* of *base* with class attributes *attrs*.
+
+    One class object per argument set: the sketch-budget factories derive
+    through here, so equal budgets give the same class, and everything
+    keyed by set class (the materialization cache, a ``SetGraph``'s
+    ``set_cls``) recognizes a repeated budget.  Derived classes are kept
+    for the life of the process, one per distinct argument set.
+    """
+    return type(name, (base,), {"__slots__": (), **attrs})
 
 
 def register_set_class(name: str, cls: Type[SetBase]) -> None:

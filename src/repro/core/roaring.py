@@ -375,6 +375,17 @@ class RoaringSet(SetBase):
     def clone(self) -> "RoaringSet":
         return RoaringSet({k: _copy_container(c) for k, c in self._chunks.items()})
 
+    def assign(self, other: SetBase) -> None:
+        # A private chunk map: add/remove rebind its entries in place.
+        # Containers are never mutated, so they may stay shared.
+        self._chunks = dict(self._coerce(other)._chunks)
+
+    def intersect_assign(self, a: SetBase, b: SetBase) -> None:
+        # Fused A = a ∩ b: the intersection is fresh, so this set adopts
+        # it without the copy ``assign`` makes.
+        ca = self._coerce(a)
+        self._chunks = ca.intersect(b)._chunks
+
     def _replace_with(self, other: SetBase) -> None:
         self._chunks = self._coerce(other)._chunks
 

@@ -9,7 +9,7 @@ from .bench import (
     write_artifact,
 )
 from .budget_sweep import run_budget_sweep
-from .cli import resolve_set_class, resolve_set_class_for_graph
+from .cli import resolve_set_class
 from .pipeline import Pipeline, PipelineReport, StageRecord
 from .runner import diff_payloads, strip_timing
 from .session import MiningSession, Query, QueryResult
@@ -25,7 +25,6 @@ __all__ = [
     "PipelineReport",
     "StageRecord",
     "resolve_set_class",
-    "resolve_set_class_for_graph",
     "MiningSession",
     "Query",
     "QueryResult",

@@ -1,30 +1,26 @@
-"""Set-class resolution under the sketch budgets and the dispatch mode.
+"""Set-class resolution under the sketch budgets.
 
 Every command-line knob is an :class:`~repro.platform.suite.ExperimentPlan`
 field, declared once by :func:`repro.platform.suite.add_knob_flags`; this
-module turns a plan's backend name and budget knobs into the set class a
-kernel runs.
+module turns a backend name and budget knobs into the set class a kernel
+runs.  :func:`repro.platform.suite.resolve_backend` supplies the graph's
+size, the one other input, for every cell.
 """
 
 from __future__ import annotations
 
 from typing import Type
 
-from ..core.dispatch import DISPATCH_MODES
 from ..core.interface import SetBase
 from ..core.registry import get_set_class
 
-__all__ = [
-    "resolve_set_class",
-    "resolve_set_class_for_graph",
-]
+__all__ = ["resolve_set_class"]
 
 
 def resolve_set_class(
     set_class: str, *, bloom_bits: int = 0, kmv_k: int = 0,
     bloom_shared_bits: int = 0, num_sets: int = 0,
     bloom_fpr: float = 0.0, avg_set_size: float = 0.0,
-    dispatch: str = "static",
 ) -> Type[SetBase]:
     """Resolve a set-class name, applying any sketch-budget overrides.
 
@@ -43,22 +39,10 @@ def resolve_set_class(
     average size, and the shared total is that size times ``num_sets`` —
     the operator states the accuracy target, the platform picks the budget.
 
-    ``dispatch="adaptive"`` swaps any resolved *exact* class for
-    :class:`~repro.core.dispatch.AdaptiveSet`; the sketch backends are
-    exempt — their accuracy contract is tied to the budget-configured
-    class resolved below, and results must stay estimator-for-estimator
-    comparable across dispatch modes.
+    The budget factories derive one class object per budget, so equal
+    inputs resolve to the same class.
     """
-    if dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"unknown dispatch mode {dispatch!r}; known: "
-            + ", ".join(DISPATCH_MODES)
-        )
     cls = get_set_class(set_class)
-    if dispatch == "adaptive" and cls.IS_EXACT:
-        from ..core.dispatch import AdaptiveSet
-
-        return AdaptiveSet
     from ..approx import BloomFilterSet, KMVSketchSet
 
     if issubclass(cls, BloomFilterSet):
@@ -83,25 +67,3 @@ def resolve_set_class(
     if kmv_k and issubclass(cls, KMVSketchSet):
         return cls.with_k(kmv_k)
     return cls
-
-
-def resolve_set_class_for_graph(
-    graph, set_class: str, *, bloom_bits: int = 0, kmv_k: int = 0,
-    bloom_shared_bits: int = 0, bloom_fpr: float = 0.0,
-    dispatch: str = "static",
-) -> Type[SetBase]:
-    """Resolve a set-class name with the shared budget split over *graph*.
-
-    The ``m = m_total / n`` choice happens here, once per graph — this is
-    the only place the graph size (and, for ``bloom_fpr``, the average
-    degree) and the budget meet: the suite, the parallel runner's
-    workers, and :class:`~repro.platform.session.MiningSession` all
-    resolve through it.
-    """
-    n = graph.num_nodes
-    avg = 2.0 * graph.num_edges / n if n else 0.0
-    return resolve_set_class(
-        set_class, bloom_bits=bloom_bits, kmv_k=kmv_k,
-        bloom_shared_bits=bloom_shared_bits, num_sets=n,
-        bloom_fpr=bloom_fpr, avg_set_size=avg, dispatch=dispatch,
-    )

@@ -48,10 +48,10 @@ in one executor hop, so a long sweep yields the session between
 datasets and synchronous queries interleave instead of starving.
 
 Admission control bounds the query path: at most ``max_inflight``
-requests in service plus ``backlog`` admitted-but-waiting; beyond that
-``POST /query`` answers ``429`` with a ``Retry-After`` estimated from
-the recent service rate.  Job submissions are bounded separately by
-``max_pending_jobs``.
+requests admitted at once, in service or waiting for the session
+thread; beyond that ``POST /query`` answers ``429`` with a
+``Retry-After`` estimated from the recent service rate.  Job
+submissions are bounded separately by ``max_pending_jobs``.
 
 Multi-tenancy
 -------------
@@ -134,21 +134,20 @@ class HttpError(Exception):
 class AdmissionControl:
     """Bounded-queue admission for the synchronous query path.
 
-    ``max_inflight`` requests may be *in service* at once (in practice
-    they serialize on the session executor; the bound caps how much work
-    is committed, not true parallelism), and up to ``backlog`` more may
-    be admitted and waiting.  Beyond that, :meth:`try_acquire` refuses
-    and the server answers ``429`` — shedding load at the door instead
-    of letting the queue grow without bound, with ``Retry-After``
-    estimated from an EWMA of recent service times.
+    ``max_inflight`` requests may be admitted at once.  They serialize on
+    the one session thread, so one of them is in service and the rest
+    wait; the bound caps how much work is committed, not parallelism.
+    Beyond it, :meth:`try_acquire` refuses and the server answers
+    ``429`` — shedding load at the door instead of letting the queue
+    grow without bound, with ``Retry-After`` estimated from an EWMA of
+    recent service times.
 
     Thread-safe: the event loop acquires/releases, tests and stats
     readers probe from other threads.
     """
 
-    def __init__(self, max_inflight: int, backlog: int) -> None:
+    def __init__(self, max_inflight: int) -> None:
         self.max_inflight = max(1, max_inflight)
-        self.backlog = max(0, backlog)
         self.active = 0
         self.admitted = 0
         self.rejected = 0
@@ -158,7 +157,7 @@ class AdmissionControl:
 
     def try_acquire(self) -> bool:
         with self._lock:
-            if self.active >= self.max_inflight + self.backlog:
+            if self.active >= self.max_inflight:
                 self.rejected += 1
                 return False
             self.active += 1
@@ -187,7 +186,6 @@ class AdmissionControl:
         with self._lock:
             return {
                 "max_inflight": self.max_inflight,
-                "backlog": self.backlog,
                 "active": self.active,
                 "admitted": self.admitted,
                 "rejected": self.rejected,
@@ -414,14 +412,14 @@ class MiningHTTPServer:
 
     def __init__(self, session: MiningSession, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int = 4, backlog: int = 16,
+                 max_inflight: int = 20,
                  max_pending_jobs: int = 8,
                  tenants: Optional[Dict[str, TenantQuota]] = None,
                  job_root: Optional[str] = None) -> None:
         self.session = session
         self.host = host
         self.port = port
-        self.admission = AdmissionControl(max_inflight, backlog)
+        self.admission = AdmissionControl(max_inflight)
         self.max_pending_jobs = max(1, max_pending_jobs)
         self.tenants = dict(tenants or {})
         self.store = JobStore(job_root)
@@ -855,7 +853,7 @@ def serve_http(ns, session: MiningSession) -> int:
     tenants = load_tenants(ns.tenants)
     server = MiningHTTPServer(
         session, host=ns.host, port=ns.http,
-        max_inflight=ns.max_inflight, backlog=ns.admission_backlog,
+        max_inflight=ns.max_inflight,
         max_pending_jobs=ns.max_pending_jobs, tenants=tenants,
         job_root=ns.job_root,
     )

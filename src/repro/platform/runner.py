@@ -83,13 +83,6 @@ TIMING_CELL_KEYS = ("seconds",)
 #: next to them (``tasks``) is fixed by the graph and is compared.
 TIMING_EXTRAS_KEYS = ("task_seconds",)
 
-#: Cell-level keys recording *which code served the cell* rather than what
-#: it computed.  The ``--semantic`` suite-diff drops these too: a static
-#: and an adaptive-dispatch run resolve different concrete classes by
-#: design, and the identity gate is about the computed results (values,
-#: counters, cross-check anchors) being bit-identical regardless.
-PROVENANCE_CELL_KEYS = ("resolved_class",)
-
 
 def _mp_context():
     """Prefer ``fork`` so runtime-registered kernels reach the workers."""
@@ -146,7 +139,6 @@ _WORKER_DATASET_CAPACITY = 4
 _WORKER_STATE: "OrderedDict[str, Tuple[object, MaterializationCache]]" = (
     OrderedDict()
 )
-_WORKER_BACKENDS: Dict[tuple, Type[SetBase]] = {}
 #: Datasets installed by :func:`_seed_worker`.  Pinned: they may be
 #: session-local graphs a worker cannot reload by name, so the LRU never
 #: evicts them.
@@ -199,8 +191,6 @@ def _worker_dataset(plan, dataset: str):
         if victim is None:
             break
         del _WORKER_STATE[victim]
-        for key in [k for k in _WORKER_BACKENDS if k[0] == victim]:
-            del _WORKER_BACKENDS[key]
     graph = load_dataset(dataset)
     cache = MaterializationCache(
         budget_bytes=plan.cache_budget_bytes or None
@@ -210,23 +200,11 @@ def _worker_dataset(plan, dataset: str):
     return state
 
 
-def _worker_backend(plan, dataset: str, backend_name: str, graph):
-    # The memo key carries the plan's budget knobs: a resident pool serves
-    # queries whose budgets differ call to call, and a class resolved
-    # under one budget must never leak into another.
-    key = (dataset, backend_name) + plan.budget_key()
-    cls = _WORKER_BACKENDS.get(key)
-    if cls is None:
-        cls = _suite.resolve_backend(plan, backend_name, graph)
-        _WORKER_BACKENDS[key] = cls
-    return cls
-
-
 def _run_task(plan, dataset: str,
               spec: Tuple[str, str, str]) -> Dict[str, object]:
     """Pool task: one cell on this worker's graph, cache and backend."""
     graph, cache = _worker_dataset(plan, dataset)
-    set_cls = _worker_backend(plan, dataset, spec[0], graph)
+    set_cls = _suite.resolve_backend(plan, spec[0], graph)
     return metered_cell(graph, cache, set_cls, plan, spec)
 
 
@@ -312,9 +290,7 @@ def _merge_cache_stats(
 # ---------------------------------------------------------------------------
 
 
-def strip_timing(
-    payload: Dict[str, object], *, semantic: bool = False
-) -> Dict[str, object]:
+def strip_timing(payload: Dict[str, object]) -> Dict[str, object]:
     """The deterministic projection of a suite payload.
 
     Keeps the dataset identity, the cross-check anchor, and every cell
@@ -327,17 +303,11 @@ def strip_timing(
     (v1: no ``extras``, no ``counters`` block) project cleanly too, so
     suite-diff can diagnose a mixed-schema pair instead of crashing on
     it.
-
-    ``semantic=True`` additionally drops the provenance keys
-    (``resolved_class``): the projection then states *what was computed*,
-    not which concrete class computed it — the equivalence a
-    ``--dispatch static`` vs ``--dispatch adaptive`` pair must satisfy.
     """
-    dropped = TIMING_CELL_KEYS + (PROVENANCE_CELL_KEYS if semantic else ())
     cells = []
     for cell in payload["cells"]:
         kept = {
-            k: v for k, v in cell.items() if k not in dropped
+            k: v for k, v in cell.items() if k not in TIMING_CELL_KEYS
         }
         kept["extras"] = {
             k: v for k, v in cell.get("extras", {}).items()
@@ -355,14 +325,11 @@ def strip_timing(
     }
 
 
-def diff_payloads(
-    a: Dict[str, object], b: Dict[str, object], *, semantic: bool = False
-) -> List[str]:
+def diff_payloads(a: Dict[str, object], b: Dict[str, object]) -> List[str]:
     """Human-readable differences between two payloads' deterministic
-    projections; empty means byte-identical after timing stripping
-    (and, with ``semantic=True``, after provenance stripping)."""
-    sa = strip_timing(a, semantic=semantic)
-    sb = strip_timing(b, semantic=semantic)
+    projections; empty means byte-identical after timing stripping."""
+    sa = strip_timing(a)
+    sb = strip_timing(b)
     if json.dumps(sa, sort_keys=True) == json.dumps(sb, sort_keys=True):
         return []
     problems: List[str] = []
@@ -400,16 +367,12 @@ def diff_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("artifact_a")
     parser.add_argument("artifact_b")
-    parser.add_argument("--semantic", action="store_true",
-                        help="also ignore which concrete set classes "
-                             "served the cells (resolved_class) — the "
-                             "static-vs-adaptive dispatch identity gate")
     ns = parser.parse_args(argv)
     with open(ns.artifact_a) as handle:
         a = json.load(handle)
     with open(ns.artifact_b) as handle:
         b = json.load(handle)
-    problems = diff_payloads(a, b, semantic=ns.semantic)
+    problems = diff_payloads(a, b)
     if problems:
         print(f"suite artifacts differ beyond timing "
               f"({len(problems)} problem(s)):", file=sys.stderr)

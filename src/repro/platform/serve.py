@@ -22,7 +22,7 @@ Commands (one per line; ``#`` starts a comment)::
 
 ``query`` takes the same keys as the HTTP ``POST /query`` body (the
 README's query-key table: ``backend=``, ``ordering=``, ``k=``,
-``dispatch=``, ``bits=``, ...), parsed by the one plan parser,
+``bits=``, ...), parsed by the one plan parser,
 :meth:`~repro.platform.suite.ExperimentPlan.with_knobs`, and prints one
 result line; ``suite`` runs a full declarative plan through the session
 and writes the standard ``results/suite_<dataset>`` artifacts; ``stats``
@@ -85,12 +85,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "jobs, GET /jobs/<id>, GET /stats, GET /healthz)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address for --http (default 127.0.0.1)")
-    parser.add_argument("--max-inflight", type=int, default=4,
-                        help="--http admission control: requests allowed "
-                             "in service at once before the backlog fills")
-    parser.add_argument("--admission-backlog", type=int, default=16,
-                        help="--http admission control: admitted-but-queued "
-                             "requests beyond --max-inflight before 429s")
+    parser.add_argument("--max-inflight", type=int, default=20,
+                        help="--http admission control: /query requests "
+                             "admitted at once, in service or waiting for "
+                             "the session thread, before 429s")
     parser.add_argument("--max-pending-jobs", type=int, default=8,
                         help="--http: queued suite jobs before submissions "
                              "get 429")

@@ -76,11 +76,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple, Type)
+                    Tuple)
 
 from ..core import counters as _counters
 from ..core.counters import Snapshot
-from ..core.interface import SetBase
 from ..graph import DATASETS, load_dataset
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
@@ -180,8 +179,9 @@ class Query:
         Bloom false-positive target (auto-sizes a shared budget, wins over
         the bit budgets), ``bits`` the per-element Bloom budget,
         ``shared_bits`` the per-graph shared Bloom total, ``kmv_k`` the
-        KMV signature size.  Resolution happens per graph at run time and
-        is memoized by the session.
+        KMV signature size.  Each cell resolves the class for its graph
+        (:func:`~repro.platform.suite.resolve_backend`); equal budgets on
+        one graph give the same class, so a repeated query stays warm.
         """
         return self.with_overrides({
             "backend": name, "fpr": fpr, "bits": bits,
@@ -191,15 +191,6 @@ class Query:
     def ordering(self, name: str) -> "Query":
         """Select the vertex ordering (registry mnemonic or alias)."""
         return self.with_overrides({"ordering": name})
-
-    def dispatch(self, mode: str) -> "Query":
-        """Select the set-op dispatch policy (``static`` or ``adaptive``).
-
-        ``adaptive`` swaps the resolved backend for the density-adaptive
-        dispatcher when it is exact; sketch backends are left alone.
-        Results are bit-identical either way.
-        """
-        return self.with_overrides({"dispatch": mode})
 
     def params(self, *, k: Optional[int] = None,
                eps: Optional[float] = None) -> "Query":
@@ -299,7 +290,6 @@ class MiningSession:
         self.queries_run = 0
         self.plans_run = 0
         self._graphs: Dict[str, CSRGraph] = {}
-        self._resolved: Dict[tuple, Tuple[CSRGraph, Type[SetBase]]] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._shipped: frozenset = frozenset()
         self._rebound_after_pool: Set[str] = set()
@@ -410,31 +400,11 @@ class MiningSession:
         })
         graph = self.load(dataset)
         for backend in plan.set_classes:
-            cls = self._backend_for(plan, dataset, backend, graph)
+            cls = resolve_backend(plan, backend, graph)
             self.cache.set_graph(graph, cls)
             for name in plan.orderings:
                 kwargs = {"eps": plan.eps} if name == "ADG" else {}
                 self.cache.oriented(graph, cls, name, **kwargs)
-
-    # -- backend resolution -------------------------------------------------
-
-    def _backend_for(self, plan: ExperimentPlan, dataset: str,
-                     backend_name: str, graph: CSRGraph) -> Type[SetBase]:
-        """Budget-resolved set class, memoized per (graph, budgets).
-
-        Keyed by graph *identity*, not just the dataset name: budget
-        resolution depends on the graph's size and average degree, and
-        ``add_graph`` may re-bind a name to a different graph.  The memo
-        holds the graph itself, both to compare identity and to pin the
-        object so a recycled ``id()`` can never alias a stale entry.
-        """
-        key = (dataset, backend_name) + plan.budget_key()
-        memo = self._resolved.get(key)
-        if memo is not None and memo[0] is graph:
-            return memo[1]
-        cls = resolve_backend(plan, backend_name, graph)
-        self._resolved[key] = (graph, cls)
-        return cls
 
     # -- resident pool ------------------------------------------------------
 
@@ -510,7 +480,7 @@ class MiningSession:
         if limit <= 1 or not tasks:
             for index, (plan, dataset, spec) in enumerate(tasks):
                 graph = self.load(dataset)
-                set_cls = self._backend_for(plan, dataset, spec[0], graph)
+                set_cls = resolve_backend(plan, spec[0], graph)
                 result = metered_cell(graph, self.cache, set_cls, plan, spec)
                 result["done_at"] = time.perf_counter()
                 yield index, result

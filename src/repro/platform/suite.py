@@ -20,7 +20,7 @@ Building blocks
 ``ExperimentPlan``
     The declarative sweep description and the one record of request
     knobs: datasets, kernels, orderings, set backends, clique size,
-    sketch budgets, repeats, dispatch — plus the execution knobs
+    sketch budgets, repeats — plus the execution knobs
     ``workers`` (process-pool size) and ``cache_budget_bytes``
     (per-process :class:`~repro.graph.set_graph.MaterializationCache` LRU
     budget).
@@ -30,8 +30,9 @@ Building blocks
     :meth:`ExperimentPlan.with_knobs` and checks it with
     :meth:`ExperimentPlan.validate`.  Every command's knob flags come
     from :func:`add_knob_flags`, documented once in :data:`FIELD_HELP`.
-    Budget knobs are resolved per graph through
-    :func:`repro.platform.cli.resolve_set_class_for_graph`.
+    A cell's set class is a pure function of its backend name, the sketch
+    budgets and the graph's size, resolved in one place,
+    :func:`resolve_backend`.
 
 ``MiningSession.run_plan``
     Executes a plan (:mod:`repro.platform.session`).  A sequential
@@ -143,7 +144,6 @@ from typing import (
 
 from ..core import counters as _counters
 from ..core.bit_set import BitSet
-from ..core.dispatch import DISPATCH_MODES
 from ..core.interface import SetBase
 from ..core.registry import set_class_names
 from ..graph.csr import CSRGraph
@@ -158,7 +158,7 @@ from ..mining.triangles import (
 from ..preprocess.ordering import ORDERINGS
 from ..runtime.scheduler import SCHEDULER_POLICIES, simulate_makespan
 from .bench import print_table, write_artifact
-from .cli import resolve_set_class_for_graph
+from .cli import resolve_set_class
 
 __all__ = [
     "SCHEMA",
@@ -374,11 +374,6 @@ class ExperimentPlan:
     bloom_fpr: float = 0.0
     workers: int = 1
     cache_budget_bytes: int = 0
-    # Set-op dispatch: "static" keeps each backend's own kernels,
-    # "adaptive" swaps exact backends for the density-adaptive dispatcher
-    # (the reference backend stays static so the cross-check pins the
-    # adaptive results against the untouched path).
-    dispatch: str = "static"
 
     def with_knobs(self, knobs: Mapping[str, object], *,
                    session: bool = False) -> "ExperimentPlan":
@@ -433,9 +428,6 @@ class ExperimentPlan:
         unknown = [n for n in self.set_classes if n not in known]
         if unknown:
             raise KeyError(f"unknown set classes {unknown}; known: {known}")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(f"unknown dispatch {self.dispatch!r}; "
-                             f"known: {DISPATCH_MODES}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.workers < 1:
@@ -468,16 +460,6 @@ class ExperimentPlan:
                 f"unknown orderings {unknown}; known: {sorted(ORDERINGS)}"
             )
         return list(names)
-
-    def budget_key(self) -> Tuple[int, int, int, float, str]:
-        """The resolution knobs that backend resolution depends on.
-
-        Memoized backend resolution — in the session and in the pool
-        workers — keys on this tuple so a class resolved under one budget
-        (or dispatch mode) never serves a request made under another.
-        """
-        return (self.bloom_bits, self.kmv_k, self.bloom_shared_bits,
-                self.bloom_fpr, self.dispatch)
 
     @classmethod
     def smoke(cls) -> "ExperimentPlan":
@@ -530,9 +512,6 @@ FIELD_HELP: Dict[str, str] = {
     "cache_budget_bytes": "MaterializationCache LRU budget in bytes (per "
                           "process; sized via SetGraph.storage_bytes; "
                           "0 = unbounded)",
-    "dispatch": "set-op dispatch: 'static' keeps the chosen set class "
-                "everywhere; 'adaptive' picks the organization per "
-                "neighborhood and the intersection algorithm per call",
 }
 
 #: The sketch-budget flags, for the commands that resolve a sketch backend.
@@ -612,21 +591,22 @@ def expand_cells(plan: ExperimentPlan) -> List[Tuple[str, str, str]]:
 def resolve_backend(
     plan: ExperimentPlan, backend_name: str, graph: CSRGraph
 ) -> Type[SetBase]:
-    """Resolve one backend name under the plan's budgets and dispatch.
+    """The set class a cell of *plan* runs for *backend_name* on *graph*.
 
-    The reference backend is *pinned static* even under ``--dispatch
-    adaptive``: its cells anchor every cross-check, so they must keep
-    running on the untouched sorted-array path — that is what makes the
-    suite's exact-backend gate a genuine adaptive-vs-static identity
-    check rather than adaptive-vs-itself.
+    The one resolution every cell, warm-up and command goes through: a
+    pure function of the backend name, the plan's sketch budgets and the
+    graph's size.  A shared Bloom budget is split as ``m = m_total / n``
+    over the graph's ``n`` neighborhoods, and ``bloom_fpr`` sizes filters
+    for its average degree.  The budget factories derive one class
+    object per budget, so equal inputs give the same class and every
+    cache keyed by class recognizes a repeated query.
     """
-    dispatch = ("static" if backend_name == REFERENCE_BACKEND
-                else plan.dispatch)
-    return resolve_set_class_for_graph(
-        graph, backend_name,
-        bloom_bits=plan.bloom_bits, kmv_k=plan.kmv_k,
-        bloom_shared_bits=plan.bloom_shared_bits,
-        bloom_fpr=plan.bloom_fpr, dispatch=dispatch,
+    n = graph.num_nodes
+    return resolve_set_class(
+        backend_name, bloom_bits=plan.bloom_bits, kmv_k=plan.kmv_k,
+        bloom_shared_bits=plan.bloom_shared_bits, num_sets=n,
+        bloom_fpr=plan.bloom_fpr,
+        avg_set_size=2.0 * graph.num_edges / n if n else 0.0,
     )
 
 
@@ -840,7 +820,7 @@ def build_suite_parser() -> argparse.ArgumentParser:
                              "(2 backends × 2 orderings × 3 kernels) and "
                              "ignore the sweep-selection flags (--repeats "
                              "and the execution flags --workers/"
-                             "--cache-budget-bytes/--dispatch still apply)")
+                             "--cache-budget-bytes still apply)")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -861,7 +841,7 @@ def _plan_from_namespace(parser: argparse.ArgumentParser,
     # apply so CI can run the very same matrix through the process pool.
     return replace(ExperimentPlan.smoke(), **{
         name: getattr(plan, name) for name in SESSION_FIELDS + (
-            "repeats", "cache_budget_bytes", "dispatch")})
+            "repeats", "cache_budget_bytes")})
 
 
 def report_payloads(payloads: List[Dict[str, object]]) -> int:

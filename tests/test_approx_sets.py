@@ -273,6 +273,24 @@ class TestFactories:
         with pytest.raises(ValueError):
             kmv_set_class(2)
 
+    def test_factories_give_one_class_per_budget(self):
+        assert (BloomFilterSet.with_budget(8)
+                is BloomFilterSet.with_budget(bits_per_element=8)
+                is bloom_set_class(8, 4, 1024))
+        assert (BloomFilterSet.with_budget(8)
+                is not BloomFilterSet.with_budget(8, num_hashes=3))
+        # Totals that floor to the same filter size share the class.
+        shared = BloomFilterSet.with_shared_budget(1024, 4)
+        assert shared.SHARED_BITS == 256
+        assert BloomFilterSet.with_shared_budget(1100, 4) is shared
+        assert BloomFilterSet.with_shared_budget(2048, 4) is not shared
+        assert KMVSketchSet.with_k(16) is KMVSketchSet.with_k(k=16)
+        assert kmv_set_class(16, name="Named") is not KMVSketchSet.with_k(16)
+        # Deriving from a derived class keeps deriving from that class.
+        lean = bloom_set_class(4, 2, min_bits=64)
+        assert lean.with_budget(8) is lean.with_budget(8)
+        assert issubclass(lean.with_budget(8), lean)
+
     def test_jaccard_estimate_tracks_truth(self):
         cls = kmv_set_class(256)
         rng = np.random.default_rng(31)

@@ -93,6 +93,16 @@ def test_resolve_set_class_budgets():
 
     assert resolve_set_class("bloom", bloom_bits=8).BITS_PER_ELEMENT == 8
     assert resolve_set_class("kmv", kmv_k=16).K == 16
+    # The budget factories give one class object per budget.
+    assert (resolve_set_class("bloom", bloom_bits=8)
+            is resolve_set_class("bloom", bloom_bits=8))
+    assert (resolve_set_class("bloom", bloom_shared_bits=8192, num_sets=16)
+            is resolve_set_class("bloom", bloom_shared_bits=8192,
+                                 num_sets=16))
+    assert (resolve_set_class("kmv", kmv_k=16)
+            is resolve_set_class("kmv", kmv_k=16))
+    assert (resolve_set_class("bloom", bloom_bits=8)
+            is not resolve_set_class("bloom", bloom_bits=16))
     assert resolve_set_class("sorted") is SortedSet
     # Budget overrides are ignored for non-matching backends.
     assert resolve_set_class("sorted", bloom_bits=8) is SortedSet
@@ -175,12 +185,15 @@ class TestSharedParserFlags:
 
     def test_resolve_for_graph_splits_by_vertex_count(self):
         from repro.graph import load_dataset
-        from repro.platform import resolve_set_class_for_graph
+        from repro.platform import ExperimentPlan
+        from repro.platform.suite import resolve_backend
 
         graph = load_dataset("sc-ht-mini")  # 300 vertices
-        cls = resolve_set_class_for_graph(
-            graph, "bloom", bloom_shared_bits=300 * 128)
+        plan = ExperimentPlan(bloom_shared_bits=300 * 128)
+        cls = resolve_backend(plan, "bloom", graph)
         assert cls.SHARED_BITS == 128
+        # The same budget on the same graph is the same class object.
+        assert resolve_backend(plan, "bloom", graph) is cls
         a = cls.from_sorted_array(graph.out_neigh(0))
         b = cls.from_sorted_array(graph.out_neigh(299))
         assert a.sketch_bits() == b.sketch_bits() == 128

@@ -9,16 +9,16 @@ The contract under test, layer by layer:
   :class:`SortedSet` on every operation (hypothesis-driven), keeps its
   bitmap coherent with the canonical array, and records the *same
   normalized element counters* as every other exact backend;
-* **platform** — ``--dispatch adaptive`` swaps exact backends (sketches
-  exempt, reference pinned static), threads through
-  ``ExperimentPlan.budget_key`` / ``Query`` overrides, and a static vs
-  adaptive suite run is ``suite-diff --semantic``-identical.
+* **platform** — ``adaptive`` is a backend selected by name on every
+  surface (there is no separate dispatch mode), and within one suite plan
+  its cells equal ``sorted``'s and ``bitset``'s in values and counters.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,10 +53,10 @@ from repro.core.packed import (
     unpack,
     words_needed,
 )
-from repro.graph import SetGraph
+from repro.graph import SetGraph, load_dataset
 from repro.platform.cli import resolve_set_class
-from repro.platform.runner import diff_payloads, strip_timing
-from repro.platform.session import MiningSession
+from repro.platform.runner import strip_timing
+from repro.platform.session import MiningSession, Query
 from repro.platform.suite import (
     ExperimentPlan, plan_from_argv, resolve_backend,
 )
@@ -272,81 +272,43 @@ def test_adaptive_words_scanned_attribution():
 # ---------------------------------------------------------------------------
 # platform threading
 # ---------------------------------------------------------------------------
-def test_resolve_set_class_dispatch_mapping():
-    assert resolve_set_class("sorted") is SortedSet
-    assert resolve_set_class("sorted", dispatch="adaptive") is AdaptiveSet
-    assert resolve_set_class("bitset", dispatch="adaptive") is AdaptiveSet
-    # Sketch backends are exempt: their accuracy contract is budget-tuned.
-    bloom = resolve_set_class("bloom", dispatch="adaptive")
-    assert not bloom.IS_EXACT
-    with pytest.raises(ValueError, match="dispatch"):
-        resolve_set_class("sorted", dispatch="wat")
-
-
-def test_suite_dispatch_flag():
-    plan = plan_from_argv(["--dispatch", "adaptive"])
-    assert plan.dispatch == "adaptive"
-    assert resolve_set_class("bitset", dispatch=plan.dispatch) is AdaptiveSet
-    assert plan_from_argv([]).dispatch == "static"
-
-
-def test_reference_backend_pinned_static():
-    plan = ExperimentPlan(datasets=("sc-ht-mini",), dispatch="adaptive")
-    from repro.graph import load_dataset
-
+def test_adaptive_is_selected_by_name():
     graph = load_dataset("sc-ht-mini")
-    # The reference backend anchors the cross-check: never swapped.
+    plan = ExperimentPlan(datasets=("sc-ht-mini",))
+    assert resolve_set_class("adaptive") is AdaptiveSet
+    assert resolve_backend(plan, "adaptive", graph) is AdaptiveSet
+    # Every other name keeps its own class, the reference included.
     assert resolve_backend(plan, "sorted", graph) is SortedSet
-    assert (resolve_backend(plan, "bitset", graph)
-            is AdaptiveSet)
-
-
-def test_budget_key_carries_dispatch():
-    static = ExperimentPlan(dispatch="static")
-    adaptive = ExperimentPlan(dispatch="adaptive")
-    assert static.budget_key() != adaptive.budget_key()
-
-
-def test_query_dispatch_builder():
-    with MiningSession() as session:
-        q = session.query("tc").on("sc-ht-mini").dispatch("adaptive")
-        assert q.plan().dispatch == "adaptive"
-        q2 = session.query("tc").on("sc-ht-mini").with_overrides(
-            {"dispatch": "adaptive"}
-        )
-        assert q2.plan().dispatch == "adaptive"
-        with pytest.raises(ValueError):
-            session.query("tc").dispatch("wat")
+    assert resolve_backend(plan, "bitset", graph) is BitSet
+    assert not resolve_backend(plan, "bloom", graph).IS_EXACT
+    assert plan_from_argv(["--set-classes", "adaptive"]).set_classes == (
+        "adaptive",)
+    # The name is the one way to pick it: no dispatch field or builder.
+    assert "dispatch" not in {f.name for f in fields(ExperimentPlan)}
+    assert not hasattr(Query, "dispatch")
 
 
 # ---------------------------------------------------------------------------
-# suite identity — static vs adaptive is suite-diff --semantic identical
+# suite identity — adaptive cells equal the sorted and bitset cells
 # ---------------------------------------------------------------------------
 def test_suite_static_vs_adaptive_semantic_identity():
-    base = dict(
+    plan = ExperimentPlan(
         datasets=("sc-ht-mini",),
         kernels=("tc", "tc-merge", "kclique", "4clique", "kstar", "bk"),
-        set_classes=("sorted", "bitset", "adaptive"),
+        set_classes=("bitset", "adaptive"),
         orderings=("DGR",),
         k=4,
         repeats=1,
     )
     with MiningSession() as session:
-        static = session.run_plan(ExperimentPlan(**base, dispatch="static"))
-        adaptive = session.run_plan(
-            ExperimentPlan(**base, dispatch="adaptive")
-        )
-    problems = diff_payloads(static[0], adaptive[0], semantic=True)
-    assert problems == []
-    # Without the semantic projection the provenance difference shows:
-    # the non-reference exact cells resolve to AdaptiveSet.
-    resolved = {c["set_class"]: c["resolved_class"]
-                for c in adaptive[0]["cells"]}
-    assert resolved["bitset"] == "AdaptiveSet"
-    assert resolved["sorted"] == "SortedSet"  # pinned reference
-    # Every value agrees cell-for-cell.
-    static_vals = [(c["kernel"], c["set_class"], c["value"])
-                   for c in strip_timing(static[0])["cells"]]
-    adaptive_vals = [(c["kernel"], c["set_class"], c["value"])
-                     for c in strip_timing(adaptive[0])["cells"]]
-    assert static_vals == adaptive_vals
+        (payload,) = session.run_plan(plan)
+    cells = {}
+    for cell in strip_timing(payload)["cells"]:
+        backend = cell.pop("set_class")
+        resolved = cell.pop("resolved_class")
+        assert resolved == {"sorted": "SortedSet", "bitset": "BitSet",
+                            "adaptive": "AdaptiveSet"}[backend]
+        cells.setdefault(backend, []).append(cell)
+    assert len(cells["adaptive"]) == len(plan.kernels)
+    # Values, counters, work profiles and the cross-check anchor alike.
+    assert cells["adaptive"] == cells["sorted"] == cells["bitset"]

@@ -19,6 +19,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from typing import List
 
@@ -226,6 +227,48 @@ class TestQueryEndpoint:
         status, health, _ = _request(server.port, "GET", "/healthz")
         assert status == 200 and health["status"] == "ok"
 
+    def test_client_disconnecting_mid_query(self, server, monkeypatch,
+                                            caplog):
+        # Hold the query in service until the client has hung up, so the
+        # answer is written to a closed connection.
+        hung_up = threading.Event()
+        answer = MiningSession._answer
+
+        def held(session, *args, **kwargs):
+            hung_up.wait(timeout=30)
+            return answer(session, *args, **kwargs)
+
+        monkeypatch.setattr(MiningSession, "_answer", held)
+        body = json.dumps({"kernel": "tc", "dataset": "sc-ht-mini",
+                           "backend": "bitset"}).encode()
+        request = (f"POST /query HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+        admission = server.admission
+        admitted = admission.admitted
+        with caplog.at_level(logging.DEBUG):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30) as sock:
+                sock.sendall(request)
+                deadline = time.time() + 30
+                while admission.admitted == admitted:
+                    assert time.time() < deadline, "query never admitted"
+                    time.sleep(0.01)
+                assert admission.active == 1
+            hung_up.set()
+            deadline = time.time() + 30
+            while admission.active:
+                assert time.time() < deadline, "query never released"
+                time.sleep(0.01)
+            status, payload, _ = _request(
+                server.port, "POST", "/query",
+                {"kernel": "tc", "dataset": "sc-ht-mini",
+                 "backend": "bitset"},
+            )
+        assert status == 200 and payload["result"]["value"] > 0
+        assert admission.active == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno > logging.DEBUG] == []
+
     def test_healthz_and_stats(self, server):
         status, health, _ = _request(server.port, "GET", "/healthz")
         assert status == 200
@@ -238,22 +281,25 @@ class TestQueryEndpoint:
         assert stats["session"]["cache"]["build_seconds"] > 0
         assert stats["admission"]["admitted"] > 0
         assert stats["admission"]["rejected"] == 0
+        # One admission bound: requests in service or waiting.
+        assert stats["admission"]["max_inflight"] == 20
+        assert "backlog" not in stats["admission"]
         assert stats["tenants"]["public"]["usage"]["queries"] > 0
 
 
 class TestAdmissionControl:
     def test_bounded_queue_unit(self):
-        admission = AdmissionControl(max_inflight=1, backlog=1)
+        admission = AdmissionControl(max_inflight=2)
         assert admission.try_acquire()
         assert admission.try_acquire()
-        assert not admission.try_acquire()   # 1 in service + 1 queued
+        assert not admission.try_acquire()   # 1 in service + 1 waiting
         assert admission.rejected == 1
         admission.release(0.5)
         assert admission.try_acquire()
         assert admission.retry_after() >= 1
 
     def test_full_server_answers_429_with_retry_after(self):
-        with running_server(max_inflight=1, backlog=0) as server:
+        with running_server(max_inflight=1) as server:
             # Fill the only admission slot from the outside, exactly as a
             # stuck in-flight request would hold it.
             assert server.admission.try_acquire()
@@ -384,7 +430,7 @@ class TestSuiteJobs:
             assert record["state"] == "done"
             (path,) = record["artifacts"]
             served = json.loads(open(path).read())
-        assert diff_payloads(reference, served, semantic=True) == []
+        assert diff_payloads(reference, served) == []
 
     def test_invalid_plans_rejected_at_submission(self, artifact_dir):
         with running_server() as server:
@@ -483,13 +529,12 @@ class TestServeHttpWiring:
 
         ns = build_serve_parser().parse_args([
             "--http", "0", "--host", "0.0.0.0", "--max-inflight", "2",
-            "--admission-backlog", "3", "--max-pending-jobs", "1",
-            "--job-root", "/tmp/jobs",
+            "--max-pending-jobs", "1", "--job-root", "/tmp/jobs",
         ])
         assert ns.http == 0
         assert ns.host == "0.0.0.0"
         assert ns.max_inflight == 2
-        assert ns.admission_backlog == 3
+        assert build_serve_parser().parse_args([]).max_inflight == 20
         assert ns.max_pending_jobs == 1
         assert ns.job_root == "/tmp/jobs"
 

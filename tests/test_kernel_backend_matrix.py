@@ -330,15 +330,13 @@ class TestBloomFprSizing:
 
     def test_cli_flag_resolves_to_shared_budget_meeting_target(self):
         from repro.approx.estimators import bloom_false_positive_rate
-        from repro.platform.cli import resolve_set_class_for_graph
-        from repro.platform.suite import plan_from_argv
+        from repro.platform.suite import plan_from_argv, resolve_backend
 
         plan = plan_from_argv(["--set-classes", "bloom",
                                "--bloom-fpr", "0.02"])
         assert plan.bloom_fpr == 0.02
         csr, _ = random_csr(60, 300, 4)
-        cls = resolve_set_class_for_graph(csr, plan.set_classes[0],
-                                          bloom_fpr=plan.bloom_fpr)
+        cls = resolve_backend(plan, plan.set_classes[0], csr)
         assert cls.SHARED_BITS > 0
         avg = int(round(2 * csr.num_edges / csr.num_nodes))
         assert bloom_false_positive_rate(

@@ -131,7 +131,14 @@ class TestGMS002CounterDiscipline:
                     return self._d
 
                 def union(self, other):
-                    return self._impl.union(other)  # delegation
+                    return other.union(self)  # delegation to an operand
+
+                def diff(self, other):
+                    return super().diff(other)  # delegation to the default
+
+                def intersect_count(self, other):
+                    a = self._coerce(other)
+                    return a.intersect_count(self)  # delegation to a local
 
                 def contains(self, element):
                     COUNTERS.record_point()
@@ -141,6 +148,31 @@ class TestGMS002CounterDiscipline:
                     return len(self._d)  # not an op method: exempt
         """
         assert run(source, "src/repro/core/polite.py", "GMS002") == []
+
+    def test_raw_storage_calls_are_not_delegation(self):
+        # Methods named like op methods, called on private storage, mutate
+        # a raw container: they account nothing.
+        source = """
+            from repro.core.interface import SetBase
+
+            class Raw(SetBase):
+                def add(self, element):
+                    self._d.add(int(element))
+
+                def remove(self, element):
+                    self._d.discard(int(element))
+
+                def pivot_branch(self, X, graph, pivot=None):
+                    for v in sorted(self._d - graph[pivot]._d):
+                        yield v, self, X
+                        self._d.remove(v)
+                        X._d.add(v)
+        """
+        findings = run(source, "src/repro/core/raw.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("GMS002", 5), ("GMS002", 8), ("GMS002", 11),
+        ]
+        assert "Raw.add" in findings[0].message
 
     def test_bulk_instruction_without_accounting_flagged(self):
         source = """

@@ -34,7 +34,7 @@ from repro.platform.suite import (
 BAD_INPUTS = {
     "unknown-backend": {"backend": "nope"},
     "unknown-backend-list": {"set_classes": ["nope"]},
-    "unknown-dispatch": {"dispatch": "nope"},
+    "unknown-dispatch": {"dispatch": "adaptive"},
     "non-numeric-bits": {"bits": "abc"},
     "unknown-key": {"frobnicate": "1"},
     "session-owned-workers": {"workers": "2"},
@@ -45,9 +45,9 @@ BAD_INPUTS = {
 
 #: Every scalar query key, spelled as the REPL and ``/query`` take it.
 GOOD_KNOBS = {
-    "backend": "bitset", "ordering": "degeneracy", "k": "4", "eps": "0.1",
+    "backend": "adaptive", "ordering": "degeneracy", "k": "4", "eps": "0.1",
     "repeats": "1", "fpr": "0", "bits": "0", "shared_bits": "0",
-    "kmv_k": "0", "dispatch": "adaptive", "cache_budget_bytes": "0",
+    "kmv_k": "0", "cache_budget_bytes": "0",
 }
 
 
@@ -116,16 +116,16 @@ class TestOneGrammarSameMeaning:
         assert _repl(f"query 4clique sc-ht-mini {tokens}") == 0
         (line,) = [l for l in capsys.readouterr().out.splitlines()
                    if l.startswith("4clique on")]
-        assert "[bitset -> AdaptiveSet, DGR]" in line
+        assert "[adaptive -> AdaptiveSet, DGR]" in line
 
     def test_surfaces_compile_the_same_plan(self, server):
         with MiningSession() as session:
             plan = session.query("4clique").with_overrides(
                 {"dataset": "sc-ht-mini", **GOOD_KNOBS}).plan()
             direct = session.query("4clique").on("sc-ht-mini").backend(
-                "bitset").ordering("DGR").dispatch("adaptive").run()
-        assert plan.orderings == ("DGR",) and plan.dispatch == "adaptive"
-        assert plan.k == 4 and plan.set_classes == ("bitset",)
+                "adaptive").ordering("DGR").run()
+        assert plan.orderings == ("DGR",)
+        assert plan.k == 4 and plan.set_classes == ("adaptive",)
         status, payload = _post(
             server.port, "/query",
             {"kernel": "4clique", "dataset": "sc-ht-mini", **GOOD_KNOBS},
@@ -204,17 +204,17 @@ class TestCommandLineGrammar:
     @pytest.mark.parametrize("argv, knobs", [
         (["--orderings", "degeneracy"], {"orderings": ["degeneracy"]}),
         (["--bloom-fpr", "0.02"], {"bloom_fpr": "0.02"}),
-        (["--dispatch", "adaptive"], {"dispatch": "adaptive"}),
+        (["--set-classes", "adaptive"], {"set_classes": ["adaptive"]}),
         (["--cache-budget-bytes", "1"], {"cache_budget_bytes": "1"}),
-    ], ids=["orderings", "bloom-fpr", "dispatch", "cache-budget-bytes"])
+    ], ids=["orderings", "bloom-fpr", "set-classes", "cache-budget-bytes"])
     def test_suite_flag_means_its_knob(self, argv, knobs):
         assert plan_from_argv(argv) == ExperimentPlan().with_knobs(
             knobs, session=True)
 
     @pytest.mark.parametrize("argv", [
-        ["--dispatch", "adaptive"], ["--k", "5"], ["--eps", "0.2"],
+        ["--workers", "2"], ["--k", "5"], ["--eps", "0.2"],
         ["--threads", "2"], ["--verbose"],
-    ], ids=["dispatch", "k", "eps", "threads", "verbose"])
+    ], ids=["workers", "k", "eps", "threads", "verbose"])
     def test_budget_sweep_refuses_knobs_it_does_not_read(
             self, argv, tmp_path, monkeypatch):
         import repro.platform.bench as bench
@@ -237,7 +237,7 @@ class TestCommandLineGrammar:
         ["suite", "--dataset", "ca-grqc", "--set-class", "hash"],
         ["bk", "sc-ht-mini", "--set", "hash"],
         ["kclique", "sc-ht-mini", "--order", "DGR"],
-        ["suite-diff", "a.json", "b.json", "--sem"],
+        ["suite-diff", "a.json", "b.json", "--he"],
         ["aggregate", "--results", "results"],
         ["serve", "--work", "2"],
         ["lint", "--form", "json"],
@@ -246,8 +246,24 @@ class TestCommandLineGrammar:
     def test_no_parser_takes_a_flag_prefix(self, argv, tmp_path,
                                            monkeypatch, capsys):
         # Each line abbreviates a real flag (--datasets/--set-classes,
-        # --set-class, --ordering, --semantic, --results-dir, --workers,
+        # --set-class, --ordering, --help, --results-dir, --workers,
         # --format); prefix matching would run it as that flag.
+        import repro.platform.bench as bench
+
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--smoke", "--dispatch", "adaptive"],
+        ["suite-diff", "a.json", "b.json", "--semantic"],
+        ["serve", "--admission-backlog", "3"],
+    ], ids=["suite-dispatch", "suite-diff-semantic", "serve-backlog"])
+    def test_removed_flags_exit_2(self, argv, tmp_path, monkeypatch,
+                                  capsys):
         import repro.platform.bench as bench
 
         monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))

@@ -257,6 +257,22 @@ class TestSessionLifecycle:
             # A different budget must not reuse the memoized class.
             assert c.resolved_class != a.resolved_class
 
+    @pytest.mark.parametrize("budget", [
+        {"bits": 8}, {"shared_bits": 64 * 300}, {"fpr": 0.05},
+        {"kmv_k": 16},
+    ], ids=["bits", "shared-bits", "fpr", "kmv-k"])
+    def test_repeated_budgeted_query_is_warm(self, budget):
+        # Equal budgets resolve to the same class object, so the second
+        # query finds the first one's materializations.
+        backend = "kmv" if "kmv_k" in budget else "bloom"
+        with MiningSession() as session:
+            q = session.query("4clique").on("sc-ht-mini").backend(
+                backend, **budget)
+            cold, warm = q.run(), q.run()
+        assert cold.cache_misses > 0
+        assert warm.cache_misses == 0
+        assert warm.value == cold.value
+
 
 class TestKernelPasses:
     """Cold or warm, a cell runs ``repeats`` passes; the cache's builds
@@ -745,7 +761,6 @@ class TestWorkerDatasetLru:
 
         monkeypatch.setattr(runner, "_WORKER_STATE", runner.OrderedDict())
         monkeypatch.setattr(runner, "_WORKER_PINNED", set())
-        monkeypatch.setattr(runner, "_WORKER_BACKENDS", {})
         plan = ExperimentPlan()
         cache = MaterializationCache()
         runner._WORKER_STATE["mine"] = (load_dataset("antcolony5-mini"),
@@ -757,15 +772,11 @@ class TestWorkerDatasetLru:
         assert len(runner._WORKER_STATE) == runner._WORKER_DATASET_CAPACITY
         # A hit refreshes recency: sc-ht-mini is no longer the LRU.
         runner._worker_dataset(plan, "sc-ht-mini")
-        runner._WORKER_BACKENDS[("antcolony6-mini", "sorted")] = SortedSet
         runner._worker_dataset(plan, "mbeacxc-mini")
         assert len(runner._WORKER_STATE) == runner._WORKER_DATASET_CAPACITY
         assert "mine" in runner._WORKER_STATE          # pinned survives
         assert "sc-ht-mini" in runner._WORKER_STATE    # recently used
         assert "antcolony6-mini" not in runner._WORKER_STATE  # true LRU
-        # The victim's memoized backends left with it.
-        assert not any(k[0] == "antcolony6-mini"
-                       for k in runner._WORKER_BACKENDS)
         # Churn far past capacity: the bound and the pin both keep holding.
         for name in ("gearbox-mini", "jester2-mini", "antcolony6-mini"):
             runner._worker_dataset(plan, name)

@@ -199,6 +199,23 @@ class TestOtherMethods:
         assert list(a) == [1, 2, 3]
         assert list(b) == [1, 2, 3, 9]
 
+    def test_assign_is_independent(self, any_set_cls):
+        # After A = B, point updates on either side leave the other alone.
+        b = any_set_cls.from_iterable([1, 5, 8])
+        a = any_set_cls.from_iterable([2])
+        a.assign(b)
+        a.add(3)
+        a.remove(8)
+        assert list(a) == [1, 3, 5]
+        assert list(b) == [1, 5, 8]
+        b.add(9)
+        assert list(a) == [1, 3, 5]
+        # The fused A = B ∩ C leaves its operands alone too.
+        c = any_set_cls.from_iterable([1, 5, 9])
+        a.intersect_assign(b, c)
+        a.add(4)
+        assert list(b) == [1, 5, 8, 9] and list(c) == [1, 5, 9]
+
     def test_to_array(self, any_set_cls):
         arr = any_set_cls.from_iterable([5, 1, 9]).to_array()
         assert arr.dtype == np.int64

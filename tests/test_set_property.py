@@ -106,6 +106,23 @@ def test_inplace_ops_match_python_sets(a, b):
 
 
 @settings(max_examples=60, deadline=None)
+@given(a=element_lists, b=element_lists, old=element_lists)
+def test_intersect_assign_equals_the_unfused_pair(a, b, old):
+    # Every backend's fused A = a ∩ b yields and records exactly what the
+    # default assign + intersect_inplace pair does.
+    for cls in CLASSES:
+        runs = []
+        for call in (cls.intersect_assign, SetBase.intersect_assign):
+            sa, sb = cls.from_iterable(a), cls.from_iterable(b)
+            scratch = cls.from_iterable(old)
+            before = snapshot()
+            call(scratch, sa, sb)
+            runs.append((list(scratch), before.delta(snapshot())))
+            assert set(sa) == set(a) and set(sb) == set(b), cls.__name__
+        assert runs[0] == runs[1], cls.__name__
+
+
+@settings(max_examples=60, deadline=None)
 @given(values=element_lists, probe=elements)
 def test_element_overloads_match_python_sets(values, probe):
     # diff_element/union_element ride on clone + add/remove on the exact
