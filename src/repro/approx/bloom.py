@@ -295,6 +295,15 @@ class BloomFilterSet(SetBase):
         new._ones = self._ones
         return new
 
+    def intersect_assign(self, a: SetBase, b: SetBase) -> None:
+        # Fused A = a ∩ b: the intersection is fresh, so this set adopts
+        # it without the member and filter copies of assign and
+        # intersect_inplace.
+        ca = self._coerce(a)
+        out = ca.intersect(b)
+        self._members, self._words = out._members, out._words
+        self._num_bits, self._ones = out._num_bits, out._ones
+
     def _replace_with(self, other: SetBase) -> None:
         b = self._as_bloom(other)
         self._members = b._members.copy()

@@ -201,6 +201,14 @@ class KMVSketchSet(SetBase):
         new._sig = self._sig.copy()
         return new
 
+    def intersect_assign(self, a: SetBase, b: SetBase) -> None:
+        # Fused A = a ∩ b: the intersection is fresh, so this set adopts
+        # it without the member and signature copies of assign and
+        # intersect_inplace.
+        ca = self._coerce(a)
+        out = ca.intersect(b)
+        self._members, self._sig = out._members, out._sig
+
     def _replace_with(self, other: SetBase) -> None:
         if isinstance(other, KMVSketchSet) and other.K == self.K:
             # Same signature size: the other set's sketch is already valid

@@ -51,6 +51,41 @@ def _members(bits: int) -> list:
     return members
 
 
+def _clique_bits(a: int, levels: int, neighborhoods: list,
+                 cardinalities: list) -> tuple:
+    """The kClist recursion over raw big ints: ``(count, ops, read,
+    written, words)`` of ``BitSet(a).clique_count(graph, levels)`` for
+    ``levels >= 2`` and ``a`` nonzero, where the counter fields sum what
+    the default's intersections and ``intersect_count_many`` calls
+    record (an empty child records nothing below its intersection)."""
+    members = _members(a)
+    size = len(members)
+    count = 0
+    read = size * size
+    words = size * ((a.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
+    if levels == 2:
+        for v in members:
+            b = neighborhoods[v]._bits
+            count += (a & b).bit_count()
+            read += cardinalities[v]
+            words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+        return count, size, read, 0, words
+    ops, written = size, 0
+    for v in members:
+        b = neighborhoods[v]._bits
+        c = a & b
+        read += cardinalities[v]
+        words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+        if c:
+            sub = _clique_bits(c, levels - 1, neighborhoods, cardinalities)
+            count += sub[0]
+            ops += sub[1]
+            read += sub[2]
+            written += c.bit_count() + sub[3]
+            words += sub[4]
+    return count, ops, read, written, words
+
+
 class BitSet(SetBase):
     """A set stored as a dense bitvector backed by one Python integer."""
 
@@ -254,6 +289,54 @@ class BitSet(SetBase):
                 X._bits |= bit
                 written += 1
         COUNTERS.record_step(ops, points, read, written, "bitset", words)
+
+    def clique_count(self, graph, levels: int) -> int:
+        # The kClist recursion over a SetGraph of BitSets on raw big
+        # ints, accounted with one record call: exactly what the
+        # default's intersections and intersect_count_many calls record.
+        # Level 2 is one intersect_count_many call, as in the default.
+        if (type(self) is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            return super().clique_count(graph, levels)
+        a = self._bits
+        if levels == 1:
+            return a.bit_count()
+        if levels == 2:
+            return self.intersect_count_many(graph, _members(a))
+        if not a:
+            return 0
+        count, ops, read, written, words = _clique_bits(
+            a, levels, graph.neighborhoods, graph.cardinalities)
+        COUNTERS.record_bulk(read, written, ops, "bitset", words)
+        return count
+
+    def clique_branch(self, graph, levels: int):
+        # The branch loop of clique_count on raw big ints, with one
+        # record call per child covering its intersection and its
+        # subtree: what the default records up to every yield.
+        if (type(self) is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            yield from super().clique_branch(graph, levels)
+            return
+        neighborhoods = graph.neighborhoods
+        cardinalities = graph.cardinalities
+        a = self._bits
+        size = a.bit_count()
+        words_a = (a.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+        for v in _members(a):
+            b = neighborhoods[v]._bits
+            c = a & b
+            read = size + cardinalities[v]
+            words = words_a + (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+            if levels == 1 or not c:
+                COUNTERS.record_bulk(read, 0, 1, "bitset", words)
+                yield c.bit_count()
+                continue
+            count, ops, sub_read, written, sub_words = _clique_bits(
+                c, levels, neighborhoods, cardinalities)
+            COUNTERS.record_bulk(read + sub_read, c.bit_count() + written,
+                                 ops + 1, "bitset", words + sub_words)
+            yield count
 
     def intersect_inplace(self, other: SetBase) -> None:
         # Genuinely in-place (no intermediate BitSet as in the generic

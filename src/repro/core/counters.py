@@ -26,7 +26,15 @@ the same reads and writes, and the same ``words_scanned``.  The Tomita
 step ``SetBase.pivot_branch`` records what its per-operation sequence
 would: the pivot scan, one ``diff``, and per child two ``intersect``
 operations plus the ``remove``/``add`` point operations that move the
-child from ``P`` to ``X``.
+child from ``P`` to ``X``.  The kClist step ``SetBase.clique_count``
+records what its per-operation recursion would: one intersection per
+child ``A ∩ N(v)`` (``|A| + |N(v)|`` reads, ``|child|`` writes, whether
+it builds the child or refills it by ``intersect_assign``), nothing below
+an empty child, and at the last level one ``intersect_count_many`` per
+candidate set.  ``SetBase.clique_branch`` records, by each yield, that
+child's intersection (an ``intersect_count`` at ``levels == 1``) plus its
+``clique_count``.  The ``bitset`` and ``hash`` fast paths make one
+record call per ``clique_count`` call or per yield with those sums.
 Representation-specific cost (how many machine words a kernel actually
 scanned) is attributed separately, per organization/algorithm, in
 ``words_scanned`` — e.g. a dense-bitmap intersection over a sparse set

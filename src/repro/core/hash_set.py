@@ -19,6 +19,36 @@ from .interface import SetBase
 __all__ = ["HashSet"]
 
 
+def _clique_sets(a: set, levels: int, neighborhoods: list) -> tuple:
+    """The kClist recursion over C-level sets: ``(count, ops, read,
+    written)`` of ``HashSet(a).clique_count(graph, levels)`` for
+    ``levels >= 2`` and ``a`` nonempty, where the counter fields sum what
+    the default's intersections and ``intersect_count_many`` calls
+    record (an empty child records nothing below its intersection).
+    Sums do not depend on the order, so members are visited unsorted."""
+    size = len(a)
+    count = 0
+    read = size * size
+    if levels == 2:
+        for v in a:
+            b = neighborhoods[v]._data
+            count += len(a & b)
+            read += len(b)
+        return count, size, read, 0
+    ops, written = size, 0
+    for v in a:
+        b = neighborhoods[v]._data
+        c = a & b
+        read += len(b)
+        if c:
+            sub = _clique_sets(c, levels - 1, neighborhoods)
+            count += sub[0]
+            ops += sub[1]
+            read += sub[2]
+            written += len(c) + sub[3]
+    return count, ops, read, written
+
+
 class HashSet(SetBase):
     """A set stored in an open-addressing hash table."""
 
@@ -123,6 +153,50 @@ class HashSet(SetBase):
                 x.add(v)
                 written += 1
         COUNTERS.record_step(ops, points, read, written)
+
+    def clique_count(self, graph, levels: int) -> int:
+        # The kClist recursion over a SetGraph of HashSets on C-level
+        # sets, accounted with one record call: exactly what the
+        # default's intersections and intersect_count_many calls record.
+        # Level 2 is one intersect_count_many call, as in the default.
+        if (type(self) is not HashSet
+                or getattr(graph, "set_cls", None) is not HashSet):
+            return super().clique_count(graph, levels)
+        a = self._data
+        if levels == 1:
+            return len(a)
+        if levels == 2:
+            return self.intersect_count_many(graph, list(a))
+        if not a:
+            return 0
+        count, ops, read, written = _clique_sets(a, levels,
+                                                 graph.neighborhoods)
+        COUNTERS.record_bulk(read, written, ops)
+        return count
+
+    def clique_branch(self, graph, levels: int):
+        # The branch loop of clique_count on C-level sets, with one
+        # record call per child covering its intersection and its
+        # subtree: what the default records up to every yield.
+        if (type(self) is not HashSet
+                or getattr(graph, "set_cls", None) is not HashSet):
+            yield from super().clique_branch(graph, levels)
+            return
+        neighborhoods = graph.neighborhoods
+        a = self._data
+        size = len(a)
+        for v in sorted(a):
+            b = neighborhoods[v]._data
+            c = a & b
+            read = size + len(b)
+            if levels == 1 or not c:
+                COUNTERS.record_bulk(read, 0)
+                yield len(c)
+                continue
+            count, ops, sub_read, written = _clique_sets(c, levels,
+                                                         neighborhoods)
+            COUNTERS.record_bulk(read + sub_read, len(c) + written, ops + 1)
+            yield count
 
     def union(self, other: SetBase) -> "HashSet":
         b = self._coerce(other)

@@ -184,19 +184,6 @@ def build_oriented_set_graph(
                     directed=True)
 
 
-def _picklable_by_reference(cls: type) -> bool:
-    """True iff *cls* can be pickled as a module-attribute reference.
-
-    Budget-derived sketch subclasses are created by class factories at run
-    time and are not importable from their module; another process that
-    resolves the same budget derives a class of its own.
-    """
-    import sys
-
-    module = sys.modules.get(getattr(cls, "__module__", ""), None)
-    return getattr(module, getattr(cls, "__qualname__", ""), None) is cls
-
-
 class MaterializationCache:
     """Memoizes the per-(graph, backend, ordering) materialization work.
 
@@ -367,22 +354,20 @@ class MaterializationCache:
         install them under its own identity via :meth:`seed_graph_state`.
         This is what lets a resident worker pool start pre-warmed with the
         parent's materializations instead of re-materializing in every
-        worker.  Entries whose set class is not importable by reference
-        (e.g. budget-derived sketch subclasses built by the
-        ``with_shared_budget``/``with_k`` factories) are skipped — a
-        worker re-derives such classes locally, so entries keyed by the
-        parent's class would never be hit there.
+        worker.  The keys hold the set class objects themselves, so a
+        process that pickles the payload can ship only the entries whose
+        class pickles by reference (the pool's initializer arguments
+        under a start method other than ``fork``).
         """
         gid = id(graph)
         orderings = {
             key[1:]: value
             for key, value in self._orderings.items() if key[0] == gid
         }
-        graphs = {}
-        for key, sg in self._graphs.items():
-            if key[1] != gid or not _picklable_by_reference(key[2]):
-                continue
-            graphs[(key[0],) + key[2:]] = sg
+        graphs = {
+            (key[0],) + key[2:]: sg
+            for key, sg in self._graphs.items() if key[1] == gid
+        }
         return {"orderings": orderings, "graphs": graphs}
 
     def seed_graph_state(self, graph: CSRGraph, state: Dict[str, Dict]) -> None:

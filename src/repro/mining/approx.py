@@ -80,9 +80,10 @@ def kclique_count_sets(
 ) -> int:
     """k-clique counting written purely in set algebra (Listing 7 shape).
 
-    The recursion is the kClist scheme of :mod:`repro.mining.kclique`, but
-    candidate sets are ``set_cls`` instances, so the final-level
-    ``intersect_count`` goes through the representation's (possibly
+    The recursion is the kClist scheme of :mod:`repro.mining.kclique`,
+    ``Σ_u N⁺(u).clique_count(dag, k - 1)`` over a ``set_cls`` DAG, so
+    candidate sets are ``set_cls`` instances and the final-level
+    ``intersect_count`` calls go through the representation's (possibly
     estimated) counting path — this is where ProbGraph gets its speedup.
 
     With ``reconcile=True`` the ProbGraph per-level reconciliation is
@@ -105,19 +106,9 @@ def kclique_count_sets(
     if cache is None:
         cache = MaterializationCache()
     _, dag = cache.oriented(graph, set_cls, ordering)
-
-    def rec(i: int, cand: SetBase) -> int:
-        total = 0
-        for v in cand:
-            if i + 1 == k:
-                total += cand.intersect_count(dag[v])
-            else:
-                total += rec(i + 1, cand.intersect(dag[v]))
-        return total
-
-    if k == 2:
-        return sum(dag.out_degree(v) for v in dag.vertices())
     if reconcile:
+        if k == 2:
+            return sum(dag.out_degree(v) for v in dag.vertices())
         _, exact_dag = cache.oriented(graph, SortedSet, ordering)
 
         def rec_reconciled(i: int, cand: SetBase) -> int:
@@ -137,7 +128,7 @@ def kclique_count_sets(
         return sum(
             rec_reconciled(2, exact_dag[u]) for u in exact_dag.vertices()
         )
-    return sum(rec(2, dag[u]) for u in dag.vertices())
+    return sum(dag[u].clique_count(dag, k - 1) for u in dag.vertices())
 
 
 def approx_triangle_count(

@@ -19,18 +19,23 @@ Variants:
 The kernels are written purely against the
 :class:`~repro.core.interface.SetBase` algebra over a materialized
 :class:`~repro.graph.set_graph.SetGraph` (the ``5+`` modularity hook): the
-oriented out-neighborhoods are sets of the chosen representation, candidate
-sets shrink via ``assign`` + ``intersect_inplace`` into one scratch set per
-recursion level, and the innermost level goes through ``intersect_count``
-(one bulk ``intersect_count_many`` call per candidate set) — so an
-approximate backend (``"bloom"``/``"kmv"``) turns the same code into a
-ProbGraph-style estimator without a separate code path.
+oriented out-neighborhoods are sets of the chosen representation, and the
+whole recursion below a task is one of two bulk set instructions.  A
+node-parallel task is ``N⁺(u).clique_count(dag, k - 1)``; the
+edge-parallel tasks of ``u`` are the yields of
+``N⁺(u).clique_branch(dag, k - 2)``, one per arc.  Their innermost level
+is one ``intersect_count_many`` per candidate set, so an approximate
+backend (``"bloom"``/``"kmv"``) turns the same code into a ProbGraph-style
+estimator without a separate code path, while ``bitset`` and ``hash`` run
+the recursion on raw big ints or C-level sets.
 
 The GMS memory optimization bounds the space of every ``C_{i+1}`` by
-``|C_i|`` (candidate sets only ever shrink, and the per-level scratch sets
-are reused across siblings), instead of the ``Δ²``-sized scratch buffers of
-the original code; there is no special-case code path for ``k = 3``,
-matching the "all variants for k ≥ 3" observation.
+``|C_i|`` instead of the ``Δ²``-sized scratch buffers of the original
+code: candidate sets only ever shrink, and each recursion level keeps one
+live candidate set, which ``clique_branch`` refills for every sibling
+(``intersect_assign``) instead of allocating one per visited candidate.
+There is no special-case code path for ``k = 3``, matching the
+"all variants for k ≥ 3" observation.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import List, Optional, Type
 from ..core.interface import SetBase
 from ..core.sorted_set import SortedSet
 from ..graph.csr import CSRGraph
-from ..graph.set_graph import MaterializationCache, SetGraph
+from ..graph.set_graph import MaterializationCache
 
 __all__ = ["KCliqueResult", "kclique_count", "kclique_list"]
 
@@ -66,33 +71,6 @@ class KCliqueResult:
     def throughput(self) -> float:
         """k-cliques found per second (algorithmic-efficiency metric)."""
         return self.count / self.total_seconds if self.total_seconds > 0 else 0.0
-
-
-def _count_rec(
-    dag: SetGraph, i: int, k: int, candidates: SetBase, scratch: List[SetBase]
-) -> int:
-    """kClist recursion over set algebra with per-level scratch reuse.
-
-    Level ``i + 1``'s candidate set is ``scratch[i + 1]``, overwritten for
-    every sibling with the fused ``intersect_assign`` (backends skip the
-    intermediate copy the unfused ``assign`` + ``intersect_inplace`` pair
-    would make); by the time level ``i`` loops to its next candidate, the
-    whole subtree below has returned, so reuse is safe.  The innermost
-    level is one bulk ``intersect_count_many`` call — a sum of
-    ``intersect_count``s, the hook where sketch backends estimate.
-    """
-    if i == k:
-        return candidates.cardinality()
-    if i + 1 == k:
-        return candidates.intersect_count_many(
-            dag, candidates.to_array().tolist())
-    total = 0
-    nxt = scratch[i + 1]
-    for v in candidates.to_array().tolist():
-        nxt.intersect_assign(candidates, dag[v])
-        if not nxt.is_empty():
-            total += _count_rec(dag, i + 1, k, nxt, scratch)
-    return total
 
 
 def _materialize(
@@ -137,32 +115,24 @@ def kclique_count(
     order_res, dag = _materialize(graph, ordering, cls, eps, cache)
     reorder_seconds = time.perf_counter() - t0
 
-    # One scratch candidate set per recursion level (the kClist memory
-    # bound): level i's candidates only ever shrink from level i-1's.
-    scratch = [cls.empty() for _ in range(k + 1)]
     total = 0
     task_costs: List[float] = []
     t1 = time.perf_counter()
     if parallel == "node" or k == 2:
         for u in dag.vertices():
             tv = time.perf_counter()
-            c2 = dag[u]
-            if not c2.is_empty():
-                total += _count_rec(dag, 2, k, c2, scratch)
+            total += dag[u].clique_count(dag, k - 1)
             task_costs.append(time.perf_counter() - tv)
     else:
-        nxt = scratch[3]
+        # One task per arc (u, v): the time until clique_branch yields
+        # v's count, which it computes only when resumed.
         for u in dag.vertices():
-            neigh_u = dag[u]
-            for v in neigh_u.to_array().tolist():
-                tv = time.perf_counter()
-                if k == 3:
-                    total += neigh_u.intersect_count(dag[v])
-                else:
-                    nxt.intersect_assign(neigh_u, dag[v])
-                    if not nxt.is_empty():
-                        total += _count_rec(dag, 3, k, nxt, scratch)
-                task_costs.append(time.perf_counter() - tv)
+            tv = time.perf_counter()
+            for count in dag[u].clique_branch(dag, k - 2):
+                total += count
+                now = time.perf_counter()
+                task_costs.append(now - tv)
+                tv = now
     mine_seconds = time.perf_counter() - t1
     return KCliqueResult(
         variant=f"KC-{order_res.name}-{parallel}",

@@ -39,7 +39,8 @@ CPython builds with ``fork``): the workers then inherit the session's
 warm state, runtime-registered suite kernels and set backends, and
 session graphs of any class, without pickling any of it.  Under
 ``spawn`` only import-time-registered kernels and backends are visible,
-and the seed state must be picklable.
+and the seed state is pickled, without the entries whose set class does
+not pickle by reference (:func:`_seed_state`).
 """
 
 from __future__ import annotations
@@ -90,6 +91,35 @@ def _mp_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
     )
+
+
+def _picklable_by_reference(cls: type) -> bool:
+    """True iff *cls* can be pickled as a module-attribute reference.
+
+    Budget-derived sketch subclasses are created by class factories at run
+    time and are not importable from their module.
+    """
+    module = sys.modules.get(getattr(cls, "__module__", ""), None)
+    return getattr(module, getattr(cls, "__qualname__", ""), None) is cls
+
+
+def _seed_state(state: Dict[str, Dict], context) -> Dict[str, Dict]:
+    """An :meth:`~MaterializationCache.export_graph_state` payload as a
+    pool of *context* can hand it to :func:`_seed_worker`.
+
+    Under ``fork`` the initializer arguments are inherited, not pickled,
+    and a worker that resolves a sketch budget gets the parent's own
+    derived class (:func:`~repro.core.registry.derived_set_class`'s memo
+    is inherited too), so every entry is kept, and hit.  Any other start
+    method pickles the arguments, and a budget-derived class does not
+    pickle by reference: its entries stay behind, and a worker builds
+    them on its first miss.
+    """
+    if context.get_start_method() == "fork":
+        return state
+    graphs = {key: sg for key, sg in state["graphs"].items()
+              if _picklable_by_reference(key[1])}
+    return {"orderings": state["orderings"], "graphs": graphs}
 
 
 def metered_cell(graph: CSRGraph, cache: MaterializationCache,

@@ -87,6 +87,7 @@ from .runner import (
     Task,
     _merge_cache_stats,
     _mp_context,
+    _seed_state,
     _seed_worker,
     accumulate_cache_stats,
     dispatch,
@@ -388,9 +389,9 @@ class MiningSession:
         workers real materializations — and so the first query is already
         warm.  The budget keywords mirror :meth:`Query.backend`: warming
         is only useful if it resolves to the *same* class the queries
-        will use, and budgeted resolution depends on these knobs.  (Pool
-        workers derive budgeted sketch classes of their own, so for those
-        the warmth benefits the in-process paths only.)
+        will use, and budgeted resolution depends on these knobs.  Forked
+        pool workers inherit the budgeted classes with the warm state, so
+        a budgeted query hits there too.
         """
         self._check_open()
         plan = self.defaults.with_knobs({
@@ -417,13 +418,15 @@ class MiningSession:
         """
         self._check_open()
         if self._pool is None:
+            context = _mp_context()
             warm = {
-                name: (graph, self.cache.export_graph_state(graph))
+                name: (graph, _seed_state(
+                    self.cache.export_graph_state(graph), context))
                 for name, graph in self._graphs.items()
             }
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=_mp_context(),
+                mp_context=context,
                 initializer=_seed_worker,
                 initargs=(warm, self.cache_budget_bytes or None),
             )

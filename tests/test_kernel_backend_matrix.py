@@ -208,6 +208,50 @@ class TestBoundedErrorUnderSketches:
         assert abs(rec - exact) <= abs(est - exact) + max(1, exact // 10)
 
 
+def _kclist_per_op(dag, k):
+    """The per-operation kClist recursion over a set DAG: a fresh
+    ``intersect`` per candidate, one ``intersect_count`` per vertex of
+    the last candidate sets, and no set operation at all for ``k = 2``."""
+    def rec(i, cand):
+        total = 0
+        for v in cand:
+            if i + 1 == k:
+                total += cand.intersect_count(dag[v])
+            else:
+                total += rec(i + 1, cand.intersect(dag[v]))
+        return total
+
+    if k == 2:
+        return sum(dag.out_degree(v) for v in dag.vertices())
+    return sum(rec(2, dag[u]) for u in dag.vertices())
+
+
+class TestKcliqueCountSets:
+    """The unreconciled path is ``Σ_u N⁺(u).clique_count(dag, k - 1)``:
+    the value and every counter of the per-operation recursion, on every
+    backend, sketches included (there the estimates compound through the
+    superset candidate sets of a lean Bloom budget)."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_the_per_operation_recursion(self, matrix_graph,
+                                                any_set_cls, k):
+        from repro.approx import bloom_set_class
+
+        csr, _ = matrix_graph
+        for cls in (any_set_cls, bloom_set_class(4, 2, min_bits=64)):
+            cache = MaterializationCache()
+            _, dag = cache.oriented(csr, cls, "DGR")
+            misses = cache.misses
+            runs = []
+            for count in (lambda: kclique_count_sets(csr, k, cls, "DGR",
+                                                     cache=cache),
+                          lambda: _kclist_per_op(dag, k)):
+                before = snapshot()
+                runs.append((count(), before.delta(snapshot())))
+            assert runs[0] == runs[1], cls.__name__
+            assert cache.misses == misses, cls.__name__
+
+
 class TestMaterializationCache:
     def test_set_graph_hit_returns_same_object(self, matrix_graph, set_cls):
         csr, _ = matrix_graph

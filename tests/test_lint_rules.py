@@ -272,6 +272,32 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/tomita.py", "GMS002") == []
 
+    def test_clique_instruction_without_accounting_flagged(self):
+        source = """
+            from repro.core.interface import SetBase
+
+            class Kclist(SetBase):
+                def clique_count(self, graph, levels):
+                    if levels == 1:
+                        return len(self._d)
+                    return sum(Kclist(self._d & graph[v]._d)
+                               .clique_count(graph, levels - 1)
+                               for v in self._d)
+        """
+        findings = run(source, "src/repro/core/kclist.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 5)]
+        assert "Kclist.clique_count" in findings[0].message
+
+    def test_clique_instruction_delegating_passes(self):
+        source = """
+            from repro.core.interface import SetBase
+
+            class Delegated(SetBase):
+                def clique_branch(self, graph, levels):
+                    yield from super().clique_branch(graph, levels)
+        """
+        assert run(source, "src/repro/core/kclist.py", "GMS002") == []
+
     def test_aliased_counters_import_recognized(self):
         source = """
             from repro.core import counters as _counters

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -22,7 +23,11 @@ from repro.graph import (
 )
 from repro.mining import (
     bron_kerbosch,
+    danisch_kclique_count,
+    gbbs_kclique_count,
     kclique_count,
+    kclique_count_sets,
+    kclique_star_count,
     triangle_count_node_iterator,
     triangle_count_rank_merge,
 )
@@ -114,11 +119,34 @@ def test_kclique_matches_networkx_randomized(cls, edges):
     g = build_undirected(N, edges)
     sizes = Counter(len(c) for c in nx.enumerate_all_cliques(_networkx_twin(g)))
     cache = MaterializationCache()
+    for ordering in ("DGR", "ADG"):
+        for k in (3, 4, 5):
+            for parallel in ("node", "edge"):
+                got = kclique_count(g, k, ordering, parallel, set_cls=cls,
+                                    cache=cache).count
+                assert got == sizes[k], (ordering, k, parallel)
+
+
+# The other k-clique kernels: the GBBS and Danisch et al. baselines, the
+# set-algebra kClist of the ProbGraph drivers (exact on exact backends)
+# and the 3-clique-stars, which are the triangles inside some 4-clique.
+@exact_backends
+@settings(max_examples=20, deadline=None)
+@given(edges=edge_lists)
+def test_kclique_baselines_and_stars_match_networkx(cls, edges):
+    g = build_undirected(N, edges)
+    cliques = list(nx.enumerate_all_cliques(_networkx_twin(g)))
+    sizes = Counter(len(c) for c in cliques)
+    cache = MaterializationCache()
     for k in (3, 4, 5):
-        for parallel in ("node", "edge"):
-            got = kclique_count(g, k, "DGR", parallel, set_cls=cls,
-                                cache=cache).count
-            assert got == sizes[k], (k, parallel)
+        assert gbbs_kclique_count(g, k, cls, cache).count == sizes[k], k
+        assert danisch_kclique_count(g, k, cls, cache).count == sizes[k], k
+        for ordering in ("DGR", "ADG"):
+            got = kclique_count_sets(g, k, cls, ordering, cache=cache)
+            assert got == sizes[k], (k, ordering)
+    starred = {frozenset(t) for c in cliques if len(c) == 4
+               for t in combinations(c, 3)}
+    assert kclique_star_count(g, 3, set_cls=cls, cache=cache) == len(starred)
 
 
 # BK's Tomita pivot scan is one intersect_count_argmax instruction: its

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 
 import pytest
 
+from repro.approx import BloomFilterSet
 from repro.core import counters as _counters
 from repro.core.counters import Snapshot
 from repro.core.registry import SET_CLASSES
@@ -390,6 +392,22 @@ class TestResidentPool:
         # in-process batch's walls grow with its position.
         walls = [r.wall_seconds for r in direct]
         assert walls == sorted(walls) and walls[0] > 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="forked workers inherit the budgeted class")
+    def test_budgeted_sketch_warm_state_reaches_forked_workers(self):
+        # A forked worker resolves bits=8 to the parent's own class
+        # object, so the seeded bloom DAG is hit there, not rebuilt: the
+        # ordering and the DAG, as an unbudgeted warm query hits them.
+        with MiningSession(workers=2) as session:
+            session.warm("sc-ht-mini", backends=("bloom",),
+                         orderings=("DGR",), bits=8)
+            results = (session.query("4clique").on("sc-ht-mini")
+                       .ordering("DGR").backend("bloom", bits=8)
+                       .run_many([{}, {}]))
+        assert [(r.cache_hits, r.cache_misses) for r in results] == \
+            [(2, 0), (2, 0)]
 
     def test_run_many_merges_snapshots_associatively(self, pool_session):
         variants = [{"backend": "bitset"}, {"backend": "bloom"},
@@ -852,6 +870,26 @@ class TestSeedWorker:
         assert cache.budget_bytes == 1 << 30
         cache.oriented(graph, SortedSet, "DGR")
         assert cache.misses == 0 and cache.hits > 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="compares the fork and spawn start methods")
+    def test_only_pickled_seed_state_drops_budget_derived_classes(
+        self, runner
+    ):
+        graph = load_dataset("sc-ht-mini")
+        parent = MaterializationCache()
+        parent.oriented(graph, SortedSet, "DGR")
+        parent.oriented(graph, BloomFilterSet.with_budget(8), "DGR")
+        state = parent.export_graph_state(graph)
+        assert len(state["graphs"]) == 2
+        forked = runner._seed_state(state, multiprocessing.get_context("fork"))
+        assert forked == state
+        spawned = runner._seed_state(state,
+                                     multiprocessing.get_context("spawn"))
+        assert [key[1] for key in spawned["graphs"]] == [SortedSet]
+        assert spawned["orderings"] == state["orderings"]
+        pickle.dumps(spawned)  # what a spawn pool's initializer receives
 
     def test_pins_only_graphs_a_worker_cannot_reload(self, runner):
         graph = load_dataset("sc-ht-mini")

@@ -465,6 +465,116 @@ def test_pivot_branch_ties_keep_the_first_listed(cls):
     assert (list(P), list(X)) == ([2], [0, 1])
 
 
+# clique_count and clique_branch are the kClist recursion as two
+# instructions, under the same contract: whatever path a class takes, it
+# returns (or yields, child by child) the per-operation recursion's counts
+# and has recorded that recursion's counter delta by every yield.
+def _clique_loop(a, graph, levels):
+    """The per-operation kClist recursion the instructions replace."""
+    if levels == 1:
+        return a.cardinality()
+    members = a.to_array().tolist()
+    if levels == 2:
+        return sum(a.intersect_count(graph[v]) for v in members)
+    total = 0
+    for v in members:
+        child = a.intersect(graph[v])
+        if not child.is_empty():
+            total += _clique_loop(child, graph, levels - 1)
+    return total
+
+
+def _branch_loop(a, graph, levels):
+    for v in a.to_array().tolist():
+        if levels == 1:
+            yield a.intersect_count(graph[v])
+            continue
+        child = a.intersect(graph[v])
+        yield 0 if child.is_empty() else _clique_loop(child, graph, levels)
+
+
+def _set_cliques(a, neighborhoods, levels):
+    """The same count over Python sets."""
+    if levels == 1:
+        return len(a)
+    return sum(_set_cliques(a & set(neighborhoods[v]), neighborhoods,
+                            levels - 1) for v in a)
+
+
+# (receiver, graph) classes: each class over its own SetGraph (bitset's
+# and hash's fast paths, everyone else's default), then mixes and a
+# subclass, which take the default.
+CLIQUE_PAIRS = [(cls, cls) for cls in CLASSES] + [
+    (BitSet, SortedSet), (SortedSet, HashSet), (HashSet, BitSet),
+    (_SubBitSet, BitSet), (_SubBitSet, _SubBitSet),
+]
+
+
+@st.composite
+def clique_inputs(draw):
+    """A graph over ``0..n-1`` (crossing word boundaries) and a receiver
+    drawn from its vertices."""
+    n = draw(st.integers(min_value=1, max_value=150))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    neighborhoods = draw(st.lists(st.lists(vertex, max_size=12),
+                                  min_size=n, max_size=n))
+    return neighborhoods, draw(st.lists(vertex, max_size=16))
+
+
+def _clique_runs(receiver_cls, graph, receiver, levels):
+    """Run each path of both instructions on a fresh receiver over
+    *graph*; return each path's counts, with its counter delta after the
+    call or after every yield."""
+    counts, branches = [], []
+    for step in (lambda a: a.clique_count(graph, levels),
+                 lambda a: SetBase.clique_count(a, graph, levels),
+                 lambda a: _clique_loop(a, graph, levels)):
+        a = receiver_cls.from_iterable(receiver)
+        before = snapshot()
+        counts.append((step(a), before.delta(snapshot())))
+    for step in (lambda a: a.clique_branch(graph, levels),
+                 lambda a: SetBase.clique_branch(a, graph, levels),
+                 lambda a: _branch_loop(a, graph, levels)):
+        a = receiver_cls.from_iterable(receiver)
+        before = snapshot()
+        branches.append([(count, before.delta(snapshot()))
+                         for count in step(a)])
+    return counts, branches
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=clique_inputs())
+@example(inputs=([[1, 2], [0, 2], [0, 1]], []))  # empty receiver
+@example(inputs=([[1, 2, 3], [2, 3], [3], []], [0, 1, 2, 3]))  # a K4 DAG
+@example(inputs=([[63, 64, 130], [], [], [1]] + [[]] * 59
+                 + [[64, 130]] + [[130]] * 66 + [[]] * 20,
+                 [0, 63, 64, 130]))  # members across word boundaries
+def test_clique_count_and_branch_equal_per_op_loop(inputs):
+    neighborhoods, receiver = inputs
+    for receiver_cls, graph_cls in CLIQUE_PAIRS:
+        graph = SetGraph([graph_cls.from_iterable(nb)
+                          for nb in neighborhoods], graph_cls)
+        for levels in (1, 2, 3):
+            name = (receiver_cls.__name__, graph_cls.__name__, levels)
+            counts, branches = _clique_runs(receiver_cls, graph, receiver,
+                                            levels)
+            assert counts[0] == counts[1] == counts[2], name
+            assert branches[0] == branches[1] == branches[2], name
+            # The branch counts are the children's, so they sum to the
+            # count one level up.
+            up = receiver_cls.from_iterable(receiver).clique_count(
+                graph, levels + 1)
+            assert sum(c for c, _ in branches[0]) == up, name
+            if not (receiver_cls.IS_EXACT and graph_cls.IS_EXACT):
+                continue
+            a = set(receiver)
+            assert counts[0][0] == _set_cliques(a, neighborhoods,
+                                                levels), name
+            assert [c for c, _ in branches[0]] == [
+                _set_cliques(a & set(neighborhoods[v]), neighborhoods,
+                             levels) for v in sorted(a)], name
+
+
 # BitSet.from_csr builds every neighborhood of a CSR graph in bulk; it
 # must build exactly the integers the per-vertex from_sorted_array loop
 # builds, whatever the chunking, and fall back to that loop's
