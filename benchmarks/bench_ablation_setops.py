@@ -43,7 +43,6 @@ from repro.core import (
     intersect_count_merge,
 )
 from repro.core.counters import snapshot
-from repro.core.packed import intersect_count_words, pack_sorted
 from repro.graph import load_dataset
 from repro.graph.set_graph import MaterializationCache
 from repro.graph.transforms import rank_split
@@ -174,7 +173,7 @@ def _bk_subgraph_every_level(graph) -> Dict[str, float]:
             c = P.intersect_count(local[int(u)])
             if c > best:
                 best, pivot = c, int(u)
-        for v in P.diff(local[pivot]).to_array().tolist():
+        for v in P.diff(local[pivot]).members():
             nv = local[v]
             expand(local, P.intersect(nv), R + [v], X.intersect(nv))
             P.remove(v)
@@ -373,16 +372,17 @@ def run_dispatch_ablation(
 def run_dispatch_microkernels(scale: int = 1) -> Dict[str, float]:
     """Per-call costs of the three intersection organizations.
 
-    Dense operands (every element below 8·n) so the packed-word path is
-    representative of what :class:`AdaptiveSet` adopts; ``scale`` shrinks
-    the operands for smoke runs.
+    Dense operands (every element below 8·n) so the big-int bitmap path
+    is representative of what :class:`AdaptiveSet` adopts; ``scale``
+    shrinks the operands for smoke runs.
     """
     rng = np.random.default_rng(11)
     n = max(1024, 200_000 // scale)
     a = np.unique(rng.integers(0, 8 * n, size=n))
     b = np.unique(rng.integers(0, 8 * n, size=n))
     small = np.sort(rng.choice(b, size=64, replace=False))
-    wa, wb = pack_sorted(a), pack_sorted(b)
+    wa = BitSet.from_sorted_array(a)._bits
+    wb = BitSet.from_sorted_array(b)._bits
 
     def timed(fn, repeats=20):
         t0 = time.perf_counter()
@@ -391,14 +391,14 @@ def run_dispatch_microkernels(scale: int = 1) -> Dict[str, float]:
         return (time.perf_counter() - t0) / repeats
 
     expected = len(np.intersect1d(a, b))
-    assert int(intersect_count_words(wa, wb)) == expected
+    assert (wa & wb).bit_count() == expected
     return {
         "similar_merge_us": 1e6 * timed(
             lambda: intersect_count_merge(a, b)),
         "skewed_galloping_us": 1e6 * timed(
             lambda: intersect_count_galloping(small, b)),
-        "packed_and_popcount_us": 1e6 * timed(
-            lambda: intersect_count_words(wa, wb)),
+        "bigint_and_popcount_us": 1e6 * timed(
+            lambda: (wa & wb).bit_count()),
         "numpy_intersect1d_us": 1e6 * timed(
             lambda: np.intersect1d(a, b)),
     }

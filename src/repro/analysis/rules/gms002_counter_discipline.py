@@ -10,7 +10,8 @@ backend method silently breaks when it does its array math without
 recording.
 
 The rule inspects every class whose (lexical) base resolves to
-``SetBase`` — or to a known local subclass in the same module — and
+``SetBase``, to a ``*Set`` backend of :mod:`repro.core` or
+:mod:`repro.approx`, or to a known local subclass in the same module, and
 flags overridden op methods whose body shows *no accounting evidence*:
 
 * no reference to the global ``COUNTERS`` block (record calls or
@@ -21,8 +22,7 @@ flags overridden op methods whose body shows *no accounting evidence*:
   a call on private storage such as ``self._d.add(v)`` mutates a raw
   container and is no delegation),
 * no call to a same-module helper that itself references ``COUNTERS``,
-* no call into :mod:`repro.core.ops` / :mod:`repro.core.packed`, whose
-  kernels account internally.
+* no call into :mod:`repro.core.ops`, whose kernels account internally.
 
 Abstract bodies (docstring-only / ``...`` / ``raise``) are exempt:
 they define the interface, they do not touch storage.
@@ -50,8 +50,10 @@ OP_METHODS = frozenset({
 })
 
 #: Fully-qualified prefixes whose callees account internally.
-_ACCOUNTED_MODULES = ("repro.core.ops", "repro.core.packed",
-                     "repro.core.counters")
+_ACCOUNTED_MODULES = ("repro.core.ops", "repro.core.counters")
+
+#: Packages whose ``*Set`` classes are SetBase backends.
+_BACKEND_PACKAGES = ("repro.core.", "repro.approx.")
 
 _COUNTERS_SUFFIX = ".COUNTERS"
 
@@ -188,8 +190,9 @@ class CounterDisciplineRule(Rule):
 
 
 def _set_base_subclasses(ctx: ModuleContext) -> List[ast.ClassDef]:
-    """Classes lexically derived from SetBase (direct or via a local
-    chain of bases defined in the same module)."""
+    """Classes lexically derived from SetBase (direct, via a backend
+    imported from the set packages, or via a local chain of bases defined
+    in the same module)."""
     classes = [node for node in ast.walk(ctx.tree)
                if isinstance(node, ast.ClassDef)]
     derived: Dict[str, bool] = {}
@@ -200,6 +203,10 @@ def _set_base_subclasses(ctx: ModuleContext) -> List[ast.ClassDef]:
             return False
         resolved = ctx.imports.resolve_dotted(dotted)
         if resolved.split(".")[-1] == "SetBase":
+            return True
+        # A backend imported from the set packages (AdaptiveSet derives
+        # SortedSet) is a SetBase subclass defined in another module.
+        if resolved.startswith(_BACKEND_PACKAGES) and resolved.endswith("Set"):
             return True
         return derived.get(dotted.split(".")[-1], False)
 

@@ -287,6 +287,9 @@ class BloomFilterSet(SetBase):
     def to_array(self) -> np.ndarray:
         return self._members.copy()
 
+    def members(self) -> list:
+        return self._members.tolist()
+
     def clone(self) -> "BloomFilterSet":
         new = object.__new__(type(self))
         new._members = self._members.copy()

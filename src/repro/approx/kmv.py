@@ -195,6 +195,9 @@ class KMVSketchSet(SetBase):
     def to_array(self) -> np.ndarray:
         return self._members.copy()
 
+    def members(self) -> list:
+        return self._members.tolist()
+
     def clone(self) -> "KMVSketchSet":
         new = object.__new__(type(self))
         new._members = self._members.copy()

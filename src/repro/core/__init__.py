@@ -2,7 +2,8 @@
 
 Exports the abstract :class:`~repro.core.interface.SetBase` interface, the
 concrete set representations (including the density-adaptive
-``adaptive`` backend), the merge/galloping/packed-bitmap kernels, the
+``adaptive`` backend: ``sorted``'s array plus, for a dense set,
+``bitset``'s big-int bitmap), the merge/galloping array kernels, the
 set-class registry, and the software performance counters.
 """
 

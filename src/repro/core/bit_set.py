@@ -411,6 +411,9 @@ class BitSet(SetBase):
         return np.nonzero(np.unpackbits(buf, bitorder="little"))[0].astype(
             np.int64)
 
+    def members(self) -> list:
+        return _members(self._bits)
+
     def clone(self) -> "BitSet":
         return BitSet(self._bits)
 
@@ -425,6 +428,6 @@ class BitSet(SetBase):
     __hash__ = SetBase.__hash__
 
     # -- storage accounting (for the memory-consumption analysis) --------
-    def storage_bits(self) -> int:
-        """Size of the dense bitvector in bits (``n`` in the paper)."""
-        return max(self._bits.bit_length(), 1)
+    def storage_bytes(self) -> int:
+        """The dense bitvector's bytes: ``n`` bits in the paper."""
+        return max(self._bits.bit_length(), 1) // 8 + 1

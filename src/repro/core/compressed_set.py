@@ -126,6 +126,9 @@ class CompressedSortedSet(SetBase):
     def to_array(self) -> np.ndarray:
         return self._decoded().copy()
 
+    def members(self) -> list:
+        return self._decoded().tolist()
+
     def clone(self) -> "CompressedSortedSet":
         out = CompressedSortedSet(self._blob, self._count)
         if self._cache is not None:

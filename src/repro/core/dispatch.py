@@ -4,26 +4,28 @@ The static platform picks **one** set class per graph (``set_cls``) and
 **one** algorithm per method.  SISA's observation — and this module's job —
 is that both choices are better made later and finer:
 
-* **organization, per neighborhood**: a dense neighborhood packs into a
-  ``np.uint64`` bitmap (:mod:`repro.core.packed`) whose intersections are
-  word-parallel ``AND`` + popcount; a sparse one stays a sorted array.
-  :func:`choose_representation` makes the call from the density
+* **organization, per neighborhood**: a dense neighborhood also carries a
+  bitmap, the Python big int of :class:`~repro.core.bit_set.BitSet`,
+  whose intersections are limb-parallel ``&`` + ``bit_count``; a sparse
+  one is the sorted array of :class:`~repro.core.sorted_set.SortedSet`
+  alone.  :func:`choose_representation` makes the call from the density
   ``|S| / words(universe)`` — the bitmap is chosen exactly when it is no
-  larger than the array it replaces (``words ≤ |S|``), which also bounds
-  its scan cost by the array's.
-* **algorithm, per operation**: a skewed array × array pair
-  (``|large| > ratio · |small|``) is intersected by galloping binary
-  probes, a balanced pair by the vectorized merge-path scan
-  (:mod:`repro.core.ops`); an array × bitmap pair by ``O(|array|)``
-  bitmap probes.  :func:`choose_intersect_algorithm` owns the ratio.
+  larger than the array it accompanies (``words ≤ |S|``), which also
+  bounds its scan cost by the array's.
+* **algorithm, per operation**: when both operands are dense, big-int
+  ``&``/``|``/``& ~``; otherwise a tiny side probes the other's hash
+  layout, a skewed pair (``|large| > ratio · |small|``) is intersected by
+  galloping binary probes, and a balanced pair by the vectorized
+  merge-path scan (:mod:`repro.core.ops`).
+  :func:`choose_intersect_algorithm` owns the ratio.
 
 :class:`AdaptiveSet` packages the policy as a drop-in
 :class:`~repro.core.interface.SetBase` backend (registry name
-``"adaptive"``): it always keeps the canonical sorted array — so
-iteration order, ``to_array``, equality, and every result are
-**bit-identical** to :class:`~repro.core.sorted_set.SortedSet` — and
-additionally carries the packed bitmap when the density policy says the
-neighborhood is dense.  It is selected by name like any other backend
+``"adaptive"``).  It is a :class:`~repro.core.sorted_set.SortedSet`, so
+the sorted array is always present and canonical: the constructors,
+``contains``, iteration order, ``to_array``, equality and the point
+updates are ``sorted``'s, and every result is **bit-identical** to
+``sorted``'s.  It is selected by name like any other backend
 (``--set-classes adaptive``, ``backend=adaptive`` on ``/query`` and the
 REPL, ``Query.backend("adaptive")``), so the suite's exact-backend
 cross-check pins it against ``sorted`` cell for cell.
@@ -35,21 +37,20 @@ the ablation artifact can show where the cycles went.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import packed
+from .bit_set import BitSet
 from .counters import COUNTERS
 from .interface import SetBase
 from .ops import (
-    as_sorted_unique,
     diff_merge,
     intersect_count_merge,
     intersect_merge,
     union_merge,
 )
-from .packed import member_mask_words
+from .sorted_set import SortedSet
 
 __all__ = [
     "GALLOP_RATIO",
@@ -76,18 +77,22 @@ _HASH_PROBE_MAX = 24
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _words(bits: int) -> int:
+    """64-bit words spanned by the bitmap *bits* (``words(max)``)."""
+    return (bits.bit_length() + 63) >> 6
+
+
 def choose_representation(cardinality: int, max_element: int) -> str:
-    """``"bitmap"`` when the packed words fit within the array footprint.
+    """``"bitmap"`` when the bitmap's words fit within the array footprint.
 
     ``words(max_element) ≤ cardinality`` means the bitmap is no larger
-    (one ``uint64`` word per ``int64`` element displaced) *and* a full
-    bitmap scan touches no more words than an array scan — the density
-    threshold at which the organization switch is a pure win.
+    (one 64-bit word per ``int64`` element) *and* a full bitmap scan
+    touches no more words than an array scan — the density threshold at
+    which carrying the bitmap is a pure win.
     """
     if cardinality == 0:
         return "array"
-    return ("bitmap" if packed.words_needed(max_element) <= cardinality
-            else "array")
+    return "bitmap" if (max_element >> 6) < cardinality else "array"
 
 
 def choose_intersect_algorithm(len_a: int, len_b: int) -> str:
@@ -98,46 +103,35 @@ def choose_intersect_algorithm(len_a: int, len_b: int) -> str:
     return "merge"
 
 
-class AdaptiveSet(SetBase):
-    """Sorted array + optional packed bitmap, dispatched per operation.
+class AdaptiveSet(SortedSet):
+    """``sorted``'s array plus an optional big-int bitmap, dispatched per
+    operation.
 
-    The sorted unique ``int64`` array is canonical (semantics identical to
-    :class:`~repro.core.sorted_set.SortedSet`); the ``np.uint64`` bitmap
-    is carried *in addition* when :func:`choose_representation` picks it,
-    and operations dispatch on what both operands have:
+    The bitmap (``_bits``, an ``int`` or ``None``) is carried when
+    :func:`choose_representation` picks it, and operations dispatch on
+    what both operands have:
 
     ========================  =============================================
     operand layouts           kernel
     ========================  =============================================
-    bitmap × bitmap           word-parallel ``AND``/``OR``/``ANDNOT``
-                              (+ fused popcount for ``intersect_count``)
-    array × bitmap            ``O(|array|)`` bitmap probes (``diff``,
-                              ``contains``; intersections gallop on the
-                              always-present arrays instead)
-    array × array (skewed)    galloping binary-search probes
-    array × array (balanced)  vectorized merge-path scan
+    bitmap × bitmap           big-int ``&``/``|``/``& ~`` (``bit_count``
+                              for ``intersect_count``)
+    tiny (≤ 24) × any         hashed probes of the other's members
+    skewed arrays             galloping binary-search probes
+    balanced arrays           vectorized merge-path scan
     ========================  =============================================
 
-    Mutations keep both layouts coherent (copy-on-write on the bitmap, so
-    ``assign``-aliased payloads can never be corrupted through a sibling)
-    and drop the bitmap when shrinking breaks the density invariant.
+    The array is never written in place and an ``int`` is immutable, so
+    ``assign``/``clone`` share both; point updates splice the array as
+    ``sorted`` does, then set or clear the member's bit, and drop the
+    bitmap when the density rule no longer holds.
     """
 
-    __slots__ = ("_data", "_words", "_hash", "_list")
-
-    IS_EXACT = True
+    __slots__ = ("_bits", "_hash", "_list")
 
     def __init__(self, data: Optional[np.ndarray] = None, *,
                  _trusted: bool = False):
-        if data is None:
-            self._data = _EMPTY
-        elif _trusted:
-            self._data = data
-        else:
-            self._data = np.unique(np.asarray(data, dtype=np.int64))
-        self._words: Optional[np.ndarray] = None
-        self._hash: Optional[set] = None
-        self._list: Optional[list] = None
+        super().__init__(data, _trusted=_trusted)
         self._repack()
 
     # -- layout management ----------------------------------------------
@@ -147,17 +141,18 @@ class AdaptiveSet(SetBase):
         if len(data) and choose_representation(
             len(data), int(data[-1])
         ) == "bitmap":
-            self._words = packed.pack_sorted(data)
+            self._bits = BitSet.from_sorted_array(data)._bits
         else:
-            self._words = None
+            self._bits = None
+        self._hash = None
+        self._list = None
 
-    def _adopt(self, data: np.ndarray,
-               words: Optional[np.ndarray]) -> None:
-        """Install a result payload, enforcing the density invariant."""
+    def _adopt(self, data: np.ndarray, bits: Optional[int]) -> None:
+        """Install a result payload, keeping the bitmap only while
+        ``words(max) ≤ |S|``."""
         self._data = data
-        if words is not None and len(words) > max(1, len(data)):
-            words = None  # shrunk sparse: bitmap scans would dominate
-        self._words = words
+        self._bits = (bits if bits is not None and _words(bits) <= len(data)
+                      else None)
         self._hash = None
         self._list = None
 
@@ -180,17 +175,7 @@ class AdaptiveSet(SetBase):
 
     def representation(self) -> str:
         """The organization currently backing this set (observability)."""
-        return "bitmap" if self._words is not None else "array"
-
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_iterable(cls, elements: Iterable[int]) -> "AdaptiveSet":
-        return cls(np.unique(np.fromiter(elements, dtype=np.int64)),
-                   _trusted=True)
-
-    @classmethod
-    def from_sorted_array(cls, array: np.ndarray) -> "AdaptiveSet":
-        return cls(as_sorted_unique(array), _trusted=True)
+        return "bitmap" if self._bits is not None else "array"
 
     # -- dispatched kernels ---------------------------------------------
     #
@@ -198,19 +183,22 @@ class AdaptiveSet(SetBase):
     # BK step lands here), so they are written for minimal per-call
     # overhead: one swap instead of min/max helpers, the gallop condition
     # inlined (same predicate as :func:`choose_intersect_algorithm`), and
-    # `ndarray.searchsorted` methods instead of the `np.*` wrappers.  The
-    # canonical arrays always exist, so a lone bitmap never forces the
-    # O(|array|) word-probe kernel — galloping on the arrays does the same
-    # job in fewer vector ops (the probe kernel still backs ``diff`` and
-    # single-element ``contains``).
+    # `ndarray.searchsorted` methods instead of the `np.*` wrappers.
 
     def _intersect_payload(self, b: "AdaptiveSet"):
-        """``(data, words)`` of ``self ∩ b`` under the dispatch policy.
+        """``(data, bits)`` of ``self ∩ b`` under the dispatch policy.
 
-        When both operands are dense the packed words come from one
-        word-parallel ``AND`` — and the result keeps its bitmap, so chained
-        intersections (the kclique recursion) stay on the packed path.
+        When both operands are dense the result is one big-int ``&``,
+        unpacked into its array, and it keeps its bitmap while dense, so
+        chained intersections (the kclique recursion) stay on the bitmap
+        path.
         """
+        wa, wb = self._bits, b._bits
+        if wa is not None and wb is not None:
+            bits = wa & wb
+            COUNTERS.record_scan("adaptive/bitmap",
+                                 3 * min(_words(wa), _words(wb)))
+            return BitSet(bits).to_array(), bits
         sa, sb = self, b
         da, db = sa._data, sb._data
         la, lb = len(da), len(db)
@@ -218,16 +206,10 @@ class AdaptiveSet(SetBase):
             sa, sb, da, db, la, lb = sb, sa, db, da, lb, la
         if la == 0:
             return _EMPTY, None
-        words = None
-        wa, wb = self._words, b._words
-        if wa is not None and wb is not None:
-            words = packed.intersect_words(wa, wb)
-            COUNTERS.record_scan("adaptive/bitmap", 3 * len(words))
         if la <= _HASH_PROBE_MAX:
             COUNTERS.record_scan("adaptive/hash", la)
-            h = sb._hashed()
-            data = np.array([x for x in sa._listed() if x in h],
-                            dtype=np.int64)
+            data = np.array(list(filter(sb._hashed().__contains__,
+                                        sa._listed())), dtype=np.int64)
         elif lb > la * GALLOP_RATIO:
             COUNTERS.record_scan("adaptive/gallop", la * lb.bit_length())
             data = da[db.searchsorted(da, "left")
@@ -235,16 +217,13 @@ class AdaptiveSet(SetBase):
         else:
             COUNTERS.record_scan("adaptive/merge", la + lb)
             data = intersect_merge(da, db)
-        return data, words
+        return data, None
 
     def intersect(self, other: SetBase) -> "AdaptiveSet":
         b = self._coerce(other)
-        COUNTERS.record_bulk(len(self._data) + len(b._data), 0)
-        data, words = self._intersect_payload(b)
-        COUNTERS.elements_written += len(data)
-        out = AdaptiveSet.__new__(AdaptiveSet)
-        out._adopt(data, words)
-        return out
+        data, bits = self._intersect_payload(b)
+        COUNTERS.record_bulk(len(self._data) + len(b._data), len(data))
+        return _result(data, bits)
 
     def intersect_count(self, other: SetBase) -> int:
         b = self._coerce(other)
@@ -256,15 +235,14 @@ class AdaptiveSet(SetBase):
             sa, sb, da, db, la, lb = sb, sa, db, da, lb, la
         if la == 0:
             return 0
-        wa, wb = self._words, b._words
+        wa, wb = sa._bits, sb._bits
         if wa is not None and wb is not None:
             COUNTERS.record_scan("adaptive/bitmap",
-                                 2 * min(len(wa), len(wb)))
-            return packed.intersect_count_words(wa, wb)
+                                 2 * min(_words(wa), _words(wb)))
+            return (wa & wb).bit_count()
         if la <= _HASH_PROBE_MAX:
             COUNTERS.record_scan("adaptive/hash", la)
-            h = sb._hashed()
-            return sum(x in h for x in sa._listed())
+            return sum(map(sb._hashed().__contains__, sa._listed()))
         if lb > la * GALLOP_RATIO:
             COUNTERS.record_scan("adaptive/gallop", la * lb.bit_length())
             return int(np.count_nonzero(
@@ -273,155 +251,93 @@ class AdaptiveSet(SetBase):
         COUNTERS.record_scan("adaptive/merge", la + lb)
         return intersect_count_merge(da, db)
 
+    # sorted's bulk fast paths serve SortedSet alone: take the
+    # per-operation defaults directly, without their type check and hop.
+    intersect_count_many = SetBase.intersect_count_many
+    intersect_count_argmax = SetBase.intersect_count_argmax
+
     def intersect_inplace(self, other: SetBase) -> None:
         b = self._coerce(other)
-        COUNTERS.record_bulk(len(self._data) + len(b._data), 0)
-        data, words = self._intersect_payload(b)
-        COUNTERS.elements_written += len(data)
-        self._adopt(data, words)
+        data, bits = self._intersect_payload(b)
+        COUNTERS.record_bulk(len(self._data) + len(b._data), len(data))
+        self._adopt(data, bits)
 
     def intersect_assign(self, a: SetBase, b: SetBase) -> None:
         # Fused A = a ∩ b: one dispatched kernel, no intermediate copy.
         ca, cb = self._coerce(a), self._coerce(b)
-        COUNTERS.record_bulk(len(ca._data) + len(cb._data), 0)
-        data, words = ca._intersect_payload(cb)
-        COUNTERS.elements_written += len(data)
-        self._adopt(data, words)
+        data, bits = ca._intersect_payload(cb)
+        COUNTERS.record_bulk(len(ca._data) + len(cb._data), len(data))
+        self._adopt(data, bits)
 
     def union(self, other: SetBase) -> "AdaptiveSet":
         b = self._coerce(other)
-        a_data, b_data = self._data, b._data
-        a_words, b_words = self._words, b._words
-        if a_words is not None and b_words is not None:
-            words = packed.union_words(a_words, b_words)
+        da, db = self._data, b._data
+        wa, wb = self._bits, b._bits
+        if wa is not None and wb is not None:
+            bits = wa | wb
             COUNTERS.record_scan("adaptive/bitmap",
-                                 2 * len(words) + len(words))
-            data = packed.unpack(words)
+                                 3 * max(_words(wa), _words(wb)))
+            out = _result(BitSet(bits).to_array(), bits)
         else:
-            COUNTERS.record_scan("adaptive/merge",
-                                 len(a_data) + len(b_data))
-            data, words = union_merge(a_data, b_data), None
-        COUNTERS.record_bulk(len(a_data) + len(b_data), len(data))
-        out = AdaptiveSet.__new__(AdaptiveSet)
-        out._adopt(data, words)
-        if words is None:
-            out._repack()  # a union can cross the density threshold
+            COUNTERS.record_scan("adaptive/merge", len(da) + len(db))
+            out = AdaptiveSet(union_merge(da, db), _trusted=True)
+        COUNTERS.record_bulk(len(da) + len(db), len(out._data))
         return out
 
     def diff(self, other: SetBase) -> "AdaptiveSet":
         b = self._coerce(other)
-        a_data, b_data = self._data, b._data
-        a_words, b_words = self._words, b._words
-        if len(a_data) == 0 or len(b_data) == 0:
-            data, words = a_data.copy(), None
-        elif a_words is not None and b_words is not None:
-            words = packed.diff_words(a_words, b_words)
-            COUNTERS.record_scan("adaptive/bitmap",
-                                 2 * len(words) + len(words))
-            data = packed.unpack(words)
-        elif b_words is not None:
-            COUNTERS.record_scan("adaptive/probe", len(a_data))
-            data, words = (
-                a_data[~member_mask_words(b_words, a_data)], None
-            )
+        da, db = self._data, b._data
+        wa, wb = self._bits, b._bits
+        if len(da) == 0 or len(db) == 0:
+            data, bits = da, wa
+        elif wa is not None and wb is not None:
+            bits = wa & ~wb
+            COUNTERS.record_scan("adaptive/bitmap", 3 * _words(wa))
+            data = BitSet(bits).to_array()
         else:
-            COUNTERS.record_scan("adaptive/merge",
-                                 len(a_data) + len(b_data))
-            data, words = diff_merge(a_data, b_data), None
-        COUNTERS.record_bulk(len(a_data) + len(b_data), len(data))
-        out = AdaptiveSet.__new__(AdaptiveSet)
-        out._adopt(data, words)
-        return out
+            COUNTERS.record_scan("adaptive/merge", len(da) + len(db))
+            data, bits = diff_merge(da, db), None
+        COUNTERS.record_bulk(len(da) + len(db), len(data))
+        return _result(data, bits)
 
-    # -- point operations -------------------------------------------------
-    def contains(self, element: int) -> bool:
-        COUNTERS.record_point()
-        words = self._words
-        if words is not None:
-            if 0 <= element < len(words) * packed.WORD_BITS:
-                return bool(
-                    (int(words[element >> 6]) >> (element & 63)) & 1
-                )
-            return False
-        data = self._data
-        idx = np.searchsorted(data, element)
-        return bool(idx < len(data) and data[idx] == element)
-
+    # -- point updates: sorted's splice, then the bitmap's upkeep ----------
     def add(self, element: int) -> None:
-        COUNTERS.record_point()
         data = self._data
-        idx = int(np.searchsorted(data, element))
-        if idx < len(data) and data[idx] == element:
-            return
-        self._data = np.insert(data, idx, element)
-        COUNTERS.elements_written += 1
-        self._hash = None
-        self._list = None
-        words = self._words
-        if words is not None and 0 <= element < len(words) * packed.WORD_BITS:
-            words = words.copy()  # COW: assign() aliases payloads
-            words[element >> 6] |= np.uint64(1 << (element & 63))
-            self._words = words
-        else:
-            self._repack()
+        super().add(element)
+        if self._data is not data:
+            bits = self._bits
+            if bits is not None and element < _words(bits) << 6:
+                self._adopt(self._data, bits | (1 << element))
+            else:
+                self._repack()  # the new member can cross the threshold
 
     def remove(self, element: int) -> None:
-        COUNTERS.record_point()
         data = self._data
-        idx = int(np.searchsorted(data, element))
-        if not (idx < len(data) and data[idx] == element):
-            return
-        self._data = np.delete(data, idx)
-        COUNTERS.elements_written += 1
-        self._hash = None
-        self._list = None
-        words = self._words
-        if words is not None:
-            words = words.copy()  # COW: assign() aliases payloads
-            words[element >> 6] &= np.uint64(
-                ~np.uint64(1 << (element & 63))
-            )
-            self._adopt(self._data, words)
-
-    def cardinality(self) -> int:
-        return len(self._data)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._data.tolist())
+        super().remove(element)
+        if self._data is not data:
+            bits = self._bits
+            self._adopt(self._data,
+                        None if bits is None else bits ^ (1 << element))
 
     # -- fast-path overrides ---------------------------------------------
-    def to_array(self) -> np.ndarray:
-        return self._data.copy()
-
     def clone(self) -> "AdaptiveSet":
         out = AdaptiveSet.__new__(AdaptiveSet)
-        out._data = self._data.copy()
-        out._words = None if self._words is None else self._words.copy()
-        out._hash = self._hash  # never mutated in place; see _hashed
-        out._list = self._list
+        out._replace_with(self)
         return out
 
     def _replace_with(self, other: SetBase) -> None:
         o = self._coerce(other)
-        # Aliasing is safe: arrays are rebound (never mutated in place),
-        # bitmap mutations are copy-on-write, and the hash/list caches are
-        # rebuilt rather than updated.
-        self._data = o._data
-        self._words = o._words
-        self._hash = o._hash
-        self._list = o._list
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AdaptiveSet):
-            return bool(np.array_equal(self._data, other._data))
-        return super().__eq__(other)
-
-    __hash__ = SetBase.__hash__
+        self._data, self._bits = o._data, o._bits
+        self._hash, self._list = o._hash, o._list
 
     # -- storage accounting ------------------------------------------------
     def storage_bytes(self) -> int:
-        """Array footprint plus the resident bitmap, if any."""
-        total = self._data.nbytes
-        if self._words is not None:
-            total += self._words.nbytes
-        return total
+        """Array footprint plus the bitmap's words, if any."""
+        bits = self._bits
+        return self._data.nbytes + (0 if bits is None else 8 * _words(bits))
+
+
+def _result(data: np.ndarray, bits: Optional[int]) -> AdaptiveSet:
+    out = AdaptiveSet.__new__(AdaptiveSet)
+    out._adopt(data, bits)
+    return out

@@ -242,6 +242,13 @@ class HashSet(SetBase):
         arr.sort()
         return arr
 
+    def members(self) -> list:
+        return sorted(self._data)
+
+    def storage_bytes(self) -> int:
+        """~32 bytes a slot at 2/3 fill, as a CPython set holds them."""
+        return 32 * max(len(self._data), 8)
+
     def clone(self) -> "HashSet":
         return HashSet(set(self._data))
 

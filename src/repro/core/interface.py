@@ -22,7 +22,8 @@ Listing 1 (C++)              This module
 ``cardinality``              :meth:`SetBase.cardinality` (and ``len``)
 ``Range``                    :meth:`SetBase.range`
 ``clone``                    :meth:`SetBase.clone`
-``toArray``                  :meth:`SetBase.to_array`
+``toArray``                  :meth:`SetBase.to_array` (and
+                             :meth:`SetBase.members`, as a list)
 ``begin``/``end`` iterators  :meth:`SetBase.__iter__`
 ``operator==`` / ``!=``      :meth:`SetBase.__eq__`
 (SISA extension)             :meth:`SetBase.intersect_count_many`: one
@@ -231,10 +232,10 @@ class SetBase(ABC):
         P = self
         if pivot is None:
             pivot = P.intersect_count_argmax(
-                graph, P.to_array().tolist() + X.to_array().tolist())
+                graph, P.members() + X.members())
             if pivot < 0:
                 return
-        for v in P.diff(graph[pivot]).to_array().tolist():
+        for v in P.diff(graph[pivot]).members():
             neighbors = graph[v]
             yield v, P.intersect(neighbors), X.intersect(neighbors)
             P.remove(v)
@@ -262,12 +263,12 @@ class SetBase(ABC):
         if levels == 1:
             return self.cardinality()
         if levels == 2:
-            return self.intersect_count_many(graph, self.to_array().tolist())
+            return self.intersect_count_many(graph, self.members())
         # Not sum(self.clique_branch(...)): a generator per call measured
         # ~5% slower on adaptive at k = 5.
         total = 0
         child = None
-        for v in self.to_array().tolist():
+        for v in self.members():
             if child is None:
                 child = self.intersect(graph[v])
             else:
@@ -289,7 +290,7 @@ class SetBase(ABC):
         must yield the same counts and account exactly what the default
         records up to every yield.
         """
-        members = self.to_array().tolist()
+        members = self.members()
         if levels == 1:
             count = self.intersect_count
             for v in members:
@@ -372,6 +373,24 @@ class SetBase(ABC):
     def to_array(self) -> np.ndarray:
         """Return the elements as a sorted ``int64`` numpy array."""
         return np.fromiter(self, dtype=np.int64, count=self.cardinality())
+
+    def members(self) -> list:
+        """Return the elements as a new ascending Python list.
+
+        What ``to_array().tolist()`` returns: the list kernels and the
+        bulk instructions' defaults loop over.  A backend that holds its
+        members in an array or a Python container overrides it to skip
+        the copy ``to_array`` makes.
+        """
+        return self.to_array().tolist()
+
+    def storage_bytes(self) -> int:
+        """Approximate resident bytes of this set, for the memory analysis.
+
+        The default is an ``int64`` array's 8 bytes per member; a backend
+        with another layout overrides it with that layout's size.
+        """
+        return 8 * self.cardinality()
 
     def is_empty(self) -> bool:
         """Return whether the set has no elements."""

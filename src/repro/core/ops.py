@@ -11,12 +11,12 @@ A single set *operation* (e.g. ``A ∩ B``) can be realized by different set
   ``np.intersect1d``/``union1d``/``setdiff1d`` paid an ``O((|A| + |B|)
   log(|A| + |B|))`` global sort that ignored the operands' sortedness);
 * **galloping**: for each element of the smaller set, binary-search the
-  larger one, ``O(|small| log |large|)`` — preferable when ``|A| ≪ |B|``;
+  larger one, ``O(|small| log |large|)`` — preferable when ``|A| ≪ |B|``.
 
-plus a bitvector probe (:mod:`repro.core.packed`, ``O(|A|)`` when one
-operand is a packed-word bitmap).  These kernels operate on raw sorted
-unique numpy arrays so the ablation benchmark can time the algorithms
-themselves, independent of any Set class.
+The dense organization, a bitmap, is :class:`~repro.core.bit_set.BitSet`'s
+big int, which ``adaptive`` carries next to its array.  These kernels
+operate on raw sorted unique numpy arrays so the ablation benchmark can
+time the algorithms themselves, independent of any Set class.
 """
 
 from __future__ import annotations

@@ -181,6 +181,9 @@ class SortedSet(SetBase):
     def to_array(self) -> np.ndarray:
         return self._data.copy()
 
+    def members(self) -> list:
+        return self._data.tolist()
+
     def clone(self) -> "SortedSet":
         return SortedSet(self._data.copy(), _trusted=True)
 

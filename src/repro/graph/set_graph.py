@@ -38,7 +38,6 @@ import numpy as np
 from ..core import counters as _counters
 from ..core.counters import Snapshot
 from ..core.interface import SetBase
-from ..core.roaring import RoaringSet
 from .csr import CSRGraph
 
 __all__ = [
@@ -108,25 +107,9 @@ class SetGraph:
         return range(self.num_nodes)
 
     def storage_bytes(self) -> int:
-        """Approximate resident size of all neighborhood sets.
-
-        Sorted arrays cost 8 bytes/element (int64), hash sets ~= 32
-        bytes/slot at 2/3 fill (CPython set), dense bitvectors n/8 bytes,
-        roaring its serialized container sizes.
-        """
-        total = 0
-        for s in self._neighborhoods:
-            if isinstance(s, RoaringSet):
-                total += s.storage_bytes()
-            elif hasattr(s, "storage_bytes"):
-                total += s.storage_bytes()  # e.g. AdaptiveSet: array+bitmap
-            elif hasattr(s, "storage_bits"):
-                total += s.storage_bits() // 8 + 1
-            elif type(s).__name__ == "HashSet":
-                total += 32 * max(s.cardinality(), 8)
-            else:
-                total += 8 * s.cardinality()
-        return total
+        """Approximate resident size of all neighborhood sets: the sum of
+        each set's :meth:`~repro.core.interface.SetBase.storage_bytes`."""
+        return sum(s.storage_bytes() for s in self._neighborhoods)
 
     def representation_histogram(self) -> Dict[str, int]:
         """How many neighborhoods live in each physical organization.
@@ -204,9 +187,10 @@ class MaterializationCache:
 
     ``budget_bytes`` bounds the resident :class:`SetGraph` payload (sized
     via :meth:`SetGraph.storage_bytes`): when an insertion pushes the
-    total over the budget, least-recently-used entries are evicted until
-    it fits — including, if the new entry alone exceeds the whole budget,
-    the new entry itself, which is then handed out uncached.  Resident
+    total over the budget, or :meth:`set_budget` lowers the budget below
+    it, least-recently-used entries are evicted until it fits —
+    including, if the new entry alone exceeds the whole budget, the new
+    entry itself, which is then handed out uncached.  Resident
     bytes therefore *never* exceed the budget.  Eviction only drops the
     cache's reference: :class:`SetGraph` objects already handed out stay
     fully valid (a later re-request simply rebuilds an equivalent one).
@@ -239,9 +223,6 @@ class MaterializationCache:
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
-        if budget_bytes is not None and budget_bytes < 0:
-            raise ValueError("budget_bytes must be >= 0 or None")
-        self.budget_bytes = budget_bytes
         self._orderings: Dict[tuple, object] = {}
         # One LRU over both SetGraph families; keys are tagged with the
         # entry kind so stats() can still report them separately.
@@ -255,6 +236,26 @@ class MaterializationCache:
         self.resident_bytes = 0
         self.build_seconds = 0.0
         self.build_counters = Snapshot.zero()
+        self.set_budget(budget_bytes)
+
+    def set_budget(self, budget_bytes: Optional[int]) -> None:
+        """Bound the resident bytes by *budget_bytes* from now on
+        (``None``: unbounded), evicting least-recently-used entries first
+        until they fit."""
+        if budget_bytes is not None and budget_bytes < 0:
+            raise ValueError("budget_bytes must be >= 0 or None")
+        self.budget_bytes = budget_bytes
+        self._fit()
+
+    def _fit(self) -> None:
+        """Evict least-recently-used entries until the budget holds."""
+        if self.budget_bytes is None:
+            return
+        while self.resident_bytes > self.budget_bytes and self._graphs:
+            victim, _ = self._graphs.popitem(last=False)
+            self.resident_bytes -= self._sizes.pop(victim)
+            self.evictions += 1
+            self._release_if_unreferenced(victim[1])
 
     def _key(self, graph: CSRGraph) -> int:
         self._pinned[id(graph)] = graph
@@ -299,13 +300,7 @@ class MaterializationCache:
         self._sizes[key] = size
         self.resident_bytes += size
         self.insertions += 1
-        if self.budget_bytes is None:
-            return
-        while self.resident_bytes > self.budget_bytes and self._graphs:
-            victim, _ = self._graphs.popitem(last=False)
-            self.resident_bytes -= self._sizes.pop(victim)
-            self.evictions += 1
-            self._release_if_unreferenced(victim[1])
+        self._fit()
 
     def ordering(self, graph: CSRGraph, name: str, **kwargs):
         """Memoized :func:`~repro.preprocess.ordering.compute_ordering`."""

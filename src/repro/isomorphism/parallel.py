@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..runtime.scheduler import simulate_makespan
-from .vf3light import vf3light_embeddings
+from .vf3light import _domains, vf3light_embeddings
 
 __all__ = ["SIVariantResult", "run_si_variant", "SI_VARIANTS", "si_scaling_curve"]
 
@@ -97,10 +97,15 @@ def run_si_variant(
     n = target.num_nodes
     for qi, query in enumerate(queries):
         ql = query_labels[qi] if query_labels is not None else None
-        t0 = time.perf_counter()
-        # The precompute variant pays domain setup once per query, counted
-        # as (parallelizable but tiny) setup cost.
-        setup += time.perf_counter() - t0
+        precompute: Union[bool, List[np.ndarray]] = False
+        if flags["precompute"]:
+            # The precompute variant pays domain setup once per query,
+            # counted as (parallelizable but tiny) setup cost, and every
+            # root task of the query shares the domains.
+            t0 = time.perf_counter()
+            precompute = _domains(target, query, target_labels, ql,
+                                  bool(flags["simd"]))
+            setup += time.perf_counter() - t0
         roots_groups: List[List[int]]
         all_roots = list(range(n))
         if flags["chunked"]:
@@ -121,7 +126,7 @@ def run_si_variant(
                     target_labels=target_labels,
                     query_labels=ql,
                     roots=roots,
-                    precompute=bool(flags["precompute"]),
+                    precompute=precompute,
                     simd=bool(flags["simd"]),
                     limit=limit_per_root,
                 )

@@ -19,7 +19,7 @@ standing in for the SIMD binary-search vectorization of section 8.5.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,18 +98,23 @@ def vf3light_embeddings(
     query_labels: Optional[np.ndarray] = None,
     limit: Optional[int] = None,
     roots: Optional[Sequence[int]] = None,
-    precompute: bool = True,
+    precompute: Union[bool, Sequence[np.ndarray]] = True,
     simd: bool = False,
 ) -> Iterator[List[int]]:
     """Yield embeddings with the VF3-Light strategy.
 
     ``roots`` restricts the first query vertex's images (work splitting);
     ``precompute``/``simd`` toggle the GMS optimizations of section 8.5.
+    ``precompute`` may also be the candidate domains a caller already
+    computed for this target and query, so that the per-root tasks of
+    one query share one computation.
     """
     if query.num_nodes == 0:
         yield []
         return
-    if precompute:
+    if not isinstance(precompute, bool):
+        domains = precompute
+    elif precompute:
         domains = _domains(target, query, target_labels, query_labels, simd)
     else:
         # Domains computed lazily per extension — the unoptimized baseline.

@@ -68,7 +68,7 @@ def jarvis_patrick(
 
     for u in range(n):
         ku = knn[u]
-        for v in ku.to_array().tolist():
+        for v in ku.members():
             if u < v and knn[v].contains(u) and (
                     ku.intersect_count(knn[v]) >= k_min):
                 union(u, v)

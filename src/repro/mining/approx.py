@@ -118,10 +118,10 @@ def kclique_count_sets(
             total = 0
             if i + 1 == k:
                 cand_sketch = set_cls.from_sorted_array(cand.to_array())
-                for v in cand.to_array().tolist():
+                for v in cand.members():
                     total += cand_sketch.intersect_count(dag[v])
                 return total
-            for v in cand.to_array().tolist():
+            for v in cand.members():
                 total += rec_reconciled(i + 1, cand.intersect(exact_dag[v]))
             return total
 

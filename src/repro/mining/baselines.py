@@ -57,7 +57,7 @@ def gbbs_kclique_count(
         if i == k:
             return candidates.cardinality()
         total = 0
-        for v in candidates.to_array().tolist():
+        for v in candidates.members():
             total += rec(i + 1, candidates.intersect(dag[v]))
         return total
 
@@ -97,7 +97,7 @@ def danisch_kclique_count(
         # The induced DAG on the candidates — rebuilt at every level.
         return {
             int(v): dag[int(v)].intersect(candidates)
-            for v in candidates.to_array().tolist()
+            for v in candidates.members()
         }
 
     def rec(i: int, candidates: SetBase) -> int:
@@ -105,7 +105,7 @@ def danisch_kclique_count(
             return candidates.cardinality()
         local = build_local(candidates)
         total = 0
-        for v in candidates.to_array().tolist():
+        for v in candidates.members():
             total += rec(i + 1, local[v])
         return total
 
@@ -118,7 +118,7 @@ def danisch_kclique_count(
         if k == 2:
             break
         neigh_u = dag[u]
-        for v in neigh_u.to_array().tolist():
+        for v in neigh_u.members():
             tv = time.perf_counter()
             if k == 3:
                 total += neigh_u.intersect_count(dag[v])

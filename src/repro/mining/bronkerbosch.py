@@ -169,7 +169,7 @@ class _BKEngine:
         if P_sketch is not None:
             pivot = P_sketch.intersect_count_argmax(
                 self.pivot_adjacency,
-                P.to_array().tolist() + X.to_array().tolist())
+                P.members() + X.members())
         for v, P_v, X_v in P.pivot_branch(X, self.adjacency, pivot):
             if P_sketch is not None:
                 child_sketch = P_sketch.intersect(self.pivot_adjacency[v])

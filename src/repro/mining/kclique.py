@@ -161,16 +161,16 @@ def kclique_list(
 
     def rec(prefix: List[int], i: int, candidates: SetBase) -> None:
         if i == k:
-            for v in candidates.to_array().tolist():
+            for v in candidates.members():
                 out.append(sorted(prefix + [v]))
             return
-        for v in candidates.to_array().tolist():
+        for v in candidates.members():
             rec(prefix + [v], i + 1, candidates.intersect(dag[v]))
 
     for u in dag.vertices():
         c2 = dag[u]
         if k == 2:
-            for v in c2.to_array().tolist():
+            for v in c2.members():
                 out.append(sorted([u, v]))
         else:
             rec([u], 2, c2)

@@ -53,7 +53,7 @@ def kclique_stars(
         for v in clique:
             star.remove(v)
         if star.cardinality() >= min_star:
-            results.append((clique, star.to_array().tolist()))
+            results.append((clique, star.members()))
     return results
 
 

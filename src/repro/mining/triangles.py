@@ -62,5 +62,5 @@ def triangle_count_rank_merge(
     total = 0
     for u in dag.vertices():
         su = dag[u]
-        total += su.intersect_count_many(dag, su.to_array().tolist())
+        total += su.intersect_count_many(dag, su.members())
     return total

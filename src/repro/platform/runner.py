@@ -22,17 +22,18 @@ Every submission meters its pickled arguments into
 ``Counters.payload_bytes_shipped`` (parent-side; see
 :mod:`repro.core.counters`).
 
-Each worker process owns its graphs and per-dataset caches (bounded by
-``plan.cache_budget_bytes``) in module-global state that persists across
-tasks, so a worker does not reload a dataset per cell.  A session pool
-starts its workers with the session's graphs and warm materializations
-already installed (:func:`_seed_worker`).  The parent re-assembles cells
-by index, folds the workers' counter deltas (associative and
-commutative, so completion order cannot change the totals) into its own
-global block, and finalizes the reference cross-check exactly as an
-in-process run does.  A pool-run artifact is therefore **cell-by-cell
-identical to the sequential run up to timing fields** — pinned by the
-determinism regression tests and by ``python -m repro suite-diff``.
+Each worker process owns its graphs and per-dataset caches (each task
+bounds its dataset's cache by its own ``plan.cache_budget_bytes`` before
+it runs) in module-global state that persists across tasks, so a worker
+does not reload a dataset per cell.  A session pool starts its workers
+with the session's graphs and warm materializations already installed
+(:func:`_seed_worker`).  The parent re-assembles cells by index, folds
+the workers' counter deltas (associative and commutative, so completion
+order cannot change the totals) into its own global block, and finalizes
+the reference cross-check exactly as an in-process run does.  A pool-run
+artifact is therefore **cell-by-cell identical to the sequential run up
+to timing fields** — pinned by the determinism regression tests and by
+``python -m repro suite-diff``.
 
 Worker processes are forked where the platform allows it (Linux/macOS
 CPython builds with ``fork``): the workers then inherit the session's
@@ -206,6 +207,9 @@ def _worker_dataset(plan, dataset: str):
     state = _WORKER_STATE.get(dataset)
     if state is not None:
         _WORKER_STATE.move_to_end(dataset)
+        # The task's plan bounds the cache, whichever budget it was
+        # seeded or first loaded under.
+        state[1].set_budget(plan.cache_budget_bytes or None)
         return state
     # Make room *before* inserting, least-recently-used first: the
     # OrderedDict front is the LRU entry because every hit above calls

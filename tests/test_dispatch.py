@@ -5,10 +5,11 @@ The contract under test, layer by layer:
 * **policy** — :func:`choose_representation` /
   :func:`choose_intersect_algorithm` pick organizations and algorithms at
   the documented thresholds;
-* **backend** — :class:`AdaptiveSet` is element-identical to
-  :class:`SortedSet` on every operation (hypothesis-driven), keeps its
-  bitmap coherent with the canonical array, and records the *same
-  normalized element counters* as every other exact backend;
+* **backend** — :class:`AdaptiveSet` is a :class:`SortedSet` carrying an
+  optional big-int bitmap: element-identical to :class:`SortedSet` on
+  every operation (hypothesis-driven), an :class:`AdaptiveSet` out of
+  every operation, its bitmap coherent with the canonical array, and the
+  *same normalized element counters* as every other exact backend;
 * **platform** — ``adaptive`` is a backend selected by name on every
   surface (there is no separate dispatch mode), and within one suite plan
   its cells equal ``sorted``'s and ``bitset``'s in values and counters.
@@ -46,12 +47,6 @@ from repro.core.ops import (
     member_mask_galloping,
     member_mask_merge,
     union_merge,
-)
-from repro.core.packed import (
-    pack_sorted,
-    popcount,
-    unpack,
-    words_needed,
 )
 from repro.graph import SetGraph, load_dataset
 from repro.platform.cli import resolve_set_class
@@ -122,20 +117,6 @@ def test_as_sorted_unique_any_input(a):
 
 
 # ---------------------------------------------------------------------------
-# packed-word kernels
-# ---------------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(a=element_lists)
-def test_pack_unpack_roundtrip(a):
-    arr = np.unique(np.asarray(a, dtype=np.int64))
-    words = pack_sorted(arr)
-    assert np.array_equal(unpack(words), arr)
-    assert popcount(words) == len(arr)
-    if len(arr):
-        assert len(words) == words_needed(int(arr[-1]))
-
-
-# ---------------------------------------------------------------------------
 # AdaptiveSet — element identity with SortedSet, layout invariants
 # ---------------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
@@ -164,9 +145,11 @@ def test_adaptive_matches_sorted(a, b, x):
 
 
 def _assert_layout_coherent(s: AdaptiveSet) -> None:
-    if s._words is not None:
-        assert np.array_equal(unpack(s._words), s._data)
-        assert len(s._words) <= max(1, len(s._data))
+    assert s._bits is None or type(s._bits) is int
+    if s._bits is not None:
+        assert np.array_equal(BitSet(s._bits).to_array(), s._data)
+        # The density rule, words(max) <= |S|.
+        assert (s._bits.bit_length() + 63) // 64 <= len(s._data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,9 +167,46 @@ def test_adaptive_bitmap_stays_coherent(a, b, x):
     _assert_layout_coherent(c)
 
 
+def test_every_adaptive_operation_returns_an_adaptive_set():
+    # AdaptiveSet inherits sorted's constructors and point updates; no
+    # operation of the SetBase surface may hand back a plain SortedSet.
+    assert issubclass(AdaptiveSet, SortedSet)
+    dense = AdaptiveSet.from_iterable(range(0, 256, 2))
+    sparse = AdaptiveSet.from_iterable([0, 3, 4, 10, 5000])
+    assert dense.representation() == "bitmap"
+    assert sparse.representation() == "array"
+    graph = SetGraph([dense] * 4, AdaptiveSet)
+    made = [
+        AdaptiveSet.from_iterable([5, 1]),
+        AdaptiveSet.from_sorted_array(np.arange(3)),
+        AdaptiveSet.empty(), AdaptiveSet.single(4), AdaptiveSet.range(70),
+        *AdaptiveSet.from_csr(np.array([0, 2, 3]), np.array([1, 2, 0])),
+    ]
+    for a in (dense, sparse):
+        for b in (dense, sparse):
+            made += [a.intersect(b), a.union(b), a.diff(b),
+                     a & b, a | b, a - b]
+        made += [a.clone(), a.diff_element(4), a.union_element(7)]
+    P, X = AdaptiveSet.from_iterable([0, 1, 2]), AdaptiveSet.single(3)
+    for _, p_v, x_v in P.pivot_branch(X, graph):
+        made += [p_v, x_v]
+    for s in made:
+        assert type(s) is AdaptiveSet
+        _assert_layout_coherent(s)
+    # In-place updates of a clone keep it coherent and leave the source.
+    for update in ("intersect_inplace", "union_inplace", "diff_inplace",
+                   "assign"):
+        for a in (dense, sparse):
+            before = a.to_array()
+            c = a.clone()
+            getattr(c, update)(sparse)
+            _assert_layout_coherent(c)
+            assert np.array_equal(a.to_array(), before)
+
+
 def test_adaptive_assign_aliasing_is_safe():
     # assign() aliases payloads; a point mutation through one alias must
-    # never leak into the other (copy-on-write bitmap, rebound arrays).
+    # never leak into the other (rebound arrays, immutable int bitmaps).
     dense = AdaptiveSet.from_iterable(range(256))
     alias = AdaptiveSet.empty()
     alias.assign(dense)

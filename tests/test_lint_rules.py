@@ -352,6 +352,20 @@ class TestGMS002CounterDiscipline:
         findings = run(source, "src/repro/core/leaf.py", "GMS002")
         assert lines(findings) == [8]
 
+    def test_imported_backend_subclass_checked(self):
+        source = """
+            from repro.core.sorted_set import SortedSet
+
+            class Sub(SortedSet):
+                def add(self, element):
+                    self._data = self._data
+
+                def remove(self, element):
+                    super().remove(element)
+        """
+        findings = run(source, "src/repro/core/sub.py", "GMS002")
+        assert lines(findings) == [5]
+
     def test_non_setbase_class_ignored(self):
         source = """
             class Plain:

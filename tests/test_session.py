@@ -753,6 +753,25 @@ class TestSessionPlans:
             assert warm_first["materialization"]["hits"] > 0
             assert warm_second["materialization"]["misses"] == 0
 
+    def test_plan_budget_bounds_the_pool_workers_it_runs_on(self):
+        # Worker caches seeded and filled under the session's unbounded
+        # budget take each plan's budget before its cells run.
+        with MiningSession() as sequential:
+            (expected,) = sequential.run_plan(TINY_PLAN)
+        with MiningSession(workers=2) as session:
+            session.warm("sc-ht-mini", backends=("bitset",))
+            (unbounded,) = session.run_plan(TINY_PLAN)
+            assert unbounded["materialization"]["resident_bytes"] > 0
+            (bounded,) = session.run_plan(TINY_PLAN, cache_budget_bytes=1)
+            mat = bounded["materialization"]
+            assert mat["budget_bytes"] == 1
+            assert mat["resident_bytes"] == 0
+            assert diff_payloads(expected, bounded) == []
+            # The next unbounded plan fills the worker caches again.
+            (refilled,) = session.run_plan(TINY_PLAN)
+            assert refilled["materialization"]["resident_bytes"] > 0
+            assert diff_payloads(expected, refilled) == []
+
     def test_pool_prewarm_ships_parent_materializations(self):
         with MiningSession(workers=2) as session:
             # Warm the *parent* cache before the pool exists; the pool's
@@ -864,10 +883,12 @@ class TestSeedWorker:
             {"sc-ht-mini": (graph, parent.export_graph_state(graph))},
             1 << 30,
         )
-        seeded, cache = runner._worker_dataset(ExperimentPlan(),
-                                               "sc-ht-mini")
+        assert runner._WORKER_STATE["sc-ht-mini"][1].budget_bytes == 1 << 30
+        # A session's tasks carry its budget; each task's plan governs.
+        seeded, cache = runner._worker_dataset(
+            ExperimentPlan(cache_budget_bytes=1 << 29), "sc-ht-mini")
         assert seeded is graph  # the parent's object, not a reload
-        assert cache.budget_bytes == 1 << 30
+        assert cache.budget_bytes == 1 << 29
         cache.oriented(graph, SortedSet, "DGR")
         assert cache.misses == 0 and cache.hits > 0
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BitSet, RoaringSet, SortedSet
-from repro.graph import SetGraph, build_set_graph, build_undirected
+from repro.core import BitSet, HashSet, RoaringSet, SortedSet
+from repro.core.registry import registered_set_classes
+from repro.graph import SetGraph, build_set_graph, build_undirected, load_dataset
 from tests.conftest import random_csr
 
 
@@ -48,6 +49,25 @@ class TestSetGraph:
         # Dense bitvectors cost ~n bits per nonempty neighborhood; sorted
         # arrays cost 8 bytes per element — different orders entirely.
         assert len(set(sizes.values())) >= 2
+
+    def test_each_backend_sizes_itself(self):
+        # Each class's own storage_bytes model, summed over sc-ht-mini's
+        # neighborhoods (the figures SetGraph's per-class walk gave).
+        graph = load_dataset("sc-ht-mini")
+        expected = {
+            "SortedSet": 29776, "BitSet": 8654, "RoaringSet": 8616,
+            "HashSet": 131616, "CompressedSortedSet": 6133,
+            "AdaptiveSet": 39264, "BloomFilterSet": 29776,
+            "KMVSketchSet": 29776,
+        }
+        sizes = {cls.__name__: build_set_graph(graph, cls).storage_bytes()
+                 for cls in registered_set_classes()}
+        assert {name: sizes[name] for name in expected} == expected
+
+        class SubHash(HashSet):
+            pass
+
+        assert build_set_graph(graph, SubHash).storage_bytes() == 131616
 
     def test_vertices_iterator(self):
         g = build_undirected(5, [(0, 1)])

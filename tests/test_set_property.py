@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core import BitSet, HashSet, SortedSet, bit_set
 from repro.core.counters import Snapshot, snapshot
 from repro.core.interface import SetBase
-from repro.core.registry import registered_set_classes
+from repro.core.registry import get_set_class, registered_set_classes
 from repro.graph import SetGraph, build_oriented_set_graph, build_undirected
 from repro.graph.generators import holme_kim
 from repro.graph.transforms import oriented_arcs
@@ -573,6 +573,27 @@ def test_clique_count_and_branch_equal_per_op_loop(inputs):
             assert [c for c, _ in branches[0]] == [
                 _set_cliques(a & set(neighborhoods[v]), neighborhoods,
                              levels) for v in sorted(a)], name
+
+
+# The kClist and Tomita defaults read member lists through members(),
+# never through the copy to_array makes on these array-backed classes.
+@pytest.mark.parametrize("name", ["sorted", "adaptive", "bloom", "kmv"])
+def test_bulk_defaults_read_members_without_to_array(name):
+    cls = get_set_class(name)
+    neighborhoods = [[1, 2, 3], [2, 3, 4], [3, 4], [4], []]
+    graph = SetGraph([cls.from_iterable(nb) for nb in neighborhoods], cls)
+
+    def run():
+        a = cls.from_iterable(range(5))
+        P, X = cls.from_iterable([0, 1, 2]), cls.from_iterable([3])
+        return (a.clique_count(graph, 3), list(a.clique_branch(graph, 2)),
+                [(v, list(p_v), list(x_v))
+                 for v, p_v, x_v in P.pivot_branch(X, graph)])
+
+    expected = run()
+    with mock.patch.object(cls, "to_array",
+                           side_effect=AssertionError("to_array copy")):
+        assert run() == expected
 
 
 # BitSet.from_csr builds every neighborhood of a CSR graph in bulk; it

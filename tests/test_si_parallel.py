@@ -8,6 +8,7 @@ import pytest
 
 from repro.graph import build_undirected
 from repro.isomorphism import SI_VARIANTS, run_si_variant, si_scaling_curve
+from repro.isomorphism import parallel, vf3light
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,28 @@ def test_all_variants_find_same_embeddings(workload):
         counts.add(res.embeddings)
         assert res.embeddings > 0
     assert len(counts) == 1, f"variants disagree: {counts}"
+
+
+def test_precompute_computes_domains_once_per_query(workload, monkeypatch):
+    target, queries, tl, ql = workload
+    calls = []
+    real = vf3light._domains
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vf3light, "_domains", counted)
+    monkeypatch.setattr(parallel, "_domains", counted, raising=False)
+    results = {variant: run_si_variant(target, queries, variant,
+                                       target_labels=tl, query_labels=ql)
+               for variant in SI_VARIANTS}
+    # One domain computation per query, not one per root task (80).
+    assert len(calls) == len(queries)
+    assert len({res.embeddings for res in results.values()}) == 1
+    assert results["precompute"].setup_seconds > 0
+    assert all(res.setup_seconds == 0 for variant, res in results.items()
+               if variant != "precompute")
 
 
 def test_scaling_curve_monotone_non_increasing(workload):
