@@ -1,6 +1,6 @@
 """Plot the unified result artifact (the cross-dataset aggregate).
 
-Consumes ``results/aggregate.json`` (``gms-aggregate/v2``, produced by
+Consumes ``results/aggregate.json`` (``gms-aggregate/v3``, produced by
 ``python -m repro aggregate``) and renders:
 
 * per-backend speed vs accuracy (mean speedup over the reference vs mean

@@ -11,15 +11,18 @@ Commands
 ``stats <dataset>``     print the Table 7 row of one dataset
 ``bk <dataset>``        maximal clique listing (variant/set-class flags)
 ``kclique <dataset>``   k-clique counting
-``approx <dataset>``    sketch-based approximate counting (ProbGraph workload)
 ``similarity <dataset>``link-prediction effectiveness of every measure
 ``color <dataset>``     graph coloring (JP priorities / Johansson)
-``budget-sweep``        CLI-driven sketch-budget sweep → results/ artifact
 ``suite``               declarative kernel × backend × ordering experiment
                         suite (``--smoke`` for the tiny CI matrix;
                         ``--workers N`` runs the cells on a process
                         pool) →
-                        ``results/suite_<dataset>.json``
+                        ``results/suite_<dataset>.json``; a sketched
+                        backend's cells are the ProbGraph estimates,
+                        next to the ``sorted`` reference and their
+                        relative error (``suite --datasets sc-ht-mini
+                        --kernels tc 4clique-rec bk --set-classes bloom
+                        --bloom-bits 8``)
 ``suite-diff``          compare two suite artifacts up to timing fields
                         (the parallel-vs-sequential determinism check)
 ``serve``               session REPL: one long-lived ``MiningSession``
@@ -31,7 +34,7 @@ Commands
                         ``POST /suite`` jobs, ``GET /jobs/<id>``,
                         ``GET /stats``) with admission control and
                         per-tenant quotas
-``aggregate``           merge suite + budget-sweep artifacts into
+``aggregate``           merge suite artifacts into
                         ``results/aggregate.json`` (per-backend
                         speed-vs-accuracy summaries + measured-vs-modeled
                         parallel speedups)
@@ -64,31 +67,14 @@ from typing import List, Optional
 
 from .graph import DATASETS, load_dataset, summarize
 from .learning import evaluate_scheme, known_measures
-from .mining import (
-    BK_VARIANTS,
-    approx_four_clique_count,
-    approx_triangle_count,
-    kclique_count,
-    run_bk_variant,
-    sketch_pivot_bron_kerbosch,
-)
+from .mining import BK_VARIANTS, kclique_count, run_bk_variant
 from .optimization import johansson, jones_plassmann, verify_coloring
 from .platform import ExperimentPlan, simulated_parallel_seconds
-from .platform.suite import (
-    BUDGET_FLAGS,
-    add_knob_flags,
-    plan_from_flags,
-    resolve_backend,
-)
+from .platform.suite import add_knob_flags, plan_from_flags, resolve_backend
 from .runtime import algorithmic_throughput
 
 #: Commands that parse their own argv: name -> (module, entry, help).
 FORWARDED = {
-    "budget-sweep": (
-        "repro.platform.budget_sweep", "main",
-        "CLI-driven sketch-budget sweep (writes "
-        "results/budget_sweep_<dataset>.json)",
-    ),
     "suite": (
         "repro.platform.suite", "main",
         "declarative kernel × backend × ordering experiment suite "
@@ -102,7 +88,7 @@ FORWARDED = {
     ),
     "aggregate": (
         "repro.platform.aggregate", "main",
-        "merge suite/budget-sweep artifacts into results/aggregate.json",
+        "merge suite artifacts into results/aggregate.json",
     ),
     "lint": (
         "repro.analysis.cli", "main",
@@ -150,15 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_knob_flags(p, "-k", "--ordering")
     p.add_argument("--parallel", default="edge", choices=["node", "edge"])
     p.set_defaults(base=ExperimentPlan(orderings=("ADG",)), parser=p)
-
-    p = command("approx", help="sketch-based approximate counting")
-    p.add_argument("dataset")
-    p.add_argument("--kernel", default="tc", choices=["tc", "4clique", "bk"])
-    p.add_argument("--reconcile", action="store_true",
-                   help="4clique: exact candidate sets at every level, "
-                        "estimates only at the top (counting) level")
-    add_knob_flags(p, "--set-class", *BUDGET_FLAGS)
-    p.set_defaults(base=ExperimentPlan(set_classes=("bloom",)), parser=p)
 
     p = command("similarity", help="link-prediction effectiveness")
     p.add_argument("dataset")
@@ -229,39 +206,6 @@ def _run(argv: Optional[List[str]]) -> int:
         print(f"{res.variant}: {res.count} {plan.k}-cliques in "
               f"{1000 * res.total_seconds:.1f} ms "
               f"({res.throughput():,.0f}/s)")
-        return 0
-
-    if args.command == "approx":
-        try:
-            set_cls = resolve_backend(plan, plan.set_classes[0], graph)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.kernel == "bk":
-            bk = sketch_pivot_bron_kerbosch(graph, set_cls)
-            print(f"bk-sketch-pivot [{bk.pivot_class}]: "
-                  f"{bk.num_cliques} maximal cliques "
-                  f"(exact {bk.exact_num_cliques}, "
-                  f"identical: {bk.identical})")
-            print(f"  recursion {bk.estimate_calls} calls "
-                  f"(exact pivots {bk.exact_calls}, "
-                  f"{bk.call_overhead:.2f}x), "
-                  f"{1000 * bk.estimate_seconds:.1f} ms vs "
-                  f"{1000 * bk.exact_seconds:.1f} ms")
-            return 0 if bk.identical else 1
-        if args.kernel == "tc":
-            res = approx_triangle_count(graph, set_cls)
-            what = "triangles"
-        else:
-            res = approx_four_clique_count(graph, set_cls,
-                                           reconcile=args.reconcile)
-            what = "4-cliques"
-        print(f"{res.kernel} [{res.set_class}]: estimate {res.estimate:,} "
-              f"{what} (exact {res.exact:,}, "
-              f"rel. error {100 * res.relative_error:.2f}%)")
-        print(f"  estimator {1000 * res.estimate_seconds:.1f} ms, "
-              f"exact baseline {1000 * res.exact_seconds:.1f} ms "
-              f"({res.speedup:.2f}x)")
         return 0
 
     if args.command == "similarity":

@@ -45,10 +45,14 @@ See :mod:`repro.approx.estimators` for derivations.  In short:
   bottom-k Jaccard estimate ``ρ̂ · |A ∪ B|^`` (Beyer et al.).
 
 Budgets are tunable per class: :func:`~repro.approx.bloom.bloom_set_class`
-(bits per element, hash count) and :func:`~repro.approx.kmv.kmv_set_class`
-(signature size) derive configured subclasses;
-``benchmarks/bench_probgraph_accuracy.py`` sweeps them to reproduce the
-ProbGraph speed-vs-accuracy tradeoff curve.
+(bits per element, hash count), :func:`~repro.approx.bloom.
+shared_bloom_set_class` (one filter size per graph) and
+:func:`~repro.approx.kmv.kmv_set_class` (signature size) derive configured
+subclasses.  Their accuracy is measured as suite cells, each next to the
+``sorted`` reference with its ``rel_error``:
+``python -m repro suite --set-classes bloom --bloom-bits 8`` for one
+budget, and ``benchmarks/bench_probgraph_accuracy.py`` for the ProbGraph
+speed-vs-accuracy curve over all of them.
 """
 
 from ..core.registry import register_set_class

@@ -1,13 +1,6 @@
 """Reference graph-mining algorithms (paper section 6)."""
 
-from .approx import (
-    ApproxCountResult,
-    SketchPivotBKResult,
-    approx_four_clique_count,
-    approx_triangle_count,
-    kclique_count_sets,
-    sketch_pivot_bron_kerbosch,
-)
+from .approx import kclique_count_sets
 from .baselines import (
     danisch_kclique_count,
     framework_kclique_count,
@@ -22,12 +15,7 @@ from .kcore import approx_core_numbers, core_histogram, core_numbers, k_core
 from .triangles import triangle_count_node_iterator, triangle_count_rank_merge
 
 __all__ = [
-    "ApproxCountResult",
-    "SketchPivotBKResult",
-    "approx_triangle_count",
-    "approx_four_clique_count",
     "kclique_count_sets",
-    "sketch_pivot_bron_kerbosch",
     "BKResult",
     "bron_kerbosch",
     "bk_das",

@@ -8,7 +8,6 @@ from .bench import (
     simulated_parallel_seconds,
     write_artifact,
 )
-from .budget_sweep import run_budget_sweep
 from .cli import resolve_set_class
 from .pipeline import Pipeline, PipelineReport, StageRecord
 from .runner import diff_payloads, strip_timing
@@ -29,7 +28,6 @@ __all__ = [
     "Query",
     "QueryResult",
     "parallel_reorder_seconds",
-    "run_budget_sweep",
     "simulated_parallel_seconds",
     "print_table",
     "write_artifact",

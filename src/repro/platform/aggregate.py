@@ -1,22 +1,22 @@
 """Cross-dataset artifact aggregation (``python -m repro aggregate``).
 
-The suite (:mod:`repro.platform.suite`) and the budget sweep
-(:mod:`repro.platform.budget_sweep`) both persist per-dataset JSON
-artifacts under ``results/``.  This module folds every
-``suite_<dataset>.json`` and ``budget_sweep_<dataset>.json`` found there
-into one ``results/aggregate.json`` with per-backend speed-vs-accuracy
-summaries — the cross-dataset operating picture a single-dataset artifact
-cannot show.
+The suite (:mod:`repro.platform.suite`) persists one JSON artifact per
+dataset under ``results/``.  This module folds every
+``suite_<dataset>.json`` found there into one ``results/aggregate.json``
+with per-backend speed-vs-accuracy summaries — the cross-dataset
+operating picture a single-dataset artifact cannot show.  A sketched
+backend's accuracy is its cells' ``rel_error`` against the ``sorted``
+reference, as every backend's is.
 
 Aggregate schema (``results/aggregate.json``)::
 
     {
-      "schema": "gms-aggregate/v2",
-      "sources": {"suite": [paths...], "budget_sweep": [paths...]},
+      "schema": "gms-aggregate/v3",
+      "sources": {"suite": [paths...]},
       "datasets": [names...],
       "backends": {
         "<set_class>": {
-          "cells": int,            # suite cells + sweep rows folded in
+          "cells": int,            # suite cells folded in
           "exact": bool,           # every folded cell exact?
           "mean_rel_error": float, # accuracy across all folded counts
           "max_rel_error": float,
@@ -48,10 +48,8 @@ Aggregate schema (``results/aggregate.json``)::
       ],
     }
 
-Backends are keyed by the *plan-level* registry name for suite cells
-(``"bloom"``, ``"kmv"``, ``"bitset"``, …) and by the resolved class name
-for budget-sweep rows (which sweep many budget-derived classes of one
-family); both views coexist in the same table.
+Backends are keyed by the *plan-level* registry name (``"bloom"``,
+``"kmv"``, ``"bitset"``, …).
 """
 
 from __future__ import annotations
@@ -72,7 +70,8 @@ __all__ = ["AGGREGATE_SCHEMA", "aggregate_results", "main"]
 #: Aggregate schema identifier, bumped on breaking layout changes.
 #: v2 (over v1): per-kernel work-distribution stats folded from the
 #: gms-suite cell extras, plus the "parallel" measured-vs-modeled table.
-AGGREGATE_SCHEMA = "gms-aggregate/v2"
+#: v3 (over v2): suite artifacts only; ``sources.budget_sweep`` is gone.
+AGGREGATE_SCHEMA = "gms-aggregate/v3"
 
 
 def _mean(values: List[float]) -> float:
@@ -198,22 +197,10 @@ def _parallel_row(payload: Dict[str, object]) -> Optional[Dict[str, object]]:
     }
 
 
-def _fold_budget_sweep(
-    payload: Dict[str, object], folds: Dict[str, _BackendFold]
-) -> None:
-    for row in payload["rows"]:
-        fold = folds[row["set_class"]]
-        # The sweep measures three kernels per row; fold each as one cell.
-        fold.add("tc", row["tc_rel_error"], row["tc_seconds"], False)
-        fold.add("4clique", row["fc_rel_error"], row["fc_seconds"], False)
-        fold.add("4clique+reconcile", row["fc_reconciled_rel_error"],
-                 row["fc_reconciled_seconds"], False)
-
-
 def aggregate_results(
     results_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Merge every suite/budget-sweep artifact under *results_dir*.
+    """Merge every suite artifact under *results_dir*.
 
     Returns the aggregate payload (see module docstring for the schema);
     raises :class:`FileNotFoundError` when no artifact is found — an empty
@@ -223,11 +210,8 @@ def aggregate_results(
     # harnesses that monkeypatch the shared artifact dir are honored here.
     base = results_dir or bench.ARTIFACT_DIR
     suite_paths = sorted(glob.glob(os.path.join(base, "suite_*.json")))
-    sweep_paths = sorted(glob.glob(os.path.join(base, "budget_sweep_*.json")))
-    if not suite_paths and not sweep_paths:
-        raise FileNotFoundError(
-            f"no suite_*.json or budget_sweep_*.json artifacts under {base!r}"
-        )
+    if not suite_paths:
+        raise FileNotFoundError(f"no suite_*.json artifacts under {base!r}")
 
     folds: Dict[str, _BackendFold] = defaultdict(_BackendFold)
     datasets = []
@@ -240,18 +224,10 @@ def aggregate_results(
         row = _parallel_row(payload)
         if row is not None:
             parallel.append(row)
-    for path in sweep_paths:
-        with open(path) as handle:
-            payload = json.load(handle)
-        datasets.append(payload["dataset"])
-        _fold_budget_sweep(payload, folds)
 
     return {
         "schema": AGGREGATE_SCHEMA,
-        "sources": {
-            "suite": [os.path.basename(p) for p in suite_paths],
-            "budget_sweep": [os.path.basename(p) for p in sweep_paths],
-        },
+        "sources": {"suite": [os.path.basename(p) for p in suite_paths]},
         "datasets": sorted(set(datasets)),
         "backends": {
             name: fold.summary() for name, fold in sorted(folds.items())
@@ -276,8 +252,7 @@ def _print_aggregate(payload: Dict[str, object]) -> None:
     ]
     print_table(
         f"Cross-dataset aggregate — {len(payload['datasets'])} dataset(s), "
-        f"{len(payload['sources']['suite'])} suite + "
-        f"{len(payload['sources']['budget_sweep'])} sweep artifact(s)",
+        f"{len(payload['sources']['suite'])} suite artifact(s)",
         ["backend", "cells", "exact", "mean err", "max err", "mean time",
          "speedup"],
         rows,
@@ -308,8 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro aggregate``."""
     parser = argparse.ArgumentParser(
         prog="repro aggregate",
-        description="merge suite/budget-sweep artifacts into "
-                    "results/aggregate.json",
+        description="merge suite artifacts into results/aggregate.json",
         allow_abbrev=False,
     )
     parser.add_argument("--results-dir", default=None,

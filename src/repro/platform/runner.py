@@ -124,21 +124,24 @@ def _seed_state(state: Dict[str, Dict], context) -> Dict[str, Dict]:
 
 
 def metered_cell(graph: CSRGraph, cache: MaterializationCache,
-                 set_cls: Type[SetBase], plan, spec: Tuple[str, str, str]
+                 set_cls: Type[SetBase], plan, spec: Tuple[str, str, str],
+                 since: Optional[Dict[str, object]] = None,
                  ) -> Dict[str, object]:
     """Run one cell and meter it: the result every cell task returns.
 
     ``counters`` is this process's counter delta over the cell, builds
     included (what the cell really cost here; the cell's own counters
     leave the builds out), and ``cache_stats`` the cache's
-    :meth:`~MaterializationCache.stats_since` delta over it.  The graph
+    :meth:`~MaterializationCache.stats_since` delta over it, from the
+    *since* baseline when the caller changed the cache for this cell
+    first (a pool task bounding it by the task's budget).  The graph
     dimensions travel with the result because the parent of a pool run
     need not hold the graph.  The cell runs through
     ``suite.run_cell`` looked up at call time, so a patch on it reaches
     every cell, in-process or in a forked worker.
     """
     backend_name, kernel_name, ordering = spec
-    stats = cache.stats()
+    stats = cache.stats() if since is None else since
     before = _counters.snapshot()
     cell = _suite.run_cell(
         graph, set_cls, _suite.SUITE_KERNELS[kernel_name], backend_name,
@@ -203,13 +206,10 @@ def _seed_worker(warm: Dict[str, tuple], budget: Optional[int]) -> None:
             _WORKER_PINNED.add(dataset)
 
 
-def _worker_dataset(plan, dataset: str):
+def _worker_dataset(dataset: str):
     state = _WORKER_STATE.get(dataset)
     if state is not None:
         _WORKER_STATE.move_to_end(dataset)
-        # The task's plan bounds the cache, whichever budget it was
-        # seeded or first loaded under.
-        state[1].set_budget(plan.cache_budget_bytes or None)
         return state
     # Make room *before* inserting, least-recently-used first: the
     # OrderedDict front is the LRU entry because every hit above calls
@@ -225,21 +225,24 @@ def _worker_dataset(plan, dataset: str):
         if victim is None:
             break
         del _WORKER_STATE[victim]
-    graph = load_dataset(dataset)
-    cache = MaterializationCache(
-        budget_bytes=plan.cache_budget_bytes or None
-    )
-    state = (graph, cache)
+    state = (load_dataset(dataset), MaterializationCache())
     _WORKER_STATE[dataset] = state
     return state
 
 
 def _run_task(plan, dataset: str,
               spec: Tuple[str, str, str]) -> Dict[str, object]:
-    """Pool task: one cell on this worker's graph, cache and backend."""
-    graph, cache = _worker_dataset(plan, dataset)
+    """Pool task: one cell on this worker's graph, cache and backend.
+
+    The task's plan bounds the cache, whichever budget it was seeded or
+    first loaded under.  The cache-stats baseline is taken first, so the
+    entries that budget drops count as this cell's evictions.
+    """
+    graph, cache = _worker_dataset(dataset)
+    since = cache.stats()
+    cache.set_budget(plan.cache_budget_bytes or None)
     set_cls = _suite.resolve_backend(plan, spec[0], graph)
-    return metered_cell(graph, cache, set_cls, plan, spec)
+    return metered_cell(graph, cache, set_cls, plan, spec, since)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ One JSON object per dataset::
           "extras": {...},     # per-kernel work profile:
                                #   bk        -> recursive_calls + task profile
                                #   kclique/4clique -> task profile
-                               #   others    -> {}
+                               #   others (tc, tc-merge, kstar,
+                               #     4clique-rec) -> {}
                                # task profile (task_profile()):
                                #   "tasks": int  -- outer tasks: 4clique one
                                #     per DAG arc (m), kclique/bk one per
@@ -119,10 +120,13 @@ One JSON object per dataset::
       ]
     }
 
-``python -m repro aggregate`` consumes these artifacts (together with the
-budget-sweep ones), folds the ``extras`` work profiles into per-kernel
-work-distribution summaries, and tabulates measured-vs-modeled speedups
-from the ``execution`` blocks.
+``python -m repro aggregate`` consumes these artifacts, folds the
+``extras`` work profiles into per-kernel work-distribution summaries, and
+tabulates measured-vs-modeled speedups from the ``execution`` blocks.
+Sketch accuracy against budget is measured only as cells:
+``benchmarks/bench_probgraph_accuracy.py`` runs :func:`run_cell` per
+budget class and kernel, and :func:`finalize_cells` scores each against
+the ``sorted`` cell.
 
 Run ``python -m repro suite --smoke`` for the tiny CI matrix,
 ``python -m repro suite --smoke --workers 2`` for the same matrix through
@@ -148,6 +152,7 @@ from ..core.interface import SetBase
 from ..core.registry import set_class_names
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
+from ..mining.approx import kclique_count_sets
 from ..mining.bronkerbosch import bron_kerbosch
 from ..mining.kclique import kclique_count
 from ..mining.kcliquestar import kclique_star_count
@@ -170,7 +175,6 @@ __all__ = [
     "QUERY_ALIASES",
     "SESSION_FIELDS",
     "FIELD_HELP",
-    "BUDGET_FLAGS",
     "knob_names",
     "add_knob_flags",
     "plan_from_flags",
@@ -251,6 +255,11 @@ def _run_kclique(graph, set_cls, ordering, plan, cache):
     return res.count, task_profile(res.task_costs)
 
 
+def _run_4clique_rec(graph, set_cls, ordering, plan, cache):
+    return kclique_count_sets(graph, 4, set_cls, ordering, reconcile=True,
+                              eps=plan.eps, cache=cache)
+
+
 def _run_kstar(graph, set_cls, ordering, plan, cache):
     return kclique_star_count(graph, 3, set_cls=set_cls, cache=cache)
 
@@ -315,6 +324,11 @@ register_suite_kernel(
 register_suite_kernel(
     "bk", _run_bk,
     "maximal clique count; approximate backends route to the pivot scan",
+)
+register_suite_kernel(
+    "4clique-rec", _run_4clique_rec,
+    "4-clique count, ProbGraph-reconciled: exact candidate sets, the "
+    "backend's estimator only at the counting level",
 )
 
 
@@ -513,10 +527,6 @@ FIELD_HELP: Dict[str, str] = {
                           "process; sized via SetGraph.storage_bytes; "
                           "0 = unbounded)",
 }
-
-#: The sketch-budget flags, for the commands that resolve a sketch backend.
-BUDGET_FLAGS = ("--bloom-bits", "--bloom-shared-bits", "--bloom-fpr",
-                "--kmv-k")
 
 #: Namespace prefix of the knob flags, so :func:`plan_from_flags` finds
 #: them next to a command's own flags and positionals.

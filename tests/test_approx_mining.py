@@ -44,7 +44,6 @@ from repro.mining import (
     bron_kerbosch,
     kclique_count,
     kclique_count_sets,
-    sketch_pivot_bron_kerbosch,
 )
 from tests.conftest import APPROX_SET_CLASSES, random_csr
 
@@ -86,14 +85,13 @@ class TestSketchPivotBKExactness:
                                collect=True, pivot_set_cls=pivot_cls)
         assert canon(sketch.cliques) == canon(exact.cliques)
 
-    def test_driver_reports_identical_and_calls(self):
+    def test_sketch_pivots_move_calls_not_cliques(self):
         csr, _ = random_csr(40, 300, 3)
-        res = sketch_pivot_bron_kerbosch(csr, KMVSketchSet, ordering="DGR")
-        assert res.identical
-        assert res.num_cliques == res.exact_num_cliques
-        assert res.estimate_calls >= res.exact_calls >= 1
-        assert res.call_overhead >= 1.0
-        assert res.pivot_class == "KMVSketchSet"
+        exact = bron_kerbosch(csr, "DGR", BitSet, collect=True)
+        sketch = bron_kerbosch(csr, "DGR", BitSet, collect=True,
+                               pivot_set_cls=KMVSketchSet)
+        assert canon(sketch.cliques) == canon(exact.cliques)
+        assert sketch.recursive_calls >= exact.recursive_calls >= 1
 
     def test_variant_name_records_pivot_class(self):
         csr, _ = random_csr(15, 40, 1)

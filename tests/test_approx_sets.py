@@ -23,9 +23,9 @@ from repro.approx import (
     kmv_set_class,
 )
 from repro.graph.generators import holme_kim
+from repro.core import SortedSet
+from repro.graph import MaterializationCache, load_dataset
 from repro.mining import (
-    approx_four_clique_count,
-    approx_triangle_count,
     kclique_count,
     kclique_count_sets,
     triangle_count_node_iterator,
@@ -218,31 +218,32 @@ class TestApproxKernels:
         estimate = triangle_count_node_iterator(synth_1k, set_cls=KMVSketchSet)
         assert abs(estimate - exact) / exact <= 0.10
 
-    def test_approx_triangle_count_reports_error(self, synth_1k):
-        res = approx_triangle_count(synth_1k, BloomFilterSet)
-        assert res.kernel == "tc"
-        assert res.exact == triangle_count_rank_merge(synth_1k)
-        assert res.relative_error <= 0.10
-        assert res.estimate_seconds > 0 and res.exact_seconds > 0
-        assert len(res.row()) == 6
-
     def test_kclique_sets_matches_exact_backend(self, synth_1k):
-        from repro.core import SortedSet
-
         expected = kclique_count(synth_1k, 4, "DGR").count
         assert kclique_count_sets(synth_1k, 4, SortedSet, "DGR") == expected
 
     def test_approx_four_clique_within_bound(self, synth_1k):
-        res = approx_four_clique_count(synth_1k, BloomFilterSet)
-        assert res.kernel == "4clique"
-        assert res.exact == kclique_count(synth_1k, 4, "DGR").count
-        assert res.relative_error <= 0.15
+        exact = kclique_count(synth_1k, 4, "DGR").count
+        estimate = kclique_count_sets(synth_1k, 4, BloomFilterSet)
+        assert abs(estimate - exact) / exact <= 0.15
 
     def test_four_clique_kmv_is_exact_on_small_neighborhoods(self, synth_1k):
         # Oriented neighborhoods here are far below K=128, so KMV sketches
         # are complete and the estimate collapses to the exact count.
-        res = approx_four_clique_count(synth_1k, KMVSketchSet)
-        assert res.estimate == res.exact
+        exact = kclique_count(synth_1k, 4, "DGR").count
+        assert kclique_count_sets(synth_1k, 4, KMVSketchSet) == exact
+
+    @pytest.mark.parametrize("reconcile", [False, True])
+    def test_kclique_sets_shares_the_adg_materializations(self, reconcile):
+        # Ordered at kclique_count's eps, the set-algebra recursion finds
+        # the ADG ordering and the exact DAG already in a shared cache.
+        graph = load_dataset("sc-ht-mini")
+        cache = MaterializationCache()
+        expected = kclique_count(graph, 4, "ADG", cache=cache).count
+        misses = cache.misses
+        assert kclique_count_sets(graph, 4, SortedSet, "ADG",
+                                  reconcile=reconcile, cache=cache) == expected
+        assert cache.misses == misses
 
 
 # ----------------------------------------------------------------------

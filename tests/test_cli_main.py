@@ -61,30 +61,44 @@ def test_color(capsys, method):
     assert "proper: True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("set_class", ["bloom", "kmv"])
-def test_approx_tc(capsys, set_class):
-    assert main(["approx", "sc-ht-mini", "--set-class", set_class]) == 0
-    out = capsys.readouterr().out
-    assert "estimate" in out and "rel. error" in out and "triangles" in out
+@pytest.mark.parametrize("command", ["approx", "budget-sweep"])
+def test_sketch_accuracy_commands_are_gone(command):
+    # Sketch accuracy is measured as suite cells (see the next test).
+    with pytest.raises(SystemExit) as exc:
+        main([command, "sc-ht-mini"])
+    assert exc.value.code == 2
 
 
-def test_approx_four_clique(capsys):
-    assert main(["approx", "sc-ht-mini", "--kernel", "4clique"]) == 0
-    assert "4-cliques" in capsys.readouterr().out
+@pytest.mark.parametrize("flags, resolved", [
+    (["--set-classes", "bloom", "--bloom-bits", "4"], "BloomFilterSet_b4"),
+    (["--set-classes", "kmv", "--kmv-k", "8"], "KMVSketchSet_k8"),
+    # 300 vertices in sc-ht-mini; 300 * 256 total bits → m = 256 per set.
+    (["--set-classes", "bloom", "--bloom-shared-bits", str(300 * 256)],
+     "BloomFilterSet_m256"),
+], ids=["bloom-bits", "kmv-k", "bloom-shared-bits"])
+def test_suite_sketch_cells_apply_budget_flags(tmp_path, monkeypatch, capsys,
+                                               flags, resolved):
+    import json
 
+    import repro.platform.bench as bench
 
-def test_approx_accepts_exact_backends_too(capsys):
-    assert main(["approx", "sc-ht-mini", "--set-class", "sorted"]) == 0
-    assert "rel. error 0.00%" in capsys.readouterr().out
-
-
-def test_approx_budget_flags_are_applied(capsys):
-    assert main(["approx", "sc-ht-mini", "--set-class", "bloom",
-                 "--bloom-bits", "4"]) == 0
-    assert "BloomFilterSet_b4" in capsys.readouterr().out
-    assert main(["approx", "sc-ht-mini", "--set-class", "kmv",
-                 "--kmv-k", "8"]) == 0
-    assert "KMVSketchSet_k8" in capsys.readouterr().out
+    monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+    assert main(["suite", "--datasets", "sc-ht-mini", "--kernels", "tc",
+                 "4clique-rec", "bk", "--orderings", "DGR", *flags]) == 0
+    assert "rel err" in capsys.readouterr().out
+    cells = json.loads((tmp_path / "suite_sc-ht-mini.json").read_text())[
+        "cells"]
+    sketched = {c["kernel"]: c for c in cells if not c["exact"]}
+    assert list(sketched) == ["tc", "4clique-rec", "bk"]
+    for cell in sketched.values():
+        assert cell["resolved_class"].startswith(resolved)
+        ref = next(c for c in cells if c["set_class"] == "sorted"
+                   and c["kernel"] == cell["kernel"])
+        assert cell["reference"] == ref["value"] > 0
+        assert cell["rel_error"] == (
+            abs(cell["value"] - ref["value"]) / ref["value"])
+    # Sketch pivots never change BK's maximal cliques.
+    assert sketched["bk"]["rel_error"] == 0.0
 
 
 def test_resolve_set_class_budgets():
@@ -124,28 +138,6 @@ def test_unknown_dataset_raises():
         main(["stats", "not-a-dataset"])
 
 
-def test_approx_bk_kernel(capsys):
-    assert main(["approx", "sc-ht-mini", "--kernel", "bk",
-                 "--set-class", "kmv"]) == 0
-    out = capsys.readouterr().out
-    assert "identical: True" in out and "maximal cliques" in out
-
-
-def test_approx_reconcile_flag(capsys):
-    assert main(["approx", "sc-ht-mini", "--kernel", "4clique",
-                 "--set-class", "bloom", "--bloom-bits", "4",
-                 "--reconcile"]) == 0
-    out = capsys.readouterr().out
-    assert "4clique+reconcile" in out
-
-
-def test_approx_shared_budget_flag(capsys):
-    # 300 vertices in sc-ht-mini; 300 * 256 total bits → m = 256 per set.
-    assert main(["approx", "sc-ht-mini", "--set-class", "bloom",
-                 "--bloom-shared-bits", str(300 * 256)]) == 0
-    assert "BloomFilterSet_m256" in capsys.readouterr().out
-
-
 def test_similarity_includes_sketch_measure(capsys):
     assert main(["similarity", "sc-ht-mini"]) == 0
     out = capsys.readouterr().out
@@ -159,11 +151,12 @@ class TestSharedParserFlags:
         import argparse
 
         from repro.platform.suite import (
-            BUDGET_FLAGS, ExperimentPlan, add_knob_flags, plan_from_flags,
+            ExperimentPlan, add_knob_flags, plan_from_flags,
         )
 
         parser = argparse.ArgumentParser()
-        add_knob_flags(parser, "--set-class", *BUDGET_FLAGS)
+        add_knob_flags(parser, "--set-class", "--bloom-bits",
+                       "--bloom-shared-bits", "--bloom-fpr", "--kmv-k")
         ns = parser.parse_args(["--set-class", "bloom", "--bloom-bits", "8",
                                 "--kmv-k", "16", "--bloom-shared-bits",
                                 "4096"])
@@ -224,35 +217,6 @@ class TestSharedParserFlags:
             main(["bk", "sc-ht-mini", "--set-class", "frobnitz"])
         assert exc.value.code == 2
         assert "unknown set classes ['frobnitz']" in capsys.readouterr().err
-
-
-class TestBudgetSweepCommand:
-    def test_budget_sweep_writes_artifact(self, tmp_path, monkeypatch, capsys):
-        import repro.platform.bench as bench
-
-        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
-        assert main(["budget-sweep", "--dataset", "sc-ht-mini",
-                     "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Sketch budget sweep" in out
-        artifact = tmp_path / "budget_sweep_sc-ht-mini.json"
-        assert artifact.exists()
-        import json
-
-        payload = json.loads(artifact.read_text())
-        assert payload["rows"] and all(
-            r["bk_identical"] for r in payload["rows"]
-        )
-        # The artifact records the plan the sweep ran.
-        assert "args" not in payload
-        assert payload["plan"]["datasets"] == ["sc-ht-mini"]
-        assert payload["plan"]["set_classes"] == ["bitset"]
-        assert payload["plan"]["repeats"] == 1
-
-    def test_budget_sweep_listed_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert "budget-sweep" in capsys.readouterr().out
 
 
 class TestLazyBackendRegistration:

@@ -78,6 +78,8 @@ KERNEL_RUNNERS = {
         g, 4, set_cls=cls, cache=cache).count,
     "kclique-sets": lambda g, cls, cache: kclique_count_sets(
         g, 4, cls, "DGR", cache=cache),
+    "4clique-rec": lambda g, cls, cache: kclique_count_sets(
+        g, 4, cls, "DGR", reconcile=True, cache=cache),
 }
 
 
@@ -139,7 +141,7 @@ class TestExactEquivalence:
             1 for c in nx.enumerate_all_cliques(G) if len(c) == 4
         )
         for kernel in ("4clique-edge", "4clique-node", "gbbs", "danisch",
-                       "kclique-sets"):
+                       "kclique-sets", "4clique-rec"):
             assert KERNEL_RUNNERS[kernel](csr, SortedSet, cache) == expect_4c
 
     def test_no_raw_numpy_set_ops_in_algorithm_layers(self):
@@ -206,6 +208,26 @@ class TestBoundedErrorUnderSketches:
         # Reconciliation bounds the compounding: one estimator level only.
         rec = kclique_count_sets(csr, 4, lean, "DGR", reconcile=True)
         assert abs(rec - exact) <= abs(est - exact) + max(1, exact // 10)
+
+
+class TestReconciledSuiteKernel:
+    """The suite's ``4clique-rec`` cell is the reconciled recursion:
+    equal to it on every registered class, and to the exact count on the
+    exact ones, under both orderings the suite sweeps by default."""
+
+    @pytest.mark.parametrize("ordering", ["DGR", "ADG"])
+    def test_equals_the_reconciled_recursion(self, matrix_graph,
+                                             any_set_cls, ordering):
+        from repro.platform.suite import SUITE_KERNELS, ExperimentPlan
+
+        csr, _ = matrix_graph
+        plan = ExperimentPlan()
+        got = SUITE_KERNELS["4clique-rec"].runner(
+            csr, any_set_cls, ordering, plan, MaterializationCache())
+        assert got == kclique_count_sets(csr, 4, any_set_cls, ordering,
+                                         reconcile=True, eps=plan.eps)
+        if any_set_cls.IS_EXACT:
+            assert got == kclique_count(csr, 4, ordering).count
 
 
 def _kclist_per_op(dag, k):

@@ -211,21 +211,6 @@ class TestCommandLineGrammar:
         assert plan_from_argv(argv) == ExperimentPlan().with_knobs(
             knobs, session=True)
 
-    @pytest.mark.parametrize("argv", [
-        ["--workers", "2"], ["--k", "5"], ["--eps", "0.2"],
-        ["--threads", "2"], ["--verbose"],
-    ], ids=["workers", "k", "eps", "threads", "verbose"])
-    def test_budget_sweep_refuses_knobs_it_does_not_read(
-            self, argv, tmp_path, monkeypatch):
-        import repro.platform.bench as bench
-
-        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
-        with pytest.raises(SystemExit) as exc:
-            main(["budget-sweep", "--dataset", "sc-ht-mini",
-                  "--repeats", "1", *argv])
-        assert exc.value.code == 2
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("command", sorted(FORWARDED))
     def test_every_forwarded_command_answers_help(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

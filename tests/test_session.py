@@ -767,6 +767,14 @@ class TestSessionPlans:
             assert mat["budget_bytes"] == 1
             assert mat["resident_bytes"] == 0
             assert diff_payloads(expected, bounded) == []
+            # The entries the budget dropped are counted: every worker
+            # held seeded entries, and a worker drops its own when the
+            # first bounded task lands on it, on top of evicting what the
+            # bounded run inserts.
+            held = (unbounded["materialization"]["set_graphs"]
+                    + unbounded["materialization"]["oriented"])
+            assert mat["insertions"] < mat["evictions"] <= (
+                mat["insertions"] + held)
             # The next unbounded plan fills the worker caches again.
             (refilled,) = session.run_plan(TINY_PLAN)
             assert refilled["materialization"]["resident_bytes"] > 0
@@ -798,25 +806,24 @@ class TestWorkerDatasetLru:
 
         monkeypatch.setattr(runner, "_WORKER_STATE", runner.OrderedDict())
         monkeypatch.setattr(runner, "_WORKER_PINNED", set())
-        plan = ExperimentPlan()
         cache = MaterializationCache()
         runner._WORKER_STATE["mine"] = (load_dataset("antcolony5-mini"),
                                         cache)
         runner._WORKER_PINNED.add("mine")
         fill = ("sc-ht-mini", "antcolony6-mini", "jester2-mini")
         for name in fill:
-            runner._worker_dataset(plan, name)
+            runner._worker_dataset(name)
         assert len(runner._WORKER_STATE) == runner._WORKER_DATASET_CAPACITY
         # A hit refreshes recency: sc-ht-mini is no longer the LRU.
-        runner._worker_dataset(plan, "sc-ht-mini")
-        runner._worker_dataset(plan, "mbeacxc-mini")
+        runner._worker_dataset("sc-ht-mini")
+        runner._worker_dataset("mbeacxc-mini")
         assert len(runner._WORKER_STATE) == runner._WORKER_DATASET_CAPACITY
         assert "mine" in runner._WORKER_STATE          # pinned survives
         assert "sc-ht-mini" in runner._WORKER_STATE    # recently used
         assert "antcolony6-mini" not in runner._WORKER_STATE  # true LRU
         # Churn far past capacity: the bound and the pin both keep holding.
         for name in ("gearbox-mini", "jester2-mini", "antcolony6-mini"):
-            runner._worker_dataset(plan, name)
+            runner._worker_dataset(name)
             assert len(runner._WORKER_STATE) <= \
                 runner._WORKER_DATASET_CAPACITY
         assert "mine" in runner._WORKER_STATE
@@ -884,11 +891,14 @@ class TestSeedWorker:
             1 << 30,
         )
         assert runner._WORKER_STATE["sc-ht-mini"][1].budget_bytes == 1 << 30
-        # A session's tasks carry its budget; each task's plan governs.
-        seeded, cache = runner._worker_dataset(
-            ExperimentPlan(cache_budget_bytes=1 << 29), "sc-ht-mini")
+        seeded, cache = runner._worker_dataset("sc-ht-mini")
         assert seeded is graph  # the parent's object, not a reload
+        # A session's tasks carry its budget; each task's plan governs.
+        result = runner._run_task(
+            ExperimentPlan(cache_budget_bytes=1 << 29), "sc-ht-mini",
+            ("sorted", "4clique", "DGR"))
         assert cache.budget_bytes == 1 << 29
+        assert result["cache_stats"]["misses"] == 0
         cache.oriented(graph, SortedSet, "DGR")
         assert cache.misses == 0 and cache.hits > 0
 

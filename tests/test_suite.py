@@ -279,29 +279,31 @@ class TestSuiteCommand:
 class TestAggregate:
     @pytest.fixture
     def results_dir(self, tmp_path, monkeypatch, capsys):
-        """A results dir holding one suite + one budget-sweep artifact."""
+        """A results dir holding two suite artifacts."""
         import repro.platform.bench as bench
 
         monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
         assert main(["suite", "--smoke"]) == 0
-        assert main(["budget-sweep", "--dataset", "sc-ht-mini",
-                     "--repeats", "1"]) == 0
+        assert main(["suite", "--datasets", "usa-roads-mini", "--kernels",
+                     "tc", "4clique-rec", "--set-classes", "kmv",
+                     "--orderings", "DGR", "--kmv-k", "8"]) == 0
         capsys.readouterr()
         return tmp_path
 
-    def test_merges_both_artifact_families(self, results_dir):
+    def test_merges_every_suite_artifact(self, results_dir):
         payload = aggregate_results(str(results_dir))
-        assert payload["schema"] == "gms-aggregate/v2"
-        assert payload["datasets"] == ["sc-ht-mini"]
-        assert payload["sources"]["suite"] == ["suite_sc-ht-mini.json"]
-        assert payload["sources"]["budget_sweep"] == [
-            "budget_sweep_sc-ht-mini.json"
-        ]
+        assert payload["schema"] == "gms-aggregate/v3"
+        assert payload["datasets"] == ["sc-ht-mini", "usa-roads-mini"]
+        assert payload["sources"] == {"suite": [
+            "suite_sc-ht-mini.json", "suite_usa-roads-mini.json"]}
         backends = payload["backends"]
-        # Suite backends by registry name, sweep rows by resolved class.
-        for name in ("sorted", "bitset", "bloom"):
-            assert name in backends
-        assert any(name.startswith("KMVSketchSet") for name in backends)
+        # Backends by registry name, whatever budget resolved them.
+        assert sorted(backends) == ["bitset", "bloom", "kmv", "sorted"]
+        # sorted ran both plans' kernels on both datasets.
+        assert sorted(backends["sorted"]["per_kernel"]) == [
+            "4clique", "4clique-rec", "bk", "tc"]
+        assert backends["sorted"]["per_kernel"]["tc"]["cells"] == 2
+        assert sorted(backends["kmv"]["per_kernel"]) == ["4clique-rec", "tc"]
 
     def test_per_backend_speed_vs_accuracy_summary(self, results_dir):
         backends = aggregate_results(str(results_dir))["backends"]
@@ -321,7 +323,7 @@ class TestAggregate:
         out = capsys.readouterr().out
         assert "Cross-dataset aggregate" in out
         merged = json.loads((results_dir / "aggregate.json").read_text())
-        assert merged["schema"] == "gms-aggregate/v2"
+        assert merged["schema"] == "gms-aggregate/v3"
 
     def test_empty_results_dir_is_an_error(self, tmp_path, capsys):
         with pytest.raises(FileNotFoundError):
