@@ -32,8 +32,7 @@ Commands
                         ``--http PORT`` serves the same session over
                         asyncio HTTP/JSON instead (``POST /query``,
                         ``POST /suite`` jobs, ``GET /jobs/<id>``,
-                        ``GET /stats``) with admission control and
-                        per-tenant quotas
+                        ``GET /stats``) under admission control
 ``aggregate``           merge suite artifacts into
                         ``results/aggregate.json`` (per-backend
                         speed-vs-accuracy summaries + measured-vs-modeled

@@ -44,10 +44,12 @@ def kclique_count_sets(
     filters each approximate ``intersect`` yields a *superset* candidate
     set, so with a lean budget the plain recursion systematically
     over-counts, while the reconciled one carries only a single level of
-    estimator noise.
+    estimator noise.  On an exact ``set_cls`` every level is already
+    exact, so ``reconcile`` changes nothing there and the plain recursion
+    runs.
 
-    Both oriented materializations (the ``set_cls`` DAG and, under
-    ``reconcile``, its exact twin) go through *cache*, ordered as
+    Both oriented materializations (the ``set_cls`` DAG and, when
+    reconciling a sketch, its exact twin) go through *cache*, ordered as
     :func:`~repro.mining.kclique.kclique_count` orders them (``eps``
     applies under ADG), so a suite run shares them across kernels and
     budgets.
@@ -57,7 +59,7 @@ def kclique_count_sets(
     if cache is None:
         cache = MaterializationCache()
     _, dag = _materialize(graph, ordering, set_cls, eps, cache)
-    if reconcile:
+    if reconcile and not set_cls.IS_EXACT:
         if k == 2:
             return sum(dag.out_degree(v) for v in dag.vertices())
         _, exact_dag = _materialize(graph, ordering, SortedSet, eps, cache)

@@ -32,8 +32,8 @@ Endpoints
     processes (the store is persistent — see
     :mod:`repro.platform.jobs`).
 ``GET /stats``
-    The session's :meth:`~MiningSession.stats` plus admission-control,
-    per-tenant, and job-store gauges.
+    The session's :meth:`~MiningSession.stats` plus admission-control
+    and job-store gauges.
 ``GET /healthz``
     Liveness: ``200`` with uptime and the resident pool state.
 
@@ -51,19 +51,9 @@ Admission control bounds the query path: at most ``max_inflight``
 requests admitted at once, in service or waiting for the session
 thread; beyond that ``POST /query`` answers ``429`` with a
 ``Retry-After`` estimated from the recent service rate.  Job
-submissions are bounded separately by ``max_pending_jobs``.
-
-Multi-tenancy
--------------
-Requests carry ``X-Repro-Tenant`` (default ``"public"``).  A tenant
-table (``--tenants`` JSON file) maps names to
-:class:`TenantQuota` budgets; quotas are applied to each parsed plan
-through the same query keys clients use — bloom-bit budgets are lowered
-to the cap, cache quotas ride ``cache_budget_bytes`` into pool workers,
-and worker-share quotas clamp :meth:`MiningSession.run_plan`'s
-``max_workers``.  Unknown tenants get
-the unlimited default quota; every tenant gets a usage ledger visible
-in ``GET /stats``.
+submissions are bounded separately by ``max_pending_jobs``.  These two
+are the server's only bounds: every request runs the plan its body
+asks for, on the session's workers.
 """
 
 from __future__ import annotations
@@ -93,8 +83,6 @@ __all__ = [
     "AdmissionControl",
     "HttpError",
     "MiningHTTPServer",
-    "TenantQuota",
-    "load_tenants",
     "running_server",
     "serve_http",
 ]
@@ -192,102 +180,6 @@ class AdmissionControl:
                 "completed": self.completed,
                 "ewma_service_seconds": round(self._ewma_seconds, 6),
             }
-
-
-# ---------------------------------------------------------------------------
-# Tenancy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TenantQuota:
-    """Per-tenant resource budgets.  ``0`` / ``1.0`` mean unlimited.
-
-    ``max_bloom_bits`` caps the per-element and shared Bloom bit budgets
-    a request may ask for (``bits``/``shared_bits`` are lowered to it;
-    ``fpr``-derived auto-sizing is the operator's own knob and passes
-    through).  ``max_cache_bytes`` bounds the materialization-cache
-    budget the request carries into pool workers (its
-    ``cache_budget_bytes``).  ``worker_share`` scales the session's
-    worker count for this tenant's suite jobs (clamped via
-    :meth:`MiningSession.run_plan`'s ``max_workers``, floor 1).
-    """
-
-    max_bloom_bits: int = 0
-    max_cache_bytes: int = 0
-    worker_share: float = 1.0
-
-    def clamp(self, plan: ExperimentPlan) -> Dict[str, Dict[str, object]]:
-        """What the quota lowers in one parsed plan, by query key.
-
-        Each entry is ``{"requested": asked, "granted": cap}``; responses
-        carry the dict so tenants learn their request was degraded rather
-        than silently served different numbers, and the granted values
-        are applied as overrides.
-        """
-        asked = {"bits": plan.bloom_bits,
-                 "shared_bits": plan.bloom_shared_bits,
-                 "cache_budget_bytes": plan.cache_budget_bytes}
-        caps = {"bits": self.max_bloom_bits,
-                "shared_bits": self.max_bloom_bits,
-                "cache_budget_bytes": self.max_cache_bytes}
-        # A zero cache budget asks for an unbounded cache, which a capped
-        # tenant may not have: the quota becomes the budget.
-        return {
-            key: {"requested": asked[key] or None, "granted": cap}
-            for key, cap in caps.items()
-            if cap > 0 and (asked[key] > cap or (
-                key == "cache_budget_bytes" and asked[key] == 0))
-        }
-
-    def max_workers(self, session_workers: int) -> Optional[int]:
-        """The worker clamp for this tenant, or ``None`` for no clamp."""
-        if self.worker_share >= 1.0:
-            return None
-        return max(1, int(session_workers * self.worker_share))
-
-
-def load_tenants(path: Optional[str]) -> Dict[str, TenantQuota]:
-    """Read a ``--tenants`` JSON file: ``{name: {quota fields...}}``."""
-    if not path:
-        return {}
-    with open(path) as handle:
-        raw = json.load(handle)
-    table = {}
-    for name, fields in raw.items():
-        unknown = set(fields) - {"max_bloom_bits", "max_cache_bytes",
-                                 "worker_share"}
-        if unknown:
-            raise ValueError(
-                f"tenant {name!r}: unknown quota field(s) {sorted(unknown)}"
-            )
-        table[name] = TenantQuota(**fields)
-    return table
-
-
-class _TenantLedger:
-    """Mutable per-tenant usage gauges surfaced by ``GET /stats``."""
-
-    __slots__ = ("queries", "jobs", "rejected", "clamped",
-                 "query_seconds", "cells")
-
-    def __init__(self) -> None:
-        self.queries = 0
-        self.jobs = 0
-        self.rejected = 0
-        self.clamped = 0
-        self.query_seconds = 0.0
-        self.cells = 0
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "queries": self.queries,
-            "jobs": self.jobs,
-            "rejected": self.rejected,
-            "clamped": self.clamped,
-            "query_seconds": round(self.query_seconds, 6),
-            "cells": self.cells,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +287,6 @@ def _result_json(result: QueryResult) -> Dict[str, object]:
     }
 
 
-def _granted(clamped: Dict[str, Dict[str, object]]) -> Dict[str, object]:
-    """The overrides a :meth:`TenantQuota.clamp` report applies."""
-    return {key: entry["granted"] for key, entry in clamped.items()}
-
-
 class MiningHTTPServer:
     """The serving tier: one session, many HTTP clients.
 
@@ -414,19 +301,15 @@ class MiningHTTPServer:
                  host: str = "127.0.0.1", port: int = 0,
                  max_inflight: int = 20,
                  max_pending_jobs: int = 8,
-                 tenants: Optional[Dict[str, TenantQuota]] = None,
                  job_root: Optional[str] = None) -> None:
         self.session = session
         self.host = host
         self.port = port
         self.admission = AdmissionControl(max_inflight)
         self.max_pending_jobs = max(1, max_pending_jobs)
-        self.tenants = dict(tenants or {})
         self.store = JobStore(job_root)
         self.started_at: Optional[float] = None
         self.requests_served = 0
-        self._ledgers: Dict[str, _TenantLedger] = {}
-        self._ledger_lock = threading.Lock()
         self._server: Optional[asyncio.base_events.Server] = None
         self._session_executor: Optional[ThreadPoolExecutor] = None
         self._job_queue: Optional[asyncio.Queue] = None
@@ -479,16 +362,6 @@ class MiningHTTPServer:
         """Run *fn* on the session thread; await the result."""
         return self._loop.run_in_executor(self._session_executor, fn)
 
-    def _ledger(self, tenant: str) -> _TenantLedger:
-        with self._ledger_lock:
-            ledger = self._ledgers.get(tenant)
-            if ledger is None:
-                ledger = self._ledgers[tenant] = _TenantLedger()
-            return ledger
-
-    def quota_for(self, tenant: str) -> TenantQuota:
-        return self.tenants.get(tenant, TenantQuota())
-
     # -- connection handling ------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -540,7 +413,6 @@ class MiningHTTPServer:
     async def _dispatch(
         self, request: _Request
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        tenant = request.headers.get("x-repro-tenant", "public")
         method, path = request.method, request.path.split("?", 1)[0]
         if path == "/healthz":
             self._require_method(method, "GET")
@@ -550,10 +422,10 @@ class MiningHTTPServer:
             return 200, await self._stats(), {}
         if path == "/query":
             self._require_method(method, "POST")
-            return await self._handle_query(request, tenant)
+            return await self._handle_query(request, None)
         if path == "/suite":
             self._require_method(method, "POST")
-            return await self._handle_suite(request, tenant)
+            return await self._handle_suite(request)
         if path == "/jobs":
             self._require_method(method, "GET")
             return 200, {"jobs": [j.summary() for j in self.store.jobs()]}, {}
@@ -588,18 +460,9 @@ class MiningHTTPServer:
 
     async def _stats(self) -> Dict[str, object]:
         session_stats = await self._on_session(self.session.stats)
-        with self._ledger_lock:
-            tenants = {
-                name: {
-                    "quota": asdict(self.quota_for(name)),
-                    "usage": ledger.to_json(),
-                }
-                for name, ledger in sorted(self._ledgers.items())
-            }
         return {
             "session": session_stats,
             "admission": self.admission.stats(),
-            "tenants": tenants,
             "jobs": {
                 "counts": self.store.counts(),
                 "queued": (self._job_queue.qsize()
@@ -610,9 +473,8 @@ class MiningHTTPServer:
 
     # -- endpoint: /query ---------------------------------------------------
 
-    def _compile_query(self, body: Dict[str, object],
-                       quota: TenantQuota, ledger: _TenantLedger):
-        """Body → (query, variants, clamp report), quota applied."""
+    def _compile_query(self, body: Dict[str, object]):
+        """Body → (query, variants); a bad key or value is a 400."""
         if not body.get("kernel"):
             raise HttpError(400, "query body needs a 'kernel' field")
         if "dataset" not in body:
@@ -631,32 +493,22 @@ class MiningHTTPServer:
         try:
             query = self.session.query(str(body["kernel"])).with_overrides(
                 body)
-            clamped = quota.clamp(query.plan())
-            query = query.with_overrides(_granted(clamped))
-            variants = None
-            if raw_variants is not None:
-                variants = []
-                for variant in raw_variants:
-                    # Every variant is parsed (and clamped) before any runs.
-                    applied = quota.clamp(query.with_overrides(variant).plan())
-                    variants.append({**variant, **_granted(applied)})
-                    clamped.update(applied)
+            # Every variant is parsed here, before any runs, so a bad one
+            # fails the batch with a 400 rather than mid-run.
+            for variant in raw_variants or ():
+                query.with_overrides(variant)
         except (KeyError, ValueError) as exc:
             raise HttpError(400, f"invalid query: {exc}")
-        if clamped:
-            ledger.clamped += 1
-        return query, variants, clamped
+        return query, raw_variants
 
     async def _handle_query(
-        self, request: _Request, tenant: str
+        self, request: _Request, _tenant: object
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        ledger = self._ledger(tenant)
-        quota = self.quota_for(tenant)
-        query, variants, clamped = self._compile_query(
-            request.json(), quota, ledger
-        )
+        # The second parameter is ignored (``_dispatch`` passes None): the
+        # service benchmark's server wraps this handler as
+        # ``(request, tenant)``, so it stays until that wrapper goes.
+        query, variants = self._compile_query(request.json())
         if not self.admission.try_acquire():
-            ledger.rejected += 1
             raise HttpError(
                 429, "server is at capacity; retry later",
                 headers={"Retry-After": str(self.admission.retry_after())},
@@ -674,21 +526,14 @@ class MiningHTTPServer:
                 result = await self._on_session(query.run)
                 payload = {"result": _result_json(result)}
         finally:
-            elapsed = time.perf_counter() - t0
-            self.admission.release(elapsed)
-        ledger.queries += 1
-        ledger.query_seconds += elapsed
-        payload["tenant"] = tenant
-        if clamped:
-            payload["quota_clamped"] = clamped
+            self.admission.release(time.perf_counter() - t0)
         return 200, payload, {}
 
     # -- endpoint: /suite + background jobs ---------------------------------
 
     async def _handle_suite(
-        self, request: _Request, tenant: str
+        self, request: _Request
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        ledger = self._ledger(tenant)
         body = request.json()
         smoke = body.pop("smoke", False)
         base = ExperimentPlan.smoke() if smoke else ExperimentPlan()
@@ -698,8 +543,6 @@ class MiningHTTPServer:
             ).with_knobs(body)
         except (KeyError, ValueError) as exc:
             raise HttpError(400, f"invalid suite plan: {exc}")
-        clamped = self.quota_for(tenant).clamp(plan)
-        plan = plan.with_knobs(_granted(clamped))
         for dataset in plan.datasets:
             if dataset not in DATASETS and (
                     dataset not in self.session.graphs()):
@@ -708,7 +551,6 @@ class MiningHTTPServer:
                          f"known: {sorted(DATASETS)}"
                 )
         if self._job_queue.qsize() >= self.max_pending_jobs:
-            ledger.rejected += 1
             raise HttpError(
                 429, f"job backlog is full ({self.max_pending_jobs} "
                      f"pending); retry later",
@@ -718,18 +560,13 @@ class MiningHTTPServer:
             )
         cells_per_dataset = len(expand_cells(plan))
         job = self.store.create(
-            plan=asdict(plan), tenant=tenant,
+            plan=asdict(plan),
             cells_total=cells_per_dataset * len(plan.datasets),
             datasets_total=len(plan.datasets),
         )
-        ledger.jobs += 1
         await self._job_queue.put((job, plan))
-        payload = {"job": job.id, "state": job.state,
-                   "poll": f"/jobs/{job.id}"}
-        if clamped:
-            ledger.clamped += 1
-            payload["quota_clamped"] = clamped
-        return 202, payload, {}
+        return 202, {"job": job.id, "state": job.state,
+                     "poll": f"/jobs/{job.id}"}, {}
 
     async def _job_worker(self) -> None:
         """Drain the job queue, one job at a time, forever."""
@@ -749,8 +586,6 @@ class MiningHTTPServer:
                 self._job_queue.task_done()
 
     async def _execute_job(self, job, plan: ExperimentPlan) -> None:
-        max_workers = self.quota_for(job.tenant).max_workers(
-            self.session.workers)
         job.state = "running"
         job.started_at = time.time()
         self.store.persist(job)
@@ -763,8 +598,7 @@ class MiningHTTPServer:
             sub_plan = replace(plan, datasets=(dataset,))
             payload = (await self._on_session(
                 lambda p=sub_plan: self.session.run_plan(
-                    p, verbose=False, max_workers=max_workers,
-                    cache_budget_bytes=p.cache_budget_bytes,
+                    p, verbose=False, cache_budget_bytes=p.cache_budget_bytes,
                 )
             ))[0]
             path = self.store.write_artifact(job, dataset, payload)
@@ -779,7 +613,6 @@ class MiningHTTPServer:
                 "measured_seconds": payload["execution"]["measured_seconds"],
                 "exact_mismatches": len(mismatches),
             })
-            self._ledger(job.tenant).cells += len(payload["cells"])
         job.progress["current_dataset"] = None
         job.state = "done"
         job.finished_at = time.time()
@@ -850,12 +683,10 @@ def serve_http(ns, session: MiningSession) -> int:
     and Ctrl-C both stop the server and return, so the caller closes the
     session and the resident pool's workers exit with the server.
     """
-    tenants = load_tenants(ns.tenants)
     server = MiningHTTPServer(
         session, host=ns.host, port=ns.http,
         max_inflight=ns.max_inflight,
-        max_pending_jobs=ns.max_pending_jobs, tenants=tenants,
-        job_root=ns.job_root,
+        max_pending_jobs=ns.max_pending_jobs, job_root=ns.job_root,
     )
 
     async def _main() -> None:

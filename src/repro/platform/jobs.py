@@ -14,8 +14,8 @@ Durability
 Every job owns a directory ``<root>/<job-id>/`` (default
 ``results/jobs/``) holding:
 
-* ``job.json`` — the ``gms-job/v1`` record: plan, tenant, state,
-  timestamps, progress, artifact paths, error;
+* ``job.json`` — the ``gms-job/v1`` record: plan, state, timestamps,
+  progress, artifact paths, error;
 * ``suite_<dataset>.json`` — one finished ``gms-suite/v3`` artifact per
   dataset, written *as each dataset completes* (not at job end), byte-
   compatible with the CLI's ``results/suite_<dataset>.json`` and
@@ -73,7 +73,6 @@ class Job:
     """
 
     id: str
-    tenant: str
     plan: Dict[str, object]
     state: str = "pending"
     submitted_at: float = 0.0
@@ -93,7 +92,6 @@ class Job:
         return {
             "id": self.id,
             "state": self.state,
-            "tenant": self.tenant,
             "submitted_at": self.submitted_at,
             "cells_done": self.progress.get("cells_done", 0),
             "cells_total": self.progress.get("cells_total", 0),
@@ -138,6 +136,9 @@ class JobStore:
             except (OSError, ValueError):
                 continue
             record.pop("schema", None)
+            # Older ``gms-job/v1`` records carry a ``tenant`` key that
+            # no field holds; they load without it.
+            record.pop("tenant", None)
             job = Job(**record)
             if job.state not in TERMINAL_STATES:
                 job.state = "interrupted"
@@ -151,13 +152,12 @@ class JobStore:
 
     # -- API -----------------------------------------------------------------
 
-    def create(self, plan: Dict[str, object], tenant: str,
+    def create(self, plan: Dict[str, object],
                cells_total: int, datasets_total: int) -> Job:
         """Accept a run: allocate an id, persist the pending record."""
         with self._lock:
             job = Job(
                 id=f"job-{self._next_id:06d}",
-                tenant=tenant,
                 plan=plan,
                 submitted_at=time.time(),
                 progress={

@@ -16,9 +16,7 @@ runs it on the worker's graph and cache.
 are in flight, and as one completes the next task in canonical order is
 submitted.  That is the greedy list schedule the ``dynamic`` makespan
 model (:func:`repro.runtime.scheduler.simulate_makespan`) simulates —
-the OpenMP ``schedule(dynamic)`` loop GMS runs — and what lets a plan
-clamped to fewer workers than the pool has really use only that many.
-Every submission meters its pickled arguments into
+the OpenMP ``schedule(dynamic)`` loop GMS runs.  Every submission meters its pickled arguments into
 ``Counters.payload_bytes_shipped`` (parent-side; see
 :mod:`repro.core.counters`).
 

@@ -35,10 +35,11 @@ logged at DEBUG (``--verbose`` enables it) so a long-lived session stays
 diagnosable without drowning the operator.
 
 The REPL is the single-operator face of the session.  For remote
-clients, concurrent callers, tenancy and suite jobs you poll instead of
-block on, ``python -m repro serve --http PORT`` serves the same session
-over asyncio HTTP/JSON (:mod:`repro.platform.http`): ``POST /query``
-takes the ``query`` keys, ``POST /suite`` + ``GET /jobs/<id>`` replace
+clients, concurrent callers and suite jobs you poll instead of block
+on, ``python -m repro serve --http PORT`` serves the same session over
+asyncio HTTP/JSON (:mod:`repro.platform.http`), bounded only by
+``--max-inflight`` and ``--max-pending-jobs``: ``POST /query`` takes
+the ``query`` keys, ``POST /suite`` + ``GET /jobs/<id>`` replace
 ``suite`` lines, and ``GET /stats`` replaces ``stats``.
 """
 
@@ -92,10 +93,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-pending-jobs", type=int, default=8,
                         help="--http: queued suite jobs before submissions "
                              "get 429")
-    parser.add_argument("--tenants", default=None, metavar="PATH",
-                        help="--http: JSON file mapping tenant name -> "
-                             "quotas (max_bloom_bits, max_cache_bytes, "
-                             "worker_share); unknown tenants are unlimited")
     parser.add_argument("--job-root", default=None, metavar="DIR",
                         help="--http: persistent job store directory "
                              "(default results/jobs)")

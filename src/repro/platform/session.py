@@ -58,8 +58,8 @@ in-process against the shared session cache; a larger limit runs them
 on the resident pool behind the bounded dispatcher
 (:func:`repro.platform.runner.dispatch`).  :meth:`Query.run` is a limit
 of 1, so a single query stays in-process even on a pool session;
-:meth:`Query.run_many` uses the session's ``workers`` and
-:meth:`MiningSession.run_plan` the plan's clamped worker count.
+:meth:`Query.run_many` and :meth:`MiningSession.run_plan` use the
+session's ``workers``.
 
 The pool's workers are forked from the session process, and the pool
 initializer receives the graph store plus each graph's
@@ -543,7 +543,6 @@ class MiningSession:
 
     def run_plan(self, plan: ExperimentPlan,
                  verbose: Optional[bool] = None, *,
-                 max_workers: Optional[int] = None,
                  cache_budget_bytes: Optional[int] = None,
                  ) -> List[Dict[str, object]]:
         """Execute a declarative :class:`ExperimentPlan` through the session.
@@ -558,21 +557,14 @@ class MiningSession:
         (gauges instantaneous), so a warm re-run shows hits without
         inheriting earlier runs' counts.
 
-        ``max_workers`` clamps *this plan's* worker count to at most the
-        session's (never below 1) without resizing the resident pool — a
-        plan clamped to 1 runs sequentially in-process; a plan clamped to
-        ``k < workers`` keeps at most ``k`` cells in flight on the pool.
-        ``cache_budget_bytes`` likewise overrides the byte budget the plan
-        carries into pool workers.  Both exist so a multi-tenant front end
-        (``repro serve --http``) can thread per-tenant worker-share and
-        cache quotas into individual plans.
+        ``cache_budget_bytes`` overrides the byte budget the plan carries
+        into pool workers: ``POST /suite`` (``repro serve --http``) passes
+        the budget of the request body through it.
         """
         self._check_open()
         verbose = self.verbose if verbose is None else verbose
         plan.validate()
         workers = self.workers
-        if max_workers is not None:
-            workers = max(1, min(workers, int(max_workers)))
         plan = replace(
             plan, workers=workers,
             cache_budget_bytes=(

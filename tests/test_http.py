@@ -4,7 +4,7 @@ One server = one resident MiningSession behind an asyncio front door.
 These tests run the real thing — a socket server on a loopback port,
 exercised with stdlib ``http.client`` — because the serving tier's whole
 contract is wire-level: request parsing, admission pushback headers,
-tenant headers, job polling, and artifacts that survive a restart.
+job polling, and artifacts that survive a restart.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from repro.platform.http import (
     MAX_BODY_BYTES,
     AdmissionControl,
     MiningHTTPServer,
-    TenantQuota,
-    load_tenants,
     running_server,
 )
 from repro.platform.jobs import JOB_SCHEMA, JobStore
@@ -104,7 +102,6 @@ class TestQueryEndpoint:
         assert result["exact"] is True
         assert result["wall_seconds"] > 0
         assert result["counters"]["set_ops"] > 0
-        assert payload["tenant"] == "public"
         # The golden value: the mini dataset's triangle count is pinned
         # by the whole suite; the wire must carry exactly it.
         with MiningSession() as session:
@@ -163,6 +160,22 @@ class TestQueryEndpoint:
             ["BitSet", "SortedSet"]
         assert results[0]["value"] == results[1]["value"]
 
+    def test_a_tenant_header_changes_nothing(self, server):
+        # The server keeps no tenant table: a request that names a tenant
+        # is answered like one that does not, budget and all, and no
+        # answer names a tenant.
+        body = {"kernel": "tc", "dataset": "sc-ht-mini",
+                "backend": "bloom", "bits": 4096}
+        cells = []
+        for headers in ({}, {"X-Repro-Tenant": "capped"}):
+            status, payload, _ = _request(server.port, "POST", "/query",
+                                          body, headers)
+            assert status == 200
+            assert set(payload) == {"result"}
+            cells.append({k: v for k, v in payload["result"]["cell"].items()
+                          if k != "seconds"})
+        assert cells[0] == cells[1]
+
     def test_bad_requests_answer_4xx_not_500(self, server):
         cases = [
             ("POST", "/query", {"dataset": "sc-ht-mini"}, 400),     # no kernel
@@ -174,6 +187,10 @@ class TestQueryEndpoint:
             ("POST", "/query",
              {"kernel": "tc", "dataset": "sc-ht-mini",
               "unknown_knob": 1}, 400),
+            ("POST", "/query",                                # bad variant
+             {"kernel": "tc", "dataset": "sc-ht-mini",
+              "variants": [{"backend": "bitset"}, {"backend": "nope"}]},
+             400),
             ("GET", "/nope", None, 404),
             ("GET", "/jobs/job-999999", None, 404),
             ("GET", "/query", None, 405),
@@ -284,7 +301,8 @@ class TestQueryEndpoint:
         # One admission bound: requests in service or waiting.
         assert stats["admission"]["max_inflight"] == 20
         assert "backlog" not in stats["admission"]
-        assert stats["tenants"]["public"]["usage"]["queries"] > 0
+        assert set(stats) == {"session", "admission", "jobs",
+                              "requests_served"}
 
 
 class TestAdmissionControl:
@@ -323,69 +341,6 @@ class TestAdmissionControl:
             assert status == 200
             _, stats, _ = _request(server.port, "GET", "/stats")
             assert stats["admission"]["rejected"] == 1
-            assert stats["tenants"]["public"]["usage"]["rejected"] == 1
-
-
-class TestTenantQuotas:
-    def test_clamp_unit(self):
-        quota = TenantQuota(max_bloom_bits=64, max_cache_bytes=1 << 20,
-                            worker_share=0.5)
-        plan = ExperimentPlan().with_knobs(
-            {"bits": 1024, "shared_bits": 32, "backend": "bloom"}
-        )
-        # shared_bits is under the cap: untouched, so not reported; the
-        # unbounded (0) cache budget is lowered to the quota.
-        assert quota.clamp(plan) == {
-            "bits": {"requested": 1024, "granted": 64},
-            "cache_budget_bytes": {"requested": None, "granted": 1 << 20},
-        }
-        assert quota.max_workers(4) == 2
-        assert quota.max_workers(1) == 1             # floor, never 0
-        assert TenantQuota().clamp(ExperimentPlan(bloom_bits=10 ** 9)) == {}
-        assert TenantQuota().max_workers(4) is None
-
-    def test_quota_threads_into_the_served_query(self):
-        tenants = {"capped": TenantQuota(max_bloom_bits=64,
-                                         max_cache_bytes=1 << 20)}
-        with running_server(tenants=tenants) as server:
-            status, payload, _ = _request(
-                server.port, "POST", "/query",
-                {"kernel": "tc", "dataset": "sc-ht-mini",
-                 "backend": "bloom", "bits": 4096},
-                headers={"X-Repro-Tenant": "capped"},
-            )
-            assert status == 200
-            # The response tells the tenant what was degraded...
-            assert payload["quota_clamped"]["bits"] == {
-                "requested": 4096, "granted": 64,
-            }
-            # ...and the served result really ran under the granted
-            # budget: a 64-bit-per-element Bloom backend, not 4096.
-            assert payload["result"]["resolved_class"] != "BitSet"
-            # An uncapped tenant with the same request is not clamped.
-            status, payload, _ = _request(
-                server.port, "POST", "/query",
-                {"kernel": "tc", "dataset": "sc-ht-mini",
-                 "backend": "bloom", "bits": 4096},
-            )
-            assert status == 200
-            assert "quota_clamped" not in payload
-            _, stats, _ = _request(server.port, "GET", "/stats")
-            assert stats["tenants"]["capped"]["usage"]["clamped"] == 1
-            assert stats["tenants"]["capped"]["quota"]["max_bloom_bits"] == 64
-
-    def test_load_tenants_file(self, tmp_path):
-        path = tmp_path / "tenants.json"
-        path.write_text(json.dumps({
-            "alice": {"max_bloom_bits": 128, "worker_share": 0.5},
-        }))
-        table = load_tenants(str(path))
-        assert table["alice"] == TenantQuota(max_bloom_bits=128,
-                                             worker_share=0.5)
-        assert load_tenants(None) == {}
-        path.write_text(json.dumps({"bob": {"max_gpus": 3}}))
-        with pytest.raises(ValueError, match="unknown quota field"):
-            load_tenants(str(path))
 
 
 class TestSuiteJobs:
@@ -394,14 +349,12 @@ class TestSuiteJobs:
             status, accepted, _ = _request(
                 server.port, "POST", "/suite",
                 {"smoke": True, "kernels": ["tc"]},
-                headers={"X-Repro-Tenant": "team-a"},
             )
             assert status == 202
             assert accepted["poll"] == f"/jobs/{accepted['job']}"
             record = _wait_for_job(server.port, accepted["job"])
             assert record["state"] == "done"
             assert record["schema"] == JOB_SCHEMA
-            assert record["tenant"] == "team-a"
             assert record["exact_mismatches"] == 0
             progress = record["progress"]
             assert progress["cells_done"] == progress["cells_total"] > 0
@@ -416,8 +369,6 @@ class TestSuiteJobs:
             assert [j["id"] for j in listing["jobs"]] == [accepted["job"]]
             _, stats, _ = _request(server.port, "GET", "/stats")
             assert stats["jobs"]["counts"] == {"done": 1}
-            assert stats["tenants"]["team-a"]["usage"]["jobs"] == 1
-            assert stats["tenants"]["team-a"]["usage"]["cells"] > 0
 
     def test_served_suite_is_suite_diff_identical_to_cli(self, artifact_dir):
         """The acceptance gate: HTTP job artifact == direct session run."""
@@ -508,8 +459,7 @@ class TestSuiteJobs:
 
     def test_interrupted_jobs_are_marked_on_hydration(self, artifact_dir):
         store = JobStore(str(artifact_dir / "jobs"))
-        job = store.create(plan={}, tenant="public",
-                           cells_total=4, datasets_total=1)
+        job = store.create(plan={}, cells_total=4, datasets_total=1)
         job.state = "running"
         store.persist(job)
         # A fresh store over the same root = a restarted server: the
@@ -521,6 +471,31 @@ class TestSuiteJobs:
             (artifact_dir / "jobs" / job.id / "job.json").read_text()
         )
         assert on_disk["state"] == "interrupted"
+
+
+    def test_records_with_a_tenant_key_still_hydrate(self, artifact_dir):
+        # A finished job as an older store wrote it, ``tenant`` key and
+        # all: it loads with its state and artifacts, and ids continue
+        # above it.
+        job_dir = artifact_dir / "jobs" / "job-000007"
+        job_dir.mkdir(parents=True)
+        artifact = str(job_dir / "suite_sc-ht-mini.json")
+        (job_dir / "job.json").write_text(json.dumps({
+            "id": "job-000007", "tenant": "team-a", "plan": {},
+            "state": "done", "submitted_at": 1.0, "started_at": 2.0,
+            "finished_at": 3.0,
+            "progress": {"cells_done": 4, "cells_total": 4},
+            "artifacts": [artifact], "exact_mismatches": 0, "error": None,
+            "schema": JOB_SCHEMA,
+        }))
+        store = JobStore(str(artifact_dir / "jobs"))
+        job = store.get("job-000007")
+        assert job.state == "done"
+        assert job.artifacts == [artifact]
+        assert job.progress["cells_done"] == 4
+        assert "tenant" not in job.to_json()
+        assert store.create(plan={}, cells_total=1,
+                            datasets_total=1).id == "job-000008"
 
 
 class TestServeHttpWiring:

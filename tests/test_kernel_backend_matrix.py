@@ -213,7 +213,9 @@ class TestBoundedErrorUnderSketches:
 class TestReconciledSuiteKernel:
     """The suite's ``4clique-rec`` cell is the reconciled recursion:
     equal to it on every registered class, and to the exact count on the
-    exact ones, under both orderings the suite sweeps by default."""
+    exact ones, under both orderings the suite sweeps by default.  On an
+    exact class reconciling changes nothing: the counters are the plain
+    recursion's, and no ``SortedSet`` twin of the DAG is built."""
 
     @pytest.mark.parametrize("ordering", ["DGR", "ADG"])
     def test_equals_the_reconciled_recursion(self, matrix_graph,
@@ -222,12 +224,21 @@ class TestReconciledSuiteKernel:
 
         csr, _ = matrix_graph
         plan = ExperimentPlan()
+        cache = MaterializationCache()
         got = SUITE_KERNELS["4clique-rec"].runner(
-            csr, any_set_cls, ordering, plan, MaterializationCache())
+            csr, any_set_cls, ordering, plan, cache)
         assert got == kclique_count_sets(csr, 4, any_set_cls, ordering,
                                          reconcile=True, eps=plan.eps)
         if any_set_cls.IS_EXACT:
             assert got == kclique_count(csr, 4, ordering).count
+            assert cache.stats()["oriented"] == 1
+            runs = []
+            for reconcile in (True, False):
+                before = snapshot()
+                runs.append((kclique_count_sets(
+                    csr, 4, any_set_cls, ordering, reconcile=reconcile,
+                    eps=plan.eps, cache=cache), before.delta(snapshot())))
+            assert runs[0] == runs[1]
 
 
 def _kclist_per_op(dag, k):

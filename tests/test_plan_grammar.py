@@ -1,12 +1,12 @@
 """One knob grammar: every surface parses with ``ExperimentPlan.with_knobs``.
 
 The same inputs go in-process (the plan parser and the fluent ``Query``),
-through the serve REPL's ``query`` line, through ``POST /query`` as the
-public and as a quota-capped tenant, and through ``POST /suite``.  A bad
-input is a ``KeyError``/``ValueError`` in-process, an HTTP 400 (never a
-500, never an accepted job) and one ``error:`` line from the REPL; a good
-key means the same thing everywhere.  On the command line every knob flag
-is a plan field (or a query alias) and means what its key means.
+through the serve REPL's ``query`` line, through ``POST /query``, and
+through ``POST /suite``.  A bad input is a ``KeyError``/``ValueError``
+in-process, an HTTP 400 (never a 500, never an accepted job) and one
+``error:`` line from the REPL; a good key means the same thing
+everywhere.  On the command line every knob flag is a plan field (or a
+query alias) and means what its key means.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import fields
 import pytest
 
 from repro.__main__ import FORWARDED, main
-from repro.platform.http import TenantQuota, running_server
+from repro.platform.http import running_server
 from repro.platform.serve import build_serve_parser, serve_main
 from repro.platform.session import MiningSession
 from repro.platform.suite import (
@@ -51,11 +51,10 @@ GOOD_KNOBS = {
 }
 
 
-def _post(port, path, body, tenant="public"):
+def _post(port, path, body):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
     try:
-        conn.request("POST", path, body=json.dumps(body),
-                     headers={"X-Repro-Tenant": tenant})
+        conn.request("POST", path, body=json.dumps(body))
         response = conn.getresponse()
         return response.status, json.loads(response.read())
     finally:
@@ -68,10 +67,7 @@ def _repl(line: str):
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    tenants = {"capped": TenantQuota(max_bloom_bits=64,
-                                     max_cache_bytes=1 << 20)}
-    with running_server(tenants=tenants,
-                        job_root=str(tmp_path_factory.mktemp("jobs"))) as srv:
+    with running_server(job_root=str(tmp_path_factory.mktemp("jobs"))) as srv:
         yield srv
 
 
@@ -93,11 +89,10 @@ class TestOneGrammarOneError:
         assert err.count("error:") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tenant", ["public", "capped"])
-    def test_query_endpoint(self, server, knobs, tenant):
+    def test_query_endpoint(self, server, knobs):
         status, payload = _post(
             server.port, "/query",
-            {"kernel": "tc", "dataset": "sc-ht-mini", **knobs}, tenant,
+            {"kernel": "tc", "dataset": "sc-ht-mini", **knobs},
         )
         assert status == 400, payload
         assert "invalid query" in payload["error"]

@@ -594,9 +594,9 @@ class TestResidentPool:
         with pytest.raises(RuntimeError):
             pool.submit(int)  # the executor really was shut down
 
-    def test_worker_share_bounds_cells_in_flight(self, monkeypatch):
-        # A plan clamped to k < workers keeps at most k single-cell tasks
-        # outstanding on the pool, and its artifact is unchanged.
+    def test_run_plan_bounds_cells_in_flight_by_workers(self, monkeypatch):
+        # A plan keeps at most the session's workers single-cell tasks
+        # outstanding on the pool, and its artifact is the sequential one.
         submit = ProcessPoolExecutor.submit
         futures = []
         in_flight = []  # outstanding futures, counted at each submission
@@ -608,8 +608,8 @@ class TestResidentPool:
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
         plan = ExperimentPlan.smoke()
-        with MiningSession(workers=3) as session:
-            (payload,) = session.run_plan(plan, max_workers=2)
+        with MiningSession(workers=2) as session:
+            (payload,) = session.run_plan(plan)
         with MiningSession() as sequential:
             (expected,) = sequential.run_plan(plan)
         assert len(in_flight) == len(expected["cells"])
