@@ -370,6 +370,24 @@ class TestSuiteJobs:
             _, stats, _ = _request(server.port, "GET", "/stats")
             assert stats["jobs"]["counts"] == {"done": 1}
 
+    def test_a_tenant_header_is_ignored_by_suite_jobs(self, artifact_dir):
+        # A job submitted with a tenant header runs like any other, and
+        # neither its record nor its job.json names a tenant.
+        with running_server(job_root=str(artifact_dir / "jobs")) as server:
+            status, accepted, _ = _request(
+                server.port, "POST", "/suite",
+                {"smoke": True, "kernels": ["tc"]},
+                headers={"X-Repro-Tenant": "team-a"},
+            )
+            assert status == 202
+            record = _wait_for_job(server.port, accepted["job"])
+            assert record["state"] == "done"
+            assert "tenant" not in record
+        on_disk = json.loads(
+            (artifact_dir / "jobs" / accepted["job"] / "job.json").read_text())
+        assert on_disk["state"] == "done"
+        assert "tenant" not in on_disk
+
     def test_served_suite_is_suite_diff_identical_to_cli(self, artifact_dir):
         """The acceptance gate: HTTP job artifact == direct session run."""
         with MiningSession() as session:

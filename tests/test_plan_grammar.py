@@ -1,9 +1,10 @@
 """One knob grammar: every surface parses with ``ExperimentPlan.with_knobs``.
 
 The same inputs go in-process (the plan parser and the fluent ``Query``),
-through the serve REPL's ``query`` line, through ``POST /query``, and
-through ``POST /suite``.  A bad input is a ``KeyError``/``ValueError``
-in-process, an HTTP 400 (never a 500, never an accepted job) and one
+through the serve REPL's ``query`` line, through ``POST /query`` (as
+the body and as a ``variants`` entry), and through ``POST /suite``.  A
+bad input is a ``KeyError``/``ValueError`` in-process, an HTTP 400
+(never a 500, never an accepted job, never a partly run batch) and one
 ``error:`` line from the REPL; a good key means the same thing
 everywhere.  On the command line every knob flag is a plan field (or a
 query alias) and means what its key means.
@@ -96,6 +97,19 @@ class TestOneGrammarOneError:
         )
         assert status == 400, payload
         assert "invalid query" in payload["error"]
+
+    def test_query_variant(self, server, knobs):
+        # A bad variant after a good one fails the batch before any
+        # variant runs.
+        ran = server.session.queries_run
+        status, payload = _post(
+            server.port, "/query",
+            {"kernel": "tc", "dataset": "sc-ht-mini",
+             "variants": [{"backend": "bitset"}, knobs]},
+        )
+        assert status == 400, payload
+        assert "invalid query" in payload["error"]
+        assert server.session.queries_run == ran
 
     def test_suite_endpoint(self, server, knobs):
         jobs = len(server.store.jobs())
@@ -241,7 +255,9 @@ class TestCommandLineGrammar:
         ["suite", "--smoke", "--dispatch", "adaptive"],
         ["suite-diff", "a.json", "b.json", "--semantic"],
         ["serve", "--admission-backlog", "3"],
-    ], ids=["suite-dispatch", "suite-diff-semantic", "serve-backlog"])
+        ["serve", "--tenants", "tenants.json"],
+    ], ids=["suite-dispatch", "suite-diff-semantic", "serve-backlog",
+            "serve-tenants"])
     def test_removed_flags_exit_2(self, argv, tmp_path, monkeypatch,
                                   capsys):
         import repro.platform.bench as bench
