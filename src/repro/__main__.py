@@ -33,6 +33,12 @@ Commands
                         asyncio HTTP/JSON instead (``POST /query``,
                         ``POST /suite`` jobs, ``GET /jobs/<id>``,
                         ``GET /stats``) under admission control
+``ladder``              synthetic scale ladder: per rung (generator,
+                        parameters, seed) and exact backend, layer and
+                        kernel seconds, values, ``set_ops`` and bytes →
+                        ``BENCH_ladder.json``; ``--check`` reruns the
+                        smallest rungs against it, ``--oracle`` runs
+                        the relabelling oracle
 ``aggregate``           merge suite artifacts into
                         ``results/aggregate.json`` (per-backend
                         speed-vs-accuracy summaries + measured-vs-modeled
@@ -94,6 +100,13 @@ FORWARDED = {
         "AST-based invariant analyzer: set-algebra purity, counter "
         "discipline, resource lifecycle, silent suppression, "
         "determinism (gms-lint/v1 artifact)",
+    ),
+    "ladder": (
+        "repro.platform.ladder", "main",
+        "synthetic scale ladder: layer and kernel seconds, values, "
+        "set_ops and bytes per rung and exact backend "
+        "(BENCH_ladder.json); --check reruns the small rungs, --oracle "
+        "runs the relabelling oracle",
     ),
     "serve": (
         "repro.platform.serve", "serve_main",

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..core.counters import COUNTERS
 from ..core.interface import SetBase
+from ..core.ops import popcount
 from ..core.registry import derived_set_class
 from .estimators import (
     bloom_cardinality_estimate,
@@ -60,17 +61,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 def _pow2_ceil(x: int) -> int:
     return 1 << max(x - 1, 0).bit_length()
-
-
-if hasattr(np, "bitwise_count"):
-
-    def _popcount(words: np.ndarray) -> int:
-        return int(np.bitwise_count(words).sum())
-
-else:  # numpy < 2.0 has no vectorized popcount
-
-    def _popcount(words: np.ndarray) -> int:
-        return int(np.unpackbits(words.view(np.uint8)).sum())
 
 
 class BloomFilterSet(SetBase):
@@ -123,7 +113,7 @@ class BloomFilterSet(SetBase):
         per edge in the mining kernels but each filter's own bit count only
         changes on mutation."""
         if self._ones is None:
-            self._ones = _popcount(self._words)
+            self._ones = popcount(self._words)
         return self._ones
 
     def _probe(self, elements: np.ndarray) -> np.ndarray:
@@ -203,7 +193,7 @@ class BloomFilterSet(SetBase):
             wa, wb = self._words, b._words
             COUNTERS.record_bulk(wa.size + wb.size, 0)
             raw = bloom_intersection_estimate(
-                self._own_popcount(), b._own_popcount(), _popcount(wa | wb),
+                self._own_popcount(), b._own_popcount(), popcount(wa | wb),
                 self._num_bits, self.NUM_HASHES,
             )
         else:
@@ -240,7 +230,7 @@ class BloomFilterSet(SetBase):
         if b.NUM_HASHES == self.NUM_HASHES and b._num_bits == self._num_bits:
             COUNTERS.record_bulk(self._words.size + b._words.size, 0)
             raw = bloom_cardinality_estimate(
-                _popcount(self._words | b._words), self._num_bits, self.NUM_HASHES
+                popcount(self._words | b._words), self._num_bits, self.NUM_HASHES
             )
         else:
             raw = float(n_a + n_b - self.intersect_count(b))

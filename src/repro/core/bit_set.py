@@ -20,7 +20,7 @@ import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
-from .ops import as_sorted_unique
+from .ops import as_sorted_unique, popcount
 
 __all__ = ["BitSet"]
 
@@ -36,6 +36,13 @@ _ARC_SCRATCH_BYTES = 24
 #: its arcs' scratch.  A bulk build then peaks at the finished bitsets
 #: plus about one chunk, where one unchunked buffer would double it.
 _CHUNK_BYTES = 4 << 20
+#: Row width, in 64-bit words, above which
+#: :meth:`BitSet.intersect_count_pairs` takes the per-vertex default.
+#: The fast path ANDs whole rows, the big-int loop only each pair's own
+#: bit lengths, so the loop catches up as rows widen: on holme_kim(n, 5,
+#: 0.5) rank-merge tc measured 35.9 -> 31.7 ms at 125 words (n = 8,000)
+#: and 66.4 -> 69.6 ms at 188 words (2 vCPUs, best of 5).
+_PAIR_MAX_WORDS = 128
 
 
 def _members(bits: int) -> list:
@@ -215,6 +222,44 @@ class BitSet(SetBase):
             n * ((a_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
             + words,
         )
+        return count
+
+    @classmethod
+    def intersect_count_pairs(cls, graph, us: np.ndarray,
+                              vs: np.ndarray) -> int:
+        # One pass over a SetGraph of BitSets as numpy words: the big ints
+        # packed into a uint64 row matrix (one to_bytes per vertex, built
+        # per call), then the rows of each chunk of pairs gathered, ANDed
+        # and popcounted.  Accounted in one call: exactly what len(us)
+        # intersect_count calls record.  Any other class or graph, or
+        # rows wider than _PAIR_MAX_WORDS, takes the default.
+        if (len(us) == 0 or cls is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            return super().intersect_count_pairs(graph, us, vs)
+        bits = [s._bits for s in graph.neighborhoods]
+        words = np.array([(b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+                          for b in bits], dtype=np.int64)
+        width = max(int(words.max()), 1)
+        if width > _PAIR_MAX_WORDS:
+            return super().intersect_count_pairs(graph, us, vs)
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        row = 8 * width
+        matrix = np.zeros((len(bits), width), dtype=np.uint64)
+        view = memoryview(matrix).cast("B")
+        for v, b in enumerate(bits):
+            view[v * row:(v + 1) * row] = b.to_bytes(row, "little")
+        count = 0
+        step = max(1, _CHUNK_BYTES // (2 * row))
+        for start in range(0, len(us), step):
+            rows = matrix[us[start:start + step]]
+            rows &= matrix[vs[start:start + step]]
+            count += popcount(rows)
+        uses = (np.bincount(us, minlength=len(bits))
+                + np.bincount(vs, minlength=len(bits)))
+        sizes = np.array(graph.cardinalities, dtype=np.int64)
+        COUNTERS.record_bulk(int(sizes @ uses), 0, len(us), "bitset",
+                             int(words @ uses))
         return count
 
     def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:

@@ -22,7 +22,12 @@ backends — the property the cross-backend regression tests pin.  A bulk
 call over ``n`` operands (``SetBase.intersect_count_many`` or the pivot
 scan ``SetBase.intersect_count_argmax``) records exactly what its ``n``
 per-operand ``intersect_count`` operations would: ``n`` set operations,
-the same reads and writes, and the same ``words_scanned``.  The Tomita
+the same reads and writes, and the same ``words_scanned``.  The pass
+instruction ``SetBase.intersect_count_pairs`` over ``n`` pairs records
+what its ``n`` per-pair ``intersect_count`` operations would; its
+default is one ``intersect_count_many`` per run of equal ``u``, and the
+``bitset`` and ``sorted`` fast paths make one record call (plus the
+``sorted`` scan attributions) for the whole pass.  The Tomita
 step ``SetBase.pivot_branch`` records what its per-operation sequence
 would: the pivot scan, one ``diff``, and per child two ``intersect``
 operations plus the ``remove``/``add`` point operations that move the

@@ -28,6 +28,9 @@ Listing 1 (C++)              This module
 ``operator==`` / ``!=``      :meth:`SetBase.__eq__`
 (SISA extension)             :meth:`SetBase.intersect_count_many`: one
                              bulk instruction, ``Σ_v |A ∩ N(v)|``
+(SISA extension)             :meth:`SetBase.intersect_count_pairs`: one
+                             instruction per kernel pass over a whole
+                             graph, ``Σ_i |N(u_i) ∩ N(v_i)|``
 (SISA extension)             :meth:`SetBase.intersect_count_argmax`: the
                              Tomita pivot scan as one instruction,
                              the first ``argmax_v |A ∩ N(v)|``
@@ -188,6 +191,37 @@ class SetBase(ABC):
         """
         count = self.intersect_count
         return sum(count(graph[v]) for v in vertices)
+
+    @classmethod
+    def intersect_count_pairs(cls, graph, us: np.ndarray,
+                              vs: np.ndarray) -> int:
+        """Return ``Σ_i |graph[us[i]] ∩ graph[vs[i]]|`` — one instruction
+        per kernel pass.
+
+        The graph-granularity form of :meth:`intersect_count_many` that
+        :meth:`SetGraph.intersect_count_pairs
+        <repro.graph.set_graph.SetGraph.intersect_count_pairs>` issues on
+        its ``set_cls``: a triangle-counting pass over all arcs at once.
+        *us* and *vs* are equal-length integer arrays; pairs may repeat,
+        have ``u == v`` or not be arcs.  The default groups each run of
+        equal ``us[i]`` into one ``graph[u].intersect_count_many(graph,
+        vs[run])`` call, so a backend keeps its bulk instruction and its
+        counters.  A fast path must return the same count and account
+        exactly what ``len(us)`` :meth:`intersect_count` calls record.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        if len(us) == 0:
+            return 0
+        bounds = [0]
+        bounds += (np.flatnonzero(us[1:] != us[:-1]) + 1).tolist()
+        heads = us[bounds].tolist()
+        bounds.append(len(us))
+        targets = np.asarray(vs, dtype=np.int64).tolist()
+        total = 0
+        for u, start, stop in zip(heads, bounds, bounds[1:]):
+            total += graph[u].intersect_count_many(graph,
+                                                   targets[start:stop])
+        return total
 
     def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
         """Return the first ``v`` in *vertices* maximizing ``|A ∩ graph[v]|``.

@@ -33,9 +33,23 @@ __all__ = [
     "diff_merge",
     "member_mask_merge",
     "member_mask_galloping",
+    "popcount",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+if hasattr(np, "bitwise_count"):
+
+    def popcount(words: np.ndarray) -> int:
+        """The number of set bits in the contiguous unsigned *words*."""
+        return int(np.bitwise_count(words).sum())
+
+else:  # numpy < 2.0 has no vectorized popcount
+
+    def popcount(words: np.ndarray) -> int:
+        """The number of set bits in the contiguous unsigned *words*."""
+        return int(np.unpackbits(words.view(np.uint8)).sum())
 
 
 def as_sorted_unique(array: np.ndarray) -> np.ndarray:

@@ -100,6 +100,13 @@ class SetGraph:
     def out_degree(self, v: int) -> int:
         return self.cardinalities[v]
 
+    def intersect_count_pairs(self, us: np.ndarray, vs: np.ndarray) -> int:
+        """Return ``Σ_i |N(us[i]) ∩ N(vs[i])|``: one set instruction for
+        a whole kernel pass, run by
+        :meth:`~repro.core.interface.SetBase.intersect_count_pairs` of
+        this graph's ``set_cls``."""
+        return self.set_cls.intersect_count_pairs(self, us, vs)
+
     def has_edge(self, u: int, v: int) -> bool:
         return self._neighborhoods[u].contains(v)
 

@@ -11,9 +11,9 @@ Two classic schemes, both expressed with set algebra over a materialized
   the ``O(m^{3/2})`` scheme of Table 8.
 
 Both take a pluggable set class (modularity hook ``5+``); the default is
-the CSR-like :class:`~repro.core.sorted_set.SortedSet`.  Each vertex's
-candidate counts are one bulk ``SetBase.intersect_count_many`` call (a
-sum of ``intersect_count``s), so approximate backends (``"bloom"``/
+the CSR-like :class:`~repro.core.sorted_set.SortedSet`.  Each scheme's
+pass is one ``SetGraph.intersect_count_pairs`` instruction over its arcs
+(a sum of ``intersect_count``s), so approximate backends (``"bloom"``/
 ``"kmv"``) estimate with the same kernel code.
 """
 
@@ -21,12 +21,21 @@ from __future__ import annotations
 
 from typing import Optional, Type
 
+import numpy as np
+
 from ..core.interface import SetBase
 from ..core.sorted_set import SortedSet
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
+from ..graph.transforms import oriented_arcs
 
 __all__ = ["triangle_count_node_iterator", "triangle_count_rank_merge"]
+
+
+def _arc_sources(offsets: np.ndarray) -> np.ndarray:
+    """The source vertex of every arc of a CSR ``offsets`` array."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64),
+                     np.diff(offsets))
 
 
 def triangle_count_node_iterator(
@@ -39,10 +48,8 @@ def triangle_count_node_iterator(
     if cache is None:
         cache = MaterializationCache()
     sets = cache.set_graph(graph, cls)
-    total = 0
-    for v in graph.vertices():
-        row = graph.out_neigh(v).tolist()
-        total += sets[v].intersect_count_many(sets, row)
+    total = sets.intersect_count_pairs(_arc_sources(graph.offsets),
+                                       graph.adjacency)
     # Each triangle {a, b, c} is found once per ordered corner pair: 6 times
     # over the symmetric adjacency, i.e. tc/3 with the paper's per-edge loop
     # over directed arcs being tc/6 here (we loop over both arc directions).
@@ -58,9 +65,6 @@ def triangle_count_rank_merge(
     cls = set_cls or SortedSet
     if cache is None:
         cache = MaterializationCache()
-    _, dag = cache.oriented(graph, cls, "DEG")
-    total = 0
-    for u in dag.vertices():
-        su = dag[u]
-        total += su.intersect_count_many(dag, su.members())
-    return total
+    order, dag = cache.oriented(graph, cls, "DEG")
+    offsets, targets = oriented_arcs(graph, order.rank)
+    return dag.intersect_count_pairs(_arc_sources(offsets), targets)

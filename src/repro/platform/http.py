@@ -474,7 +474,8 @@ class MiningHTTPServer:
     # -- endpoint: /query ---------------------------------------------------
 
     def _compile_query(self, body: Dict[str, object]):
-        """Body → (query, variants); a bad key or value is a 400."""
+        """Body → (query, compiled variants or None); a bad key or value
+        is a 400."""
         if not body.get("kernel"):
             raise HttpError(400, "query body needs a 'kernel' field")
         if "dataset" not in body:
@@ -493,13 +494,13 @@ class MiningHTTPServer:
         try:
             query = self.session.query(str(body["kernel"])).with_overrides(
                 body)
-            # Every variant is parsed here, before any runs, so a bad one
-            # fails the batch with a 400 rather than mid-run.
-            for variant in raw_variants or ():
-                query.with_overrides(variant)
+            # Every variant is parsed here, once and before any runs, so a
+            # bad one fails the batch with a 400 rather than mid-run.
+            variants = (None if raw_variants is None else
+                        [query.with_overrides(v) for v in raw_variants])
         except (KeyError, ValueError) as exc:
             raise HttpError(400, f"invalid query: {exc}")
-        return query, raw_variants
+        return query, variants
 
     async def _handle_query(
         self, request: _Request, _tenant: object

@@ -76,7 +76,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+                    Tuple, Union)
 
 from ..core import counters as _counters
 from ..core.counters import Snapshot
@@ -248,19 +248,24 @@ class Query:
         return result
 
     def run_many(
-        self, variants: Optional[Sequence[Mapping[str, object]]] = None
+        self,
+        variants: Optional[Sequence[Union[Mapping[str, object],
+                                          "Query"]]] = None,
     ) -> List[QueryResult]:
         """Answer a batch: this query under each override dict.
 
-        ``variants=None`` runs the query once (a batch of one).  On a
-        ``workers > 1`` session the batch fans out over the resident pool,
-        one task per variant; the workers' counter deltas are merged with
-        the associative :meth:`Snapshot.merge` so the session totals are
-        identical to a sequential run of the same batch.
+        ``variants=None`` runs the query once (a batch of one).  A variant
+        may also be a query already compiled from this one (by
+        :meth:`with_overrides`), which runs as it is, unparsed again.  On
+        a ``workers > 1`` session the batch fans out over the resident
+        pool, one task per variant; the workers' counter deltas are merged
+        with the associative :meth:`Snapshot.merge` so the session totals
+        are identical to a sequential run of the same batch.
         """
         queries = (
             [self] if variants is None
-            else [self.with_overrides(v) for v in variants]
+            else [v if isinstance(v, Query) else self.with_overrides(v)
+                  for v in variants]
         )
         return self._session._answer(queries, limit=self._session.workers)
 

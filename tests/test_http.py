@@ -160,6 +160,36 @@ class TestQueryEndpoint:
             ["BitSet", "SortedSet"]
         assert results[0]["value"] == results[1]["value"]
 
+    def test_variants_are_parsed_once(self, server, monkeypatch):
+        # The query, its body and each variant are one with_knobs parse
+        # each (the kernel, the body, 3 variants); running the compiled
+        # variants parses nothing again.  A bad variant is still a 400
+        # that runs nothing.
+        parses = []
+        with_knobs = ExperimentPlan.with_knobs
+
+        def counted(self, knobs, **kwargs):
+            parses.append(dict(knobs))
+            return with_knobs(self, knobs, **kwargs)
+
+        monkeypatch.setattr(ExperimentPlan, "with_knobs", counted)
+        variants = [{"backend": "bitset"}, {"backend": "sorted"},
+                    {"backend": "hash"}]
+        status, payload, _ = _request(
+            server.port, "POST", "/query",
+            {"kernel": "tc", "dataset": "sc-ht-mini", "variants": variants})
+        assert status == 200
+        assert len(payload["results"]) == 3
+        assert len(parses) == 2 + len(variants)
+        assert parses[2:] == variants
+        ran = server.session.queries_run
+        status, _, _ = _request(
+            server.port, "POST", "/query",
+            {"kernel": "tc", "dataset": "sc-ht-mini",
+             "variants": [{"backend": "bitset"}, {"backend": "nope"}]})
+        assert status == 400
+        assert server.session.queries_run == ran
+
     def test_a_tenant_header_changes_nothing(self, server):
         # The server keeps no tenant table: a request that names a tenant
         # is answered like one that does not, budget and all, and no

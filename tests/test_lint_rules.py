@@ -298,6 +298,40 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/kclist.py", "GMS002") == []
 
+    def test_pair_instruction_without_accounting_flagged(self):
+        source = """
+            import numpy as np
+            from repro.core.interface import SetBase
+
+            class Rows(SetBase):
+                @classmethod
+                def intersect_count_pairs(cls, graph, us, vs):
+                    rows = graph.matrix[us] & graph.matrix[vs]
+                    return int(np.bitwise_count(rows).sum())
+        """
+        findings = run(source, "src/repro/core/rows.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 7)]
+        assert "Rows.intersect_count_pairs" in findings[0].message
+
+    def test_pair_instruction_recording_or_delegating_passes(self):
+        source = """
+            from repro.core.counters import COUNTERS
+            from repro.core.interface import SetBase
+
+            class Recorded(SetBase):
+                @classmethod
+                def intersect_count_pairs(cls, graph, us, vs):
+                    COUNTERS.record_bulk(0, 0, len(us))
+                    return sum(len(graph[u]._d & graph[v]._d)
+                               for u, v in zip(us, vs))
+
+            class Delegated(SetBase):
+                @classmethod
+                def intersect_count_pairs(cls, graph, us, vs):
+                    return super().intersect_count_pairs(graph, us, vs)
+        """
+        assert run(source, "src/repro/core/rows.py", "GMS002") == []
+
     def test_aliased_counters_import_recognized(self):
         source = """
             from repro.core import counters as _counters

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import BitSet, HashSet, RoaringSet, SortedSet
+from repro.core import (BitSet, HashSet, RoaringSet, SortedSet, bit_set,
+                        sorted_set)
 from repro.core.registry import registered_set_classes
 from repro.graph import SetGraph, build_set_graph, build_undirected, load_dataset
+from repro.graph.generators import holme_kim
+from repro.graph.stats import triangle_counts
 from tests.conftest import random_csr
 
 
@@ -91,3 +96,80 @@ class TestSetGraph:
             for w in csr.out_neigh(v).tolist():
                 total += sv.intersect_count(sg.out_neigh(w))
         assert total // 6 == sum(nx.triangles(G).values()) // 3
+
+
+class TestIntersectCountPairs:
+    """``SetGraph.intersect_count_pairs``: one instruction per pass."""
+
+    def test_dispatches_to_the_graphs_set_class(self, set_cls):
+        csr, G = random_csr(30, 120, 65)
+        sg = build_set_graph(csr, set_cls)
+        us = np.repeat(np.arange(30), csr.degrees())
+        total = sg.intersect_count_pairs(us, csr.adjacency)
+        assert total == set_cls.intersect_count_pairs(sg, us, csr.adjacency)
+        if set_cls.IS_EXACT:
+            import networkx as nx
+
+            assert total == 6 * sum(nx.triangles(G).values()) // 3
+        assert sg.intersect_count_pairs(us[:0], us[:0]) == 0
+
+    def test_bitset_above_the_width_cap_takes_the_default(self, monkeypatch):
+        # One member at bit 64 * cap widens every row past the cap: the
+        # per-vertex default (one intersect_count_many per run of equal
+        # u) answers.  At the cap, the row matrix does.
+        calls = []
+        many = BitSet.intersect_count_many
+
+        def counted(self, graph, vertices):
+            calls.append(len(vertices))
+            return many(self, graph, vertices)
+
+        monkeypatch.setattr(BitSet, "intersect_count_many", counted)
+        for top, default in ((64 * bit_set._PAIR_MAX_WORDS, True),
+                             (64 * bit_set._PAIR_MAX_WORDS - 1, False)):
+            sg = SetGraph([BitSet.from_iterable(n)
+                           for n in ([1, 2, top], [1, 2], [2, top])], BitSet)
+            calls.clear()
+            us, vs = np.array([0, 0, 2]), np.array([1, 2, 0])
+            assert sg.intersect_count_pairs(us, vs) == 2 + 2 + 2
+            assert calls == ([2, 1] if default else [])
+
+
+def _pairs_peak(sg, us, vs):
+    """``(value, peak bytes above the start)`` of one pair instruction."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        value = sg.intersect_count_pairs(us, vs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak - base
+
+
+@pytest.mark.parametrize("cls", [BitSet, SortedSet],
+                         ids=lambda c: c.__name__)
+def test_pair_fast_path_peak_is_its_matrix_or_keys_plus_one_chunk(
+        cls, monkeypatch):
+    # The row matrix (bitset) or the arc keys (sorted) is the one
+    # graph-sized array; the rest is one chunk plus a few words per
+    # vertex, however many pairs there are.  One int64 array over the
+    # pairs (320 KB here) would not fit the bound.
+    graph = holme_kim(4000, 5, 0.5, seed=1)
+    sg = build_set_graph(graph, cls)
+    us = np.repeat(np.arange(graph.num_nodes), graph.degrees())
+    vs = graph.adjacency
+    if cls is BitSet:
+        chunk = 64 << 10
+        monkeypatch.setattr(bit_set, "_CHUNK_BYTES", chunk)
+        graph_sized = graph.num_nodes * 8 * ((graph.num_nodes + 63) // 64)
+    else:
+        monkeypatch.setattr(sorted_set, "_PAIR_CHUNK", 1024)
+        chunk = 8 * 8 * 1024  # at most 8 int64 arrays of one chunk
+        graph_sized = 8 * len(vs)
+    value, peak = _pairs_peak(sg, us, vs)
+    assert value == 6 * int(triangle_counts(graph).sum()) // 3
+    slack = (32 << 10) + 48 * graph.num_nodes
+    assert 8 * len(us) > chunk + slack
+    assert peak <= graph_sized + chunk + slack, (peak, graph_sized)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSet, HashSet, SortedSet, bit_set
+from repro.core import BitSet, HashSet, SortedSet, bit_set, sorted_set
 from repro.core.counters import Snapshot, snapshot
 from repro.core.interface import SetBase
 from repro.core.registry import get_set_class, registered_set_classes
@@ -693,3 +693,79 @@ def test_bitset_from_csr_peak_memory_is_final_size_plus_one_chunk(
     assert final > 4 * chunk  # the bound below is a real constraint
     slack = (64 << 10) + 32 * graph.num_nodes
     assert peak <= final + chunk + slack, (peak, final)
+
+
+# intersect_count_pairs is one instruction per kernel pass, under the same
+# contract: whatever path the graph's class takes (the bitset row matrix,
+# the sorted join, the default's intersect_count_many per run of equal
+# u), it returns and records what the intersect_count loop does.  Pairs
+# may repeat, have u == v, touch empty neighborhoods and not be arcs;
+# the mixed cases call one class's instruction on another's graph, which
+# takes the default.
+PAIRS_CASES = [(cls, cls) for cls in CLASSES] + [(BitSet, SortedSet),
+                                                 (SortedSet, BitSet),
+                                                 (SortedSet, HashSet)]
+
+
+def _pairs_and_loop(cls, graph_cls, neighborhoods, us, vs):
+    runs = []
+    for call in (lambda g: cls.intersect_count_pairs(g, us, vs),
+                 lambda g: sum(g[u].intersect_count(g[v])
+                               for u, v in zip(us.tolist(), vs.tolist()))):
+        graph = SetGraph([graph_cls.from_iterable(n) for n in neighborhoods],
+                         graph_cls)
+        before = snapshot()
+        result = call(graph)
+        runs.append((result, before.delta(snapshot())))
+    return runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(neighborhoods=neighborhood_lists,
+       pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      max_size=16))
+@example(neighborhoods=[[], [1, 2], [0, 2, 300], [1]],
+         pairs=[(1, 2), (1, 2), (1, 1), (0, 2), (2, 0), (3, 3), (2, 1)])
+@example(neighborhoods=[list(range(0, 300, 3)), [3]], pairs=[(0, 1), (1, 0)])
+@example(neighborhoods=[[]], pairs=[(0, 0)])  # no member anywhere
+def test_intersect_count_pairs_equals_per_op_loop(neighborhoods, pairs):
+    us = np.array([u % len(neighborhoods) for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v % len(neighborhoods) for _, v in pairs], dtype=np.int64)
+    for cls, graph_cls in PAIRS_CASES:
+        (bulk, bulk_delta), (loop, loop_delta) = _pairs_and_loop(
+            cls, graph_cls, neighborhoods, us, vs)
+        name = (cls.__name__, graph_cls.__name__)
+        assert bulk == loop, name
+        assert bulk_delta == loop_delta, name
+        if graph_cls.IS_EXACT:
+            assert bulk == sum(
+                len(set(neighborhoods[u]) & set(neighborhoods[v]))
+                for u, v in zip(us.tolist(), vs.tolist())), name
+
+
+def _tc_pairs(graph, dag):
+    """Both tc passes' instructions, with their counter deltas."""
+    out = []
+    for sets in (graph, dag):
+        us = np.repeat(np.arange(sets.num_nodes), sets.cardinalities)
+        vs = np.concatenate([s.to_array() for s in sets.neighborhoods])
+        before = snapshot()
+        value = sets.intersect_count_pairs(us, vs)
+        out.append((value, before.delta(snapshot())))
+    return out
+
+
+@pytest.mark.parametrize("cls", [BitSet, SortedSet],
+                         ids=lambda c: c.__name__)
+def test_intersect_count_pairs_chunks_change_nothing(cls):
+    # Chunk constants of 1 (one pair, one probe, one gathered row per
+    # chunk) give the unchunked values and counters.
+    graph = holme_kim(300, 4, 0.5, seed=2)
+    rank = np.argsort(graph.degrees(), kind="stable")
+    sets = SetGraph(cls.from_csr(graph.offsets, graph.adjacency), cls)
+    dag = build_oriented_set_graph(graph, rank, cls)
+    expected = _tc_pairs(sets, dag)
+    with mock.patch.object(sorted_set, "_PAIR_CHUNK", 1), \
+            mock.patch.object(bit_set, "_CHUNK_BYTES", 1):
+        assert _tc_pairs(sets, dag) == expected
+    assert expected[0][0] > 0 and expected[1][0] > 0
