@@ -43,6 +43,11 @@ _CHUNK_BYTES = 4 << 20
 #: 0.5) rank-merge tc measured 35.9 -> 31.7 ms at 125 words (n = 8,000)
 #: and 66.4 -> 69.6 ms at 188 words (2 vCPUs, best of 5).
 _PAIR_MAX_WORDS = 128
+#: Row-matrix bytes (rows × width × 8) above which it takes the default
+#: too: the square matrix at the width cap, 8,192 rows of 128 words.  A
+#: graph whose rows stay narrow (a DAG whose arcs all point to low IDs,
+#: trailing isolated vertices) still packs at most this much.
+_PAIR_MAX_BYTES = 8 << 20
 
 
 def _members(bits: int) -> list:
@@ -231,8 +236,9 @@ class BitSet(SetBase):
         # packed into a uint64 row matrix (one to_bytes per vertex, built
         # per call), then the rows of each chunk of pairs gathered, ANDed
         # and popcounted.  Accounted in one call: exactly what len(us)
-        # intersect_count calls record.  Any other class or graph, or
-        # rows wider than _PAIR_MAX_WORDS, takes the default.
+        # intersect_count calls record.  Any other class or graph, rows
+        # wider than _PAIR_MAX_WORDS or a matrix above _PAIR_MAX_BYTES
+        # takes the default.
         if (len(us) == 0 or cls is not BitSet
                 or getattr(graph, "set_cls", None) is not BitSet):
             return super().intersect_count_pairs(graph, us, vs)
@@ -240,11 +246,11 @@ class BitSet(SetBase):
         words = np.array([(b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
                           for b in bits], dtype=np.int64)
         width = max(int(words.max()), 1)
-        if width > _PAIR_MAX_WORDS:
+        row = 8 * width
+        if width > _PAIR_MAX_WORDS or len(bits) * row > _PAIR_MAX_BYTES:
             return super().intersect_count_pairs(graph, us, vs)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        row = 8 * width
         matrix = np.zeros((len(bits), width), dtype=np.uint64)
         view = memoryview(matrix).cast("B")
         for v, b in enumerate(bits):

@@ -55,9 +55,17 @@ class SetGraph:
     neighborhoods are shared and read-only by contract, so it cannot go
     stale.  Bulk set instructions read operand sizes from it instead of
     recomputing them per operation.
+
+    ``arcs`` is the ``(offsets, targets)`` CSR the sets were built from
+    when the builder keeps it (:func:`build_oriented_set_graph` does, so
+    a pass over every arc of the DAG need not re-run the arc filter), and
+    ``None`` otherwise.  :meth:`storage_bytes` does not count it: a
+    ``sorted`` set is a view of ``targets``, so it costs ``sorted`` only
+    the offsets, and other backends 8 bytes per arc and per vertex more.
     """
 
-    __slots__ = ("_neighborhoods", "set_cls", "directed", "cardinalities")
+    __slots__ = ("_neighborhoods", "set_cls", "directed", "cardinalities",
+                 "arcs")
 
     def __init__(
         self,
@@ -65,10 +73,12 @@ class SetGraph:
         set_cls: Type[SetBase],
         *,
         directed: bool = False,
+        arcs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ):
         self._neighborhoods: List[SetBase] = list(neighborhoods)
         self.set_cls = set_cls
         self.directed = directed
+        self.arcs = arcs
         self.cardinalities: List[int] = [
             s.cardinality() for s in self._neighborhoods
         ]
@@ -165,13 +175,14 @@ def build_oriented_set_graph(
     representation conversion: the surviving out-neighborhoods are
     converted straight into ``set_cls`` sets by one bulk
     :meth:`~repro.core.interface.SetBase.from_csr` call — no intermediate
-    oriented ``CSRGraph`` is allocated.
+    oriented ``CSRGraph`` is allocated.  The DAG keeps the filtered arcs
+    as its ``arcs``.
     """
     from .transforms import oriented_arcs
 
     offsets, arcs_dst = oriented_arcs(graph, rank)
     return SetGraph(set_cls.from_csr(offsets, arcs_dst), set_cls,
-                    directed=True)
+                    directed=True, arcs=(offsets, arcs_dst))
 
 
 class MaterializationCache:

@@ -27,7 +27,6 @@ from ..core.interface import SetBase
 from ..core.sorted_set import SortedSet
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
-from ..graph.transforms import oriented_arcs
 
 __all__ = ["triangle_count_node_iterator", "triangle_count_rank_merge"]
 
@@ -65,6 +64,6 @@ def triangle_count_rank_merge(
     cls = set_cls or SortedSet
     if cache is None:
         cache = MaterializationCache()
-    order, dag = cache.oriented(graph, cls, "DEG")
-    offsets, targets = oriented_arcs(graph, order.rank)
+    _, dag = cache.oriented(graph, cls, "DEG")
+    offsets, targets = dag.arcs
     return dag.intersect_count_pairs(_arc_sources(offsets), targets)

@@ -123,8 +123,8 @@ def _reference_adjacency() -> List[set]:
     return forward
 
 
-def reference_seconds(passes: int = 24, timings: int = 3) -> float:
-    """Median seconds of *passes* plain-Python triangle counts of the
+def reference_seconds() -> float:
+    """Median of 3 timings of 24 plain-Python triangle counts of the
     reference graph, garbage collection held off; shares no code with
     the mining kernels."""
     forward = _reference_adjacency()
@@ -137,9 +137,9 @@ def reference_seconds(passes: int = 24, timings: int = 3) -> float:
     gc.disable()
     try:
         runs = []
-        for _ in range(timings):
+        for _ in range(3):
             t0 = time.perf_counter()
-            for _ in range(passes):
+            for _ in range(24):
                 triangles()
             runs.append(time.perf_counter() - t0)
         return statistics.median(runs)
@@ -298,20 +298,19 @@ def _summary(rung: Dict[str, object]) -> str:
 EXACT_FIELDS = ("value", "set_ops", "storage_bytes")
 
 
-def check_ladder(committed: Dict[str, object], max_edges: int,
-                 factor: float, log=print) -> List[str]:
-    """Rerun *committed*'s rungs of at most *max_edges* edges; return one
-    line per cell whose exact fields differ or whose reference-scaled
-    kernel time exceeds *factor* times the committed one."""
+def check_ladder(committed: Dict[str, object]) -> List[str]:
+    """Rerun *committed*'s rungs of at most :data:`CHECK_EDGES` edges,
+    printing each; return one line per cell whose exact fields differ or
+    whose reference-scaled kernel time exceeds :data:`CHECK_FACTOR`
+    times the committed one."""
     failures: List[str] = []
     for old in committed["rungs"]:
-        if old["num_edges"] > max_edges:
+        if old["num_edges"] > CHECK_EDGES:
             continue
         ran = [(c["set_class"], c["kernel"]) for c in old["cells"]
                if "skipped" not in c]
         new = run_rung(old["generator"], old["params"], cells=ran)
-        if log:
-            log(_summary(new))
+        print(_summary(new), flush=True)
         fresh = {(c["set_class"], c["kernel"]): c for c in new["cells"]}
         for cell in old["cells"]:
             if "skipped" in cell:
@@ -324,10 +323,10 @@ def check_ladder(committed: Dict[str, object], max_edges: int,
                     failures.append(f"{where}: {field} {now.get(field)} != "
                                     f"committed {cell[field]}")
             then = _scaled(cell["seconds"], old)
-            if _scaled(now["seconds"], new) > factor * then:
+            if _scaled(now["seconds"], new) > CHECK_FACTOR * then:
                 failures.append(
                     f"{where}: {_scaled(now['seconds'], new):.4f} s scaled "
-                    f"> {factor:g} x committed {then:.4f} s")
+                    f"> {CHECK_FACTOR:g} x committed {then:.4f} s")
     return failures
 
 
@@ -337,22 +336,20 @@ def exact_backends() -> List[str]:
             if get_set_class(name).IS_EXACT]
 
 
-def relabel_oracle(graph: CSRGraph, seed: int,
-                   kernels: Sequence[str] = ("tc", "tc-merge"),
-                   ) -> Dict[str, Dict[str, List[int]]]:
-    """``{kernel: {backend: [value, value after relabelling]}}`` over
-    every exact backend.
+def relabel_oracle(graph: CSRGraph) -> Dict[str, Dict[str, List[int]]]:
+    """``{kernel: {backend: [value, value after relabelling]}}`` of
+    ``tc`` and ``tc-merge`` over every exact backend.
 
     The relabelling is :func:`~repro.graph.transforms.permute` by a
-    permutation seeded with *seed*; a count of the graph cannot depend
-    on it, or on the backend."""
-    perm = np.random.default_rng(seed).permutation(graph.num_nodes)
+    permutation seeded with :data:`ORACLE_SEED`; a count of the graph
+    cannot depend on it, or on the backend."""
+    perm = np.random.default_rng(ORACLE_SEED).permutation(graph.num_nodes)
     graphs = (graph, permute(graph, perm))
     plan = ExperimentPlan()
-    values: Dict[str, Dict[str, List[int]]] = {k: {} for k in kernels}
+    values: Dict[str, Dict[str, List[int]]] = {"tc": {}, "tc-merge": {}}
     for backend in exact_backends():
         cls = get_set_class(backend)
-        for kernel in kernels:
+        for kernel in values:
             suite_kernel = SUITE_KERNELS[kernel]
             ordering = ORDERING if suite_kernel.uses_ordering else "-"
             values[kernel][backend] = [
@@ -395,7 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.oracle:
         generator, params = ORACLE_GRAPH
         graph = getattr(generators, generator)(**params)
-        values, seconds = _timed(lambda: relabel_oracle(graph, ORACLE_SEED))
+        values, seconds = _timed(lambda: relabel_oracle(graph))
         for kernel, by_backend in values.items():
             print(f"{kernel}: {by_backend}")
         failures = oracle_failures(values)
@@ -405,7 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check:
         with open(args.check) as fh:
             committed = json.load(fh)
-        failures = check_ladder(committed, CHECK_EDGES, CHECK_FACTOR)
+        failures = check_ladder(committed)
         for line in failures:
             print(f"FAIL {line}")
         print(f"ladder check: {len(failures)} failure(s)")

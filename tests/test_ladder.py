@@ -61,17 +61,21 @@ def test_cells_over_the_time_cap_are_skipped(rung, monkeypatch):
     assert "value" in bigger["cells"][1]
 
 
-def test_check_passes_a_rerun_and_flags_changes(rung):
+def test_check_passes_a_rerun_and_flags_changes(rung, monkeypatch):
     committed = {"rungs": [rung]}
-    assert ladder.check_ladder(committed, 10 ** 6, 1e6, log=None) == []
+    monkeypatch.setattr(ladder, "CHECK_EDGES", 10 ** 6)
+    monkeypatch.setattr(ladder, "CHECK_FACTOR", 1e6)
+    assert ladder.check_ladder(committed) == []
     changed = copy.deepcopy(committed)
     changed["rungs"][0]["cells"][0]["value"] += 1
     changed["rungs"][0]["cells"][1]["seconds"] = 0.0
-    failures = ladder.check_ladder(changed, 10 ** 6, 5.0, log=None)
+    monkeypatch.setattr(ladder, "CHECK_FACTOR", 5.0)
+    failures = ladder.check_ladder(changed)
     assert len(failures) == 2
     assert "value" in failures[0] and "bitset tc-merge" in failures[1]
-    # Rungs above max_edges are not rerun.
-    assert ladder.check_ladder(changed, 10, 5.0, log=None) == []
+    # Rungs above CHECK_EDGES are not rerun.
+    monkeypatch.setattr(ladder, "CHECK_EDGES", 10)
+    assert ladder.check_ladder(changed) == []
 
 
 def test_relabel_oracle_on_a_small_graph(monkeypatch):
@@ -80,7 +84,7 @@ def test_relabel_oracle_on_a_small_graph(monkeypatch):
     monkeypatch.setattr(sorted_set, "_PAIR_CHUNK", 64)
     monkeypatch.setattr(bit_set, "_CHUNK_BYTES", 256)
     graph = holme_kim(400, 4, 0.5, seed=3)
-    values = ladder.relabel_oracle(graph, seed=7)
+    values = ladder.relabel_oracle(graph)
     assert ladder.oracle_failures(values) == []
     assert set(values) == {"tc", "tc-merge"}
     assert sorted(values["tc"]) == ["adaptive", "bitset", "compressed",

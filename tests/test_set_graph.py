@@ -113,10 +113,39 @@ class TestIntersectCountPairs:
             assert total == 6 * sum(nx.triangles(G).values()) // 3
         assert sg.intersect_count_pairs(us[:0], us[:0]) == 0
 
+    def test_rank_merge_reads_the_dags_arcs(self, monkeypatch):
+        # The DEG DAG keeps the arcs its build filtered, so rank merge
+        # runs the arc filter once per build, not once per pass.
+        from repro.graph import transforms
+        from repro.graph.set_graph import MaterializationCache
+        from repro.mining.triangles import triangle_count_rank_merge
+
+        graph = holme_kim(300, 4, 0.5, seed=1)
+        expected = int(triangle_counts(graph).sum()) // 3
+        calls = []
+        arc_filter = transforms.oriented_arcs
+
+        def counted(graph, rank):
+            calls.append(1)
+            return arc_filter(graph, rank)
+
+        monkeypatch.setattr(transforms, "oriented_arcs", counted)
+        cache = MaterializationCache()
+        for cls in (SortedSet, HashSet):
+            assert [triangle_count_rank_merge(graph, cls, cache)
+                    for _ in range(3)] == [expected] * 3
+            order, dag = cache.oriented(graph, cls, "DEG")
+            for kept, filtered in zip(dag.arcs,
+                                      arc_filter(graph, order.rank)):
+                assert np.array_equal(kept, filtered)
+        assert len(calls) == 2
+        assert build_set_graph(graph, SortedSet).arcs is None
+
     def test_bitset_above_the_width_cap_takes_the_default(self, monkeypatch):
-        # One member at bit 64 * cap widens every row past the cap: the
-        # per-vertex default (one intersect_count_many per run of equal
-        # u) answers.  At the cap, the row matrix does.
+        # One member at bit 64 * cap widens every row past the cap, and a
+        # byte cap below rows × width × 8 bounds a matrix of narrow rows:
+        # either way the per-vertex default (one intersect_count_many per
+        # run of equal u) answers.  At both caps, the row matrix does.
         calls = []
         many = BitSet.intersect_count_many
 
@@ -125,8 +154,12 @@ class TestIntersectCountPairs:
             return many(self, graph, vertices)
 
         monkeypatch.setattr(BitSet, "intersect_count_many", counted)
-        for top, default in ((64 * bit_set._PAIR_MAX_WORDS, True),
-                             (64 * bit_set._PAIR_MAX_WORDS - 1, False)):
+        cap = bit_set._PAIR_MAX_WORDS
+        matrix = 3 * 8 * cap
+        for top, max_bytes, default in ((64 * cap, matrix, True),
+                                        (64 * cap - 1, matrix - 1, True),
+                                        (64 * cap - 1, matrix, False)):
+            monkeypatch.setattr(bit_set, "_PAIR_MAX_BYTES", max_bytes)
             sg = SetGraph([BitSet.from_iterable(n)
                            for n in ([1, 2, top], [1, 2], [2, top])], BitSet)
             calls.clear()
