@@ -17,7 +17,7 @@ Subpackages
 ``repro.isomorphism``   VF2, VF3-Light, Glasgow, parallel SI (§6.4)
 ``repro.learning``      similarity, link prediction, clustering (§6.5, §6.7)
 ``repro.optimization``  coloring, MST, min-cut (§4.1.4)
-``repro.platform``      pipeline, CLI, benchmark harness (§5.4)
+``repro.platform``      CLI, benchmark harness, suite, session (§5.4)
 ``repro.theory``        closed-form bounds of Tables 5/6/8 (§7)
 """
 

@@ -22,7 +22,7 @@ flags overridden op methods whose body shows *no accounting evidence*:
   a call on private storage such as ``self._d.add(v)`` mutates a raw
   container and is no delegation),
 * no call to a same-module helper that itself references ``COUNTERS``,
-* no call into :mod:`repro.core.ops`, whose kernels account internally.
+* no call into :mod:`repro.core.counters`.
 
 Abstract bodies (docstring-only / ``...`` / ``raise``) are exempt:
 they define the interface, they do not touch storage.
@@ -50,7 +50,7 @@ OP_METHODS = frozenset({
 })
 
 #: Fully-qualified prefixes whose callees account internally.
-_ACCOUNTED_MODULES = ("repro.core.ops", "repro.core.counters")
+_ACCOUNTED_MODULES = ("repro.core.counters",)
 
 #: Packages whose ``*Set`` classes are SetBase backends.
 _BACKEND_PACKAGES = ("repro.core.", "repro.approx.")

@@ -242,13 +242,14 @@ class BitSet(SetBase):
         if (len(us) == 0 or cls is not BitSet
                 or getattr(graph, "set_cls", None) is not BitSet):
             return super().intersect_count_pairs(graph, us, vs)
-        bits = [s._bits for s in graph.neighborhoods]
-        words = np.array([(b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-                          for b in bits], dtype=np.int64)
-        width = max(int(words.max()), 1)
+        lengths = np.array([s._bits.bit_length() for s in graph.neighborhoods],
+                           dtype=np.int64)
+        width = max((int(lengths.max()) + _WORD_BITS - 1) // _WORD_BITS, 1)
         row = 8 * width
-        if width > _PAIR_MAX_WORDS or len(bits) * row > _PAIR_MAX_BYTES:
+        if width > _PAIR_MAX_WORDS or len(lengths) * row > _PAIR_MAX_BYTES:
             return super().intersect_count_pairs(graph, us, vs)
+        bits = [s._bits for s in graph.neighborhoods]
+        words = (lengths + _WORD_BITS - 1) // _WORD_BITS
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         matrix = np.zeros((len(bits), width), dtype=np.uint64)

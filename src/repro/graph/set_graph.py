@@ -28,16 +28,15 @@ every neighborhood with one bulk
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..core import counters as _counters
 from ..core.counters import Snapshot
 from ..core.interface import SetBase
+from ..runtime.metrics import Span
 from .csr import CSRGraph
 
 __all__ = [
@@ -305,11 +304,10 @@ class MaterializationCache:
         """Meter one miss: the wall time and counter delta of the block
         join the build totals."""
         self.misses += 1
-        before = _counters.snapshot()
-        t0 = time.perf_counter()
-        yield
-        self.build_seconds += time.perf_counter() - t0
-        self.build_counters += before.delta(_counters.snapshot())
+        with Span() as span:
+            yield
+        self.build_seconds += span.seconds
+        self.build_counters += span.counters
 
     def _insert(self, key: tuple, sg: SetGraph) -> None:
         """Insert *sg* as most-recently-used, then evict LRU-first to fit."""

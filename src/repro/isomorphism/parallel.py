@@ -23,13 +23,13 @@ preserved because the task costs are real.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..runtime.metrics import Span, timed_tasks
 from ..runtime.scheduler import simulate_makespan
 from .vf3light import _domains, vf3light_embeddings
 
@@ -91,33 +91,19 @@ def run_si_variant(
     baseline.
     """
     flags = _variant_flags(variant)
-    total = 0
-    task_costs: List[float] = []
-    setup = 0.0
+    simd = bool(flags["simd"])
     n = target.num_nodes
-    for qi, query in enumerate(queries):
-        ql = query_labels[qi] if query_labels is not None else None
-        precompute: Union[bool, List[np.ndarray]] = False
-        if flags["precompute"]:
-            # The precompute variant pays domain setup once per query,
-            # counted as (parallelizable but tiny) setup cost, and every
-            # root task of the query shares the domains.
-            t0 = time.perf_counter()
-            precompute = _domains(target, query, target_labels, ql,
-                                  bool(flags["simd"]))
-            setup += time.perf_counter() - t0
-        roots_groups: List[List[int]]
-        all_roots = list(range(n))
-        if flags["chunked"]:
-            chunk = max(1, n // 8)
-            roots_groups = [
-                all_roots[i : i + chunk] for i in range(0, n, chunk)
-            ]
-        else:
-            roots_groups = [[r] for r in all_roots]
+    all_roots = list(range(n))
+    if flags["chunked"]:
+        chunk = max(1, n // 8)
+        roots_groups = [all_roots[i : i + chunk] for i in range(0, n, chunk)]
+    else:
+        roots_groups = [[r] for r in all_roots]
+    setups: List[float] = []
+
+    def root_tasks(query, ql, precompute):
         for roots in roots_groups:
-            t1 = time.perf_counter()
-            found = sum(
+            yield sum(
                 1
                 for _ in vf3light_embeddings(
                     target,
@@ -127,18 +113,32 @@ def run_si_variant(
                     query_labels=ql,
                     roots=roots,
                     precompute=precompute,
-                    simd=bool(flags["simd"]),
+                    simd=simd,
                     limit=limit_per_root,
                 )
             )
-            task_costs.append(time.perf_counter() - t1)
-            total += found
+
+    def groups():
+        for qi, query in enumerate(queries):
+            ql = query_labels[qi] if query_labels is not None else None
+            precompute: Union[bool, List[np.ndarray]] = False
+            if flags["precompute"]:
+                # The precompute variant pays domain setup once per
+                # query, counted as (parallelizable but tiny) setup cost,
+                # and every root task of the query shares the domains.
+                with Span() as setup:
+                    precompute = _domains(target, query, target_labels,
+                                          ql, simd)
+                setups.append(setup.seconds)
+            yield root_tasks(query, ql, precompute)
+
+    total, task_costs, _ = timed_tasks(groups())
     return SIVariantResult(
         variant=variant,
         embeddings=total,
         task_costs=task_costs,
         policy=str(flags["policy"]),
-        setup_seconds=setup,
+        setup_seconds=sum(setups, 0.0),
     )
 
 

@@ -23,13 +23,13 @@ the baselines, too, run under every registered set representation.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, FrozenSet, List, Optional, Set, Type
+from typing import Dict, FrozenSet, Optional, Set, Type
 
 from ..core.interface import SetBase
 from ..core.sorted_set import SortedSet
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
+from ..runtime.metrics import Span, timed_tasks
 from .kclique import KCliqueResult
 
 __all__ = [
@@ -49,9 +49,8 @@ def gbbs_kclique_count(
     cls = set_cls or SortedSet
     if cache is None:
         cache = MaterializationCache()
-    t0 = time.perf_counter()
-    order_res, dag = cache.oriented(graph, cls, "DGR")
-    reorder = time.perf_counter() - t0
+    with Span() as reorder:
+        order_res, dag = cache.oriented(graph, cls, "DGR")
 
     def rec(i: int, candidates: SetBase) -> int:
         if i == k:
@@ -61,16 +60,11 @@ def gbbs_kclique_count(
             total += rec(i + 1, candidates.intersect(dag[v]))
         return total
 
-    total = 0
-    costs: List[float] = []
-    t1 = time.perf_counter()
-    for u in dag.vertices():
-        tv = time.perf_counter()
-        total += rec(2, dag[u])
-        costs.append(time.perf_counter() - tv)
+    total, costs, mine_seconds = timed_tasks(
+        [(rec(2, dag[u]) for u in dag.vertices())])
     return KCliqueResult(
-        variant="GBBS", k=k, count=total, reorder_seconds=reorder,
-        mine_seconds=time.perf_counter() - t1, task_costs=costs,
+        variant="GBBS", k=k, count=total, reorder_seconds=reorder.seconds,
+        mine_seconds=mine_seconds, task_costs=costs,
     )
 
 
@@ -89,9 +83,15 @@ def danisch_kclique_count(
     cls = set_cls or SortedSet
     if cache is None:
         cache = MaterializationCache()
-    t0 = time.perf_counter()
-    order_res, dag = cache.oriented(graph, cls, "DGR")
-    reorder = time.perf_counter() - t0
+    with Span() as reorder:
+        order_res, dag = cache.oriented(graph, cls, "DGR")
+    if k == 2:  # every arc is a 2-clique: no tasks
+        with Span() as mine:
+            total = sum(dag.out_degree(v) for v in dag.vertices())
+        return KCliqueResult(
+            variant="Danisch", k=k, count=total,
+            reorder_seconds=reorder.seconds, mine_seconds=mine.seconds,
+        )
 
     def build_local(candidates: SetBase) -> Dict[int, SetBase]:
         # The induced DAG on the candidates — rebuilt at every level.
@@ -109,27 +109,22 @@ def danisch_kclique_count(
             total += rec(i + 1, local[v])
         return total
 
-    total = 0
-    costs: List[float] = []
-    t1 = time.perf_counter()
-    if k == 2:
-        total = sum(dag.out_degree(v) for v in dag.vertices())
-    for u in dag.vertices():
-        if k == 2:
-            break
-        neigh_u = dag[u]
-        for v in neigh_u.members():
-            tv = time.perf_counter()
-            if k == 3:
-                total += neigh_u.intersect_count(dag[v])
-            else:
-                c3 = neigh_u.intersect(dag[v])
-                if not c3.is_empty():
-                    total += rec(3, c3)
-            costs.append(time.perf_counter() - tv)
+    def arc_task(neigh_u: SetBase, v: int) -> int:
+        if k == 3:
+            return neigh_u.intersect_count(dag[v])
+        c3 = neigh_u.intersect(dag[v])
+        return 0 if c3.is_empty() else rec(3, c3)
+
+    def groups():
+        # One task per arc (u, v); u's members are listed outside them.
+        for u in dag.vertices():
+            neigh_u = dag[u]
+            yield (arc_task(neigh_u, v) for v in neigh_u.members())
+
+    total, costs, mine_seconds = timed_tasks(groups())
     return KCliqueResult(
-        variant="Danisch", k=k, count=total, reorder_seconds=reorder,
-        mine_seconds=time.perf_counter() - t1, task_costs=costs,
+        variant="Danisch", k=k, count=total, reorder_seconds=reorder.seconds,
+        mine_seconds=mine_seconds, task_costs=costs,
     )
 
 
@@ -144,31 +139,32 @@ def framework_kclique_count(
     generality the paper identifies as the source of the 10–100×
     performance gap (section 8.12).
     """
-    t1 = time.perf_counter()
-    level: Set[FrozenSet[int]] = {
-        frozenset((u, v)) for u, v in graph.edges()
-    }
-    size = 2
-    while size < k and level:
-        if len(level) > max_embeddings:
-            raise MemoryError(
-                f"framework baseline exceeded {max_embeddings} embeddings"
-            )
-        nxt: Set[FrozenSet[int]] = set()
-        for emb in level:
-            # Expand by neighbors of any member; check the clique predicate
-            # on the *whole* candidate each time (no pattern-specific
-            # pruning — the framework treats the pattern as a black box).
-            for u in emb:
-                for w in graph.out_neigh(u).tolist():
-                    if w in emb:
-                        continue
-                    if all(graph.has_edge(w, x) for x in emb):
-                        nxt.add(emb | {w})
-        level = nxt
-        size += 1
-    count = len(level) if k > 2 else len(level)
+    with Span() as mine:
+        level: Set[FrozenSet[int]] = {
+            frozenset((u, v)) for u, v in graph.edges()
+        }
+        size = 2
+        while size < k and level:
+            if len(level) > max_embeddings:
+                raise MemoryError(
+                    f"framework baseline exceeded {max_embeddings} "
+                    f"embeddings"
+                )
+            nxt: Set[FrozenSet[int]] = set()
+            for emb in level:
+                # Expand by neighbors of any member; check the clique
+                # predicate on the *whole* candidate each time (no
+                # pattern-specific pruning — the framework treats the
+                # pattern as a black box).
+                for u in emb:
+                    for w in graph.out_neigh(u).tolist():
+                        if w in emb:
+                            continue
+                        if all(graph.has_edge(w, x) for x in emb):
+                            nxt.add(emb | {w})
+            level = nxt
+            size += 1
     return KCliqueResult(
-        variant="Framework", k=k, count=count, reorder_seconds=0.0,
-        mine_seconds=time.perf_counter() - t1,
+        variant="Framework", k=k, count=len(level), reorder_seconds=0.0,
+        mine_seconds=mine.seconds,
     )

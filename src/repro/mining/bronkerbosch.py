@@ -72,7 +72,6 @@ with the number of outer vertices, not with the number of recursive calls.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Type
 
@@ -85,6 +84,7 @@ from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
 from ..graph.transforms import rank_split
 from ..preprocess.ordering import OrderingResult
+from ..runtime.metrics import Span, timed_tasks
 
 __all__ = ["BKResult", "bron_kerbosch", "bk_das", "BK_VARIANTS", "run_bk_variant"]
 
@@ -99,7 +99,15 @@ _MEMBER_BYTES = 64
 
 @dataclass
 class BKResult:
-    """Outcome of one maximal-clique-listing run."""
+    """Outcome of one maximal-clique-listing run.
+
+    ``reorder_seconds`` times the ordering alone, and neither it nor
+    ``mine_seconds`` times the build of the neighbourhood ``SetGraph``.
+    ``mine_seconds`` times the loop over the outer vertices, the builds
+    of each block's initial ``P``/``X`` sets included.  ``task_costs``
+    holds the seconds of each outer vertex: its ``H`` subgraph and pivot
+    sketch builds are in it, the block builds are not.
+    """
 
     variant: str
     num_cliques: int
@@ -223,10 +231,9 @@ def bron_kerbosch(
     """
     if cache is None:
         cache = MaterializationCache()
-    t0 = time.perf_counter()
     kwargs = {"eps": eps} if ordering == "ADG" else {}
-    order_res: OrderingResult = cache.ordering(graph, ordering, **kwargs)
-    reorder_seconds = time.perf_counter() - t0
+    with Span() as reorder:
+        order_res: OrderingResult = cache.ordering(graph, ordering, **kwargs)
 
     neighborhoods = cache.set_graph(graph, set_cls)
     pivot_neighborhoods = None
@@ -234,17 +241,10 @@ def bron_kerbosch(
         pivot_neighborhoods = cache.set_graph(graph, pivot_set_cls)
     engine = _BKEngine(neighborhoods, collect,
                        pivot_adjacency=pivot_neighborhoods)
-    task_costs: List[float] = []
-    t1 = time.perf_counter()
-    order = order_res.order
-    for start, stop in _blocks(graph, order):
-        block = order[start:stop]
-        (p_off, p_arcs), (x_off, x_arcs) = rank_split(graph, order_res.rank,
-                                                      block)
-        sets = zip(block.tolist(), set_cls.from_csr(p_off, p_arcs),
-                   set_cls.from_csr(x_off, x_arcs))
+
+    def vertex_tasks(sets, p_off, p_arcs, x_off, x_arcs):
+        # One task per outer vertex, valued by the maximal cliques it finds.
         for i, (v, P, X) in enumerate(sets):
-            tv = time.perf_counter()
             later = p_arcs[p_off[i]:p_off[i + 1]]
             if subgraph_opt:
                 # Swap in the per-vertex H subgraph; P, X ⊆ H's vertex
@@ -262,19 +262,33 @@ def bron_kerbosch(
                 if pivot_set_cls is not None
                 else None
             )
+            found = engine.num_cliques
             engine.expand(P, [v], X, P_sketch)
-            task_costs.append(time.perf_counter() - tv)
-        del sets  # hold one block of initial sets at a time
-    mine_seconds = time.perf_counter() - t1
+            yield engine.num_cliques - found
 
+    def blocks():
+        # A block's initial P/X sets are built here, outside every task.
+        # Only the block's task generator holds them, so one block of
+        # them is alive at a time.
+        order = order_res.order
+        for start, stop in _blocks(graph, order):
+            block = order[start:stop]
+            (p_off, p_arcs), (x_off, x_arcs) = rank_split(
+                graph, order_res.rank, block)
+            yield vertex_tasks(
+                zip(block.tolist(), set_cls.from_csr(p_off, p_arcs),
+                    set_cls.from_csr(x_off, x_arcs)),
+                p_off, p_arcs, x_off, x_arcs)
+
+    num_cliques, task_costs, mine_seconds = timed_tasks(blocks())
     name = f"BK-GMS-{order_res.name}" + ("-S" if subgraph_opt else "")
     if pivot_set_cls is not None:
         name += f"-SP[{pivot_set_cls.__name__}]"
     return BKResult(
         variant=name,
-        num_cliques=engine.num_cliques,
+        num_cliques=num_cliques,
         cliques=engine.cliques,
-        reorder_seconds=reorder_seconds,
+        reorder_seconds=reorder.seconds,
         mine_seconds=mine_seconds,
         task_costs=task_costs,
         ordering_rounds=order_res.rounds,
@@ -344,32 +358,33 @@ def bk_das(
     """
     if cache is None:
         cache = MaterializationCache()
-    t0 = time.perf_counter()
-    order_res = cache.ordering(graph, "DGR")
-    reorder_seconds = time.perf_counter() - t0
+    with Span() as reorder:
+        order_res = cache.ordering(graph, "DGR")
 
     from ..core.sorted_set import SortedSet
 
     neighborhoods = cache.set_graph(graph, SortedSet)
     engine = _BKEngine(neighborhoods, collect)
     remaining = SortedSet.from_sorted_array(np.arange(graph.num_nodes))
-    task_costs: List[float] = []
-    t1 = time.perf_counter()
-    for v in order_res.order.tolist():
-        tv = time.perf_counter()
-        remaining.remove(v)
-        neigh = neighborhoods[v]
-        P = neigh.intersect(remaining)
-        X = neigh.diff(remaining)
-        X.remove(v)
-        engine.expand(P, [v], X)
-        task_costs.append(time.perf_counter() - tv)
-    mine_seconds = time.perf_counter() - t1
+
+    def vertex_tasks(order):
+        for v in order:
+            remaining.remove(v)
+            neigh = neighborhoods[v]
+            P = neigh.intersect(remaining)
+            X = neigh.diff(remaining)
+            X.remove(v)
+            found = engine.num_cliques
+            engine.expand(P, [v], X)
+            yield engine.num_cliques - found
+
+    num_cliques, task_costs, mine_seconds = timed_tasks(
+        [vertex_tasks(order_res.order.tolist())])
     return BKResult(
         variant="BK-DAS",
-        num_cliques=engine.num_cliques,
+        num_cliques=num_cliques,
         cliques=engine.cliques,
-        reorder_seconds=reorder_seconds,
+        reorder_seconds=reorder.seconds,
         mine_seconds=mine_seconds,
         task_costs=task_costs,
         ordering_rounds=order_res.rounds,

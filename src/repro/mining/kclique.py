@@ -40,7 +40,6 @@ There is no special-case code path for ``k = 3``, matching the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Type
 
@@ -48,13 +47,21 @@ from ..core.interface import SetBase
 from ..core.sorted_set import SortedSet
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
+from ..runtime.metrics import Span, timed_tasks
 
 __all__ = ["KCliqueResult", "kclique_count", "kclique_list"]
 
 
 @dataclass
 class KCliqueResult:
-    """Outcome of one k-clique run."""
+    """Outcome of one k-clique run.
+
+    ``reorder_seconds`` times ``cache.oriented``: the ordering plus the
+    build of the oriented DAG, when the cache misses them.
+    ``mine_seconds`` times the whole task loop, and ``task_costs`` holds
+    the seconds of each task: one per vertex for node-parallel kClist
+    and GBBS, one per DAG arc for edge-parallel kClist and Danisch.
+    """
 
     variant: str
     k: int
@@ -111,34 +118,20 @@ def kclique_count(
     if parallel not in ("node", "edge"):
         raise ValueError("parallel must be 'node' or 'edge'")
     cls = set_cls or SortedSet
-    t0 = time.perf_counter()
-    order_res, dag = _materialize(graph, ordering, cls, eps, cache)
-    reorder_seconds = time.perf_counter() - t0
-
-    total = 0
-    task_costs: List[float] = []
-    t1 = time.perf_counter()
+    with Span() as reorder:
+        order_res, dag = _materialize(graph, ordering, cls, eps, cache)
     if parallel == "node" or k == 2:
-        for u in dag.vertices():
-            tv = time.perf_counter()
-            total += dag[u].clique_count(dag, k - 1)
-            task_costs.append(time.perf_counter() - tv)
+        groups = [(dag[u].clique_count(dag, k - 1) for u in dag.vertices())]
     else:
-        # One task per arc (u, v): the time until clique_branch yields
+        # One task per arc (u, v): the work until clique_branch yields
         # v's count, which it computes only when resumed.
-        for u in dag.vertices():
-            tv = time.perf_counter()
-            for count in dag[u].clique_branch(dag, k - 2):
-                total += count
-                now = time.perf_counter()
-                task_costs.append(now - tv)
-                tv = now
-    mine_seconds = time.perf_counter() - t1
+        groups = (dag[u].clique_branch(dag, k - 2) for u in dag.vertices())
+    total, task_costs, mine_seconds = timed_tasks(groups)
     return KCliqueResult(
         variant=f"KC-{order_res.name}-{parallel}",
         k=k,
         count=total,
-        reorder_seconds=reorder_seconds,
+        reorder_seconds=reorder.seconds,
         mine_seconds=mine_seconds,
         task_costs=task_costs,
         ordering_rounds=order_res.rounds,

@@ -1,4 +1,4 @@
-"""Benchmarking platform: pipeline, CLI, harness (paper section 5)."""
+"""Benchmarking platform: CLI, harness, suite and session (paper section 5)."""
 
 from .aggregate import aggregate_results
 from .bench import (
@@ -9,7 +9,6 @@ from .bench import (
     write_artifact,
 )
 from .cli import resolve_set_class
-from .pipeline import Pipeline, PipelineReport, StageRecord
 from .runner import diff_payloads, strip_timing
 from .session import MiningSession, Query, QueryResult
 from .suite import (
@@ -20,9 +19,6 @@ from .suite import (
 )
 
 __all__ = [
-    "Pipeline",
-    "PipelineReport",
-    "StageRecord",
     "resolve_set_class",
     "MiningSession",
     "Query",

@@ -41,7 +41,6 @@ import argparse
 import gc
 import json
 import statistics
-import time
 import tracemalloc
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -55,6 +54,7 @@ from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache, build_set_graph
 from ..graph.transforms import permute
 from ..preprocess.ordering import compute_ordering
+from ..runtime.metrics import Span
 from .suite import SUITE_KERNELS, ExperimentPlan, run_cell
 
 __all__ = ["RUNGS", "run_ladder", "check_ladder", "relabel_oracle", "main"]
@@ -138,10 +138,10 @@ def reference_seconds() -> float:
     try:
         runs = []
         for _ in range(3):
-            t0 = time.perf_counter()
-            for _ in range(24):
-                triangles()
-            runs.append(time.perf_counter() - t0)
+            with Span() as span:
+                for _ in range(24):
+                    triangles()
+            runs.append(span.seconds)
         return statistics.median(runs)
     finally:
         gc.enable()
@@ -169,9 +169,9 @@ class _TracedCache(MaterializationCache):
 
 
 def _timed(call):
-    t0 = time.perf_counter()
-    result = call()
-    return result, time.perf_counter() - t0
+    with Span() as span:
+        result = call()
+    return result, span.seconds
 
 
 def estimated_bytes(graph: CSRGraph, backend: str) -> int:

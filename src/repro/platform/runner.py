@@ -61,6 +61,7 @@ from ..core.interface import SetBase
 from ..graph import load_dataset  # noqa: F401 — worker-side import
 from ..graph.csr import CSRGraph
 from ..graph.set_graph import MaterializationCache
+from ..runtime.metrics import Span
 from . import suite as _suite
 
 __all__ = [
@@ -140,15 +141,15 @@ def metered_cell(graph: CSRGraph, cache: MaterializationCache,
     """
     backend_name, kernel_name, ordering = spec
     stats = cache.stats() if since is None else since
-    before = _counters.snapshot()
-    cell = _suite.run_cell(
-        graph, set_cls, _suite.SUITE_KERNELS[kernel_name], backend_name,
-        ordering, plan, cache,
-    )
+    with Span() as span:
+        cell = _suite.run_cell(
+            graph, set_cls, _suite.SUITE_KERNELS[kernel_name], backend_name,
+            ordering, plan, cache,
+        )
     return {
         "pid": os.getpid(),
         "cell": cell,
-        "counters": before.delta(_counters.snapshot()),
+        "counters": span.counters,
         "cache_stats": cache.stats_since(stats),
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,

@@ -140,13 +140,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type,
 )
 
-from ..core import counters as _counters
 from ..core.bit_set import BitSet
 from ..core.interface import SetBase
 from ..core.registry import set_class_names
@@ -161,6 +159,7 @@ from ..mining.triangles import (
     triangle_count_rank_merge,
 )
 from ..preprocess.ordering import ORDERINGS
+from ..runtime.metrics import Span
 from ..runtime.scheduler import SCHEDULER_POLICIES, simulate_makespan
 from .bench import print_table, write_artifact
 from .cli import resolve_set_class
@@ -638,11 +637,9 @@ def _kernel_pass(graph, set_cls, kernel, ordering, plan, cache):
     """
     misses = cache.misses
     build_seconds, built = cache.build_seconds, cache.build_counters
-    before = _counters.snapshot()
-    t0 = time.perf_counter()
-    raw = kernel.runner(graph, set_cls, ordering, plan, cache)
-    elapsed = time.perf_counter() - t0
-    delta = before.delta(_counters.snapshot())
+    with Span() as span:
+        raw = kernel.runner(graph, set_cls, ordering, plan, cache)
+    elapsed, delta = span.seconds, span.counters
     if cache.misses != misses:
         elapsed -= cache.build_seconds - build_seconds
         delta = built.delta(cache.build_counters).delta(delta)

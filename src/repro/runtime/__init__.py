@@ -1,13 +1,6 @@
 """Simulated parallel runtime: work–depth, schedulers, PAPI facade, metrics."""
 
-from .metrics import (
-    Timer,
-    TimingResult,
-    algorithmic_throughput,
-    bootstrap_ci,
-    measure,
-    peak_memory_bytes,
-)
+from .metrics import Span, algorithmic_throughput, peak_memory_bytes, timed_tasks
 from .papi import PAPI_L3_TCM, PAPI_MEM_SCY, PAPI_RES_STL, PAPIW, StallModel
 from .scheduler import (
     SCHEDULER_POLICIES,
@@ -29,10 +22,8 @@ __all__ = [
     "PAPI_MEM_SCY",
     "PAPI_RES_STL",
     "PAPI_L3_TCM",
-    "Timer",
-    "TimingResult",
-    "measure",
+    "Span",
+    "timed_tasks",
     "algorithmic_throughput",
-    "bootstrap_ci",
     "peak_memory_bytes",
 ]

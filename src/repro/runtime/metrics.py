@@ -1,10 +1,14 @@
-"""Performance metrics (paper section 4.3).
+"""Performance metrics (paper sections 4.3 and 5.4).
 
-Implements the GMS measurement methodology:
+Every metered region of the program is measured here, so kernels and
+builders read no clock of their own:
 
-* plain run-times with warmup discarding, arithmetic means, and 95%
-  non-parametric (bootstrap) confidence intervals (section 8.1);
-* the novel **algorithmic throughput** metric — the number of mined graph
+* :class:`Span` — the wall seconds and the counter delta of one block:
+  a stage of the benchmarking pipeline (Listing 3), a PAPI region
+  (Listing 4), a cache build or a kernel pass;
+* :func:`timed_tasks` — runs a kernel's tasks and times each one: the
+  per-task costs the scheduling model replays;
+* the **algorithmic throughput** metric — the number of mined graph
   patterns per second (maximal cliques/s, k-cliques/s, similarity pairs/s,
   …), the paper's "algorithmic efficiency";
 * memory accounting helpers (peak construction memory via ``tracemalloc``).
@@ -15,82 +19,72 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Tuple
 
-import numpy as np
+from ..core import counters as _counters
 
 __all__ = [
-    "Timer",
-    "TimingResult",
-    "measure",
+    "Span",
+    "timed_tasks",
     "algorithmic_throughput",
     "peak_memory_bytes",
-    "bootstrap_ci",
 ]
 
 
-class Timer:
-    """Context-manager stopwatch: ``with Timer() as t: ...; t.seconds``."""
+class Span:
+    """The wall seconds and counter delta of one block.
 
-    def __enter__(self) -> "Timer":
-        self.seconds = 0.0
-        self._start = time.perf_counter()
+    ``with Span() as span: ...`` leaves ``span.seconds`` and
+    ``span.counters``, the :class:`~repro.core.counters.Snapshot` delta
+    of the block.  :meth:`start` and :meth:`stop` open and close a span
+    that no single block holds (``PAPIW.START``/``STOP``).  The clock is
+    read between the two counter snapshots, so taking them is not in the
+    seconds.
+    """
+
+    __slots__ = ("seconds", "counters", "_before", "_t0")
+
+    def start(self) -> "Span":
+        self._before = _counters.snapshot()
+        self._t0 = time.perf_counter()
         return self
 
+    def stop(self) -> "Span":
+        self.seconds = time.perf_counter() - self._t0
+        self.counters = self._before.delta(_counters.snapshot())
+        return self
+
+    __enter__ = start
+
     def __exit__(self, *exc) -> None:
-        self.seconds = time.perf_counter() - self._start
+        self.stop()
 
 
-@dataclass
-class TimingResult:
-    """Repeated-measurement summary."""
+def timed_tasks(
+    groups: Iterable[Iterable[int]],
+) -> Tuple[int, List[float], float]:
+    """Run a kernel's tasks, timing each: ``(sum of the task values,
+    seconds of each task, seconds of the whole loop)``.
 
-    samples: List[float]
-    mean: float
-    ci_low: float
-    ci_high: float
-    value: object = None  # last return value of the measured callable
-
-    @property
-    def min(self) -> float:
-        return min(self.samples)
-
-
-def bootstrap_ci(
-    samples: Sequence[float], confidence: float = 0.95, resamples: int = 1000
-) -> Tuple[float, float]:
-    """Non-parametric bootstrap CI of the mean (section 8.1 methodology)."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if len(arr) == 1:
-        return float(arr[0]), float(arr[0])
-    rng = np.random.default_rng(0xC1)
-    means = rng.choice(arr, size=(resamples, len(arr)), replace=True).mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    return float(np.quantile(means, alpha)), float(np.quantile(means, 1 - alpha))
-
-
-def measure(
-    fn: Callable[[], object], repeats: int = 3, warmup: int = 1
-) -> TimingResult:
-    """Run *fn* ``warmup + repeats`` times; summarize the timed repeats.
-
-    The warmup runs reproduce the paper's "omit the first 1% of performance
-    data as warmup" policy at small-repeat scale.
+    *groups* yields iterables of task values.  A task is the work until
+    its value is yielded, so its seconds run from the end of the task
+    before it in the same group.  Building a group (BK's block of initial
+    sets, SI's per-query domains) is in the loop's seconds but in no
+    task.  Timing a task costs one clock read and one append.
     """
-    value = None
-    for _ in range(warmup):
-        value = fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        samples.append(time.perf_counter() - start)
-    lo, hi = bootstrap_ci(samples)
-    return TimingResult(
-        samples=samples, mean=float(np.mean(samples)), ci_low=lo, ci_high=hi,
-        value=value,
-    )
+    costs: List[float] = []
+    append = costs.append
+    clock = time.perf_counter
+    total = 0
+    start = clock()
+    for tasks in groups:
+        tv = clock()
+        for value in tasks:
+            total += value
+            now = clock()
+            append(now - tv)
+            tv = now
+    return total, costs, clock() - start
 
 
 def algorithmic_throughput(patterns_mined: int, seconds: float) -> float:

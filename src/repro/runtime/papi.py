@@ -24,9 +24,9 @@ bandwidth knee.  Both reported quantities then behave like Figure 8b:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from ..core import counters as _counters
+from .metrics import Span
 
 __all__ = ["PAPIW", "StallModel", "PAPI_MEM_SCY", "PAPI_RES_STL", "PAPI_L3_TCM"]
 
@@ -120,8 +120,7 @@ class PAPIW:
     """Process-wide PAPI wrapper facade (mirrors ``GMS::PAPIW``)."""
 
     _events: Tuple[str, ...] = ()
-    _start_snapshot = None
-    _start_time = 0.0
+    _span: Optional[Span] = None
     _measurements: List[Measurement] = []
 
     @classmethod
@@ -133,27 +132,23 @@ class PAPIW:
     @classmethod
     def START(cls) -> None:
         """Begin a measured region."""
-        import time
-
-        cls._start_snapshot = _counters.snapshot()
-        cls._start_time = time.perf_counter()
+        cls._span = Span().start()
 
     @classmethod
     def STOP(cls) -> Measurement:
         """End the region and store/return its measurement."""
-        import time
-
-        if cls._start_snapshot is None:
+        if cls._span is None:
             raise RuntimeError("PAPIW.STOP() without START()")
-        delta = cls._start_snapshot.delta(_counters.snapshot())
+        span = cls._span.stop()
+        delta = span.counters
         m = Measurement(
             set_ops=delta.set_ops,
             point_ops=delta.point_ops,
             elements_read=delta.elements_read,
             elements_written=delta.elements_written,
-            wall_seconds=time.perf_counter() - cls._start_time,
+            wall_seconds=span.seconds,
         )
-        cls._start_snapshot = None
+        cls._span = None
         cls._measurements.append(m)
         return m
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import networkx as nx
@@ -144,6 +145,23 @@ class TestInstrumentation:
         res = bk_das(csr)
         assert res.variant == "BK-DAS"
         assert res.ordering_rounds == 30  # sequential peeling: n rounds
+
+    def test_block_builds_are_mined_but_in_no_task(self, monkeypatch):
+        # Warm, the only from_csr calls left are a block's initial P/X
+        # builds: mine_seconds times them, no task cost does.
+        csr, _ = random_csr(30, 120, 6)
+        cache = MaterializationCache()
+        bron_kerbosch(csr, "DGR", BitSet, cache=cache)
+        build = BitSet.from_csr.__func__
+
+        def slow(cls, offsets, targets):
+            time.sleep(0.05)
+            return build(cls, offsets, targets)
+
+        monkeypatch.setattr(BitSet, "from_csr", classmethod(slow))
+        res = bron_kerbosch(csr, "DGR", BitSet, cache=cache)
+        assert len(res.task_costs) == 30
+        assert max(res.task_costs) < 0.05 < res.mine_seconds
 
 
 class TestInitialSplit:

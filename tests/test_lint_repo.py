@@ -9,6 +9,7 @@ gate for every invariant the rules encode.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -55,6 +56,29 @@ class TestRepoSelfAudit:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "OK: 0 new finding(s)" in proc.stdout
+
+
+class TestClockReads:
+    """Kernels and builders read no clock: ``runtime/metrics.py`` meters
+    every region, and the service layer times its requests and jobs."""
+
+    CLOCK_MODULES = {"runtime/metrics.py", "platform/session.py",
+                     "platform/runner.py", "platform/http.py",
+                     "platform/jobs.py"}
+
+    def test_only_metrics_and_the_service_layer_import_time(self):
+        importers = set()
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if "time" in names:
+                    importers.add(path.relative_to(SRC).as_posix())
+        assert importers - self.CLOCK_MODULES == set()
 
 
 class TestArtifactDeterminism:

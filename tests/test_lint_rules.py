@@ -313,6 +313,20 @@ class TestGMS002CounterDiscipline:
         assert [(f.rule, f.line) for f in findings] == [("GMS002", 7)]
         assert "Rows.intersect_count_pairs" in findings[0].message
 
+    def test_ops_kernel_call_is_no_accounting(self):
+        source = """
+            from repro.core.interface import SetBase
+            from repro.core.ops import popcount
+
+            class Popcounted(SetBase):
+                @classmethod
+                def intersect_count_pairs(cls, graph, us, vs):
+                    rows = graph.matrix[us] & graph.matrix[vs]
+                    return popcount(rows)
+        """
+        findings = run(source, "src/repro/core/rows.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 7)]
+
     def test_pair_instruction_recording_or_delegating_passes(self):
         source = """
             from repro.core.counters import COUNTERS

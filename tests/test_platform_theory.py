@@ -1,4 +1,4 @@
-"""Pipeline, CLI, bench harness helpers, and the Table 5/6/8 bounds."""
+"""CLI, bench harness helpers, and the Table 5/6/8 bounds."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core import BitSet
 from repro.graph import build_model, load_dataset
 from repro.mining import bron_kerbosch
 from repro.platform import (
-    Pipeline,
     parallel_reorder_seconds,
     print_table,
     simulated_parallel_seconds,
@@ -19,48 +18,6 @@ from repro.platform import (
 )
 from repro.theory import TABLE5, TABLE6, check_scaling, table8_time
 from tests.conftest import random_csr
-
-
-class TestPipeline:
-    def make_pipeline(self, csr):
-        class TrianglePipeline(Pipeline):
-            def __init__(self, graph):
-                self.graph = graph
-                self.result = None
-
-            def preprocess(self):
-                from repro.preprocess import degree_order
-
-                self.order = degree_order(self.graph)
-
-            def kernel(self):
-                from repro.mining import triangle_count_rank_merge
-
-                self.result = triangle_count_rank_merge(self.graph)
-
-        return TrianglePipeline(csr)
-
-    def test_stages_run_in_order_with_timing(self):
-        csr, G = random_csr(30, 120, 41)
-        report = self.make_pipeline(csr).run()
-        assert [s.name for s in report.stages] == [
-            "convert", "preprocess", "kernel",
-        ]
-        assert report.total_seconds >= 0
-        import networkx as nx
-
-        assert report.result == sum(nx.triangles(G).values()) // 3
-
-    def test_stage_lookup_and_fraction(self):
-        csr, _ = random_csr(30, 120, 42)
-        report = self.make_pipeline(csr).run()
-        assert 0 <= report.fraction("kernel") <= 1
-        with pytest.raises(KeyError):
-            report.stage("nope")
-
-    def test_kernel_required(self):
-        with pytest.raises(NotImplementedError):
-            Pipeline().run()
 
 
 class TestBenchHelpers:

@@ -14,15 +14,14 @@ from repro.platform import parallel_reorder_seconds
 from repro.platform.bench import ROUND_SYNC_SECONDS
 from repro.runtime import (
     PAPIW,
+    Span,
     StallModel,
-    Timer,
     WorkDepthTracker,
     algorithmic_throughput,
-    bootstrap_ci,
-    measure,
     peak_memory_bytes,
     simulate_makespan,
     speedup_curve,
+    timed_tasks,
 )
 
 task_lists = st.lists(
@@ -156,26 +155,26 @@ class TestPAPI:
 
 
 class TestMetrics:
-    def test_timer(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.seconds >= 0
+    def test_span_meters_one_set_operation(self):
+        a = SortedSet.from_sorted_array(np.array([1, 2, 3, 5]))
+        b = SortedSet.from_sorted_array(np.array([2, 3, 4, 5]))
+        with Span() as span:
+            assert a.intersect_count(b) == 3
+        assert span.counters.set_ops == 1
+        assert span.counters.elements_read == 8
+        assert span.seconds >= 0
 
-    def test_measure_runs_warmup_and_repeats(self):
-        calls = []
-        res = measure(lambda: calls.append(1), repeats=3, warmup=2)
-        assert len(calls) == 5
-        assert len(res.samples) == 3
-        assert res.ci_low <= res.mean <= res.ci_high
+    def test_timed_tasks_sums_values_and_times_each_task(self):
+        groups = [iter([1, 2]), iter([]), iter([3])]
+        total, costs, seconds = timed_tasks(groups)
+        assert total == 6
+        assert len(costs) == 3
+        assert all(c >= 0 for c in costs) and seconds >= sum(costs)
 
     def test_throughput(self):
         assert algorithmic_throughput(100, 2.0) == 50.0
         assert algorithmic_throughput(0, 0.0) == 0.0
         assert algorithmic_throughput(5, 0.0) == float("inf")
-
-    def test_bootstrap_ci_contains_mean_of_constant(self):
-        lo, hi = bootstrap_ci([3.0, 3.0, 3.0])
-        assert lo == hi == 3.0
 
     def test_peak_memory(self):
         result, peak = peak_memory_bytes(lambda: np.zeros(300_000))
