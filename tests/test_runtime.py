@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +171,30 @@ class TestMetrics:
         assert total == 6
         assert len(costs) == 3
         assert all(c >= 0 for c in costs) and seconds >= sum(costs)
+
+    def test_nested_spans_each_see_their_own_block(self):
+        a = SortedSet.from_sorted_array(np.array([1, 2, 3, 5]))
+        b = SortedSet.from_sorted_array(np.array([2, 3, 4, 5]))
+        with Span() as outer:
+            a.intersect_count(b)
+            inner = Span().start()
+            a.intersect_count(b)
+            inner.stop()
+        assert inner.counters.set_ops == 1
+        assert outer.counters.set_ops == 2
+        assert outer.seconds >= inner.seconds
+
+    def test_timed_tasks_keeps_group_builds_out_of_every_task(self):
+        def groups():
+            for value in (1, 2):
+                time.sleep(0.03)
+                yield iter([value, value])
+
+        total, costs, seconds = timed_tasks(groups())
+        assert total == 6
+        assert len(costs) == 4
+        assert max(costs) < 0.03
+        assert seconds >= 0.06
 
     def test_throughput(self):
         assert algorithmic_throughput(100, 2.0) == 50.0
