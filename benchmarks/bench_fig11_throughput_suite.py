@@ -60,6 +60,13 @@ def test_fig11_throughput_suite(benchmark, show_table):
     )
     write_artifact("fig11_throughput_suite", rows)
 
+    # Every variant counts the same maximal cliques on a graph: BK-DAS and
+    # the H-subgraph variant run the per-step recursion, the others the
+    # subtree instruction.
+    for name in GRAPHS:
+        counts = {r["variant"]: r["cliques"] for r in rows
+                  if r["graph"] == name}
+        assert len(set(counts.values())) == 1, (name, counts)
     # GMS variants lead BK-DAS on nearly every graph.
     wins = 0
     for name in GRAPHS:

@@ -55,10 +55,16 @@ def test_fig1_algorithmic_throughput(benchmark, show_table):
     )
     write_artifact("fig1_throughput", rows)
 
-    # Shape assertions: on most graphs the best GMS variant beats BK-DAS,
-    # and OpenMP >= TBB for the same variant.
+    # Every variant counts the same maximal cliques on a graph: BK-DAS and
+    # the H-subgraph variant run the per-step recursion, the others the
+    # subtree instruction.
     openmp = [r for r in rows if r["flavor"] == "OpenMP"]
     graphs = {r["graph"] for r in openmp}
+    for g in graphs:
+        counts = {r["variant"]: r["cliques"] for r in rows if r["graph"] == g}
+        assert len(set(counts.values())) == 1, (g, counts)
+    # Shape assertions: on most graphs the best GMS variant beats BK-DAS,
+    # and OpenMP >= TBB for the same variant.
     gms_wins = 0
     for g in graphs:
         das = next(r for r in openmp if r["graph"] == g and r["variant"] == "BK-DAS")

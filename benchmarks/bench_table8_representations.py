@@ -70,9 +70,12 @@ def run_table8():
     results = {}
     for kind in GRAPH_MODELS:
         model = build_model(graph, kind)
-        t0 = time.perf_counter()
-        reached = generic_bfs(model)
-        bfs_seconds = time.perf_counter() - t0
+        # A BFS takes a few ms, so one run can read host noise: best of 5.
+        bfs_seconds = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            reached = generic_bfs(model)
+            bfs_seconds = min(bfs_seconds, time.perf_counter() - t0)
         t0 = time.perf_counter()
         triangles = generic_triangle_count(model)
         tc_seconds = time.perf_counter() - t0

@@ -98,6 +98,69 @@ def _clique_bits(a: int, levels: int, neighborhoods: list,
     return count, ops, read, written, words
 
 
+def _tomita_bits(p: int, x: int, neighborhoods: list, cardinalities: list,
+                 sums: list) -> tuple:
+    """BK's Tomita recursion over raw big ints: ``(cliques, calls, depth,
+    p, x)`` of ``BitSet(p).maximal_clique_count(BitSet(x), graph)`` for
+    ``p | x`` nonzero, with the final ``P`` and ``X`` last.  Adds to
+    *sums* each call's scan and diff (``n + 1`` set operations over its
+    ``n`` listed members) and the reads, writes and words of the
+    default's scans, diffs, intersections and moves."""
+    listed = _members(p) + _members(x)
+    n = len(listed)
+    size, x_size = p.bit_count(), x.bit_count()
+    read = (n + 1) * size
+    words = (n + 1) * ((p.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
+    best_v, best = -1, -1
+    for u in listed:
+        b = neighborhoods[u]._bits
+        c = (p & b).bit_count()
+        if c > best:
+            best_v, best = u, c
+        read += cardinalities[u]
+        words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+    b = neighborhoods[best_v]._bits
+    branch = p & ~b
+    read += cardinalities[best_v]
+    words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+    written = branch.bit_count()
+    cliques = depth = 0
+    calls = 1
+    for v in _members(branch):
+        # P ∩ N(v) and X ∩ N(v) on the current P and X, the child, then
+        # P.remove(v) (v is in P) and X.add(v): one read each.
+        b = neighborhoods[v]._bits
+        p_v, x_v = p & b, x & b
+        read += size + x_size + 2 * cardinalities[v] + 2
+        written += p_v.bit_count() + x_v.bit_count() + 1
+        words += ((p.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+                  + (x.bit_length() + _WORD_BITS - 1) // _WORD_BITS
+                  + 2 * ((b.bit_length() + _WORD_BITS - 1) // _WORD_BITS))
+        if p_v or x_v:
+            found, below, deepest, _, _ = _tomita_bits(
+                p_v, x_v, neighborhoods, cardinalities, sums)
+            cliques += found
+            calls += below
+            if found and deepest >= depth:
+                depth = deepest + 1
+        else:
+            cliques += 1
+            calls += 1
+            depth = depth or 1
+        bit = 1 << v
+        p ^= bit
+        size -= 1
+        if not x & bit:
+            x |= bit
+            x_size += 1
+            written += 1
+    sums[0] += n + 1
+    sums[1] += read
+    sums[2] += written
+    sums[3] += words
+    return cliques, calls, depth, p, x
+
+
 class BitSet(SetBase):
     """A set stored as a dense bitvector backed by one Python integer."""
 
@@ -341,6 +404,27 @@ class BitSet(SetBase):
                 X._bits |= bit
                 written += 1
         COUNTERS.record_step(ops, points, read, written, "bitset", words)
+
+    def maximal_clique_count(self, X: SetBase, graph):
+        # BK's recursion over a SetGraph of BitSets on raw big ints, with
+        # no generator and no set object per child, accounted with one
+        # record call: every call but this one is a child, two
+        # intersections and two point moves, and _tomita_bits sums the
+        # rest of what the default's pivot_branch steps record.
+        if (type(self) is not BitSet or type(X) is not BitSet
+                or getattr(graph, "set_cls", None) is not BitSet):
+            return super().maximal_clique_count(X, graph)
+        if not self._bits and not X._bits:
+            return 1, 1, 0
+        sums = [0, 0, 0, 0]
+        cliques, calls, depth, self._bits, X._bits = _tomita_bits(
+            self._bits, X._bits, graph.neighborhoods, graph.cardinalities,
+            sums)
+        scans, read, written, words = sums
+        children = calls - 1
+        COUNTERS.record_step(scans + 2 * children, 2 * children, read,
+                             written, "bitset", words)
+        return cliques, calls, depth
 
     def clique_count(self, graph, levels: int) -> int:
         # The kClist recursion over a SetGraph of BitSets on raw big

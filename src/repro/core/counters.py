@@ -31,7 +31,11 @@ default is one ``intersect_count_many`` per run of equal ``u``, and the
 step ``SetBase.pivot_branch`` records what its per-operation sequence
 would: the pivot scan, one ``diff``, and per child two ``intersect``
 operations plus the ``remove``/``add`` point operations that move the
-child from ``P`` to ``X``.  The kClist step ``SetBase.clique_count``
+child from ``P`` to ``X``.  BK's subtree ``SetBase.maximal_clique_count``
+records what its per-step recursion would, one such step per call that
+is no leaf (a leaf records nothing); the ``bitset`` and ``hash`` fast
+paths make one ``record_step`` call per subtree with those sums.  The
+kClist step ``SetBase.clique_count``
 records what its per-operation recursion would: one intersection per
 child ``A ∩ N(v)`` (``|A| + |N(v)|`` reads, ``|child|`` writes, whether
 it builds the child or refills it by ``intersect_assign``), nothing below

@@ -9,7 +9,7 @@ sorted array is requested — the same trade-off as in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,6 +17,11 @@ from .counters import COUNTERS
 from .interface import SetBase
 
 __all__ = ["HashSet"]
+
+#: Arcs one :meth:`HashSet.from_csr` chunk turns into a Python list at
+#: once: the list's 8 bytes per arc are all a bulk build holds on top of
+#: the finished sets.
+_CHUNK_ARCS = 1 << 16
 
 
 def _clique_sets(a: set, levels: int, neighborhoods: list) -> tuple:
@@ -49,6 +54,58 @@ def _clique_sets(a: set, levels: int, neighborhoods: list) -> tuple:
     return count, ops, read, written
 
 
+def _tomita_sets(p: set, x: set, neighborhoods: list, sums: list) -> tuple:
+    """BK's Tomita recursion over C-level sets: ``(cliques, calls,
+    depth)`` of ``HashSet(p).maximal_clique_count(HashSet(x), graph)``
+    for ``p | x`` nonempty, moving each branched vertex from *p* to *x*
+    in place, as the default does.  Adds to *sums* each call's scan and
+    diff (``n + 1`` set operations over its ``n`` listed members) and
+    the reads and writes of the default's scans, diffs, intersections
+    and moves."""
+    listed = sorted(p) + sorted(x)
+    n = len(listed)
+    read = (n + 1) * len(p)
+    best_v, best = -1, -1
+    for u in listed:
+        b = neighborhoods[u]._data
+        c = len(p & b)
+        if c > best:
+            best_v, best = u, c
+        read += len(b)
+    b = neighborhoods[best_v]._data
+    branch = sorted(p - b)
+    read += len(b)
+    written = len(branch)
+    cliques = depth = 0
+    calls = 1
+    for v in branch:
+        # P ∩ N(v) and X ∩ N(v) on the current P and X, the child, then
+        # P.remove(v) (v is in P) and X.add(v): one read each.
+        b = neighborhoods[v]._data
+        p_v, x_v = p & b, x & b
+        read += len(p) + len(x) + 2 * len(b) + 2
+        written += len(p_v) + len(x_v) + 1
+        if p_v or x_v:
+            found, below, deepest = _tomita_sets(p_v, x_v, neighborhoods,
+                                                 sums)
+            cliques += found
+            calls += below
+            if found and deepest >= depth:
+                depth = deepest + 1
+        else:
+            cliques += 1
+            calls += 1
+            depth = depth or 1
+        p.discard(v)
+        if v not in x:
+            x.add(v)
+            written += 1
+    sums[0] += n + 1
+    sums[1] += read
+    sums[2] += written
+    return cliques, calls, depth
+
+
 class HashSet(SetBase):
     """A set stored in an open-addressing hash table."""
 
@@ -65,6 +122,27 @@ class HashSet(SetBase):
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "HashSet":
         return cls(set(np.asarray(array, dtype=np.int64).tolist()))
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, targets: np.ndarray) -> list:
+        # One tolist per chunk of vertices with at most _CHUNK_ARCS arcs
+        # (one vertex at least) instead of one per vertex: each set takes
+        # its slice of the chunk's list, the members from_sorted_array
+        # takes from the vertex's array.
+        offsets = np.asarray(offsets, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        sets: list = []
+        start, n = 0, len(offsets) - 1
+        while start < n:
+            base = offsets[start]
+            stop = int(np.searchsorted(offsets, base + _CHUNK_ARCS,
+                                       "right")) - 1
+            stop = min(max(stop, start + 1), n)
+            bounds = (offsets[start:stop + 1] - base).tolist()
+            flat = targets[base:offsets[stop]].tolist()
+            sets += [cls(set(flat[a:b])) for a, b in zip(bounds, bounds[1:])]
+            start = stop
+        return sets
 
     # -- core algebra ---------------------------------------------------
     def intersect(self, other: SetBase) -> "HashSet":
@@ -116,43 +194,25 @@ class HashSet(SetBase):
         COUNTERS.record_bulk(n * len(a) + read, 0, n)
         return best_v
 
-    def pivot_branch(self, X: SetBase, graph, pivot: Optional[int] = None):
-        # BK's Tomita step over a SetGraph of HashSets: the scan is the
-        # intersect_count_argmax fast path; the diff and each child's two
-        # C-level intersections, with the previous child's move from P
-        # to X, take one record call, so the counters stay what the
-        # default's operations record at every child.
+    def maximal_clique_count(self, X: SetBase, graph):
+        # BK's recursion over a SetGraph of HashSets on C-level sets,
+        # with no generator and no set object per child, accounted with
+        # one record call: every call but this one is a child, two
+        # intersections and two point moves, and _tomita_sets sums the
+        # rest of what the default's pivot_branch steps record.
         if (type(self) is not HashSet or type(X) is not HashSet
                 or getattr(graph, "set_cls", None) is not HashSet):
-            yield from super().pivot_branch(X, graph, pivot)
-            return
-        if pivot is None:
-            pivot = self.intersect_count_argmax(
-                graph, sorted(self._data) + sorted(X._data))
-            if pivot < 0:
-                return
-        neighborhoods = graph.neighborhoods
-        p, b = self._data, neighborhoods[pivot]._data
-        branch = sorted(p - b)
-        ops, points, read, written = 1, 0, len(p) + len(b), len(branch)
-        for v in branch:
-            p, x, b = self._data, X._data, neighborhoods[v]._data
-            p_v, x_v = p & b, x & b
-            COUNTERS.record_step(ops + 2, points,
-                                 read + len(p) + len(x) + 2 * len(b),
-                                 written + len(p_v) + len(x_v))
-            yield v, HashSet(p_v), HashSet(x_v)
-            # P.remove(v) and X.add(v): one read each, one write each
-            # that changes its set.
-            ops, points, read, written = 0, 2, 2, 0
-            p, x = self._data, X._data
-            if v in p:
-                p.discard(v)
-                written += 1
-            if v not in x:
-                x.add(v)
-                written += 1
-        COUNTERS.record_step(ops, points, read, written)
+            return super().maximal_clique_count(X, graph)
+        if not self._data and not X._data:
+            return 1, 1, 0
+        sums = [0, 0, 0]
+        cliques, calls, depth = _tomita_sets(self._data, X._data,
+                                             graph.neighborhoods, sums)
+        scans, read, written = sums
+        children = calls - 1
+        COUNTERS.record_step(scans + 2 * children, 2 * children, read,
+                             written)
+        return cliques, calls, depth
 
     def clique_count(self, graph, levels: int) -> int:
         # The kClist recursion over a SetGraph of HashSets on C-level

@@ -37,6 +37,9 @@ Listing 1 (C++)              This module
 (SISA extension)             :meth:`SetBase.pivot_branch`: BK's whole
                              Tomita step (pivot, candidate diff, the
                              branch loop) as one instruction
+(SISA extension)             :meth:`SetBase.maximal_clique_count`: BK's
+                             whole recursion below ``P`` and ``X`` as
+                             one instruction, ``(cliques, calls, depth)``
 (SISA extension)             :meth:`SetBase.clique_count`: the
                              kClist recursion as one instruction,
                              the ``levels``-cliques inside ``A``
@@ -274,6 +277,36 @@ class SetBase(ABC):
             yield v, P.intersect(neighbors), X.intersect(neighbors)
             P.remove(v)
             X.add(v)
+
+    def maximal_clique_count(
+        self, X: "SetBase", graph,
+    ) -> Tuple[int, int, int]:
+        """BK's whole Tomita recursion below ``P = self`` and *X* as one
+        bulk instruction: ``(cliques, calls, depth)``.
+
+        ``cliques`` counts the leaves, the calls whose ``P`` and ``X``
+        are both empty; ``calls`` counts the BK-Pivot calls, this one
+        included; ``depth`` is the most vertices a counted clique adds
+        to ``R`` (0 when this call is itself a leaf, and when no clique
+        is counted).  *graph* maps a vertex to its neighborhood, as for
+        :meth:`pivot_branch`, and no vertex may be its own neighbor.
+
+        The default is the per-step recursion: one :meth:`pivot_branch`
+        per call that is no leaf, and this instruction on each child.
+        It leaves ``P`` and ``X`` as :meth:`pivot_branch` does.  A
+        backend's fast path must return the same triple, leave ``P`` and
+        ``X`` the same and account exactly what that recursion records.
+        """
+        if self.is_empty() and X.is_empty():
+            return 1, 1, 0
+        cliques, calls, depth = 0, 1, 0
+        for _, P_v, X_v in self.pivot_branch(X, graph):
+            found, below, deepest = P_v.maximal_clique_count(X_v, graph)
+            cliques += found
+            calls += below
+            if found and deepest >= depth:
+                depth = deepest + 1
+        return cliques, calls, depth
 
     def clique_count(self, graph, levels: int) -> int:
         """Return the number of ``levels``-vertex cliques of *graph* in ``A``.

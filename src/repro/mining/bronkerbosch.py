@@ -35,14 +35,22 @@ split with one vectorized :func:`~repro.graph.transforms.rank_split` and
 built with one bulk :meth:`~repro.core.interface.SetBase.from_csr` per
 side, so a run holds at most one block of them (:data:`_BLOCK_BYTES`).
 
-Each recursive call is one bulk set instruction,
-:meth:`~repro.core.interface.SetBase.pivot_branch`: the Tomita pivot scan
-(:meth:`~repro.core.interface.SetBase.intersect_count_argmax` of ``P``
-over the neighborhoods of ``P ∪ X``), the candidate diff, and the branch
-loop that yields each child's ``P ∩ N(v)`` and ``X ∩ N(v)`` and moves
-``v`` from ``P`` to ``X`` after the child returns.  ``bitset`` and
-``hash`` run it on fast paths; every other backend, and the dict
-adjacency of the ``H`` subgraph, runs the per-operation default.
+Counting, the whole subtree below an outer vertex is one bulk set
+instruction, :meth:`~repro.core.interface.SetBase.maximal_clique_count`,
+which returns the subtree's maximal cliques, its recursive calls and the
+most vertices a clique adds to ``R``.  Its default is the per-step
+recursion: each call that is no leaf is one
+:meth:`~repro.core.interface.SetBase.pivot_branch` step, the Tomita
+pivot scan (:meth:`~repro.core.interface.SetBase.intersect_count_argmax`
+of ``P`` over the neighborhoods of ``P ∪ X``), the candidate diff, and
+the branch loop that yields each child's ``P ∩ N(v)`` and ``X ∩ N(v)``
+and moves ``v`` from ``P`` to ``X`` after the child returns.  ``bitset``
+and ``hash`` run the subtree on fast paths, with no generator and no set
+object per child; every other backend (BK-DAS's ``sorted`` included)
+and the dict adjacency of the ``H`` subgraph run the default.
+Collecting the cliques, or pivoting on a sketch (whose ``P`` and ``X``
+are ``bitset``), the engine keeps its own recursion of one
+``pivot_branch`` per call, on a fast path on ``bitset``.
 
 Sketch-assisted pivoting (``pivot_set_cls``): the Tomita pivot scan only
 feeds an **argmax** over ``|P ∩ N(u)|``, so a bounded-error estimate of the
@@ -155,7 +163,10 @@ class _BKEngine:
     ) -> None:
         """BK-Pivot(P, R, X) — Algorithm 6, lines 18–28.
 
-        One :meth:`~SetBase.pivot_branch` instruction per call.
+        Counting with the exact pivot, the whole subtree is one
+        :meth:`~SetBase.maximal_clique_count` instruction.  Collecting
+        cliques or pivoting on a sketch, it is one
+        :meth:`~SetBase.pivot_branch` instruction per call.
         ``P_sketch`` is the incrementally maintained pivot-scan sketch of
         ``P`` (when sketch pivoting is active): the pivot is scanned on
         it against the sketch neighborhoods and passed in, each child
@@ -165,6 +176,13 @@ class _BKEngine:
         the counts are estimates, so the pivot is still a member of
         ``P ∪ X`` whatever the estimate error or the sketch's drift.
         """
+        if self.cliques is None and P_sketch is None:
+            found, calls, depth = P.maximal_clique_count(X, self.adjacency)
+            self.num_cliques += found
+            self.calls += calls
+            if found and len(R) + depth > self.max_size:
+                self.max_size = len(R) + depth
+            return
         self.calls += 1
         if P.is_empty() and X.is_empty():
             self.num_cliques += 1
@@ -245,7 +263,8 @@ def bron_kerbosch(
     def vertex_tasks(sets, p_off, p_arcs, x_off, x_arcs):
         # One task per outer vertex, valued by the maximal cliques it finds.
         for i, (v, P, X) in enumerate(sets):
-            later = p_arcs[p_off[i]:p_off[i + 1]]
+            if subgraph_opt or pivot_set_cls is not None:
+                later = p_arcs[p_off[i]:p_off[i + 1]]
             if subgraph_opt:
                 # Swap in the per-vertex H subgraph; P, X ⊆ H's vertex
                 # set for the whole subtree, so every intersection below
@@ -253,8 +272,6 @@ def bron_kerbosch(
                 engine.adjacency = _induced_adjacency(
                     neighborhoods, later, x_arcs[x_off[i]:x_off[i + 1]],
                     set_cls)
-            else:
-                engine.adjacency = neighborhoods
             # The only from-scratch pivot-sketch build of this subtree:
             # the recursion maintains it incrementally from here on.
             P_sketch = (

@@ -78,6 +78,32 @@ class TestOrderIndependence:
             assert got == expect, ordering
 
 
+class TestSubtreeInstruction:
+    """Counting runs each outer vertex's subtree as one
+    ``maximal_clique_count`` instruction; collecting runs the engine's
+    per-call recursion.  Both report the same run."""
+
+    @pytest.mark.parametrize("shape", sorted(PLANTED_SHAPES))
+    def test_counting_equals_collecting(self, shape, set_cls):
+        n, background_m, cliques = PLANTED_SHAPES[shape]
+        csr = gen.planted_cliques(n, background_m, cliques, seed=1)
+        cache = MaterializationCache()
+        for ordering in ("DGR", "ADG"):
+            bron_kerbosch(csr, ordering, set_cls, cache=cache)  # warm
+            runs = []
+            for collect in (True, False):
+                before = snapshot()
+                res = bron_kerbosch(csr, ordering, set_cls, collect=collect,
+                                    cache=cache)
+                runs.append((res.num_cliques, res.recursive_calls,
+                             res.max_clique_size, len(res.task_costs),
+                             before.delta(snapshot())))
+                if collect:
+                    sizes = [len(c) for c in res.cliques]
+                    assert (len(sizes), max(sizes)) == runs[0][0:3:2]
+            assert runs[0] == runs[1], ordering
+
+
 class TestInvariants:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(0, 180))

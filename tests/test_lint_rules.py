@@ -272,6 +272,37 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/tomita.py", "GMS002") == []
 
+    def test_subtree_instruction_without_accounting_flagged(self):
+        source = """
+            from repro.core.interface import SetBase
+
+            class Subtree(SetBase):
+                def maximal_clique_count(self, X, graph):
+                    if not self._d and not X._d:
+                        return 1, 1, 0
+                    return len(self._d), 1 + len(self._d), 1
+        """
+        findings = run(source, "src/repro/core/subtree.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 5)]
+        assert "Subtree.maximal_clique_count" in findings[0].message
+
+    def test_subtree_instruction_recording_or_delegating_passes(self):
+        source = """
+            from repro.core.counters import COUNTERS
+            from repro.core.interface import SetBase
+
+            class Recorded(SetBase):
+                def maximal_clique_count(self, X, graph):
+                    COUNTERS.record_step(len(self._d) + 1, 0,
+                                         len(self._d), 0)
+                    return len(self._d), 1 + len(self._d), 1
+
+            class Delegated(SetBase):
+                def maximal_clique_count(self, X, graph):
+                    return super().maximal_clique_count(X, graph)
+        """
+        assert run(source, "src/repro/core/subtree.py", "GMS002") == []
+
     def test_clique_instruction_without_accounting_flagged(self):
         source = """
             from repro.core.interface import SetBase

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSet, HashSet, SortedSet, bit_set, sorted_set
+from repro.core import (BitSet, HashSet, SortedSet, bit_set, hash_set,
+                        sorted_set)
 from repro.core.counters import Snapshot, snapshot
 from repro.core.interface import SetBase
 from repro.core.registry import get_set_class, registered_set_classes
@@ -455,6 +456,105 @@ def test_pivot_branch_equals_per_op_loop(inputs):
         assert (got[1], got[2]) == (sorted(p), sorted(x)), name
 
 
+# maximal_clique_count is BK's whole recursion below P and X as one
+# instruction, under the same contract: whatever path a class takes, it
+# returns the per-step recursion's (cliques, calls, depth), leaves P and X
+# where that recursion leaves them and records its counter delta.
+def _bk_loop(P, X, graph):
+    """The per-step recursion over the per-operation Tomita step."""
+    if P.is_empty() and X.is_empty():
+        return 1, 1, 0
+    cliques, calls, depth = 0, 1, 0
+    for _, P_v, X_v in _tomita_loop(P, X, graph, None):
+        found, below, deepest = _bk_loop(P_v, X_v, graph)
+        cliques += found
+        calls += below
+        if found:
+            depth = max(depth, deepest + 1)
+    return cliques, calls, depth
+
+
+def _set_tomita(p, x, neighborhoods):
+    """The same recursion over Python sets, with the same pivot rule."""
+    if not p and not x:
+        return 1, 1, 0
+    listed = sorted(p) + sorted(x)
+    counts = [len(p & neighborhoods[u]) for u in listed]
+    pivot = listed[counts.index(max(counts))]
+    cliques, calls, depth = 0, 1, 0
+    for v in sorted(p - neighborhoods[pivot]):
+        found, below, deepest = _set_tomita(p & neighborhoods[v],
+                                            x & neighborhoods[v],
+                                            neighborhoods)
+        cliques += found
+        calls += below
+        if found:
+            depth = max(depth, deepest + 1)
+        p, x = p - {v}, x | {v}
+    return cliques, calls, depth
+
+
+# (P, X, graph) classes and whether the graph is a dict adjacency, as
+# BK's H subgraph is: the exact rows of TOMITA_CLASSES, then dicts.  A
+# sketch's intersection may keep v in P ∩ N(v), so the recursion need
+# not end on one; BK runs sketches only in the pivot scan.
+BK_CLASSES = [(classes, False) for classes in TOMITA_CLASSES
+              if all(cls.IS_EXACT for cls in classes)] + [
+    ((BitSet,) * 3, True), ((HashSet,) * 3, True), ((SortedSet,) * 3, True),
+]
+
+
+@st.composite
+def bk_inputs(draw):
+    """A graph over ``0..n-1`` (crossing word boundaries) with no vertex
+    its own neighbor, and ``P`` and ``X`` drawn from its vertices (either
+    may be empty, and they may overlap)."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    neighborhoods = [
+        sorted(set(nb) - {v}) for v, nb in enumerate(draw(
+            st.lists(st.lists(vertex, max_size=12), min_size=n,
+                     max_size=n)))]
+    return (neighborhoods, draw(st.lists(vertex, max_size=16)),
+            draw(st.lists(vertex, max_size=16)))
+
+
+def _run_bk(count, classes, neighborhoods, P, X, as_dict=False):
+    """Run *count* over fresh sets; return its triple, the final P and X,
+    and the counter delta."""
+    p_cls, x_cls, graph_cls = classes
+    sets = [graph_cls.from_iterable(nb) for nb in neighborhoods]
+    graph = dict(enumerate(sets)) if as_dict else SetGraph(sets, graph_cls)
+    p, x = p_cls.from_iterable(P), x_cls.from_iterable(X)
+    before = snapshot()
+    result = count(p, x, graph)
+    return result, list(p), list(x), before.delta(snapshot())
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=bk_inputs())
+@example(inputs=([[1], [0]], [], []))  # a leaf at the root
+@example(inputs=([[1, 2], [0, 2], [0, 1]], [], [0, 2]))  # empty P
+@example(inputs=([[1, 2], [0, 2], [0, 1], []], [0, 1, 2, 3], []))
+@example(inputs=([[1, 2, 3], [0, 2], [0, 1, 3], [0, 2]], [0, 1, 3],
+                 [1, 3]))  # P ∩ X = {1, 3}
+@example(inputs=([[70, 130], [], [], [1]] + [[0]] * 140,
+                 [0, 70, 130], [3, 64]))
+def test_maximal_clique_count_equals_per_step_loop(inputs):
+    neighborhoods, P, X = inputs
+    expected = _set_tomita(set(P), set(X), [set(nb) for nb in neighborhoods])
+    for classes, as_dict in BK_CLASSES:
+        name = (tuple(cls.__name__ for cls in classes), as_dict)
+        runs = [_run_bk(count, classes, neighborhoods, P, X, as_dict)
+                for count in (
+                    lambda p, x, graph: p.maximal_clique_count(x, graph),
+                    lambda p, x, graph: SetBase.maximal_clique_count(
+                        p, x, graph),
+                    _bk_loop)]
+        assert runs[0] == runs[1] == runs[2], name
+        assert runs[0][0] == expected, name
+
+
 @pytest.mark.parametrize("cls", EXACT_CLASSES, ids=lambda c: c.__name__)
 def test_pivot_branch_ties_keep_the_first_listed(cls):
     # |P ∩ N(u)| is 1 for every u of P ∪ X = {1, 2} ∪ {0}; P's members
@@ -638,6 +738,23 @@ def test_bitset_from_csr_equals_per_vertex(neighborhoods, chunk):
     assert all(type(s) is BitSet for s in bulk)
     assert [s._bits for s in bulk] == _per_vertex_bits(offsets, targets)
     assert [set(s) for s in bulk] == [set(nb) for nb in neighborhoods]
+
+
+@settings(max_examples=60, deadline=None)
+@given(neighborhoods=csr_neighborhoods(),
+       chunk=st.sampled_from([1, 5, 1 << 16]))
+@example(neighborhoods=[[], [0, 9, 700], [], [700], []], chunk=1)
+@example(neighborhoods=[[], []], chunk=5)
+def test_hash_from_csr_equals_per_vertex(neighborhoods, chunk):
+    # HashSet.from_csr lists each chunk's arcs at once; whatever the
+    # chunking, it builds the per-vertex from_sorted_array loop's sets.
+    offsets, targets = _csr(neighborhoods)
+    with mock.patch.object(hash_set, "_CHUNK_ARCS", chunk):
+        bulk = HashSet.from_csr(offsets, targets)
+    assert all(type(s) is HashSet for s in bulk)
+    assert [s._data for s in bulk] == [
+        HashSet.from_sorted_array(targets[offsets[v]:offsets[v + 1]])._data
+        for v in range(len(neighborhoods))]
 
 
 @settings(max_examples=30, deadline=None)
