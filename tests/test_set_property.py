@@ -374,9 +374,9 @@ class _SubBitSet(BitSet):
     __slots__ = ()
 
 
-# (P, X, graph) classes: each class on its own (bitset's and hash's fast
-# paths, everyone else's default), then mixes and a subclass, which take
-# the default.
+# (P, X, graph) classes: each class on its own (a class's fast paths,
+# everyone else's default), then mixes and a subclass, which take the
+# default.
 TOMITA_CLASSES = [(cls, cls, cls) for cls in CLASSES] + [
     (BitSet, BitSet, SortedSet), (BitSet, HashSet, BitSet),
     (HashSet, HashSet, SortedSet), (HashSet, BitSet, HashSet),
