@@ -1,10 +1,11 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the paper's set-algebra design choices.
 
 * **abl1 — set representation in BK** (section 6.2's "roaring brings >9×"):
   the same BK engine over BitSet / HashSet / SortedSet / RoaringSet.  In
-  this Python port the big-int bitvector plays roaring's role (documented
-  in EXPERIMENTS.md); the pure-Python RoaringSet and numpy SortedSet pay
-  per-call overheads at miniature set sizes.
+  this Python port the big-int bitvector plays roaring's role: ``bitset``
+  ANDs and counts whole neighborhoods in C, while the pure-Python
+  RoaringSet and numpy SortedSet pay per-call overheads at miniature set
+  sizes.
 * **abl2 — merge vs galloping intersection** (section 6.5): galloping wins
   when one operand is much smaller; merge is competitive at similar sizes.
 * **abl3 — subgraph H at every level vs outermost-only** (section 6.2):
@@ -12,29 +13,18 @@
 * **abl4 — the section 6.3 instruction-count experiment**: the redesigned
   reordering kernel executes fewer (byte-code) instructions than the
   pointer-chasing original (the paper reports 22 vs 31 x86 movs).
-* **abl5 — density-adaptive dispatch** (the SISA fast path): the same
-  kclique / tc kernels on the ``sorted`` backend (mode ``static``) vs the
-  ``adaptive`` backend (:class:`~repro.core.dispatch.AdaptiveSet`), with
-  value identity asserted, per-organization ``words_scanned`` attribution,
-  and the representation histogram of the adaptive oriented DAG.  Run as a
-  script for the ``gms-ablation/v1`` artifact CI publishes::
-
-      PYTHONPATH=src python benchmarks/bench_ablation_setops.py \
-          --dataset ca-grqc --k 4 --repeats 3
 """
 
 from __future__ import annotations
 
-import argparse
 import dis
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    AdaptiveSet,
     BitSet,
     HashSet,
     RoaringSet,
@@ -42,21 +32,11 @@ from repro.core import (
     intersect_count_galloping,
     intersect_count_merge,
 )
-from repro.core.counters import snapshot
 from repro.graph import load_dataset
-from repro.graph.set_graph import MaterializationCache
 from repro.graph.transforms import rank_split
-from repro.mining import (
-    bron_kerbosch,
-    kclique_count,
-    triangle_count_node_iterator,
-)
-from repro.mining.bronkerbosch import _BKEngine, _induced_adjacency
+from repro.mining import bron_kerbosch
 from repro.platform import write_artifact
-from repro.platform.bench import print_table
 from repro.preprocess import compute_ordering
-
-SCHEMA = "gms-ablation/v1"
 
 
 # ---------------------------------------------------------------------------
@@ -273,217 +253,3 @@ def test_abl4_instruction_count(benchmark, show_table):
     # Fewer instructions and a faster kernel (paper: 22 vs 31 movs).
     assert data["redesigned_instructions"] < data["chasing_instructions"]
     assert data["redesigned_seconds"] < data["chasing_seconds"]
-
-
-# ---------------------------------------------------------------------------
-# abl5 — density-adaptive dispatch (static sorted vs AdaptiveSet)
-# ---------------------------------------------------------------------------
-_DISPATCH_CLASSES = {"static": SortedSet, "adaptive": AdaptiveSet}
-
-
-def _best_of(fn, repeats: int):
-    """Run *fn* ``repeats`` times; return (best seconds, value).
-
-    The value must be identical across repeats — these are exact kernels.
-    """
-    best, value = float("inf"), None
-    for i in range(repeats):
-        t0 = time.perf_counter()
-        v = fn()
-        dt = time.perf_counter() - t0
-        if i == 0:
-            value = v
-        else:
-            assert v == value, "non-deterministic kernel value"
-        best = min(best, dt)
-    return best, value
-
-
-def run_dispatch_ablation(
-    dataset: str = "ca-grqc", k: int = 4, repeats: int = 3
-) -> Dict:
-    """Time kclique (DGR, node-parallel) and tc (node iterator) per mode.
-
-    Orderings / set graphs are pre-warmed through a per-mode
-    :class:`MaterializationCache`, so the timed region is pure kernel work
-    (``mine_seconds`` for kclique, wall time for tc).  Counter snapshots
-    bracket one timed run per mode, attributing machine-word traffic to the
-    organizations the dispatcher actually chose.
-    """
-    graph = load_dataset(dataset)
-    out: Dict = {
-        "schema": SCHEMA,
-        "dataset": dataset,
-        "k": k,
-        "repeats": repeats,
-        "modes": {},
-        "speedup": {},
-    }
-    values: Dict[str, Dict[str, int]] = {}
-    for mode, cls in _DISPATCH_CLASSES.items():
-        cache = MaterializationCache()
-        # Warm the ordering, oriented DAG, and undirected set graph.
-        kclique_count(graph, k, "DGR", "node", set_cls=cls, cache=cache)
-        triangle_count_node_iterator(graph, set_cls=cls, cache=cache)
-
-        before = snapshot()
-        kc_runs = [
-            kclique_count(graph, k, "DGR", "node", set_cls=cls, cache=cache)
-            for _ in range(repeats)
-        ]
-        kc_res = kc_runs[0]
-        # mine_seconds excludes the (cache-hit) reorder resolve.
-        kc_seconds = min(r.mine_seconds for r in kc_runs)
-        assert len({r.count for r in kc_runs}) == 1
-        tc_seconds, tc_value = _best_of(
-            lambda: triangle_count_node_iterator(
-                graph, set_cls=cls, cache=cache
-            ),
-            repeats,
-        )
-        delta = before.delta(snapshot())
-
-        _, dag = cache.oriented(graph, cls, "DGR")
-        rep_hist = (
-            dag.representation_histogram()
-            if hasattr(dag, "representation_histogram") else {}
-        )
-        values[mode] = {"kclique": kc_res.count, "tc": tc_value}
-        out["modes"][mode] = {
-            "set_class": cls.__name__,
-            "kclique_seconds": kc_seconds,
-            "kclique_count": kc_res.count,
-            "tc_seconds": tc_seconds,
-            "tc_count": tc_value,
-            "words_scanned": dict(delta.words_scanned),
-            "memory_traffic_elements": delta.memory_traffic,
-            "dag_representation_histogram": rep_hist,
-        }
-    # Exact dispatch must be value-identical — the bit-identity contract.
-    assert values["static"] == values["adaptive"], values
-    st, ad = out["modes"]["static"], out["modes"]["adaptive"]
-    out["speedup"] = {
-        "kclique": st["kclique_seconds"] / ad["kclique_seconds"],
-        "tc": st["tc_seconds"] / ad["tc_seconds"],
-    }
-    return out
-
-
-def run_dispatch_microkernels(scale: int = 1) -> Dict[str, float]:
-    """Per-call costs of the three intersection organizations.
-
-    Dense operands (every element below 8·n) so the big-int bitmap path
-    is representative of what :class:`AdaptiveSet` adopts; ``scale``
-    shrinks the operands for smoke runs.
-    """
-    rng = np.random.default_rng(11)
-    n = max(1024, 200_000 // scale)
-    a = np.unique(rng.integers(0, 8 * n, size=n))
-    b = np.unique(rng.integers(0, 8 * n, size=n))
-    small = np.sort(rng.choice(b, size=64, replace=False))
-    wa = BitSet.from_sorted_array(a)._bits
-    wb = BitSet.from_sorted_array(b)._bits
-
-    def timed(fn, repeats=20):
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return (time.perf_counter() - t0) / repeats
-
-    expected = len(np.intersect1d(a, b))
-    assert (wa & wb).bit_count() == expected
-    return {
-        "similar_merge_us": 1e6 * timed(
-            lambda: intersect_count_merge(a, b)),
-        "skewed_galloping_us": 1e6 * timed(
-            lambda: intersect_count_galloping(small, b)),
-        "bigint_and_popcount_us": 1e6 * timed(
-            lambda: (wa & wb).bit_count()),
-        "numpy_intersect1d_us": 1e6 * timed(
-            lambda: np.intersect1d(a, b)),
-    }
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_abl5_dispatch(benchmark, show_table):
-    data = benchmark.pedantic(
-        lambda: run_dispatch_ablation("sc-ht-mini", k=4, repeats=1),
-        rounds=1, iterations=1,
-    )
-    show_table(
-        "Ablation 5 — density-adaptive dispatch, sc-ht-mini",
-        ["mode", "class", "kclique [ms]", "tc [ms]", "4-cliques", "tri"],
-        [
-            [m, rec["set_class"], f"{1000 * rec['kclique_seconds']:.1f}",
-             f"{1000 * rec['tc_seconds']:.1f}", rec["kclique_count"],
-             rec["tc_count"]]
-            for m, rec in data["modes"].items()
-        ],
-    )
-    write_artifact("ablation5_dispatch_smoke", data)
-    assert data["schema"] == SCHEMA
-    adaptive = data["modes"]["adaptive"]
-    # The dispatcher actually routed through its own organizations...
-    assert any(key.startswith("adaptive/")
-               for key in adaptive["words_scanned"])
-    # ...and the adaptive DAG reports its per-neighborhood representation.
-    hist = adaptive["dag_representation_histogram"]
-    assert sum(hist.values()) > 0
-    # Normalized element units: identical kernels ⇒ identical traffic.
-    assert (adaptive["memory_traffic_elements"]
-            == data["modes"]["static"]["memory_traffic_elements"])
-
-
-# ---------------------------------------------------------------------------
-# CLI — the gms-ablation/v1 artifact (CI's --smoke entry point)
-# ---------------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="SISA dispatch ablation: static vs adaptive set ops"
-    )
-    parser.add_argument("--dataset", default="ca-grqc")
-    parser.add_argument("--k", type=int, default=4,
-                        help="clique size for the kclique kernel")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repeats per kernel (best-of)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny dataset + 1 repeat (CI gate)")
-    ns = parser.parse_args(argv)
-    dataset = "sc-ht-mini" if ns.smoke else ns.dataset
-    repeats = 1 if ns.smoke else ns.repeats
-
-    payload = run_dispatch_ablation(dataset, k=ns.k, repeats=repeats)
-    payload["microkernels"] = run_dispatch_microkernels(
-        scale=16 if ns.smoke else 1
-    )
-    path = write_artifact(f"ablation_setops_{dataset}", payload)
-
-    print_table(
-        f"dispatch ablation — {dataset} (k={ns.k}, best of {repeats})",
-        ["mode", "class", "kclique [ms]", "tc [ms]", "4-cliques", "tri"],
-        [
-            [m, rec["set_class"], f"{1000 * rec['kclique_seconds']:.2f}",
-             f"{1000 * rec['tc_seconds']:.2f}", rec["kclique_count"],
-             rec["tc_count"]]
-            for m, rec in payload["modes"].items()
-        ],
-    )
-    print_table(
-        "speedup (static / adaptive)",
-        ["kernel", "speedup"],
-        [[kernel, f"{ratio:.2f}x"]
-         for kernel, ratio in payload["speedup"].items()],
-    )
-    scans = payload["modes"]["adaptive"]["words_scanned"]
-    if scans:
-        print_table(
-            "adaptive words scanned by organization",
-            ["organization", "words"],
-            [[org, words] for org, words in sorted(scans.items())],
-        )
-    print(f"\nartifact: {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

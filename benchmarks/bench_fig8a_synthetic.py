@@ -72,7 +72,7 @@ def test_fig8a_synthetic(benchmark, show_table):
         dens_ratio = series[-1]["avg_degree"] / series[0]["avg_degree"]
         mine_ratio = series[-1]["mining_time"] / series[0]["mining_time"]
         assert mine_ratio > dens_ratio
-        # Note (EXPERIMENTS.md): absolute pre/mine ordering deviates from
-        # the paper — Python's per-clique constant is ~10³ larger than
-        # C++'s, so the mining line sits above preprocessing here, while
-        # both scaling laws match the paper's.
+        # Absolute pre/mine ordering deviates from the paper: Python's
+        # per-clique constant is ~10³ larger than C++'s, so the mining
+        # line sits above preprocessing here, while both scaling laws
+        # match the paper's.

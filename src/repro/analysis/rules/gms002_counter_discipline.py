@@ -204,8 +204,8 @@ def _set_base_subclasses(ctx: ModuleContext) -> List[ast.ClassDef]:
         resolved = ctx.imports.resolve_dotted(dotted)
         if resolved.split(".")[-1] == "SetBase":
             return True
-        # A backend imported from the set packages (AdaptiveSet derives
-        # SortedSet) is a SetBase subclass defined in another module.
+        # A backend imported from the set packages (a subclass of
+        # SortedSet, say) is a SetBase subclass defined in another module.
         if resolved.startswith(_BACKEND_PACKAGES) and resolved.endswith("Set"):
             return True
         return derived.get(dotted.split(".")[-1], False)

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.counters import COUNTERS
 from ..core.interface import SetBase
-from ..core.ops import popcount
+from ..core.ops import as_sorted_unique, popcount
 from ..core.registry import derived_set_class
 from .estimators import (
     bloom_cardinality_estimate,
@@ -140,7 +140,7 @@ class BloomFilterSet(SetBase):
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "BloomFilterSet":
         COUNTERS.record_sketch_build()
-        return cls(np.asarray(array, dtype=np.int64), _trusted=True)
+        return cls(as_sorted_unique(array), _trusted=True)
 
     # -- core algebra ---------------------------------------------------
     def intersect(self, other: SetBase) -> "BloomFilterSet":

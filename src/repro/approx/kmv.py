@@ -28,6 +28,7 @@ import numpy as np
 
 from ..core.counters import COUNTERS
 from ..core.interface import SetBase
+from ..core.ops import as_sorted_unique
 from ..core.registry import derived_set_class
 from .estimators import (
     kmv_cardinality_estimate,
@@ -94,7 +95,7 @@ class KMVSketchSet(SetBase):
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "KMVSketchSet":
         COUNTERS.record_sketch_build()
-        return cls(np.asarray(array, dtype=np.int64), _trusted=True)
+        return cls(as_sorted_unique(array), _trusted=True)
 
     # -- core algebra (exact on the member store) --------------------------
     def intersect(self, other: SetBase) -> "KMVSketchSet":

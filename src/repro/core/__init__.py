@@ -1,32 +1,22 @@
 """Set-algebra core of the GMS platform (paper section 5).
 
 Exports the abstract :class:`~repro.core.interface.SetBase` interface, the
-concrete set representations (including the density-adaptive
-``adaptive`` backend: ``sorted``'s array plus, for a dense set,
-``bitset``'s big-int bitmap), the merge/galloping array kernels, the
+concrete set representations, the merge/galloping array kernels, the
 set-class registry, and the software performance counters.
 """
 
 from .bit_set import BitSet
 from .compressed_set import CompressedSortedSet
 from .counters import COUNTERS, Snapshot, merge_snapshots, reset, snapshot
-from .dispatch import (
-    AdaptiveSet,
-    choose_intersect_algorithm,
-    choose_representation,
-)
 from .hash_set import HashSet
 from .interface import SetBase
 from .ops import (
     as_sorted_unique,
-    diff_merge,
     intersect_count_galloping,
     intersect_count_merge,
     intersect_galloping,
     intersect_merge,
     member_mask_galloping,
-    member_mask_merge,
-    union_merge,
 )
 from .registry import (
     SET_CLASSES,
@@ -45,9 +35,6 @@ __all__ = [
     "RoaringSet",
     "HashSet",
     "CompressedSortedSet",
-    "AdaptiveSet",
-    "choose_intersect_algorithm",
-    "choose_representation",
     "ARRAY_CONTAINER_MAX",
     "SET_CLASSES",
     "get_set_class",
@@ -64,8 +51,5 @@ __all__ = [
     "intersect_galloping",
     "intersect_count_merge",
     "intersect_count_galloping",
-    "union_merge",
-    "diff_merge",
-    "member_mask_merge",
     "member_mask_galloping",
 ]

@@ -81,9 +81,8 @@ class Counters:
         rebuild it from scratch once per recursive call.
     words_scanned:
         Machine words (8-byte units) scanned per set organization /
-        algorithm, e.g. ``{"sorted/merge": 812, "adaptive/bitmap": 96}``.
-        This is where representation-specific cost lives, so the ablation
-        benchmark can attribute cycles to organizations while
+        algorithm, e.g. ``{"sorted/merge": 812, "bitset": 96}``.
+        This is where representation-specific cost lives, while
         ``elements_read`` stays comparable across backends.
     payload_bytes_shipped:
         Bytes the parallel runtime shipped *to* pool workers: the pickled

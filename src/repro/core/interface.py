@@ -332,7 +332,7 @@ class SetBase(ABC):
         if levels == 2:
             return self.intersect_count_many(graph, self.members())
         # Not sum(self.clique_branch(...)): a generator per call measured
-        # ~5% slower on adaptive at k = 5.
+        # ~5% slower at k = 5.
         total = 0
         child = None
         for v in self.members():

@@ -7,16 +7,16 @@ A single set *operation* (e.g. ``A ∩ B``) can be realized by different set
   vectorized *merge-path*: two binary-search partitions position every
   element of ``A`` and ``B`` in the merged order, then one linear scatter +
   adjacent-compare pass extracts the result — ``O(|A| + |B|)`` memory
-  traffic, no concatenate-and-re-sort (the previous delegation to
-  ``np.intersect1d``/``union1d``/``setdiff1d`` paid an ``O((|A| + |B|)
-  log(|A| + |B|))`` global sort that ignored the operands' sortedness);
+  traffic, no concatenate-and-re-sort (``np.intersect1d`` pays an
+  ``O((|A| + |B|) log(|A| + |B|))`` global sort that ignores the
+  operands' sortedness);
 * **galloping**: for each element of the smaller set, binary-search the
   larger one, ``O(|small| log |large|)`` — preferable when ``|A| ≪ |B|``.
 
 The dense organization, a bitmap, is :class:`~repro.core.bit_set.BitSet`'s
-big int, which ``adaptive`` carries next to its array.  These kernels
-operate on raw sorted unique numpy arrays so the ablation benchmark can
-time the algorithms themselves, independent of any Set class.
+big int.  These kernels operate on raw sorted unique numpy arrays so the
+ablation benchmark can time the algorithms themselves, independent of any
+Set class.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ __all__ = [
     "intersect_galloping",
     "intersect_count_merge",
     "intersect_count_galloping",
-    "union_merge",
-    "diff_merge",
-    "member_mask_merge",
     "member_mask_galloping",
     "popcount",
 ]
@@ -87,13 +84,6 @@ def _merge_member_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (pa + 1 < n + m) & (merged[successor] == a)
 
 
-def member_mask_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean mask: which elements of sorted-unique ``a`` are in ``b``."""
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(len(a), dtype=bool)
-    return _merge_member_mask(a, b)
-
-
 def member_mask_galloping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean mask via binary-search probes of ``a``'s elements into ``b``.
 
@@ -139,37 +129,3 @@ def intersect_count_galloping(a: np.ndarray, b: np.ndarray) -> int:
     if len(small) == 0:
         return 0
     return int(np.count_nonzero(member_mask_galloping(small, large)))
-
-
-def union_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge-union of two sorted unique arrays in ``O(|a| + |b|)``.
-
-    Merge-path scatter into the merged order, then one adjacent-compare
-    pass drops the duplicated elements of ``a ∩ b``.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    n, m = len(a), len(b)
-    if n == 0:
-        return b.copy()
-    if m == 0:
-        return a.copy()
-    pa = np.arange(n, dtype=np.int64) + np.searchsorted(b, a, side="left")
-    pb = np.arange(m, dtype=np.int64) + np.searchsorted(a, b, side="right")
-    merged = np.empty(n + m, dtype=np.int64)
-    merged[pa] = a
-    merged[pb] = b
-    keep = np.empty(n + m, dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
-
-
-def diff_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge-difference ``a \\ b`` of two sorted unique arrays,
-    ``O(|a| + |b|)``."""
-    if len(a) == 0:
-        return _EMPTY
-    if len(b) == 0:
-        return np.asarray(a, dtype=np.int64).copy()
-    return np.asarray(a, dtype=np.int64)[~_merge_member_mask(a, b)]

@@ -26,7 +26,6 @@ from typing import Dict, List, Type
 
 from .bit_set import BitSet
 from .compressed_set import CompressedSortedSet
-from .dispatch import AdaptiveSet
 from .hash_set import HashSet
 from .interface import SetBase
 from .roaring import RoaringSet
@@ -110,7 +109,6 @@ SET_CLASSES: Dict[str, Type[SetBase]] = _LazySetClassRegistry(
     roaring=RoaringSet,
     hash=HashSet,
     compressed=CompressedSortedSet,
-    adaptive=AdaptiveSet,
 )
 
 

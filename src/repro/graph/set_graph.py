@@ -127,22 +127,6 @@ class SetGraph:
         each set's :meth:`~repro.core.interface.SetBase.storage_bytes`."""
         return sum(s.storage_bytes() for s in self._neighborhoods)
 
-    def representation_histogram(self) -> Dict[str, int]:
-        """How many neighborhoods live in each physical organization.
-
-        Representation-polymorphic backends (the adaptive dispatcher)
-        report per-set organizations via ``representation()``; uniform
-        backends count under their class name.  This is the observability
-        hook the ablation artifact uses to show the density policy's
-        actual bitmap/array split on a given graph.
-        """
-        hist: Dict[str, int] = {}
-        for s in self._neighborhoods:
-            rep = getattr(s, "representation", None)
-            name = rep() if callable(rep) else type(s).__name__
-            hist[name] = hist.get(name, 0) + 1
-        return hist
-
     def __repr__(self) -> str:
         return (
             f"SetGraph(n={self.num_nodes}, m={self.num_edges}, "

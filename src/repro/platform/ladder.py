@@ -75,7 +75,7 @@ RUNGS = (
     ("barabasi_albert", {"n": 100000, "m_attach": 5, "seed": 1}),
     ("kronecker", {"scale": 15, "edge_factor": 18, "seed": 1}),
 )
-BACKENDS = ("sorted", "bitset", "hash", "adaptive")
+BACKENDS = ("sorted", "bitset", "hash")
 KERNELS = ("tc", "tc-merge", "4clique", "bk")
 #: Cells estimated to materialize more bytes than this are skipped.
 MAX_BYTES = 256 << 20

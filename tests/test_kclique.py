@@ -5,8 +5,10 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.core import registered_set_classes
 from repro.graph import build_undirected
 from repro.graph import generators as gen
+from repro.graph.set_graph import MaterializationCache
 from repro.mining import (
     danisch_kclique_count,
     framework_kclique_count,
@@ -14,6 +16,9 @@ from repro.mining import (
     kclique_count,
     kclique_list,
 )
+from repro.platform.suite import (SUITE_KERNELS, ExperimentPlan,
+                                  run_cell)
+from repro.preprocess import ORDERINGS
 from tests.conftest import random_csr
 
 
@@ -28,10 +33,27 @@ class TestCounts:
         csr, G = random_csr(35, 190, 11)
         assert kclique_count(csr, k, "DGR", parallel).count == nx_kclique_count(G, k)
 
-    @pytest.mark.parametrize("ordering", ["DEG", "DGR", "ADG", "ID"])
-    def test_ordering_invariant(self, ordering):
-        csr, G = random_csr(35, 190, 12)
-        assert kclique_count(csr, 4, ordering).count == nx_kclique_count(G, 4)
+    def test_ordering_oracle(self):
+        # Every ordering x exact backend x ordered suite kernel, run as
+        # suite cells: a count depends on neither the vertex order nor
+        # the set representation.
+        csr, G = random_csr(30, 200, 12)
+        plan = ExperimentPlan(k=5)
+        truth = {"4clique": nx_kclique_count(G, 4),
+                 "kclique": nx_kclique_count(G, 5),
+                 "bk": sum(1 for _ in nx.find_cliques(G)),
+                 "4clique-rec": nx_kclique_count(G, 4)}
+        values = {kernel: set() for kernel in truth}
+        for cls in registered_set_classes():
+            if not cls.IS_EXACT:
+                continue
+            cache = MaterializationCache()
+            for ordering in sorted(ORDERINGS):
+                for kernel in truth:
+                    cell = run_cell(csr, cls, SUITE_KERNELS[kernel],
+                                    cls.__name__, ordering, plan, cache)
+                    values[kernel].add(cell["value"])
+        assert values == {kernel: {count} for kernel, count in truth.items()}
 
     def test_k3_equals_triangles(self):
         csr, G = random_csr(40, 200, 13)

@@ -10,20 +10,22 @@ from repro.core import (
     COUNTERS,
     Snapshot,
     SortedSet,
-    diff_merge,
+    as_sorted_unique,
     intersect_count_galloping,
     intersect_count_merge,
     intersect_galloping,
     intersect_merge,
+    member_mask_galloping,
     merge_snapshots,
     reset,
     snapshot,
-    union_merge,
 )
 
 sorted_arrays = st.lists(
     st.integers(min_value=0, max_value=500), max_size=40
 ).map(lambda xs: np.array(sorted(set(xs)), dtype=np.int64))
+element_lists = st.lists(st.integers(min_value=0, max_value=5_000),
+                         max_size=80)
 
 
 @settings(max_examples=60, deadline=None)
@@ -33,11 +35,26 @@ def test_galloping_equals_merge(a, b):
     assert intersect_count_galloping(a, b) == intersect_count_merge(a, b)
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=sorted_arrays, b=sorted_arrays)
-def test_union_diff_kernels(a, b):
-    assert set(union_merge(a, b)) == set(a) | set(b)
-    assert set(diff_merge(a, b)) == set(a) - set(b)
+@settings(max_examples=80, deadline=None)
+@given(a=element_lists, b=element_lists)
+def test_merge_kernels_match_numpy(a, b):
+    sa = np.unique(np.asarray(a, dtype=np.int64))
+    sb = np.unique(np.asarray(b, dtype=np.int64))
+    assert np.array_equal(intersect_merge(sa, sb), np.intersect1d(sa, sb))
+    assert np.array_equal(intersect_galloping(sa, sb),
+                          np.intersect1d(sa, sb))
+    expected_count = len(np.intersect1d(sa, sb))
+    assert intersect_count_merge(sa, sb) == expected_count
+    assert intersect_count_galloping(sa, sb) == expected_count
+    assert np.array_equal(member_mask_galloping(sa, sb), np.isin(sa, sb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=element_lists)
+def test_as_sorted_unique_any_input(a):
+    arr = np.asarray(a, dtype=np.int64)
+    for variant in (arr, arr[::-1]):
+        assert np.array_equal(as_sorted_unique(variant), np.unique(arr))
 
 
 def test_galloping_skewed_sizes():

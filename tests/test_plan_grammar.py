@@ -46,7 +46,7 @@ BAD_INPUTS = {
 
 #: Every scalar query key, spelled as the REPL and ``/query`` take it.
 GOOD_KNOBS = {
-    "backend": "adaptive", "ordering": "degeneracy", "k": "4", "eps": "0.1",
+    "backend": "roaring", "ordering": "degeneracy", "k": "4", "eps": "0.1",
     "repeats": "1", "fpr": "0", "bits": "0", "shared_bits": "0",
     "kmv_k": "0", "cache_budget_bytes": "0",
 }
@@ -125,22 +125,22 @@ class TestOneGrammarSameMeaning:
         assert _repl(f"query 4clique sc-ht-mini {tokens}") == 0
         (line,) = [l for l in capsys.readouterr().out.splitlines()
                    if l.startswith("4clique on")]
-        assert "[adaptive -> AdaptiveSet, DGR]" in line
+        assert "[roaring -> RoaringSet, DGR]" in line
 
     def test_surfaces_compile_the_same_plan(self, server):
         with MiningSession() as session:
             plan = session.query("4clique").with_overrides(
                 {"dataset": "sc-ht-mini", **GOOD_KNOBS}).plan()
             direct = session.query("4clique").on("sc-ht-mini").backend(
-                "adaptive").ordering("DGR").run()
+                "roaring").ordering("DGR").run()
         assert plan.orderings == ("DGR",)
-        assert plan.k == 4 and plan.set_classes == ("adaptive",)
+        assert plan.k == 4 and plan.set_classes == ("roaring",)
         status, payload = _post(
             server.port, "/query",
             {"kernel": "4clique", "dataset": "sc-ht-mini", **GOOD_KNOBS},
         )
         assert status == 200, payload
-        assert payload["result"]["resolved_class"] == "AdaptiveSet"
+        assert payload["result"]["resolved_class"] == "RoaringSet"
         assert payload["result"]["value"] == direct.value
 
     def test_suite_honors_query_aliases_and_cache_budget(self, server):
@@ -213,7 +213,7 @@ class TestCommandLineGrammar:
     @pytest.mark.parametrize("argv, knobs", [
         (["--orderings", "degeneracy"], {"orderings": ["degeneracy"]}),
         (["--bloom-fpr", "0.02"], {"bloom_fpr": "0.02"}),
-        (["--set-classes", "adaptive"], {"set_classes": ["adaptive"]}),
+        (["--set-classes", "roaring"], {"set_classes": ["roaring"]}),
         (["--cache-budget-bytes", "1"], {"cache_budget_bytes": "1"}),
     ], ids=["orderings", "bloom-fpr", "set-classes", "cache-budget-bytes"])
     def test_suite_flag_means_its_knob(self, argv, knobs):

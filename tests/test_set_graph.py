@@ -62,8 +62,7 @@ class TestSetGraph:
         expected = {
             "SortedSet": 29776, "BitSet": 8654, "RoaringSet": 8616,
             "HashSet": 131616, "CompressedSortedSet": 6133,
-            "AdaptiveSet": 39264, "BloomFilterSet": 29776,
-            "KMVSketchSet": 29776,
+            "BloomFilterSet": 29776, "KMVSketchSet": 29776,
         }
         sizes = {cls.__name__: build_set_graph(graph, cls).storage_bytes()
                  for cls in registered_set_classes()}

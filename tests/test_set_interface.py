@@ -51,10 +51,21 @@ class TestConstructors:
         s = any_set_cls.from_iterable([3, 1, 3, 2, 1])
         assert list(s) == [1, 2, 3]
 
-    def test_from_sorted_array(self, any_set_cls):
-        arr = np.array([2, 5, 9], dtype=np.int64)
-        s = any_set_cls.from_sorted_array(arr)
-        assert list(s) == [2, 5, 9]
+    @pytest.mark.parametrize("values, members", [
+        ([2, 5, 9], [2, 5, 9]),
+        # Unsorted or duplicated input is sorted, never trusted: BitSet
+        # sizes its buffer off arr[-1] and RoaringSet splits its chunks
+        # with np.diff, so a corrupt set would follow.
+        ([9, 3, 3, 70_000, 1], [1, 3, 9, 70_000]),
+        ([], []),
+    ], ids=["sorted", "unsorted-duplicated", "empty"])
+    def test_from_sorted_array(self, any_set_cls, values, members):
+        s = any_set_cls.from_sorted_array(np.array(values, dtype=np.int64))
+        assert list(s) == members
+        assert s.cardinality() == len(members)
+        assert all(s.contains(x) for x in members)
+        if any_set_cls.IS_EXACT:
+            assert not s.contains(4)
 
     def test_from_vector_list(self, any_set_cls):
         # The paper's constructor from a std::vector — a Python list here.

@@ -217,6 +217,39 @@ def test_op_sequences_stay_in_lockstep(initial, sequence):
             assert set(s) == ref, (cls.__name__, name)
 
 
+def _counter_units(cls):
+    """Counter deltas of one fixed sequence of bulk and point operations."""
+    a = cls.from_iterable(range(0, 120, 2))
+    b = cls.from_iterable(range(0, 90, 3))
+    graph = SetGraph([b, cls.from_iterable(range(1, 200, 5)), cls.empty()],
+                     cls)
+    before = snapshot()
+    a.intersect(b)
+    a.intersect_count(b)
+    a.intersect_count_many(graph, [0, 1, 2, 1])
+    a.union(b)
+    a.diff(b)
+    scratch = cls.empty()
+    scratch.intersect_assign(a, b)
+    a.contains(7)
+    c = a.clone()
+    c.add(7)      # absent: 1 write
+    c.add(7)      # present: no write
+    c.remove(7)   # present: 1 write
+    c.remove(7)   # absent: no write
+    delta = before.delta(snapshot())
+    return (delta.set_ops, delta.elements_read, delta.elements_written,
+            delta.point_ops, delta.sketch_builds)
+
+
+def test_counter_units_identical_across_backends():
+    # Counters count elements, not machine words (those go to
+    # words_scanned), so every exact backend records the same deltas.
+    reference = _counter_units(SortedSet)
+    for cls in EXACT_CLASSES:
+        assert _counter_units(cls) == reference, cls.__name__
+
+
 @settings(max_examples=40, deadline=None)
 @given(initial=element_lists, sequence=ops)
 def test_op_sequences_keep_approx_invariants(initial, sequence):
@@ -677,7 +710,7 @@ def test_clique_count_and_branch_equal_per_op_loop(inputs):
 
 # The kClist and Tomita defaults read member lists through members(),
 # never through the copy to_array makes on these array-backed classes.
-@pytest.mark.parametrize("name", ["sorted", "adaptive", "bloom", "kmv"])
+@pytest.mark.parametrize("name", ["sorted", "bloom", "kmv"])
 def test_bulk_defaults_read_members_without_to_array(name):
     cls = get_set_class(name)
     neighborhoods = [[1, 2, 3], [2, 3, 4], [3, 4], [4], []]
