@@ -26,6 +26,23 @@ def nx_kclique_count(G, k):
     return sum(1 for c in nx.enumerate_all_cliques(G) if len(c) == k)
 
 
+#: The suite kernels that take an ordering, run by the ordering oracle.
+ORACLE_KERNELS = ("4clique", "kclique", "bk", "4clique-rec")
+EXACT_CLASSES = [cls for cls in registered_set_classes() if cls.IS_EXACT]
+
+
+@pytest.fixture(scope="module")
+def oracle_graph():
+    """The ordering oracle's graph, its networkx counts (k=5 for
+    ``kclique``) and one materialization cache per exact backend."""
+    csr, G = random_csr(30, 200, 12)
+    truth = {"4clique": nx_kclique_count(G, 4),
+             "kclique": nx_kclique_count(G, 5),
+             "bk": sum(1 for _ in nx.find_cliques(G)),
+             "4clique-rec": nx_kclique_count(G, 4)}
+    return csr, truth, {cls: MaterializationCache() for cls in EXACT_CLASSES}
+
+
 class TestCounts:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("parallel", ["node", "edge"])
@@ -33,27 +50,18 @@ class TestCounts:
         csr, G = random_csr(35, 190, 11)
         assert kclique_count(csr, k, "DGR", parallel).count == nx_kclique_count(G, k)
 
-    def test_ordering_oracle(self):
-        # Every ordering x exact backend x ordered suite kernel, run as
-        # suite cells: a count depends on neither the vertex order nor
-        # the set representation.
-        csr, G = random_csr(30, 200, 12)
-        plan = ExperimentPlan(k=5)
-        truth = {"4clique": nx_kclique_count(G, 4),
-                 "kclique": nx_kclique_count(G, 5),
-                 "bk": sum(1 for _ in nx.find_cliques(G)),
-                 "4clique-rec": nx_kclique_count(G, 4)}
-        values = {kernel: set() for kernel in truth}
-        for cls in registered_set_classes():
-            if not cls.IS_EXACT:
-                continue
-            cache = MaterializationCache()
-            for ordering in sorted(ORDERINGS):
-                for kernel in truth:
-                    cell = run_cell(csr, cls, SUITE_KERNELS[kernel],
-                                    cls.__name__, ordering, plan, cache)
-                    values[kernel].add(cell["value"])
-        assert values == {kernel: {count} for kernel, count in truth.items()}
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS)
+    @pytest.mark.parametrize("cls", EXACT_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_ordering_oracle(self, oracle_graph, ordering, cls, kernel):
+        # Every ordering x exact backend x ordered suite kernel, one suite
+        # cell each: a count depends on neither the vertex order nor the
+        # set representation.
+        csr, truth, caches = oracle_graph
+        cell = run_cell(csr, cls, SUITE_KERNELS[kernel], cls.__name__,
+                        ordering, ExperimentPlan(k=5), caches[cls])
+        assert cell["value"] == truth[kernel]
 
     def test_k3_equals_triangles(self):
         csr, G = random_csr(40, 200, 13)

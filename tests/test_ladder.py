@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -76,6 +78,20 @@ def test_check_passes_a_rerun_and_flags_changes(rung, monkeypatch):
     # Rungs above CHECK_EDGES are not rerun.
     monkeypatch.setattr(ladder, "CHECK_EDGES", 10)
     assert ladder.check_ladder(changed) == []
+
+
+def test_committed_artifact_holds_every_ladder_cell():
+    # check_ladder indexes its rerun by (backend, kernel): a committed
+    # cell of a backend the ladder no longer runs would be a KeyError.
+    path = Path(__file__).resolve().parent.parent / "BENCH_ladder.json"
+    payload = json.loads(path.read_text())
+    assert payload["schema"] == ladder.SCHEMA
+    assert tuple(payload["backends"]) == ladder.BACKENDS
+    assert tuple(payload["kernels"]) == ladder.KERNELS
+    for rung in payload["rungs"]:
+        assert tuple(rung["materialize"]) == ladder.BACKENDS
+        assert sorted((c["set_class"], c["kernel"]) for c in rung["cells"]) \
+            == sorted(itertools.product(ladder.BACKENDS, ladder.KERNELS))
 
 
 def test_relabel_oracle_on_a_small_graph(monkeypatch):

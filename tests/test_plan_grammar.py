@@ -35,6 +35,8 @@ from repro.platform.suite import (
 BAD_INPUTS = {
     "unknown-backend": {"backend": "nope"},
     "unknown-backend-list": {"set_classes": ["nope"]},
+    "retired-backend": {"backend": "adaptive"},
+    "retired-backend-list": {"set_classes": ["adaptive"]},
     "unknown-dispatch": {"dispatch": "adaptive"},
     "non-numeric-bits": {"bits": "abc"},
     "unknown-key": {"frobnicate": "1"},
@@ -249,6 +251,22 @@ class TestCommandLineGrammar:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--smoke", "--set-classes", "adaptive"],
+        ["bk", "sc-ht-mini", "--set-class", "adaptive"],
+    ], ids=["suite", "bk"])
+    def test_retired_backend_exits_2(self, argv, tmp_path, monkeypatch,
+                                     capsys):
+        # The density-adaptive backend's name fails like any unknown one.
+        import repro.platform.bench as bench
+
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unknown set classes ['adaptive']" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

@@ -102,6 +102,13 @@ class TestQueryBuilder:
             with pytest.raises(KeyError, match="unknown suite kernels"):
                 session.query("bogus")
 
+    @pytest.mark.parametrize("name", ["nope", "adaptive"])
+    def test_unknown_backend_rejected_eagerly(self, name):
+        with MiningSession() as session:
+            query = session.query("tc").on("sc-ht-mini")
+            with pytest.raises(KeyError, match="unknown set classes"):
+                query.backend(name)
+
     def test_missing_dataset_rejected_at_compile(self):
         with MiningSession() as session:
             with pytest.raises(ValueError, match="no dataset"):
