@@ -45,7 +45,8 @@ OP_METHODS = frozenset({
     "intersect_inplace", "union_inplace", "diff_inplace",
     "intersect_assign", "intersect_count_many", "intersect_count_argmax",
     "intersect_count_pairs", "pivot_branch", "maximal_clique_count",
-    "clique_count", "clique_branch", "diff_element", "union_element",
+    "clique_count", "clique_branch", "clique_count_arcs",
+    "diff_element", "union_element",
     "contains", "add", "remove",
 })
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
-from .ops import as_sorted_unique, popcount
+from .ops import as_sorted_unique, popcount, popcount_rows
 
 __all__ = ["BitSet"]
 
@@ -46,8 +46,76 @@ _PAIR_MAX_WORDS = 128
 #: Row-matrix bytes (rows × width × 8) above which it takes the default
 #: too: the square matrix at the width cap, 8,192 rows of 128 words.  A
 #: graph whose rows stay narrow (a DAG whose arcs all point to low IDs,
-#: trailing isolated vertices) still packs at most this much.
+#: trailing isolated vertices) still packs at most this much.  Both caps
+#: hold for :meth:`BitSet.clique_count_arcs` too.
 _PAIR_MAX_BYTES = 8 << 20
+#: Scratch bytes :meth:`BitSet.clique_count_arcs` spends per wedge
+#: ``(arc, w)`` besides the rows a triangle gathers: its int64 arc,
+#: position, target and row indices, its byte and its mask, and a share
+#: of its arc's int64 temporaries (every arc has a wedge).
+_WEDGE_SCRATCH_BYTES = 64
+
+
+def _row_matrix(neighborhoods: list) -> tuple:
+    """``(matrix, words)``: the big ints of *neighborhoods* packed into a
+    ``uint64`` row matrix (one ``to_bytes`` per vertex, rows as wide as
+    the widest), and each one's words.  ``matrix`` is ``None`` when that
+    width exceeds :data:`_PAIR_MAX_WORDS` or the matrix
+    :data:`_PAIR_MAX_BYTES`."""
+    bits = [s._bits for s in neighborhoods]
+    lengths = np.array([b.bit_length() for b in bits], dtype=np.int64)
+    words = (lengths + _WORD_BITS - 1) // _WORD_BITS
+    width = max(int(words.max(initial=0)), 1)
+    row = 8 * width
+    if width > _PAIR_MAX_WORDS or len(bits) * row > _PAIR_MAX_BYTES:
+        return None, words
+    matrix = np.zeros((len(bits), width), dtype=np.uint64)
+    view = memoryview(matrix).cast("B")
+    for v, b in enumerate(bits):
+        view[v * row:(v + 1) * row] = b.to_bytes(row, "little")
+    return matrix, words
+
+
+def _arc_cliques(matrix: np.ndarray, words: np.ndarray, sizes: np.ndarray,
+                 offsets: np.ndarray, targets: np.ndarray, start: int,
+                 stop: int, counts: np.ndarray, reads: np.ndarray) -> tuple:
+    """Add to *counts* and *reads* the arcs of sources ``start..stop-1``
+    (one :meth:`BitSet.clique_count_arcs` chunk) and return the chunk's
+    ``(Σ|c|, words scanned)``, each arc ``(u, v)`` accounted as
+    :meth:`BitSet.clique_branch` accounts its child ``c = N⁺(u) ∩ N⁺(v)``
+    at level 2."""
+    degrees = np.diff(offsets[start:stop + 1])
+    arc_u = np.repeat(np.arange(start, stop), degrees)
+    arc_v = targets[offsets[start]:offsets[stop]]
+    fan = np.repeat(degrees, degrees)
+    # Wedge j of arc i is (i, w) for the j-th w of N⁺(u): its target
+    # index is offsets[u] + j, the wedge's index shifted per arc.
+    shift = offsets[arc_u] - (np.cumsum(fan) - fan)
+    wedge_arc = np.repeat(np.arange(len(arc_v)), fan)
+    w = targets[np.arange(len(wedge_arc)) + shift[wedge_arc]]
+    # Bit w of row v is bit w & 7 of the matrix's byte 8·width·v + w >> 3.
+    byte = (arc_v * matrix.strides[0])[wedge_arc] + (w >> 3)
+    hit = (matrix.reshape(-1).view(np.uint8)[byte]
+           >> (w & 7).astype(np.uint8)) & 1
+    closed = np.flatnonzero(hit)
+    tri_arc, tri_w = wedge_arc[closed], w[closed]
+    found = np.bincount(tri_arc, minlength=len(arc_v))
+    reads += sizes[arc_u] + sizes[arc_v] + found * found
+    scanned = int(words[arc_u].sum() + words[arc_v].sum())
+    if len(tri_arc):
+        tri_rows = matrix[arc_u[tri_arc]]
+        tri_rows &= matrix[arc_v[tri_arc]]
+        tri_rows &= matrix[tri_w]
+        counts += np.bincount(tri_arc, weights=popcount_rows(tri_rows),
+                              minlength=len(arc_v)).astype(np.int64)
+        reads += np.bincount(tri_arc, weights=sizes[tri_w],
+                             minlength=len(arc_v)).astype(np.int64)
+        # Targets ascend within a source, so each arc's last triangle
+        # holds max(c), which sets the words of c.
+        last = np.flatnonzero(np.append(tri_arc[1:] != tri_arc[:-1], True))
+        scanned += int(found[tri_arc[last]] @ (tri_w[last] // _WORD_BITS + 1)
+                       + words[tri_w].sum())
+    return int(found.sum()), scanned
 
 
 def _members(bits: int) -> list:
@@ -296,41 +364,77 @@ class BitSet(SetBase):
     def intersect_count_pairs(cls, graph, us: np.ndarray,
                               vs: np.ndarray) -> int:
         # One pass over a SetGraph of BitSets as numpy words: the big ints
-        # packed into a uint64 row matrix (one to_bytes per vertex, built
-        # per call), then the rows of each chunk of pairs gathered, ANDed
-        # and popcounted.  Accounted in one call: exactly what len(us)
-        # intersect_count calls record.  Any other class or graph, rows
-        # wider than _PAIR_MAX_WORDS or a matrix above _PAIR_MAX_BYTES
+        # packed into a row matrix (_row_matrix, built per call), then the
+        # rows of each chunk of pairs gathered, ANDed and popcounted.
+        # Accounted in one call: exactly what len(us) intersect_count
+        # calls record.  Any other class or graph, or rows above the caps,
         # takes the default.
         if (len(us) == 0 or cls is not BitSet
                 or getattr(graph, "set_cls", None) is not BitSet):
             return super().intersect_count_pairs(graph, us, vs)
-        lengths = np.array([s._bits.bit_length() for s in graph.neighborhoods],
-                           dtype=np.int64)
-        width = max((int(lengths.max()) + _WORD_BITS - 1) // _WORD_BITS, 1)
-        row = 8 * width
-        if width > _PAIR_MAX_WORDS or len(lengths) * row > _PAIR_MAX_BYTES:
+        matrix, words = _row_matrix(graph.neighborhoods)
+        if matrix is None:
             return super().intersect_count_pairs(graph, us, vs)
-        bits = [s._bits for s in graph.neighborhoods]
-        words = (lengths + _WORD_BITS - 1) // _WORD_BITS
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        matrix = np.zeros((len(bits), width), dtype=np.uint64)
-        view = memoryview(matrix).cast("B")
-        for v, b in enumerate(bits):
-            view[v * row:(v + 1) * row] = b.to_bytes(row, "little")
         count = 0
-        step = max(1, _CHUNK_BYTES // (2 * row))
+        step = max(1, _CHUNK_BYTES // (16 * matrix.shape[1]))
         for start in range(0, len(us), step):
             rows = matrix[us[start:start + step]]
             rows &= matrix[vs[start:start + step]]
             count += popcount(rows)
-        uses = (np.bincount(us, minlength=len(bits))
-                + np.bincount(vs, minlength=len(bits)))
+        uses = (np.bincount(us, minlength=len(words))
+                + np.bincount(vs, minlength=len(words)))
         sizes = np.array(graph.cardinalities, dtype=np.int64)
         COUNTERS.record_bulk(int(sizes @ uses), 0, len(us), "bitset",
                              int(words @ uses))
         return count
+
+    @classmethod
+    def clique_count_arcs(cls, graph, levels: int) -> tuple:
+        # kClist's level 2 (the 4-cliques of every arc) over a SetGraph of
+        # BitSets with its arcs, as numpy words on the _row_matrix.  For
+        # arc (u, v) the wedges w of N⁺(u) whose bit is set in row v are
+        # c = N⁺(u) ∩ N⁺(v), ascending, and the arc counts
+        # Σ_{w ∈ c} popcount(row u & row v & row w).  Chunked by ranges of
+        # sources, and accounted in one call: exactly what the default's
+        # clique_branch yields record.  Any other level, class or graph,
+        # a graph without arcs, or rows above the caps takes the default.
+        arcs = getattr(graph, "arcs", None)
+        if (levels != 2 or cls is not BitSet or arcs is None
+                or getattr(graph, "set_cls", None) is not BitSet
+                or len(arcs[1]) == 0):
+            return super().clique_count_arcs(graph, levels)
+        matrix, words = _row_matrix(graph.neighborhoods)
+        if matrix is None:
+            return super().clique_count_arcs(graph, levels)
+        offsets = np.asarray(arcs[0], dtype=np.int64)
+        targets = np.asarray(arcs[1], dtype=np.int64)
+        degrees = np.diff(offsets)
+        sizes = np.array(graph.cardinalities, dtype=np.int64)
+        counts = np.zeros(len(targets), dtype=np.int64)
+        reads = np.zeros(len(targets), dtype=np.int64)
+        # A wedge closes at most one triangle, whose three gathered rows
+        # peak at two at once.
+        spent = np.cumsum(degrees * degrees * (_WEDGE_SCRATCH_BYTES
+                                               + 16 * matrix.shape[1]))
+        found = scanned = 0
+        start = 0
+        while start < len(degrees):
+            budget = _CHUNK_BYTES + (spent[start - 1] if start else 0)
+            stop = max(int(np.searchsorted(spent, budget, "right")),
+                       start + 1)
+            a, b = int(offsets[start]), int(offsets[stop])
+            if a < b:
+                chunk_found, chunk_scanned = _arc_cliques(
+                    matrix, words, sizes, offsets, targets, start, stop,
+                    counts[a:b], reads[a:b])
+                found += chunk_found
+                scanned += chunk_scanned
+            start = stop
+        COUNTERS.record_bulk(int(reads.sum()), found,
+                             len(targets) + found, "bitset", scanned)
+        return counts, reads
 
     def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
         # The pivot scan as the same loop, keeping the first best vertex.

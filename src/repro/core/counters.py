@@ -44,6 +44,12 @@ candidate set.  ``SetBase.clique_branch`` records, by each yield, that
 child's intersection (an ``intersect_count`` at ``levels == 1``) plus its
 ``clique_count``.  The ``bitset`` and ``hash`` fast paths make one
 record call per ``clique_count`` call or per yield with those sums.
+The pass instruction ``SetBase.clique_count_arcs`` returns, per arc
+``(u, v)`` of a graph, the count ``clique_branch`` yields for ``v`` and
+that yield's ``elements_read`` delta; its default consumes each
+vertex's ``clique_branch``, so it records what they record.  A fast
+path (``bitset`` at ``levels == 2``) records what the default records
+over the whole pass, in one call.
 Representation-specific cost (how many machine words a kernel actually
 scanned) is attributed separately, per organization/algorithm, in
 ``words_scanned`` — e.g. a dense-bitmap intersection over a sparse set

@@ -45,6 +45,11 @@ Listing 1 (C++)              This module
                              the ``levels``-cliques inside ``A``
 (SISA extension)             :meth:`SetBase.clique_branch`: its
                              branch loop, one child count per yield
+(SISA extension)             :meth:`SetBase.clique_count_arcs`: one
+                             instruction per edge-parallel kClist pass,
+                             every arc's ``clique_branch`` yield and its
+                             ``elements_read``; a fast path records what
+                             the default records over the whole pass
 (SISA extension)             :meth:`SetBase.from_csr`: every
                              neighborhood of a CSR graph in one call
 ===========================  =============================================
@@ -62,6 +67,8 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .counters import COUNTERS
 
 __all__ = ["SetBase"]
 
@@ -350,8 +357,9 @@ class SetBase(ABC):
         ``levels == 1``).
 
         Each child is computed only when the consumer resumes the
-        generator, so the time between two yields is that child's work:
-        one edge-parallel kClist task per yield.  The default keeps one
+        generator, so what is recorded between two yields is that
+        child's work: one edge-parallel kClist task per yield, whose
+        reads :meth:`clique_count_arcs` collects.  The default keeps one
         child set for the whole loop, as :meth:`clique_count`'s does, and
         an empty child yields 0 without recursing.  A backend's fast path
         must yield the same counts and account exactly what the default
@@ -370,6 +378,38 @@ class SetBase(ABC):
             else:
                 child.intersect_assign(self, graph[v])
             yield 0 if child.is_empty() else child.clique_count(graph, levels)
+
+    @classmethod
+    def clique_count_arcs(cls, graph,
+                          levels: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(counts, reads)``: for every arc ``(u, v)`` of *graph*
+        in CSR order, what ``graph[u].clique_branch(graph, levels)``
+        yields for ``v``, and the ``elements_read`` that yield recorded.
+
+        The graph-granularity form of :meth:`clique_branch` that
+        :meth:`SetGraph.clique_count_arcs
+        <repro.graph.set_graph.SetGraph.clique_count_arcs>` issues on its
+        ``set_cls``: an edge-parallel kClist pass over all arcs at once.
+        *graph* is a :class:`~repro.graph.set_graph.SetGraph` whose
+        neighborhoods are the arcs' targets, and both arrays are
+        ``int64`` with one entry per arc.  The default consumes each
+        vertex's :meth:`clique_branch` in vertex order and reads the
+        counter after every yield, so a backend keeps its branch loop and
+        its counters.  A fast path must return the same arrays and
+        account exactly what the default records over the whole pass; it
+        may do so in one record call.
+        """
+        counts: list = []
+        reads: list = []
+        for u in graph.vertices():
+            before = COUNTERS.elements_read
+            for count in graph[u].clique_branch(graph, levels):
+                after = COUNTERS.elements_read
+                counts.append(count)
+                reads.append(after - before)
+                before = after
+        return (np.array(counts, dtype=np.int64),
+                np.array(reads, dtype=np.int64))
 
     # -- in-place variants: avoid excessive data copying (paper section 5.1)
     def intersect_inplace(self, other: "SetBase") -> None:

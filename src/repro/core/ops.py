@@ -31,22 +31,40 @@ __all__ = [
     "intersect_count_galloping",
     "member_mask_galloping",
     "popcount",
+    "popcount_rows",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _popcount_bitwise(words: np.ndarray) -> int:
+    """The number of set bits in the contiguous unsigned *words*."""
+    return int(np.bitwise_count(words).sum())
+
+
+def _popcount_unpacked(words: np.ndarray) -> int:
+    """:func:`popcount` on numpy < 2.0, which has no vectorized popcount."""
+    return int(np.unpackbits(words.view(np.uint8)).sum())
+
+
+def _popcount_rows_bitwise(rows: np.ndarray) -> np.ndarray:
+    """The number of set bits in each row of the contiguous 2-D unsigned
+    *rows*, as ``int64``."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+
+
+def _popcount_rows_unpacked(rows: np.ndarray) -> np.ndarray:
+    """:func:`popcount_rows` on numpy < 2.0."""
+    return np.unpackbits(rows.view(np.uint8), axis=1).sum(axis=1,
+                                                          dtype=np.int64)
+
+
 if hasattr(np, "bitwise_count"):
-
-    def popcount(words: np.ndarray) -> int:
-        """The number of set bits in the contiguous unsigned *words*."""
-        return int(np.bitwise_count(words).sum())
-
-else:  # numpy < 2.0 has no vectorized popcount
-
-    def popcount(words: np.ndarray) -> int:
-        """The number of set bits in the contiguous unsigned *words*."""
-        return int(np.unpackbits(words.view(np.uint8)).sum())
+    popcount = _popcount_bitwise
+    popcount_rows = _popcount_rows_bitwise
+else:
+    popcount = _popcount_unpacked
+    popcount_rows = _popcount_rows_unpacked
 
 
 def as_sorted_unique(array: np.ndarray) -> np.ndarray:

@@ -116,6 +116,15 @@ class SetGraph:
         this graph's ``set_cls``."""
         return self.set_cls.intersect_count_pairs(self, us, vs)
 
+    def clique_count_arcs(self, levels: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(counts, reads)``, one ``int64`` entry per arc in CSR
+        order: what ``self[u].clique_branch(self, levels)`` yields for each
+        arc ``(u, v)`` and the ``elements_read`` of that yield.  One set
+        instruction for a whole edge-parallel kClist pass, run by
+        :meth:`~repro.core.interface.SetBase.clique_count_arcs` of this
+        graph's ``set_cls``."""
+        return self.set_cls.clique_count_arcs(self, levels)
+
     def has_edge(self, u: int, v: int) -> bool:
         return self._neighborhoods[u].contains(v)
 

@@ -20,14 +20,21 @@ The kernels are written purely against the
 :class:`~repro.core.interface.SetBase` algebra over a materialized
 :class:`~repro.graph.set_graph.SetGraph` (the ``5+`` modularity hook): the
 oriented out-neighborhoods are sets of the chosen representation, and the
-whole recursion below a task is one of two bulk set instructions.  A
-node-parallel task is ``N⁺(u).clique_count(dag, k - 1)``; the
-edge-parallel tasks of ``u`` are the yields of
-``N⁺(u).clique_branch(dag, k - 2)``, one per arc.  Their innermost level
-is one ``intersect_count_many`` per candidate set, so an approximate
-backend (``"bloom"``/``"kmv"``) turns the same code into a ProbGraph-style
-estimator without a separate code path, while ``bitset`` and ``hash`` run
-the recursion on raw big ints or C-level sets.
+whole recursion below a task is one bulk set instruction.  A
+node-parallel task is ``N⁺(u).clique_count(dag, k - 1)``.  The
+edge-parallel pass is one ``dag.clique_count_arcs(k - 2)``: per arc, what
+``N⁺(u).clique_branch(dag, k - 2)`` yields and the elements that yield
+read (``bitset`` counts every arc's 4-cliques at once on a row matrix).
+The innermost level is one ``intersect_count_many`` per candidate set,
+so an approximate backend (``"bloom"``/``"kmv"``) turns the same code
+into a ProbGraph-style estimator without a separate code path, while
+``bitset`` and ``hash`` run the recursion on raw big ints or C-level
+sets.
+
+Node-parallel task seconds are measured, one clock read per task.
+Edge-parallel task seconds are modelled, not clocked: the measured pass
+split over the arcs in proportion to the elements each read.  Per-arc
+tasks last microseconds, too short for a clock read each to time well.
 
 The GMS memory optimization bounds the space of every ``C_{i+1}`` by
 ``|C_i|`` instead of the ``Δ²``-sized scratch buffers of the original
@@ -61,6 +68,8 @@ class KCliqueResult:
     ``mine_seconds`` times the whole task loop, and ``task_costs`` holds
     the seconds of each task: one per vertex for node-parallel kClist
     and GBBS, one per DAG arc for edge-parallel kClist and Danisch.
+    Edge-parallel kClist's are modelled: ``mine_seconds`` split by the
+    elements each arc read, so they sum to it.
     """
 
     variant: str
@@ -122,11 +131,17 @@ def kclique_count(
         order_res, dag = _materialize(graph, ordering, cls, eps, cache)
     if parallel == "node" or k == 2:
         groups = [(dag[u].clique_count(dag, k - 1) for u in dag.vertices())]
+        total, task_costs, mine_seconds = timed_tasks(groups)
     else:
-        # One task per arc (u, v): the work until clique_branch yields
-        # v's count, which it computes only when resumed.
-        groups = (dag[u].clique_branch(dag, k - 2) for u in dag.vertices())
-    total, task_costs, mine_seconds = timed_tasks(groups)
+        # One instruction for the pass; each arc's task gets the pass's
+        # seconds in proportion to the elements it read.
+        with Span() as mine:
+            counts, reads = dag.clique_count_arcs(k - 2)
+        total = int(counts.sum())
+        mine_seconds = mine.seconds
+        units = int(reads.sum())
+        scale = mine_seconds / units if units else 0.0
+        task_costs = (reads * scale).tolist()
     return KCliqueResult(
         variant=f"KC-{order_res.name}-{parallel}",
         k=k,

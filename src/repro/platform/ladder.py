@@ -31,8 +31,8 @@ the ``O(m^{3/2})`` bound of triangle counting).
 edges and exits 1 when a value, ``set_ops`` or ``storage_bytes``
 differs, or a reference-scaled kernel time exceeds :data:`CHECK_FACTOR`
 times the committed one.  ``--oracle`` runs the relabelling oracle:
-``tc`` and ``tc-merge`` must give one value on every exact backend,
-unchanged under a seeded vertex permutation.
+``tc``, ``tc-merge`` and ``4clique`` must each give one value on every
+exact backend, unchanged under a seeded vertex permutation.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ CHECK_FACTOR = 5.0
 ORACLE_GRAPH = ("holme_kim", {"n": 20000, "m_attach": 5, "p_triangle": 0.5,
                               "seed": 1})
 ORACLE_SEED = 1
+#: The kernels the relabelling oracle runs (``4clique`` under
+#: :data:`ORDERING`).
+ORACLE_KERNELS = ("tc", "tc-merge", "4clique")
 #: The unit of reference-scaled seconds: a time ``t`` measured while the
 #: reference took ``r`` scales to ``t * REFERENCE_SECONDS / r``.  The
 #: reference took 0.010-0.018 s on the 2 vCPU x86-64 VM (CPython 3.11)
@@ -338,7 +341,7 @@ def exact_backends() -> List[str]:
 
 def relabel_oracle(graph: CSRGraph) -> Dict[str, Dict[str, List[int]]]:
     """``{kernel: {backend: [value, value after relabelling]}}`` of
-    ``tc`` and ``tc-merge`` over every exact backend.
+    :data:`ORACLE_KERNELS` over every exact backend.
 
     The relabelling is :func:`~repro.graph.transforms.permute` by a
     permutation seeded with :data:`ORACLE_SEED`; a count of the graph
@@ -346,7 +349,8 @@ def relabel_oracle(graph: CSRGraph) -> Dict[str, Dict[str, List[int]]]:
     perm = np.random.default_rng(ORACLE_SEED).permutation(graph.num_nodes)
     graphs = (graph, permute(graph, perm))
     plan = ExperimentPlan()
-    values: Dict[str, Dict[str, List[int]]] = {"tc": {}, "tc-merge": {}}
+    values: Dict[str, Dict[str, List[int]]] = {
+        kernel: {} for kernel in ORACLE_KERNELS}
     for backend in exact_backends():
         cls = get_set_class(backend)
         for kernel in values:

@@ -110,7 +110,9 @@ One JSON object per dataset::
                                #     per DAG arc (m), kclique/bk one per
                                #     vertex (n); deterministic
                                #   "task_seconds": {"sum", "max"} -- the
-                               #     summed and slowest task wall time
+                               #     summed and slowest task wall time;
+                               #     4clique's are modelled: the
+                               #     measured pass split by elements read
                                # task_seconds and "seconds" are timings;
                                # everything else in a cell is
                                # deterministic and shard-independent
@@ -234,7 +236,9 @@ def task_profile(costs: Sequence[float]) -> Dict[str, object]:
 
     ``tasks`` is fixed by the graph; ``task_seconds`` holds the summed
     and the slowest task time.  Kernel results keep the full list for
-    the modelled makespans.
+    the modelled makespans.  Edge-parallel kClist's (``4clique``) task
+    seconds are modelled, not clocked: the measured pass split over the
+    arcs by the elements each read, so their sum is the pass.
     """
     return {
         "tasks": len(costs),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core import registered_set_classes
@@ -118,3 +119,23 @@ class TestBaselines:
         res = kclique_count(csr, 4, parallel="edge")
         assert len(res.task_costs) == csr.num_edges
         assert res.throughput() >= 0
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("cls", EXACT_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_edge_task_costs_split_the_pass_by_reads(self, cls, k):
+        # One instruction per edge-parallel pass: each arc's task gets
+        # the measured pass seconds in proportion to the elements it
+        # read, so the tasks sum to the pass.
+        csr, _ = random_csr(30, 170, 17)
+        cache = MaterializationCache()
+        res = kclique_count(csr, k, parallel="edge", set_cls=cls,
+                            cache=cache)
+        _, dag = cache.oriented(csr, cls, "DGR")
+        counts, reads = dag.clique_count_arcs(k - 2)
+        assert res.count == counts.sum() > 0
+        assert len(res.task_costs) == csr.num_edges == len(reads)
+        assert sum(res.task_costs) == pytest.approx(res.mine_seconds)
+        assert res.mine_seconds > 0
+        assert np.allclose(np.array(res.task_costs) * reads.sum(),
+                           reads * res.mine_seconds)

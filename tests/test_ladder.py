@@ -102,11 +102,15 @@ def test_relabel_oracle_on_a_small_graph(monkeypatch):
     graph = holme_kim(400, 4, 0.5, seed=3)
     values = ladder.relabel_oracle(graph)
     assert ladder.oracle_failures(values) == []
-    assert set(values) == {"tc", "tc-merge"}
+    assert set(values) == {"tc", "tc-merge", "4clique"}
     assert sorted(values["tc"]) == ["bitset", "compressed", "hash",
                                     "roaring", "sorted"]
-    truth = sum(nx.triangles(nx.Graph(list(graph.edges()))).values()) // 3
+    assert sorted(values["4clique"]) == sorted(values["tc"])
+    nx_graph = nx.Graph(list(graph.edges()))
+    truth = sum(nx.triangles(nx_graph).values()) // 3
     assert values["tc"]["sorted"] == [truth, truth]
+    four = sum(1 for c in nx.enumerate_all_cliques(nx_graph) if len(c) == 4)
+    assert four > 0 and values["4clique"]["sorted"] == [four, four]
     values["tc"]["hash"][1] += 1
     assert ladder.oracle_failures(values) == [f"tc: {values['tc']}"]
 

@@ -377,6 +377,43 @@ class TestGMS002CounterDiscipline:
         """
         assert run(source, "src/repro/core/rows.py", "GMS002") == []
 
+    def test_arc_pass_instruction_without_accounting_flagged(self):
+        source = """
+            import numpy as np
+            from repro.core.interface import SetBase
+
+            class Arcs(SetBase):
+                @classmethod
+                def clique_count_arcs(cls, graph, levels):
+                    offsets, targets = graph.arcs
+                    counts = np.zeros(len(targets), dtype=np.int64)
+                    return counts, counts.copy()
+        """
+        findings = run(source, "src/repro/core/arcs.py", "GMS002")
+        assert [(f.rule, f.line) for f in findings] == [("GMS002", 7)]
+        assert "Arcs.clique_count_arcs" in findings[0].message
+
+    def test_arc_pass_instruction_recording_or_delegating_passes(self):
+        source = """
+            import numpy as np
+            from repro.core.counters import COUNTERS
+            from repro.core.interface import SetBase
+
+            class Recorded(SetBase):
+                @classmethod
+                def clique_count_arcs(cls, graph, levels):
+                    offsets, targets = graph.arcs
+                    COUNTERS.record_bulk(0, 0, len(targets))
+                    counts = np.zeros(len(targets), dtype=np.int64)
+                    return counts, counts.copy()
+
+            class Delegated(SetBase):
+                @classmethod
+                def clique_count_arcs(cls, graph, levels):
+                    return super().clique_count_arcs(graph, levels)
+        """
+        assert run(source, "src/repro/core/arcs.py", "GMS002") == []
+
     def test_aliased_counters_import_recognized(self):
         source = """
             from repro.core import counters as _counters

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ops
 from repro.core import (
     COUNTERS,
     Snapshot,
@@ -134,3 +136,45 @@ def test_absorb_folds_worker_deltas_into_the_global_block(a, b):
     COUNTERS.absorb(b)
     assert snapshot() == a.merge(b)
     reset()
+
+
+# ops picks each popcount at import time, by whether numpy has
+# bitwise_count (numpy >= 2.0), so one of the two never runs on a given
+# install: both are tested here against numpy's own.
+def _random_words(rows: int, width: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    words = np.frombuffer(rng.bytes(8 * rows * width),
+                          dtype=np.uint64).reshape(rows, width).copy()
+    words[1] = 0
+    words[2] = np.iinfo(np.uint64).max
+    return words
+
+
+@pytest.mark.parametrize("impl", [ops._popcount_bitwise,
+                                  ops._popcount_unpacked],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("width", [1, 3, 17])
+def test_popcount_implementations_equal_bitwise_count(impl, width):
+    words = _random_words(9, width)
+    assert impl(words) == int(np.bitwise_count(words).sum())
+    assert impl(words[1]) == 0
+    assert impl(words[2]) == 64 * width
+
+
+@pytest.mark.parametrize("impl", [ops._popcount_rows_bitwise,
+                                  ops._popcount_rows_unpacked],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("width", [1, 3, 17])
+def test_popcount_rows_implementations_equal_bitwise_count(impl, width):
+    words = _random_words(9, width)
+    counts = impl(words)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == np.bitwise_count(words).sum(axis=1).tolist()
+    assert counts[1] == 0 and counts[2] == 64 * width
+    assert impl(words[:0]).tolist() == []
+
+
+def test_popcount_takes_bitwise_count_where_numpy_has_it():
+    bitwise = hasattr(np, "bitwise_count")
+    assert (ops.popcount is ops._popcount_bitwise) == bitwise
+    assert (ops.popcount_rows is ops._popcount_rows_bitwise) == bitwise

@@ -12,6 +12,7 @@ from repro.core import (BitSet, HashSet, RoaringSet, SortedSet, bit_set,
 from repro.core.registry import registered_set_classes
 from repro.graph import SetGraph, build_set_graph, build_undirected, load_dataset
 from repro.graph.generators import holme_kim
+from repro.graph.set_graph import MaterializationCache
 from repro.graph.stats import triangle_counts
 from tests.conftest import random_csr
 
@@ -116,7 +117,6 @@ class TestIntersectCountPairs:
         # The DEG DAG keeps the arcs its build filtered, so rank merge
         # runs the arc filter once per build, not once per pass.
         from repro.graph import transforms
-        from repro.graph.set_graph import MaterializationCache
         from repro.mining.triangles import triangle_count_rank_merge
 
         graph = holme_kim(300, 4, 0.5, seed=1)
@@ -143,16 +143,23 @@ class TestIntersectCountPairs:
     def test_bitset_above_the_width_cap_takes_the_default(self, monkeypatch):
         # One member at bit 64 * cap widens every row past the cap, and a
         # byte cap below rows × width × 8 bounds a matrix of narrow rows:
-        # either way the per-vertex default (one intersect_count_many per
-        # run of equal u) answers.  At both caps, the row matrix does.
-        calls = []
+        # either way the per-vertex default answers (one
+        # intersect_count_many per run of equal u; one clique_branch per
+        # vertex).  At both caps, the row matrix does.
+        calls, branches = [], []
         many = BitSet.intersect_count_many
+        branch = BitSet.clique_branch
 
         def counted(self, graph, vertices):
             calls.append(len(vertices))
             return many(self, graph, vertices)
 
+        def branched(self, graph, levels):
+            branches.append(1)
+            return branch(self, graph, levels)
+
         monkeypatch.setattr(BitSet, "intersect_count_many", counted)
+        monkeypatch.setattr(BitSet, "clique_branch", branched)
         cap = bit_set._PAIR_MAX_WORDS
         matrix = 3 * 8 * cap
         for top, max_bytes, default in ((64 * cap, matrix, True),
@@ -165,6 +172,22 @@ class TestIntersectCountPairs:
             us, vs = np.array([0, 0, 2]), np.array([1, 2, 0])
             assert sg.intersect_count_pairs(us, vs) == 2 + 2 + 2
             assert calls == ([2, 1] if default else [])
+        # clique_count_arcs packs a row per vertex, so vertex top exists:
+        # 64 * cap rows of cap words make a matrix of 8 * cap * 64 * cap
+        # bytes.  The K4 {0, 1, 2, top} is arc (0, 1)'s one 4-clique.
+        square = 8 * cap * 64 * cap
+        for top, max_bytes, default in ((64 * cap, 1 << 40, True),
+                                        (64 * cap - 1, square - 1, True),
+                                        (64 * cap - 1, square, False)):
+            monkeypatch.setattr(bit_set, "_PAIR_MAX_BYTES", max_bytes)
+            offsets = np.array([0, 3, 5] + [6] * (top - 1))
+            targets = np.array([1, 2, top, 2, top, top])
+            sg = SetGraph(BitSet.from_csr(offsets, targets), BitSet,
+                          directed=True, arcs=(offsets, targets))
+            branches.clear()
+            counts, _ = sg.clique_count_arcs(2)
+            assert counts.tolist() == [1, 0, 0, 0, 0, 0]
+            assert len(branches) == (top + 1 if default else 0)
 
 
 def _pairs_peak(sg, us, vs):
@@ -205,3 +228,33 @@ def test_pair_fast_path_peak_is_its_matrix_or_keys_plus_one_chunk(
     slack = (32 << 10) + 48 * graph.num_nodes
     assert 8 * len(us) > chunk + slack
     assert peak <= graph_sized + chunk + slack, (peak, graph_sized)
+
+
+def test_clique_count_arcs_peak_is_its_matrix_and_arrays_plus_one_chunk(
+        monkeypatch):
+    # The row matrix and the two per-arc outputs are the graph-sized
+    # arrays; the wedges and triangles take one chunk of sources at a
+    # time, plus a few words per vertex.  One int64 array over the
+    # wedges (~800 KB here) would not fit the bound.
+    graph = holme_kim(4000, 5, 0.5, seed=1)
+    _, dag = MaterializationCache().oriented(graph, BitSet, "DGR")
+    chunk = 64 << 10
+    monkeypatch.setattr(bit_set, "_CHUNK_BYTES", chunk)
+    degrees = np.diff(dag.arcs[0])
+    width = (max(s._bits.bit_length() for s in dag.neighborhoods) + 63) // 64
+    graph_sized = graph.num_nodes * 8 * width + 2 * 8 * graph.num_edges
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        counts, reads = dag.clique_count_arcs(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = SetGraph(dag.neighborhoods, BitSet).clique_count_arcs(2)
+    assert counts.tolist() == expected[0].tolist()
+    assert reads.tolist() == expected[1].tolist()
+    slack = (32 << 10) + 48 * graph.num_nodes
+    assert 8 * int(degrees @ degrees) > chunk + slack
+    assert peak - base <= graph_sized + chunk + slack, (peak - base,
+                                                        graph_sized)

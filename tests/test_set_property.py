@@ -919,3 +919,118 @@ def test_intersect_count_pairs_chunks_change_nothing(cls):
             mock.patch.object(bit_set, "_CHUNK_BYTES", 1):
         assert _tc_pairs(sets, dag) == expected
     assert expected[0][0] > 0 and expected[1][0] > 0
+
+
+# clique_count_arcs is one instruction per edge-parallel kClist pass,
+# under the same contract: whatever path a class takes (bitset's row
+# matrix at level 2, everyone else's clique_branch per vertex), it
+# returns, per arc in CSR order, the count of the concatenated
+# clique_branch yields and each yield's elements_read delta, and records
+# their counter delta.  The mixed cases call one class's instruction on
+# another's graph, and a graph without arcs, a subclass or another level
+# takes the default.
+ARCS_CASES = [(cls, cls) for cls in CLASSES] + [
+    (BitSet, SortedSet), (SortedSet, BitSet), (HashSet, BitSet),
+    (_SubBitSet, BitSet), (BitSet, _SubBitSet),
+]
+
+
+def _branch_arcs(graph, levels):
+    """The per-vertex clique_branch loop the instruction replaces: each
+    yield's count and elements_read delta, in arc order."""
+    counts, reads = [], []
+    for u in range(graph.num_nodes):
+        before = snapshot()
+        for count in graph[u].clique_branch(graph, levels):
+            after = snapshot()
+            counts.append(count)
+            reads.append(before.delta(after).elements_read)
+            before = after
+    return counts, reads
+
+
+def _arcs_runs(cls, graph, levels):
+    """``(counts, reads, counter delta)`` of the instruction on *cls*,
+    of the SetBase default and of the clique_branch loop."""
+    runs = []
+    for call in (lambda: cls.clique_count_arcs(graph, levels),
+                 lambda: SetBase.clique_count_arcs(graph, levels),
+                 lambda: _branch_arcs(graph, levels)):
+        before = snapshot()
+        counts, reads = call()
+        runs.append((list(counts), list(reads), before.delta(snapshot())))
+    return runs
+
+
+def _arc_graph(graph_cls, neighborhoods, keep_arcs):
+    offsets, targets = _csr(neighborhoods)
+    return SetGraph([graph_cls.from_iterable(nb) for nb in neighborhoods],
+                    graph_cls, directed=True,
+                    arcs=(offsets, targets) if keep_arcs else None)
+
+
+@st.composite
+def arc_graphs(draw):
+    """Sorted neighborhoods over ``0..n-1``: every vertex's arcs, sinks
+    included, with members across a word boundary once n passes 64."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    return [sorted(set(nb)) for nb in draw(
+        st.lists(st.lists(vertex, max_size=8), min_size=n, max_size=n))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(neighborhoods=arc_graphs())
+@example(neighborhoods=[[]])  # one vertex, no arc
+@example(neighborhoods=[[], [], []])  # vertices, but no arc
+@example(neighborhoods=[[1, 2, 3], [2, 3], [3], []])  # a K4 DAG
+@example(neighborhoods=[[63, 64, 130], [], [], [1]] + [[]] * 59
+         + [[64, 130]] + [[130]] * 66 + [[]] * 20)  # word boundaries
+@example(neighborhoods=[[1, 64], [64]] + [[]] * 63)  # max(c) = 64
+def test_clique_count_arcs_equals_per_yield_loop(neighborhoods):
+    # Only bitset reads the arcs; without them it takes the default.
+    cases = [(cls, graph_cls, True) for cls, graph_cls in ARCS_CASES]
+    for cls, graph_cls, keep_arcs in cases + [(BitSet, BitSet, False)]:
+        graph = _arc_graph(graph_cls, neighborhoods, keep_arcs)
+        for levels in (1, 2, 3):
+            name = (cls.__name__, graph_cls.__name__, keep_arcs, levels)
+            fast, default, loop = _arcs_runs(cls, graph, levels)
+            assert fast == default == loop, name
+            counts = fast[0]
+            assert len(counts) == sum(map(len, neighborhoods)), name
+            if graph_cls.IS_EXACT:
+                assert counts == [
+                    _set_cliques(set(nb) & set(neighborhoods[v]),
+                                 neighborhoods, levels)
+                    for nb in neighborhoods for v in nb], name
+
+
+def test_clique_count_arcs_on_an_empty_graph():
+    for cls in CLASSES:
+        counts, reads = SetGraph([], cls, directed=True).clique_count_arcs(2)
+        assert counts.dtype == reads.dtype == np.int64
+        assert len(counts) == len(reads) == 0
+
+
+def _bitset_arcs(dag):
+    """``(counts, reads, counter delta)`` of bitset's level-2 fast path,
+    which must not fall back to the per-vertex clique_branch."""
+    before = snapshot()
+    with mock.patch.object(BitSet, "clique_branch",
+                           side_effect=AssertionError("default taken")):
+        counts, reads = BitSet.clique_count_arcs(dag, 2)
+    return list(counts), list(reads), before.delta(snapshot())
+
+
+def test_clique_count_arcs_chunks_change_nothing():
+    # A chunk budget of 1 (one source per chunk) gives the unchunked
+    # arrays and counters, and both equal the per-yield loop's, on a
+    # degree-ordered DAG with 12,508 wedges and 105 4-cliques.
+    graph = holme_kim(300, 4, 0.5, seed=2)
+    rank = np.argsort(graph.degrees(), kind="stable")
+    dag = build_oriented_set_graph(graph, rank, BitSet)
+    expected = _bitset_arcs(dag)
+    with mock.patch.object(bit_set, "_CHUNK_BYTES", 1):
+        assert _bitset_arcs(dag) == expected
+    assert _arcs_runs(BitSet, dag, 2) == [expected] * 3
+    assert sum(expected[0]) == 105
