@@ -31,7 +31,7 @@ try:  # gated: never a hard dependency
 
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
-except Exception:  # pragma: no cover - environment dependent
+except ImportError:  # pragma: no cover - environment dependent
     plt = None
 
 BAR_WIDTH = 40

@@ -1,7 +1,7 @@
 """``python -m repro lint`` — the analyzer's command-line front end.
 
-Runs the GMS rule pack over the repo (default: ``src/repro``), applies
-the committed baseline, and reports::
+Runs the GMS rule pack over the repo (default: :data:`DEFAULT_PATHS`),
+applies the committed baseline, and reports::
 
     repro lint                          # text report, exit 1 on new findings
     repro lint --format json            # gms-lint/v1 artifact on stdout
@@ -29,10 +29,14 @@ from .baseline import Baseline
 from .engine import LintError, analyze_paths, registered_rules
 from .findings import Finding
 
-__all__ = ["main", "LINT_SCHEMA", "DEFAULT_BASELINE_NAME", "find_repo_root"]
+__all__ = ["main", "LINT_SCHEMA", "DEFAULT_BASELINE_NAME", "DEFAULT_PATHS",
+           "find_repo_root"]
 
 LINT_SCHEMA = "gms-lint/v1"
 DEFAULT_BASELINE_NAME = "lint_baseline.json"
+#: What a run with no paths analyzes, relative to the repo root: every
+#: Python tree of the repo but the frozen service benchmark.
+DEFAULT_PATHS = ("src/repro", "benchmarks", "examples", "tests")
 
 
 def find_repo_root(start: Path) -> Path:
@@ -61,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to analyze (default: src/repro)",
+        help="files/directories to analyze "
+             f"(default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument("--rules", action="store_true",
                         help="list registered rules and exit")
@@ -99,7 +104,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     root = Path(args.root).resolve() if args.root else \
         find_repo_root(Path.cwd().resolve())
     paths = [Path(p) for p in args.paths] if args.paths else \
-        [root / "src" / "repro"]
+        [root / p for p in DEFAULT_PATHS]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}",

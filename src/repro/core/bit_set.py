@@ -56,34 +56,31 @@ _PAIR_MAX_BYTES = 8 << 20
 _WEDGE_SCRATCH_BYTES = 64
 
 
-def _row_matrix(neighborhoods: list) -> tuple:
-    """``(matrix, words)``: the big ints of *neighborhoods* packed into a
-    ``uint64`` row matrix (one ``to_bytes`` per vertex, rows as wide as
-    the widest), and each one's words.  ``matrix`` is ``None`` when that
-    width exceeds :data:`_PAIR_MAX_WORDS` or the matrix
-    :data:`_PAIR_MAX_BYTES`."""
+def _row_matrix(neighborhoods: list) -> Optional[np.ndarray]:
+    """The big ints of *neighborhoods* packed into a ``uint64`` row
+    matrix (one ``to_bytes`` per vertex, rows as wide as the widest), or
+    ``None`` when that width exceeds :data:`_PAIR_MAX_WORDS` or the
+    matrix :data:`_PAIR_MAX_BYTES`."""
     bits = [s._bits for s in neighborhoods]
-    lengths = np.array([b.bit_length() for b in bits], dtype=np.int64)
-    words = (lengths + _WORD_BITS - 1) // _WORD_BITS
-    width = max(int(words.max(initial=0)), 1)
+    longest = max((b.bit_length() for b in bits), default=0)
+    width = max((longest + _WORD_BITS - 1) // _WORD_BITS, 1)
     row = 8 * width
     if width > _PAIR_MAX_WORDS or len(bits) * row > _PAIR_MAX_BYTES:
-        return None, words
+        return None
     matrix = np.zeros((len(bits), width), dtype=np.uint64)
     view = memoryview(matrix).cast("B")
     for v, b in enumerate(bits):
         view[v * row:(v + 1) * row] = b.to_bytes(row, "little")
-    return matrix, words
+    return matrix
 
 
-def _arc_cliques(matrix: np.ndarray, words: np.ndarray, sizes: np.ndarray,
-                 offsets: np.ndarray, targets: np.ndarray, start: int,
-                 stop: int, counts: np.ndarray, reads: np.ndarray) -> tuple:
+def _arc_cliques(matrix: np.ndarray, sizes: np.ndarray, offsets: np.ndarray,
+                 targets: np.ndarray, start: int, stop: int,
+                 counts: np.ndarray, reads: np.ndarray) -> int:
     """Add to *counts* and *reads* the arcs of sources ``start..stop-1``
     (one :meth:`BitSet.clique_count_arcs` chunk) and return the chunk's
-    ``(Σ|c|, words scanned)``, each arc ``(u, v)`` accounted as
-    :meth:`BitSet.clique_branch` accounts its child ``c = N⁺(u) ∩ N⁺(v)``
-    at level 2."""
+    ``Σ|c|``, each arc ``(u, v)`` accounted as :meth:`BitSet.clique_branch`
+    accounts its child ``c = N⁺(u) ∩ N⁺(v)`` at level 2."""
     degrees = np.diff(offsets[start:stop + 1])
     arc_u = np.repeat(np.arange(start, stop), degrees)
     arc_v = targets[offsets[start]:offsets[stop]]
@@ -101,7 +98,6 @@ def _arc_cliques(matrix: np.ndarray, words: np.ndarray, sizes: np.ndarray,
     tri_arc, tri_w = wedge_arc[closed], w[closed]
     found = np.bincount(tri_arc, minlength=len(arc_v))
     reads += sizes[arc_u] + sizes[arc_v] + found * found
-    scanned = int(words[arc_u].sum() + words[arc_v].sum())
     if len(tri_arc):
         tri_rows = matrix[arc_u[tri_arc]]
         tri_rows &= matrix[arc_v[tri_arc]]
@@ -110,12 +106,7 @@ def _arc_cliques(matrix: np.ndarray, words: np.ndarray, sizes: np.ndarray,
                               minlength=len(arc_v)).astype(np.int64)
         reads += np.bincount(tri_arc, weights=sizes[tri_w],
                              minlength=len(arc_v)).astype(np.int64)
-        # Targets ascend within a source, so each arc's last triangle
-        # holds max(c), which sets the words of c.
-        last = np.flatnonzero(np.append(tri_arc[1:] != tri_arc[:-1], True))
-        scanned += int(found[tri_arc[last]] @ (tri_w[last] // _WORD_BITS + 1)
-                       + words[tri_w].sum())
-    return int(found.sum()), scanned
+    return int(found.sum())
 
 
 def _members(bits: int) -> list:
@@ -134,7 +125,7 @@ def _members(bits: int) -> list:
 def _clique_bits(a: int, levels: int, neighborhoods: list,
                  cardinalities: list) -> tuple:
     """The kClist recursion over raw big ints: ``(count, ops, read,
-    written, words)`` of ``BitSet(a).clique_count(graph, levels)`` for
+    written)`` of ``BitSet(a).clique_count(graph, levels)`` for
     ``levels >= 2`` and ``a`` nonzero, where the counter fields sum what
     the default's intersections and ``intersect_count_many`` calls
     record (an empty child records nothing below its intersection)."""
@@ -142,28 +133,22 @@ def _clique_bits(a: int, levels: int, neighborhoods: list,
     size = len(members)
     count = 0
     read = size * size
-    words = size * ((a.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
     if levels == 2:
         for v in members:
-            b = neighborhoods[v]._bits
-            count += (a & b).bit_count()
+            count += (a & neighborhoods[v]._bits).bit_count()
             read += cardinalities[v]
-            words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-        return count, size, read, 0, words
+        return count, size, read, 0
     ops, written = size, 0
     for v in members:
-        b = neighborhoods[v]._bits
-        c = a & b
+        c = a & neighborhoods[v]._bits
         read += cardinalities[v]
-        words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
         if c:
             sub = _clique_bits(c, levels - 1, neighborhoods, cardinalities)
             count += sub[0]
             ops += sub[1]
             read += sub[2]
             written += c.bit_count() + sub[3]
-            words += sub[4]
-    return count, ops, read, written, words
+    return count, ops, read, written
 
 
 def _tomita_bits(p: int, x: int, neighborhoods: list, cardinalities: list,
@@ -172,25 +157,20 @@ def _tomita_bits(p: int, x: int, neighborhoods: list, cardinalities: list,
     p, x)`` of ``BitSet(p).maximal_clique_count(BitSet(x), graph)`` for
     ``p | x`` nonzero, with the final ``P`` and ``X`` last.  Adds to
     *sums* each call's scan and diff (``n + 1`` set operations over its
-    ``n`` listed members) and the reads, writes and words of the
-    default's scans, diffs, intersections and moves."""
+    ``n`` listed members) and the reads and writes of the default's
+    scans, diffs, intersections and moves."""
     listed = _members(p) + _members(x)
     n = len(listed)
     size, x_size = p.bit_count(), x.bit_count()
     read = (n + 1) * size
-    words = (n + 1) * ((p.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
     best_v, best = -1, -1
     for u in listed:
-        b = neighborhoods[u]._bits
-        c = (p & b).bit_count()
+        c = (p & neighborhoods[u]._bits).bit_count()
         if c > best:
             best_v, best = u, c
         read += cardinalities[u]
-        words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-    b = neighborhoods[best_v]._bits
-    branch = p & ~b
+    branch = p & ~neighborhoods[best_v]._bits
     read += cardinalities[best_v]
-    words += (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
     written = branch.bit_count()
     cliques = depth = 0
     calls = 1
@@ -201,9 +181,6 @@ def _tomita_bits(p: int, x: int, neighborhoods: list, cardinalities: list,
         p_v, x_v = p & b, x & b
         read += size + x_size + 2 * cardinalities[v] + 2
         written += p_v.bit_count() + x_v.bit_count() + 1
-        words += ((p.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-                  + (x.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-                  + 2 * ((b.bit_length() + _WORD_BITS - 1) // _WORD_BITS))
         if p_v or x_v:
             found, below, deepest, _, _ = _tomita_bits(
                 p_v, x_v, neighborhoods, cardinalities, sums)
@@ -225,7 +202,6 @@ def _tomita_bits(p: int, x: int, neighborhoods: list, cardinalities: list,
     sums[0] += n + 1
     sums[1] += read
     sums[2] += written
-    sums[3] += words
     return cliques, calls, depth, p, x
 
 
@@ -314,15 +290,9 @@ class BitSet(SetBase):
 
     # -- core algebra ---------------------------------------------------
     def _record(self, b: "BitSet", written: int) -> None:
-        # Normalized units: elements (cardinalities), like every other
-        # backend — the old word-based recording made BitSet cells
-        # incomparable.  The word-level cost moves to the scan attribution.
-        a_bits, b_bits = self._bits, b._bits
-        COUNTERS.record_bulk(
-            a_bits.bit_count() + b_bits.bit_count(), written, 1, "bitset",
-            (a_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-            + (b_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS,
-        )
+        # Elements (cardinalities), like every other backend, not words.
+        COUNTERS.record_bulk(self._bits.bit_count() + b._bits.bit_count(),
+                             written)
 
     def intersect(self, other: SetBase) -> "BitSet":
         b = self._coerce(other)
@@ -347,17 +317,11 @@ class BitSet(SetBase):
         neighborhoods = graph.neighborhoods
         cardinalities = graph.cardinalities
         a_bits = self._bits
-        count = read = words = 0
+        count = read = 0
         for v in vertices:
-            b_bits = neighborhoods[v]._bits
-            count += (a_bits & b_bits).bit_count()
+            count += (a_bits & neighborhoods[v]._bits).bit_count()
             read += cardinalities[v]
-            words += (b_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-        COUNTERS.record_bulk(
-            n * a_bits.bit_count() + read, 0, n, "bitset",
-            n * ((a_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
-            + words,
-        )
+        COUNTERS.record_bulk(n * a_bits.bit_count() + read, 0, n)
         return count
 
     @classmethod
@@ -372,7 +336,7 @@ class BitSet(SetBase):
         if (len(us) == 0 or cls is not BitSet
                 or getattr(graph, "set_cls", None) is not BitSet):
             return super().intersect_count_pairs(graph, us, vs)
-        matrix, words = _row_matrix(graph.neighborhoods)
+        matrix = _row_matrix(graph.neighborhoods)
         if matrix is None:
             return super().intersect_count_pairs(graph, us, vs)
         us = np.asarray(us, dtype=np.int64)
@@ -383,11 +347,10 @@ class BitSet(SetBase):
             rows = matrix[us[start:start + step]]
             rows &= matrix[vs[start:start + step]]
             count += popcount(rows)
-        uses = (np.bincount(us, minlength=len(words))
-                + np.bincount(vs, minlength=len(words)))
         sizes = np.array(graph.cardinalities, dtype=np.int64)
-        COUNTERS.record_bulk(int(sizes @ uses), 0, len(us), "bitset",
-                             int(words @ uses))
+        uses = (np.bincount(us, minlength=len(sizes))
+                + np.bincount(vs, minlength=len(sizes)))
+        COUNTERS.record_bulk(int(sizes @ uses), 0, len(us))
         return count
 
     @classmethod
@@ -405,7 +368,7 @@ class BitSet(SetBase):
                 or getattr(graph, "set_cls", None) is not BitSet
                 or len(arcs[1]) == 0):
             return super().clique_count_arcs(graph, levels)
-        matrix, words = _row_matrix(graph.neighborhoods)
+        matrix = _row_matrix(graph.neighborhoods)
         if matrix is None:
             return super().clique_count_arcs(graph, levels)
         offsets = np.asarray(arcs[0], dtype=np.int64)
@@ -418,22 +381,17 @@ class BitSet(SetBase):
         # peak at two at once.
         spent = np.cumsum(degrees * degrees * (_WEDGE_SCRATCH_BYTES
                                                + 16 * matrix.shape[1]))
-        found = scanned = 0
-        start = 0
+        found = start = 0
         while start < len(degrees):
             budget = _CHUNK_BYTES + (spent[start - 1] if start else 0)
             stop = max(int(np.searchsorted(spent, budget, "right")),
                        start + 1)
             a, b = int(offsets[start]), int(offsets[stop])
             if a < b:
-                chunk_found, chunk_scanned = _arc_cliques(
-                    matrix, words, sizes, offsets, targets, start, stop,
-                    counts[a:b], reads[a:b])
-                found += chunk_found
-                scanned += chunk_scanned
+                found += _arc_cliques(matrix, sizes, offsets, targets, start,
+                                      stop, counts[a:b], reads[a:b])
             start = stop
-        COUNTERS.record_bulk(int(reads.sum()), found,
-                             len(targets) + found, "bitset", scanned)
+        COUNTERS.record_bulk(int(reads.sum()), found, len(targets) + found)
         return counts, reads
 
     def intersect_count_argmax(self, graph, vertices: Sequence[int]) -> int:
@@ -446,19 +404,13 @@ class BitSet(SetBase):
         cardinalities = graph.cardinalities
         a_bits = self._bits
         best_v, best = -1, -1
-        read = words = 0
+        read = 0
         for v in vertices:
-            b_bits = neighborhoods[v]._bits
-            c = (a_bits & b_bits).bit_count()
+            c = (a_bits & neighborhoods[v]._bits).bit_count()
             if c > best:
                 best_v, best = v, c
             read += cardinalities[v]
-            words += (b_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-        COUNTERS.record_bulk(
-            n * a_bits.bit_count() + read, 0, n, "bitset",
-            n * ((a_bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
-            + words,
-        )
+        COUNTERS.record_bulk(n * a_bits.bit_count() + read, 0, n)
         return best_v
 
     def pivot_branch(self, X: SetBase, graph, pivot: Optional[int] = None):
@@ -484,30 +436,25 @@ class BitSet(SetBase):
         ops, points = 1, 0
         read = p.bit_count() + cardinalities[pivot]
         written = branch.bit_count()
-        words = ((p.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-                 + (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS)
         for v in _members(branch):
             p, x, b = self._bits, X._bits, neighborhoods[v]._bits
             p_v, x_v = p & b, x & b
             COUNTERS.record_step(
                 ops + 2, points,
                 read + p.bit_count() + x.bit_count() + 2 * cardinalities[v],
-                written + p_v.bit_count() + x_v.bit_count(), "bitset",
-                words + (p.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-                + (x.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-                + 2 * ((b.bit_length() + _WORD_BITS - 1) // _WORD_BITS))
+                written + p_v.bit_count() + x_v.bit_count())
             yield v, BitSet(p_v), BitSet(x_v)
             # P.remove(v) and X.add(v): one read each, one write each
             # that changes its set.
             bit = 1 << v
-            ops, points, read, written, words = 0, 2, 2, 0, 0
+            ops, points, read, written = 0, 2, 2, 0
             if self._bits & bit:
                 self._bits ^= bit
                 written += 1
             if not X._bits & bit:
                 X._bits |= bit
                 written += 1
-        COUNTERS.record_step(ops, points, read, written, "bitset", words)
+        COUNTERS.record_step(ops, points, read, written)
 
     def maximal_clique_count(self, X: SetBase, graph):
         # BK's recursion over a SetGraph of BitSets on raw big ints, with
@@ -520,14 +467,14 @@ class BitSet(SetBase):
             return super().maximal_clique_count(X, graph)
         if not self._bits and not X._bits:
             return 1, 1, 0
-        sums = [0, 0, 0, 0]
+        sums = [0, 0, 0]
         cliques, calls, depth, self._bits, X._bits = _tomita_bits(
             self._bits, X._bits, graph.neighborhoods, graph.cardinalities,
             sums)
-        scans, read, written, words = sums
+        scans, read, written = sums
         children = calls - 1
         COUNTERS.record_step(scans + 2 * children, 2 * children, read,
-                             written, "bitset", words)
+                             written)
         return cliques, calls, depth
 
     def clique_count(self, graph, levels: int) -> int:
@@ -545,9 +492,9 @@ class BitSet(SetBase):
             return self.intersect_count_many(graph, _members(a))
         if not a:
             return 0
-        count, ops, read, written, words = _clique_bits(
+        count, ops, read, written = _clique_bits(
             a, levels, graph.neighborhoods, graph.cardinalities)
-        COUNTERS.record_bulk(read, written, ops, "bitset", words)
+        COUNTERS.record_bulk(read, written, ops)
         return count
 
     def clique_branch(self, graph, levels: int):
@@ -562,20 +509,17 @@ class BitSet(SetBase):
         cardinalities = graph.cardinalities
         a = self._bits
         size = a.bit_count()
-        words_a = (a.bit_length() + _WORD_BITS - 1) // _WORD_BITS
         for v in _members(a):
-            b = neighborhoods[v]._bits
-            c = a & b
+            c = a & neighborhoods[v]._bits
             read = size + cardinalities[v]
-            words = words_a + (b.bit_length() + _WORD_BITS - 1) // _WORD_BITS
             if levels == 1 or not c:
-                COUNTERS.record_bulk(read, 0, 1, "bitset", words)
+                COUNTERS.record_bulk(read, 0)
                 yield c.bit_count()
                 continue
-            count, ops, sub_read, written, sub_words = _clique_bits(
+            count, ops, sub_read, written = _clique_bits(
                 c, levels, neighborhoods, cardinalities)
             COUNTERS.record_bulk(read + sub_read, c.bit_count() + written,
-                                 ops + 1, "bitset", words + sub_words)
+                                 ops + 1)
             yield count
 
     def intersect_inplace(self, other: SetBase) -> None:

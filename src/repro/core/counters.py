@@ -21,15 +21,14 @@ identical inputs therefore produce identical deltas across all exact
 backends — the property the cross-backend regression tests pin.  A bulk
 call over ``n`` operands (``SetBase.intersect_count_many`` or the pivot
 scan ``SetBase.intersect_count_argmax``) records exactly what its ``n``
-per-operand ``intersect_count`` operations would: ``n`` set operations,
-the same reads and writes, and the same ``words_scanned``.  The pass
-instruction ``SetBase.intersect_count_pairs`` over ``n`` pairs records
-what its ``n`` per-pair ``intersect_count`` operations would; its
-default is one ``intersect_count_many`` per run of equal ``u``, and the
-``bitset`` and ``sorted`` fast paths make one record call (plus the
-``sorted`` scan attributions) for the whole pass.  The Tomita
-step ``SetBase.pivot_branch`` records what its per-operation sequence
-would: the pivot scan, one ``diff``, and per child two ``intersect``
+per-operand ``intersect_count`` operations would: ``n`` set operations
+and the same reads and writes.  The pass instruction
+``SetBase.intersect_count_pairs`` over ``n`` pairs records what its
+``n`` per-pair ``intersect_count`` operations would; its default is one
+``intersect_count_many`` per run of equal ``u``, and the ``bitset`` and
+``sorted`` fast paths make one record call for the whole pass.  The
+Tomita step ``SetBase.pivot_branch`` records what its per-operation
+sequence would: the pivot scan, one ``diff``, and per child two ``intersect``
 operations plus the ``remove``/``add`` point operations that move the
 child from ``P`` to ``X``.  BK's subtree ``SetBase.maximal_clique_count``
 records what its per-step recursion would, one such step per call that
@@ -50,10 +49,6 @@ that yield's ``elements_read`` delta; its default consumes each
 vertex's ``clique_branch``, so it records what they record.  A fast
 path (``bitset`` at ``levels == 2``) records what the default records
 over the whole pass, in one call.
-Representation-specific cost (how many machine words a kernel actually
-scanned) is attributed separately, per organization/algorithm, in
-``words_scanned`` — e.g. a dense-bitmap intersection over a sparse set
-scans many words per element, a galloping probe scans ``log`` many.
 
 The counters are global on purpose: they mirror how PAPI instruments a whole
 parallel region rather than a single data structure.  Use
@@ -62,8 +57,7 @@ parallel region rather than a single data structure.  Use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
 
 
 class Counters:
@@ -85,11 +79,6 @@ class Counters:
         KMV signature hashes) — the metric behind the incremental-pivot
         regression tests: maintaining a sketch incrementally must not
         rebuild it from scratch once per recursive call.
-    words_scanned:
-        Machine words (8-byte units) scanned per set organization /
-        algorithm, e.g. ``{"sorted/merge": 812, "bitset": 96}``.
-        This is where representation-specific cost lives, while
-        ``elements_read`` stays comparable across backends.
     payload_bytes_shipped:
         Bytes the parallel runtime shipped *to* pool workers: the pickled
         arguments of every pool task.  A pool's warm state reaches its
@@ -102,8 +91,7 @@ class Counters:
     """
 
     __slots__ = ("set_ops", "point_ops", "elements_read", "elements_written",
-                 "sketch_builds", "words_scanned", "payload_bytes_shipped",
-                 "payload_tasks")
+                 "sketch_builds", "payload_bytes_shipped", "payload_tasks")
 
     def __init__(self) -> None:
         self.reset()
@@ -115,45 +103,33 @@ class Counters:
         self.elements_read = 0
         self.elements_written = 0
         self.sketch_builds = 0
-        self.words_scanned: Dict[str, int] = {}
         self.payload_bytes_shipped = 0
         self.payload_tasks = 0
 
     # The record methods are deliberately tiny: they sit on the hot path
     # of every set operation.
-    def record_bulk(self, read: int, written: int, ops: int = 1,
-                    organization: Optional[str] = None,
-                    words: int = 0) -> None:
+    def record_bulk(self, read: int, written: int, ops: int = 1) -> None:
         """Record *ops* bulk set operations touching *read* inputs in total.
 
-        With an *organization*, the *words* those operations scanned are
-        attributed to it too (see :meth:`record_scan`), so one call
-        accounts a whole operation, or a whole bulk instruction.
+        One call accounts a whole operation, or a whole bulk instruction.
         """
         self.set_ops += ops
         self.elements_read += read
         self.elements_written += written
-        if organization is not None:
-            scans = self.words_scanned
-            scans[organization] = scans.get(organization, 0) + words
 
-    def record_step(self, ops: int, points: int, read: int, written: int,
-                    organization: Optional[str] = None,
-                    words: int = 0) -> None:
+    def record_step(self, ops: int, points: int, read: int,
+                    written: int) -> None:
         """Record *ops* bulk and *points* point operations in one call.
 
         A bulk instruction that mixes both kinds (a Tomita step's
         children: two intersections each, then a ``remove`` and an
-        ``add``) accounts them together; *read*, *written* and *words*
-        are the sums over all of them.
+        ``add``) accounts them together; *read* and *written* are the
+        sums over all of them.
         """
         self.set_ops += ops
         self.point_ops += points
         self.elements_read += read
         self.elements_written += written
-        if organization is not None:
-            scans = self.words_scanned
-            scans[organization] = scans.get(organization, 0) + words
 
     def record_point(self, read: int = 1) -> None:
         """Record one point operation (membership test, add, remove)."""
@@ -163,11 +139,6 @@ class Counters:
     def record_sketch_build(self) -> None:
         """Record one from-scratch sketch construction (full member hash)."""
         self.sketch_builds += 1
-
-    def record_scan(self, organization: str, words: int) -> None:
-        """Attribute *words* machine words scanned to *organization*."""
-        scans = self.words_scanned
-        scans[organization] = scans.get(organization, 0) + words
 
     def record_payload(self, nbytes: int) -> None:
         """Record one pool task whose arguments pickle to *nbytes*."""
@@ -187,8 +158,6 @@ class Counters:
         self.elements_read += delta.elements_read
         self.elements_written += delta.elements_written
         self.sketch_builds += delta.sketch_builds
-        for organization, words in delta.words_scanned.items():
-            self.record_scan(organization, words)
         self.payload_bytes_shipped += delta.payload_bytes_shipped
         self.payload_tasks += delta.payload_tasks
 
@@ -198,45 +167,26 @@ class Counters:
         return self.elements_read + self.elements_written
 
 
-def _merge_scans(a: Mapping[str, int], b: Mapping[str, int]) -> Dict[str, int]:
-    merged = dict(a)
-    for organization, words in b.items():
-        merged[organization] = merged.get(organization, 0) + words
-    return merged
-
-
 @dataclass(frozen=True)
 class Snapshot:
-    """Immutable copy of the counter block at one instant.
-
-    ``words_scanned`` deltas/merges are per-key integer arithmetic, so the
-    associativity and commutativity laws the parallel runner relies on
-    extend to the attribution dict unchanged.
-    """
+    """Immutable copy of the counter block at one instant."""
 
     set_ops: int
     point_ops: int
     elements_read: int
     elements_written: int
     sketch_builds: int = 0
-    words_scanned: Mapping[str, int] = field(default_factory=dict)
     payload_bytes_shipped: int = 0
     payload_tasks: int = 0
 
     def delta(self, later: "Snapshot") -> "Snapshot":
         """Return the counter increments between ``self`` and *later*."""
-        scans = {
-            organization: words - self.words_scanned.get(organization, 0)
-            for organization, words in later.words_scanned.items()
-            if words != self.words_scanned.get(organization, 0)
-        }
         return Snapshot(
             set_ops=later.set_ops - self.set_ops,
             point_ops=later.point_ops - self.point_ops,
             elements_read=later.elements_read - self.elements_read,
             elements_written=later.elements_written - self.elements_written,
             sketch_builds=later.sketch_builds - self.sketch_builds,
-            words_scanned=scans,
             payload_bytes_shipped=(later.payload_bytes_shipped
                                    - self.payload_bytes_shipped),
             payload_tasks=later.payload_tasks - self.payload_tasks,
@@ -246,10 +196,9 @@ class Snapshot:
         """Elementwise sum of two deltas.
 
         Merging is associative and commutative (it is integer addition per
-        field, and per key for ``words_scanned``), which is what makes
-        sharded execution safe: the merge of per-worker deltas equals the
-        sequential totals regardless of how the cells were chunked or in
-        which order the shards complete.
+        field), which is what makes sharded execution safe: the merge of
+        per-worker deltas equals the sequential totals regardless of how
+        the cells were chunked or in which order the shards complete.
         """
         return Snapshot(
             set_ops=self.set_ops + other.set_ops,
@@ -257,8 +206,6 @@ class Snapshot:
             elements_read=self.elements_read + other.elements_read,
             elements_written=self.elements_written + other.elements_written,
             sketch_builds=self.sketch_builds + other.sketch_builds,
-            words_scanned=_merge_scans(self.words_scanned,
-                                       other.words_scanned),
             payload_bytes_shipped=(self.payload_bytes_shipped
                                    + other.payload_bytes_shipped),
             payload_tasks=self.payload_tasks + other.payload_tasks,
@@ -288,7 +235,6 @@ def snapshot() -> Snapshot:
         elements_read=COUNTERS.elements_read,
         elements_written=COUNTERS.elements_written,
         sketch_builds=COUNTERS.sketch_builds,
-        words_scanned=dict(COUNTERS.words_scanned),
         payload_bytes_shipped=COUNTERS.payload_bytes_shipped,
         payload_tasks=COUNTERS.payload_tasks,
     )

@@ -213,17 +213,9 @@ class RoaringSet(SetBase):
         return cls(chunks)
 
     # -- core algebra ---------------------------------------------------
-    def _record_scan(self, b: "RoaringSet") -> None:
-        # Approximation: a bulk op walks both operands' containers once,
-        # so attribute their serialized footprint, in 8-byte words.
-        COUNTERS.record_scan(
-            "roaring", (self.storage_bytes() + b.storage_bytes() + 7) // 8
-        )
-
     def intersect(self, other: SetBase) -> "RoaringSet":
         b = self._coerce(other)
         COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
         out: Dict[int, Container] = {}
         small, large = (self, b) if len(self._chunks) <= len(b._chunks) else (b, self)
         for key, ca in small._chunks.items():
@@ -240,7 +232,6 @@ class RoaringSet(SetBase):
     def intersect_count(self, other: SetBase) -> int:
         b = self._coerce(other)
         COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
         total = 0
         small, large = (self, b) if len(self._chunks) <= len(b._chunks) else (b, self)
         for key, ca in small._chunks.items():
@@ -255,7 +246,6 @@ class RoaringSet(SetBase):
     def union(self, other: SetBase) -> "RoaringSet":
         b = self._coerce(other)
         COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
         out: Dict[int, Container] = {}
         for key in self._chunks.keys() | b._chunks.keys():
             ca = self._chunks.get(key)
@@ -275,7 +265,6 @@ class RoaringSet(SetBase):
     def diff(self, other: SetBase) -> "RoaringSet":
         b = self._coerce(other)
         COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
         out: Dict[int, Container] = {}
         for key, ca in self._chunks.items():
             cb = b._chunks.get(key)

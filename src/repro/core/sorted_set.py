@@ -114,24 +114,17 @@ class SortedSet(SetBase):
         vs = np.asarray(vs, dtype=np.int64)
         sizes = np.array(graph.cardinalities, dtype=np.int64)
         keys, offsets, base = _arc_keys(graph.neighborhoods, sizes)
-        count = read = gallop = merge = 0
+        count = read = 0
         for start in range(0, len(us), _PAIR_CHUNK):
             stop = start + _PAIR_CHUNK
             u, v = us[start:stop], vs[start:stop]
             su, sv = sizes[u], sizes[v]
             read += int(su.sum() + sv.sum())
-            words = _pair_scan_words(su, sv)
-            gallop += words[0]
-            merge += words[1]
             swap = su > sv
             small, large = np.where(swap, v, u), np.where(swap, u, v)
             count += _join_count(keys, offsets[small], (large - small) * base,
                                  np.minimum(su, sv))
         COUNTERS.record_bulk(read, 0, len(us))
-        if gallop:
-            COUNTERS.record_scan("sorted/gallop", gallop)
-        if merge:
-            COUNTERS.record_scan("sorted/merge", merge)
         return count
 
     def _bulk_members(self, graph, vertices: Sequence[int]
@@ -147,11 +140,6 @@ class SortedSet(SetBase):
         members = member_mask_galloping(operands, a)
         n = len(vertices)
         COUNTERS.record_bulk(n * len(a) + sum(sizes), 0, n)
-        gallop, merge = _scan_words(len(a), sizes)
-        if gallop:
-            COUNTERS.record_scan("sorted/gallop", gallop)
-        if merge:
-            COUNTERS.record_scan("sorted/merge", merge)
         return members, sizes
 
     def intersect_inplace(self, other: SetBase) -> None:
@@ -239,41 +227,6 @@ class SortedSet(SetBase):
     __hash__ = SetBase.__hash__
 
 
-def _scan_words(m: int, sizes: Iterable[int]) -> Tuple[int, int]:
-    """Words an ``m``-member sorted array scans against arrays of each of
-    *sizes* members, one intersection each, as ``(gallop, merge)``.
-
-    The one rule :func:`_intersect_arrays` and the bulk instructions both
-    attribute by: a pair with an empty side scans nothing; a pair whose
-    larger side exceeds 32 times the smaller gallops, ``|small|`` binary
-    searches of ``bit_length(|large|)`` words each; any other pair merges,
-    ``|a| + |b|`` words.
-    """
-    gallop = merge = 0
-    if m:
-        for n in sizes:
-            if n == 0:
-                continue
-            if n > 32 * m:
-                gallop += m * n.bit_length()
-            elif m > 32 * n:
-                gallop += n * m.bit_length()
-            else:
-                merge += m + n
-    return gallop, merge
-
-
-def _pair_scan_words(a: np.ndarray, b: np.ndarray) -> Tuple[int, int]:
-    """:func:`_scan_words`' rule over size arrays: the ``(gallop, merge)``
-    words of one intersection per pair ``(a[i], b[i])``, summed."""
-    small, large = np.minimum(a, b), np.maximum(a, b)
-    gallops = (large > 32 * small) & (small > 0)
-    merges = ~gallops & (small > 0)
-    # frexp's exponent is the bit length of a positive integer < 2**53.
-    gallop = small[gallops] * np.frexp(large[gallops])[1]
-    return int(gallop.sum()), int(small[merges].sum() + large[merges].sum())
-
-
 def _overlaps(offsets: np.ndarray, lo: int, hi: int
               ) -> Tuple[int, int, np.ndarray]:
     """The segments ``[offsets[i], offsets[i + 1])`` that overlap
@@ -343,16 +296,15 @@ def _intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     When one side is much smaller, a galloping (binary-search) probe of the
     larger side wins — ``O(|small| log |large|)`` versus ``O(|a| + |b|)`` for
     the merge; this is the adaptive strategy the paper describes for
-    vertex-similarity kernels (section 6.5).
+    vertex-similarity kernels (section 6.5).  An empty side gives the
+    empty array; a pair whose larger side is at most 32 times the smaller
+    merges, and any other pair gallops.
     """
-    gallop, merge = _scan_words(len(a), (len(b),))
-    if merge:
-        COUNTERS.record_scan("sorted/merge", merge)
-        return np.intersect1d(a, b, assume_unique=True)
-    if not gallop:
-        return _EMPTY
-    COUNTERS.record_scan("sorted/gallop", gallop)
     small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if not len(small):
+        return _EMPTY
+    if len(large) <= 32 * len(small):
+        return np.intersect1d(a, b, assume_unique=True)
     idx = np.searchsorted(large, small)
     idx[idx == len(large)] = len(large) - 1
     return small[large[idx] == small]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ def nx_kclique_count(G, k):
 #: The suite kernels that take an ordering, run by the ordering oracle.
 ORACLE_KERNELS = ("4clique", "kclique", "bk", "4clique-rec")
 EXACT_CLASSES = [cls for cls in registered_set_classes() if cls.IS_EXACT]
+#: The disjoint-union oracle's suite kernels, each with what a
+#: vertex-disjoint K_7 adds: its 3-, 4- or 5-cliques (k = 5 for
+#: ``kclique``), or one maximal clique.
+UNION_KERNELS = {"tc": comb(7, 3), "tc-merge": comb(7, 3),
+                 "kstar": comb(7, 3), "4clique": comb(7, 4),
+                 "4clique-rec": comb(7, 4), "kclique": comb(7, 5), "bk": 1}
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,21 @@ def oracle_graph():
              "bk": sum(1 for _ in nx.find_cliques(G)),
              "4clique-rec": nx_kclique_count(G, 4)}
     return csr, truth, {cls: MaterializationCache() for cls in EXACT_CLASSES}
+
+
+@pytest.fixture(scope="module")
+def union_graphs():
+    """The disjoint-union oracle's base graph and, per first ID, the base
+    plus a K_7 on IDs ``first..first+6``; the IDs between them are
+    isolated vertices."""
+    csr, G = random_csr(30, 200, 12)
+    unions = {}
+    for first in (30, 8200):
+        clique = [(first + i, first + j)
+                  for i in range(7) for j in range(i + 1, 7)]
+        unions[first] = build_undirected(first + 7,
+                                         list(G.edges()) + clique)
+    return csr, unions
 
 
 class TestCounts:
@@ -64,13 +87,33 @@ class TestCounts:
                         ordering, ExperimentPlan(k=5), caches[cls])
         assert cell["value"] == truth[kernel]
 
+    @pytest.mark.parametrize("first", [30, 8200])
+    @pytest.mark.parametrize("kernel", UNION_KERNELS)
+    @pytest.mark.parametrize("cls", EXACT_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_disjoint_union_oracle(self, union_graphs, cls, kernel, first):
+        # Counts add over a vertex-disjoint union, and every isolated
+        # vertex is one more maximal clique.  At first ID 8200 a bitset
+        # row is 129 words, past the pass instructions' 128-word cap, so
+        # the union takes their defaults where the base takes the fast
+        # paths.
+        base, unions = union_graphs
+
+        def value(graph):
+            return run_cell(graph, cls, SUITE_KERNELS[kernel], cls.__name__,
+                            "DGR", ExperimentPlan(k=5),
+                            MaterializationCache())["value"]
+
+        added = UNION_KERNELS[kernel]
+        if kernel == "bk":
+            added += first - 30
+        assert value(unions[first]) == value(base) + added
+
     def test_k3_equals_triangles(self):
         csr, G = random_csr(40, 200, 13)
         assert kclique_count(csr, 3).count == sum(nx.triangles(G).values()) // 3
 
     def test_complete_graph_closed_form(self):
-        from math import comb
-
         n = 9
         g = build_undirected(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         for k in (3, 4, 5):

@@ -181,7 +181,7 @@ class TestCommunities:
         )
         labels = jarvis_patrick(csr, k=k, k_min=k_min)
         clusters = {frozenset(np.flatnonzero(labels == c).tolist())
-                    for c in set(labels.tolist())}
+                    for c in sorted(set(labels.tolist()))}
         assert clusters == {frozenset(c)
                             for c in nx.connected_components(snn)}
 

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Baseline, analyze_paths
-from repro.analysis.cli import DEFAULT_BASELINE_NAME, find_repo_root, main
+from repro.analysis.cli import (DEFAULT_BASELINE_NAME, DEFAULT_PATHS,
+                                find_repo_root, main)
 
 REPO_ROOT = find_repo_root(Path(__file__).resolve().parent)
 SRC = REPO_ROOT / "src" / "repro"
@@ -26,7 +27,7 @@ SRC = REPO_ROOT / "src" / "repro"
 
 @pytest.fixture(scope="module")
 def repo_findings():
-    return analyze_paths([SRC], REPO_ROOT)
+    return analyze_paths([REPO_ROOT / p for p in DEFAULT_PATHS], REPO_ROOT)
 
 
 class TestRepoSelfAudit:

@@ -65,6 +65,45 @@ def test_galloping_skewed_sizes():
     assert intersect_galloping(small, large).tolist() == [5, 500000]
 
 
+# SortedSet's one intersection rule, at its threshold in both argument
+# orders: an empty side gives the empty array, a larger side of at most
+# 32 times the smaller merges (np.intersect1d), and any other pair
+# gallops (np.searchsorted).  The counters record elements either way.
+@pytest.mark.parametrize("sizes, kernel", [
+    pytest.param((1, 32), "intersect1d", id="merge-1-32"),
+    pytest.param((1, 33), "searchsorted", id="gallop-1-33"),
+    pytest.param((0, 5), None, id="empty-0-5")])
+@pytest.mark.parametrize("swap", [False, True], ids=["ab", "ba"])
+@pytest.mark.parametrize("op", ["intersect", "intersect_count",
+                                "intersect_inplace"])
+def test_sorted_intersection_merges_up_to_32x_then_gallops(
+        monkeypatch, sizes, kernel, swap, op):
+    small = np.array([10], dtype=np.int64)[:sizes[0]]
+    large = np.arange(0, 2 * sizes[1], 2, dtype=np.int64)
+    a, b = (large, small) if swap else (small, large)
+    expected = np.intersect1d(a, b)
+    sa, sb = SortedSet.from_sorted_array(a), SortedSet.from_sorted_array(b)
+    calls = []
+    for name in ("intersect1d", "searchsorted"):
+        def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    before = snapshot()
+    result = getattr(sa, op)(sb)
+    delta = before.delta(snapshot())
+    monkeypatch.undo()
+    assert calls == ([kernel] if kernel else [])
+    if op == "intersect_count":
+        assert result == len(expected)
+        written = 0
+    else:
+        out = sa if op == "intersect_inplace" else result
+        assert np.array_equal(out.to_array(), expected)
+        written = len(expected)
+    assert delta == Snapshot(1, 0, len(a) + len(b), written)
+
+
 def test_counters_accumulate_and_snapshot():
     reset()
     before = snapshot()
@@ -96,6 +135,8 @@ snapshots = st.builds(
     elements_read=st.integers(0, 10**12),
     elements_written=st.integers(0, 10**12),
     sketch_builds=st.integers(0, 10**6),
+    payload_bytes_shipped=st.integers(0, 10**12),
+    payload_tasks=st.integers(0, 10**6),
 )
 
 
