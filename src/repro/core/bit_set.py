@@ -35,6 +35,10 @@ _ARC_SCRATCH_BYTES = 24
 #: Memory one :meth:`BitSet.from_csr` chunk may use: its byte buffer plus
 #: its arcs' scratch.  A bulk build then peaks at the finished bitsets
 #: plus about one chunk, where one unchunked buffer would double it.
+#: :meth:`BitSet.clique_count_arcs` chunks its wedges by the same budget
+#: (on livemocha-mini's DGR DAG its pass took 2.8 ms at 4 MiB against
+#: 4.1 ms at 1 MiB) and :meth:`BitSet.intersect_count_pairs` its
+#: gathered rows by a quarter of it.
 _CHUNK_BYTES = 4 << 20
 #: Row width, in 64-bit words, above which
 #: :meth:`BitSet.intersect_count_pairs` takes the per-vertex default.
@@ -56,12 +60,13 @@ _PAIR_MAX_BYTES = 8 << 20
 _WEDGE_SCRATCH_BYTES = 64
 
 
-def _row_matrix(neighborhoods: list) -> Optional[np.ndarray]:
-    """The big ints of *neighborhoods* packed into a ``uint64`` row
-    matrix (one ``to_bytes`` per vertex, rows as wide as the widest), or
-    ``None`` when that width exceeds :data:`_PAIR_MAX_WORDS` or the
-    matrix :data:`_PAIR_MAX_BYTES`."""
-    bits = [s._bits for s in neighborhoods]
+def _row_matrix(graph) -> Optional[np.ndarray]:
+    """The big ints of *graph*'s neighborhoods packed into a ``uint64``
+    row matrix (one ``to_bytes`` per vertex, rows as wide as the
+    widest), or ``None`` when that width exceeds :data:`_PAIR_MAX_WORDS`
+    or the matrix :data:`_PAIR_MAX_BYTES`.  Built once per ``SetGraph``
+    through :meth:`~repro.graph.set_graph.SetGraph.derived`."""
+    bits = [s._bits for s in graph.neighborhoods]
     longest = max((b.bit_length() for b in bits), default=0)
     width = max((longest + _WORD_BITS - 1) // _WORD_BITS, 1)
     row = 8 * width
@@ -72,6 +77,12 @@ def _row_matrix(neighborhoods: list) -> Optional[np.ndarray]:
     for v, b in enumerate(bits):
         view[v * row:(v + 1) * row] = b.to_bytes(row, "little")
     return matrix
+
+
+def _sizes(graph) -> np.ndarray:
+    """*graph*'s cardinalities as an ``int64`` array, kept with its row
+    matrix through :meth:`~repro.graph.set_graph.SetGraph.derived`."""
+    return np.array(graph.cardinalities, dtype=np.int64)
 
 
 def _arc_cliques(matrix: np.ndarray, sizes: np.ndarray, offsets: np.ndarray,
@@ -328,26 +339,32 @@ class BitSet(SetBase):
     def intersect_count_pairs(cls, graph, us: np.ndarray,
                               vs: np.ndarray) -> int:
         # One pass over a SetGraph of BitSets as numpy words: the big ints
-        # packed into a row matrix (_row_matrix, built per call), then the
-        # rows of each chunk of pairs gathered, ANDed and popcounted.
-        # Accounted in one call: exactly what len(us) intersect_count
-        # calls record.  Any other class or graph, or rows above the caps,
-        # takes the default.
+        # packed into a row matrix (_row_matrix, built once per graph),
+        # then the rows of each chunk of pairs gathered, ANDed and
+        # popcounted.  Accounted in one call: exactly what len(us)
+        # intersect_count calls record.  Any other class or graph, or
+        # rows above the caps, takes the default.
         if (len(us) == 0 or cls is not BitSet
                 or getattr(graph, "set_cls", None) is not BitSet):
             return super().intersect_count_pairs(graph, us, vs)
-        matrix = _row_matrix(graph.neighborhoods)
+        matrix = graph.derived(_row_matrix)
         if matrix is None:
             return super().intersect_count_pairs(graph, us, vs)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         count = 0
-        step = max(1, _CHUNK_BYTES // (16 * matrix.shape[1]))
+        # A chunk's two gathered operands take a quarter of the budget,
+        # 512 KiB each.  Operands of half the budget each were freed back
+        # to the OS and faulted in again on every pass: on holme_kim
+        # graphs of 1,000-1,400 vertices and 16-22 words per row, 740-990
+        # minor faults and 1.8-2.8 ms per pass, against 0-220 faults and
+        # 0.8-1.0 ms at a quarter (2 shared vCPUs, median of 31).
+        step = max(1, _CHUNK_BYTES // (64 * matrix.shape[1]))
         for start in range(0, len(us), step):
             rows = matrix[us[start:start + step]]
             rows &= matrix[vs[start:start + step]]
             count += popcount(rows)
-        sizes = np.array(graph.cardinalities, dtype=np.int64)
+        sizes = graph.derived(_sizes)
         uses = (np.bincount(us, minlength=len(sizes))
                 + np.bincount(vs, minlength=len(sizes)))
         COUNTERS.record_bulk(int(sizes @ uses), 0, len(us))
@@ -356,7 +373,8 @@ class BitSet(SetBase):
     @classmethod
     def clique_count_arcs(cls, graph, levels: int) -> tuple:
         # kClist's level 2 (the 4-cliques of every arc) over a SetGraph of
-        # BitSets with its arcs, as numpy words on the _row_matrix.  For
+        # BitSets with its arcs, as numpy words on the graph's _row_matrix
+        # (the pair instruction's, built once per graph).  For
         # arc (u, v) the wedges w of N⁺(u) whose bit is set in row v are
         # c = N⁺(u) ∩ N⁺(v), ascending, and the arc counts
         # Σ_{w ∈ c} popcount(row u & row v & row w).  Chunked by ranges of
@@ -368,13 +386,13 @@ class BitSet(SetBase):
                 or getattr(graph, "set_cls", None) is not BitSet
                 or len(arcs[1]) == 0):
             return super().clique_count_arcs(graph, levels)
-        matrix = _row_matrix(graph.neighborhoods)
+        matrix = graph.derived(_row_matrix)
         if matrix is None:
             return super().clique_count_arcs(graph, levels)
         offsets = np.asarray(arcs[0], dtype=np.int64)
         targets = np.asarray(arcs[1], dtype=np.int64)
         degrees = np.diff(offsets)
-        sizes = np.array(graph.cardinalities, dtype=np.int64)
+        sizes = graph.derived(_sizes)
         counts = np.zeros(len(targets), dtype=np.int64)
         reads = np.zeros(len(targets), dtype=np.int64)
         # A wedge closes at most one triangle, whose three gathered rows

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Type)
 
 import numpy as np
 
@@ -61,10 +62,16 @@ class SetGraph:
     ``None`` otherwise.  :meth:`storage_bytes` does not count it: a
     ``sorted`` set is a view of ``targets``, so it costs ``sorted`` only
     the offsets, and other backends 8 bytes per arc and per vertex more.
+
+    :meth:`derived` keeps the arrays a set class derives from the
+    read-only neighborhoods for its bulk instructions (``bitset``'s
+    packed row matrix and ``int64`` cardinalities), each built on its
+    first use, read-only, and dropped with the graph.  Neither
+    :meth:`storage_bytes` nor a pickled copy carries them.
     """
 
     __slots__ = ("_neighborhoods", "set_cls", "directed", "cardinalities",
-                 "arcs")
+                 "arcs", "_derived")
 
     def __init__(
         self,
@@ -81,6 +88,27 @@ class SetGraph:
         self.cardinalities: List[int] = [
             s.cardinality() for s in self._neighborhoods
         ]
+        self._derived: Dict[Callable, object] = {}
+
+    def __getstate__(self):
+        # A copy rebuilds its derived arrays where it is used.
+        return None, {**{name: getattr(self, name) for name in self.__slots__},
+                      "_derived": {}}
+
+    def derived(self, build: Callable[["SetGraph"], object]):
+        """``build(self)``, computed on the first call for *build* and
+        kept for the graph's lifetime, with an array made read-only.
+
+        Neighborhoods are shared and read-only by contract, so what is
+        derived from them cannot go stale."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = build(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._derived[build] = value
+            return value
 
     @property
     def num_nodes(self) -> int:

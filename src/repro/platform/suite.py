@@ -141,6 +141,7 @@ sweep; see ``examples/suite_run.py`` for the library-level API.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import (
@@ -445,6 +446,10 @@ class ExperimentPlan:
         unknown = [n for n in self.set_classes if n not in known]
         if unknown:
             raise KeyError(f"unknown set classes {unknown}; known: {known}")
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps must be finite and >= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.workers < 1:

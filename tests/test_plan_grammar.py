@@ -44,6 +44,9 @@ BAD_INPUTS = {
     "pool-schedule": {"schedule": "dynamic"},
     "pool-transport": {"transport": "shm"},
     "repeats-zero": {"repeats": "0"},
+    "k-one": {"k": "1"},
+    "eps-negative": {"eps": "-1"},
+    "eps-nan": {"eps": "nan"},
 }
 
 #: Every scalar query key, spelled as the REPL and ``/query`` take it.
@@ -186,6 +189,18 @@ class TestOneGrammarSameMeaning:
             main(["suite", *argv])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_suite_cli_refuses_a_negative_eps(self, tmp_path, monkeypatch,
+                                              capsys):
+        # ADG would raise it mid-run; the plan refuses it before any cell.
+        import repro.platform.bench as bench
+
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--orderings", "ADG", "--eps", "-1"])
+        assert exc.value.code == 2
+        assert "eps must be finite and >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["schedule", "transport"])

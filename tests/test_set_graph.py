@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core import (BitSet, HashSet, RoaringSet, SortedSet, bit_set,
                         sorted_set)
+from repro.core.counters import snapshot
 from repro.core.registry import registered_set_classes
 from repro.graph import SetGraph, build_set_graph, build_undirected, load_dataset
 from repro.graph.generators import holme_kim
@@ -160,6 +162,7 @@ class TestIntersectCountPairs:
 
         monkeypatch.setattr(BitSet, "intersect_count_many", counted)
         monkeypatch.setattr(BitSet, "clique_branch", branched)
+        packs = _counted_packs(monkeypatch)
         cap = bit_set._PAIR_MAX_WORDS
         matrix = 3 * 8 * cap
         for top, max_bytes, default in ((64 * cap, matrix, True),
@@ -168,10 +171,14 @@ class TestIntersectCountPairs:
             monkeypatch.setattr(bit_set, "_PAIR_MAX_BYTES", max_bytes)
             sg = SetGraph([BitSet.from_iterable(n)
                            for n in ([1, 2, top], [1, 2], [2, top])], BitSet)
-            calls.clear()
+            # The second call reads the first one's verdict: no pack.
             us, vs = np.array([0, 0, 2]), np.array([1, 2, 0])
-            assert sg.intersect_count_pairs(us, vs) == 2 + 2 + 2
-            assert calls == ([2, 1] if default else [])
+            for _ in range(2):
+                calls.clear()
+                assert sg.intersect_count_pairs(us, vs) == 2 + 2 + 2
+                assert calls == ([2, 1] if default else [])
+            assert packs == [sg]
+            packs.clear()
         # clique_count_arcs packs a row per vertex, so vertex top exists:
         # 64 * cap rows of cap words make a matrix of 8 * cap * 64 * cap
         # bytes.  The K4 {0, 1, 2, top} is arc (0, 1)'s one 4-clique.
@@ -184,10 +191,75 @@ class TestIntersectCountPairs:
             targets = np.array([1, 2, top, 2, top, top])
             sg = SetGraph(BitSet.from_csr(offsets, targets), BitSet,
                           directed=True, arcs=(offsets, targets))
-            branches.clear()
-            counts, _ = sg.clique_count_arcs(2)
-            assert counts.tolist() == [1, 0, 0, 0, 0, 0]
-            assert len(branches) == (top + 1 if default else 0)
+            for _ in range(2):
+                branches.clear()
+                counts, _ = sg.clique_count_arcs(2)
+                assert counts.tolist() == [1, 0, 0, 0, 0, 0]
+                assert len(branches) == (top + 1 if default else 0)
+            assert packs == [sg]
+            packs.clear()
+
+
+def _counted_packs(monkeypatch) -> list:
+    """The graphs ``bit_set._row_matrix`` packs from now on, in order."""
+    packs = []
+    pack = bit_set._row_matrix
+
+    def counted(graph):
+        packs.append(graph)
+        return pack(graph)
+
+    monkeypatch.setattr(bit_set, "_row_matrix", counted)
+    return packs
+
+
+class TestDerivedArrays:
+    """``SetGraph.derived``: what a bulk instruction derives from the
+    read-only neighborhoods, built once per graph."""
+
+    def test_bitset_passes_pack_once_per_graph(self, monkeypatch):
+        # A warm call equals the cold one in value, per-arc arrays and
+        # counters.  The DAG's pair pass reuses its arc pass's matrix.
+        packs = _counted_packs(monkeypatch)
+        graph = holme_kim(300, 4, 0.5, seed=2)
+        sg = build_set_graph(graph, BitSet)
+        _, dag = MaterializationCache().oriented(graph, BitSet, "DGR")
+        us = np.repeat(np.arange(graph.num_nodes), graph.degrees())
+        pairs, arcs = [], []
+        for _ in range(2):
+            before = snapshot()
+            value = sg.intersect_count_pairs(us, graph.adjacency)
+            pairs.append((value, before.delta(snapshot())))
+            before = snapshot()
+            counts, reads = dag.clique_count_arcs(2)
+            arcs.append((counts.tolist(), reads.tolist(),
+                         before.delta(snapshot())))
+        assert pairs[1] == pairs[0] and pairs[0][0] > 0
+        assert arcs[1] == arcs[0] and sum(arcs[0][0]) > 0
+        dag_us = np.repeat(np.arange(graph.num_nodes), np.diff(dag.arcs[0]))
+        assert dag.intersect_count_pairs(dag_us, dag.arcs[1]) > 0
+        assert packs == [sg, dag]
+
+    def test_stored_arrays_are_read_only_and_not_shipped(self, monkeypatch):
+        packs = _counted_packs(monkeypatch)
+        sg = build_set_graph(holme_kim(300, 4, 0.5, seed=2), BitSet)
+        size = sg.storage_bytes()
+        us, vs = np.array([0, 1]), np.array([1, 0])
+        value = sg.intersect_count_pairs(us, vs)
+        matrix = sg.derived(bit_set._row_matrix)
+        sizes = sg.derived(bit_set._sizes)
+        assert packs == [sg]
+        assert sizes.dtype == np.int64 and sizes.tolist() == sg.cardinalities
+        for array in (matrix, sizes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # storage_bytes stays the per-set model, and a pickled copy
+        # packs its own matrix on first use.
+        assert sg.storage_bytes() == size
+        copy = pickle.loads(pickle.dumps(sg))
+        assert copy.intersect_count_pairs(us, vs) == value
+        assert packs == [sg, copy]
 
 
 def _pairs_peak(sg, us, vs):
@@ -228,6 +300,12 @@ def test_pair_fast_path_peak_is_its_matrix_or_keys_plus_one_chunk(
     slack = (32 << 10) + 48 * graph.num_nodes
     assert 8 * len(us) > chunk + slack
     assert peak <= graph_sized + chunk + slack, (peak, graph_sized)
+    if cls is BitSet:
+        # A warm call reads the stored matrix: one chunk, no matrix.
+        value, peak = _pairs_peak(sg, us, vs)
+        assert value == 6 * int(triangle_counts(graph).sum()) // 3
+        assert graph_sized > chunk + slack
+        assert peak <= chunk + slack, (peak, chunk + slack)
 
 
 def test_clique_count_arcs_peak_is_its_matrix_and_arrays_plus_one_chunk(
@@ -242,19 +320,21 @@ def test_clique_count_arcs_peak_is_its_matrix_and_arrays_plus_one_chunk(
     monkeypatch.setattr(bit_set, "_CHUNK_BYTES", chunk)
     degrees = np.diff(dag.arcs[0])
     width = (max(s._bits.bit_length() for s in dag.neighborhoods) + 63) // 64
-    graph_sized = graph.num_nodes * 8 * width + 2 * 8 * graph.num_edges
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base, _ = tracemalloc.get_traced_memory()
-        counts, reads = dag.clique_count_arcs(2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    outputs = 2 * 8 * graph.num_edges
+    graph_sized = graph.num_nodes * 8 * width + outputs
     expected = SetGraph(dag.neighborhoods, BitSet).clique_count_arcs(2)
-    assert counts.tolist() == expected[0].tolist()
-    assert reads.tolist() == expected[1].tolist()
     slack = (32 << 10) + 48 * graph.num_nodes
     assert 8 * int(degrees @ degrees) > chunk + slack
-    assert peak - base <= graph_sized + chunk + slack, (peak - base,
-                                                        graph_sized)
+    # The second, warm call reads the stored matrix.
+    for bound in (graph_sized, outputs):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            counts, reads = dag.clique_count_arcs(2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == expected[0].tolist()
+        assert reads.tolist() == expected[1].tolist()
+        assert peak - base <= bound + chunk + slack, (peak - base, bound)
